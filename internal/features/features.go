@@ -190,7 +190,7 @@ func RankByOutDegree(g *graph.Digraph) []int32 {
 // Compute builds the feature matrix for a dataset and scores every row with
 // the default scorer. The result is bit-identical at every
 // Options.Parallelism: the global vectors (betweenness, PageRank, cores,
-// percentiles, the power-law fit) are computed with the repo's
+// clustering, percentiles, the power-law fit) are computed with the repo's
 // deterministic kernels, and the row fill shards into fixed ShardRows-wide
 // chunks whose layout is independent of the worker count.
 func Compute(ds *twitter.Dataset, opts Options) (*Matrix, error) {
@@ -221,8 +221,10 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 		return m
 	}
 
-	// Global vectors first; every one of these kernels is deterministic at
-	// any worker budget, so the per-row fill below only reads fixed inputs.
+	// Global vectors first (degrees, cores, clustering, centrality
+	// percentiles, the tail fit); every one of these kernels is
+	// deterministic at any worker budget, so the per-row fill below only
+	// reads fixed inputs.
 	outDeg := g.OutDegrees()
 	inDeg := g.InDegrees()
 	cores := graph.KCores(g)
@@ -231,7 +233,7 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 	if m.CoreK < 1 {
 		m.CoreK = 1 // AnalyzeMutualCore's clamp, kept in lockstep
 	}
-	und := g.Undirected()
+	clus := graph.LocalClusteringAll(g, o.Parallelism)
 
 	// The betweenness sample draws from its own derived stream, so the
 	// matrix commutes with every other consumer of the seed (Derive never
@@ -281,7 +283,7 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 			}
 			row[FeatBetweennessPct] = bPct[u]
 			row[FeatEigenPct] = ePct[u]
-			row[FeatClustering] = graph.LocalClusteringUndirected(und, u)
+			row[FeatClustering] = clus[u]
 			if !math.IsNaN(xmin) && float64(outDeg[u]) >= xmin {
 				row[FeatTail] = 1
 				t.tail++

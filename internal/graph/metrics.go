@@ -35,81 +35,6 @@ func Reciprocity(g *Digraph) float64 {
 	return float64(mutual) / float64(m)
 }
 
-// AverageLocalClustering returns the mean local clustering coefficient over
-// nodes with undirected degree >= 2, treating the graph as undirected (the
-// convention of Watts–Strogatz and of the paper's reported 0.1583).
-// Nodes with degree < 2 contribute 0, matching the networkx "average over
-// all nodes" convention.
-func AverageLocalClustering(g *Digraph) float64 {
-	und := g.Undirected()
-	n := und.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	// Per-chunk partial sums are combined in chunk order, so the result is
-	// bit-stable regardless of worker count.
-	parts := chunkReduce(n, func(lo, hi int) float64 {
-		s := 0.0
-		for u := lo; u < hi; u++ {
-			s += localClustering(und, u)
-		}
-		return s
-	})
-	total := 0.0
-	for _, p := range parts {
-		total += p
-	}
-	return total / float64(n)
-}
-
-// LocalClustering returns the local clustering coefficient of node u in the
-// undirected projection of g.
-func LocalClustering(g *Digraph, u int) float64 {
-	return localClustering(g.Undirected(), u)
-}
-
-// LocalClusteringUndirected is LocalClustering on a graph that is already
-// symmetric (as returned by Undirected): callers that need many per-node
-// coefficients project once and amortize the O(m) projection instead of
-// paying it on every call.
-func LocalClusteringUndirected(und *Digraph, u int) float64 {
-	return localClustering(und, u)
-}
-
-// localClustering computes triangles/(d·(d-1)/2) on an already-symmetric
-// graph.
-func localClustering(und *Digraph, u int) float64 {
-	nbrs := und.OutNeighbors(u)
-	d := len(nbrs)
-	if d < 2 {
-		return 0
-	}
-	links := 0
-	for i := 0; i < d; i++ {
-		vi := nbrs[i]
-		row := und.OutNeighbors(int(vi))
-		// Count neighbors of vi that are also neighbors of u with id
-		// greater than vi (each undirected pair counted once) by merge
-		// intersection.
-		j, k := 0, 0
-		for j < len(row) && k < d {
-			switch {
-			case row[j] < nbrs[k]:
-				j++
-			case row[j] > nbrs[k]:
-				k++
-			default:
-				if row[j] > vi {
-					links++
-				}
-				j++
-				k++
-			}
-		}
-	}
-	return 2 * float64(links) / (float64(d) * float64(d-1))
-}
-
 // DegreeAssortativity returns the Pearson correlation of the (out-degree of
 // source, in-degree of target) pairs over all directed edges — the
 // out-in degree assortativity of Newman. Negative values indicate
