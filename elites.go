@@ -264,12 +264,8 @@ var (
 	// extracts one stage's fragment.
 	NewReportView = core.NewReportView
 	StageView     = core.StageView
-	// ComputeFeatures builds the per-user feature matrix standalone (the
-	// pipeline's features stage calls the same function); DefaultScorer is
-	// the process-wide classifier it scores rows with, trained once on the
-	// fixed elitegen seed schedule.
-	ComputeFeatures = features.Compute
-	DefaultScorer   = features.DefaultScorer
+	// DefaultScorer is ComputeFeatures' classifier, trained once per process.
+	DefaultScorer = features.DefaultScorer
 	// FeatureNames lists the matrix columns in order; RankByOutDegree is
 	// the serving layer's per-user ranking (out-degree desc, node asc).
 	FeatureNames    = features.Names
@@ -462,3 +458,9 @@ var (
 // RenderReport writes the full report to w (alias for Report.Render for
 // callers holding the interface value).
 func RenderReport(w io.Writer, r *Report) { r.Render(w) }
+
+// ComputeFeatures builds the per-user feature matrix standalone, bit-identical
+// to the pipeline's features stage.
+func ComputeFeatures(ds *Dataset, opts FeatureOptions) (*FeatureMatrix, error) {
+	return features.Compute(ds, nil, opts)
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"elites/internal/centrality"
+	"elites/internal/features"
 	"elites/internal/graph"
 	"elites/internal/text"
 	"elites/internal/twitter"
@@ -44,8 +45,13 @@ func AnalyzeCategories(ds *twitter.Dataset) (*CategoryAnalysis, error) {
 	if ds == nil || ds.Graph == nil || len(ds.Profiles) == 0 {
 		return nil, ErrNoData
 	}
+	return analyzeCategories(ds, features.NewShared(ds.Graph, features.Options{}))
+}
+
+// analyzeCategories is AnalyzeCategories reading PageRank from sh.
+func analyzeCategories(ds *twitter.Dataset, sh *features.Shared) (*CategoryAnalysis, error) {
 	g := ds.Graph
-	pr, err := centrality.PageRank(g, nil)
+	pr, err := sh.PageRank()
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +162,11 @@ type MutualCoreAnalysis struct {
 
 // AnalyzeMutualCore validates the §IV-C conjecture on a graph.
 func AnalyzeMutualCore(g *graph.Digraph) *MutualCoreAnalysis {
-	cores := graph.KCores(g)
+	return analyzeMutualCore(g, features.NewShared(g, features.Options{}).Cores())
+}
+
+// analyzeMutualCore is AnalyzeMutualCore over g's core decomposition.
+func analyzeMutualCore(g *graph.Digraph, cores *graph.KCoreResult) *MutualCoreAnalysis {
 	k := cores.MaxCore / 2
 	if k < 1 {
 		k = 1

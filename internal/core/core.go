@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"elites/internal/cache"
-	"elites/internal/centrality"
 	"elites/internal/faults"
 	"elites/internal/features"
 	"elites/internal/graph"
@@ -397,6 +396,15 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		return st
 	}
 
+	// Graph-wide quantities several stages read, computed at most once per
+	// run and only when a stage that misses the cache asks (see Shared).
+	fopts := features.Options{
+		BetweennessSources: c.opts.BetweennessSources,
+		Seed:               c.opts.Seed,
+		Parallelism:        c.opts.Parallelism,
+	}
+	sh := features.NewShared(g, fopts)
+
 	// Shared intermediate: the component decompositions feed the summary.
 	var scc *graph.SCCResult
 	var wcc *graph.WCCResult
@@ -429,7 +437,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 				return nil
 			}),
 		withCache(pipeline.Stage{Name: StageDegree, Run: func() error {
-			c.degreeAnalysis(rep, g, base.Derive(StageDegree))
+			c.degreeAnalysis(rep, g, sh, base.Derive(StageDegree))
 			return nil
 		}}, degreeCodecVersion,
 			cache.HashWords(c.opts.Seed, uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
@@ -492,7 +500,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 				return nil
 			}},
 			withCache(pipeline.Stage{Name: StageCentrality, Run: func() error {
-				c.centralityAnalysis(rep, ds, base.Derive(StageCentrality))
+				c.centralityAnalysis(rep, ds, sh)
 				return nil
 			}}, centralityCodecVersion,
 				cache.HashWords(c.opts.Seed, uint64(c.opts.BetweennessSources), boolWord(c.opts.SkipBetweenness)),
@@ -508,7 +516,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		)
 		if !c.opts.SkipCategories {
 			stages = append(stages, pipeline.Stage{Name: StageCategories, Run: func() error {
-				if ca, err := AnalyzeCategories(ds); err == nil {
+				if ca, err := analyzeCategories(ds, sh); err == nil {
 					rep.Categories = ca
 				}
 				return nil
@@ -517,7 +525,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 	}
 	if !c.opts.SkipCategories {
 		stages = append(stages, withCache(pipeline.Stage{Name: StageMutualCore, Run: func() error {
-			rep.MutualCore = AnalyzeMutualCore(g)
+			rep.MutualCore = analyzeMutualCore(g, sh.Cores())
 			return nil
 		}}, mutualCoreCodecVersion,
 			cache.HashWords(), // deterministic over the graph; no options
@@ -538,11 +546,6 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		}})
 	}
 	if c.opts.Features || stageRequested(c.opts.Stages, StageFeatures) {
-		fopts := features.Options{
-			BetweennessSources: c.opts.BetweennessSources,
-			Seed:               c.opts.Seed,
-			Parallelism:        c.opts.Parallelism,
-		}
 		fdigest := features.OptionsDigest(fopts)
 		// Row payloads are cached as per-shard entries (features.Store)
 		// keyed on the same (dataset, options) identity; the stage body is
@@ -551,7 +554,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		// the matrix is never partially hydrated.
 		fstore := features.Store{Cache: rcache, Dataset: dsDigest, Options: fdigest}
 		stages = append(stages, withCache(pipeline.Stage{Name: StageFeatures, Run: func() error {
-			m, err := features.Compute(ds, fopts)
+			m, err := features.Compute(ds, sh, fopts)
 			if err != nil {
 				return err
 			}
@@ -798,14 +801,13 @@ func (c *Characterizer) basic(rep *Report, g *graph.Digraph, scc *graph.SCCResul
 	rep.Basic = basic
 }
 
-func (c *Characterizer) degreeAnalysis(rep *Report, g *graph.Digraph, rng *mathx.RNG) {
-	outDeg := g.OutDegrees()
-	rep.DegreeSeries = stats.DegreeFrequency(outDeg)
-	fit, err := powerlaw.FitDiscrete(outDeg, nil)
+func (c *Characterizer) degreeAnalysis(rep *Report, g *graph.Digraph, sh *features.Shared, rng *mathx.RNG) {
+	rep.DegreeSeries = stats.DegreeFrequency(g.OutDegrees())
+	fit, err := sh.DegreeFit()
 	if err != nil {
 		return
 	}
-	pa := &PowerLawAnalysis{Fit: fit, GoFP: nan()}
+	pa := &PowerLawAnalysis{Fit: fit, GoFP: math.NaN()}
 	if !c.opts.SkipBootstrap {
 		pa.GoFP = fit.GoodnessOfFitWorkers(c.opts.BootstrapReps, rng, c.opts.Parallelism)
 	}
@@ -823,7 +825,7 @@ func (c *Characterizer) eigenAnalysis(rep *Report, g *graph.Digraph, rng *mathx.
 	if err != nil {
 		return
 	}
-	pa := &PowerLawAnalysis{Fit: fit, GoFP: nan()}
+	pa := &PowerLawAnalysis{Fit: fit, GoFP: math.NaN()}
 	if !c.opts.SkipBootstrap {
 		pa.GoFP = fit.GoodnessOfFitWorkers(c.opts.BootstrapReps, rng, c.opts.Parallelism)
 	}
@@ -864,9 +866,8 @@ func (c *Characterizer) metricHistograms(rep *Report, ds *twitter.Dataset) {
 }
 
 // centralityAnalysis builds the six Figure 5 panels.
-func (c *Characterizer) centralityAnalysis(rep *Report, ds *twitter.Dataset, rng *mathx.RNG) {
-	g := ds.Graph
-	pr, err := centrality.PageRank(g, nil)
+func (c *Characterizer) centralityAnalysis(rep *Report, ds *twitter.Dataset, sh *features.Shared) {
+	pr, err := sh.PageRank()
 	if err != nil {
 		return
 	}
@@ -875,7 +876,7 @@ func (c *Characterizer) centralityAnalysis(rep *Report, ds *twitter.Dataset, rng
 	statuses := ds.MetricValues(twitter.MetricStatuses)
 	var bc []float64
 	if !c.opts.SkipBetweenness {
-		bc = centrality.ApproxBetweennessWorkers(g, c.opts.BetweennessSources, rng, c.opts.Parallelism)
+		bc = sh.Betweenness()
 	}
 	panels := []struct {
 		label string
@@ -905,8 +906,8 @@ func buildCentralityPair(label string, x, y []float64) *CentralityPair {
 	var lx, ly []float64
 	for i := range x {
 		if x[i] > 0 && y[i] > 0 {
-			lx = append(lx, log10(x[i]))
-			ly = append(ly, log10(y[i]))
+			lx = append(lx, math.Log10(x[i]))
+			ly = append(ly, math.Log10(y[i]))
 		}
 	}
 	if len(lx) < 10 {
@@ -954,15 +955,4 @@ func (c *Characterizer) activityAnalysis(rep *Report, activity *timeseries.Daily
 		aa.SundayWeekday = aa.WeekdayMeans[0] / weekday
 	}
 	rep.Activity = aa
-}
-
-func log10(v float64) float64 { return math.Log10(v) }
-
-func nan() float64 { return math.NaN() }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

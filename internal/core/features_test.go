@@ -6,9 +6,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"elites/internal/cache"
+	"elites/internal/centrality"
+	"elites/internal/faults"
 	"elites/internal/features"
+	"elites/internal/mathx"
+	"elites/internal/twitter"
 )
 
 // featuresOptions enables the opt-in feature stage next to the cheap
@@ -146,5 +151,146 @@ func TestFeatureStageOptIn(t *testing.T) {
 	}
 	if !contains(observed, StageFeatures) {
 		t.Fatalf("feature stage invisible to StageObserver: %v", observed)
+	}
+}
+
+// TestSharedQuantitiesAcrossStages runs every stage that reads the per-run
+// shared set concurrently (Parallelism 4, so under -race they hit the memo
+// at once) and checks that the report gives one answer per question: the
+// matrix equals the standalone computation, and its betweenness column is
+// the percentile of the centrality stage's own sample.
+func TestSharedQuantitiesAcrossStages(t *testing.T) {
+	p, ds := testPlatform(t)
+	activity := p.ActivitySeries(p.EnglishNodes())
+	opts := fastOptions()
+	opts.Parallelism = 4
+	opts.Stages = []string{StageDegree, StageCentrality, StageCategories, StageMutualCore, StageFeatures}
+	rep, err := NewCharacterizer(opts).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degree == nil || len(rep.Centrality) == 0 || rep.Categories == nil || rep.MutualCore == nil {
+		t.Fatal("a shared-set stage produced nothing")
+	}
+	fopts := features.Options{BetweennessSources: opts.BetweennessSources, Seed: opts.Seed, Parallelism: 1}
+	want, err := features.Compute(ds, nil, fopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matricesBitIdentical(t, want, rep.Features, "battery vs standalone")
+
+	g := ds.Graph
+	n := g.NumNodes()
+	bc := centrality.ApproxBetweennessWorkers(g, opts.BetweennessSources,
+		mathx.NewRNG(opts.Seed).Derive(StageCentrality), 1)
+	for u := 0; u < n; u++ {
+		less, ties := 0, 0
+		for v := 0; v < n; v++ {
+			switch {
+			case bc[v] < bc[u]:
+				less++
+			case bc[v] == bc[u]:
+				ties++
+			}
+		}
+		pct := (float64(less) + 0.5*float64(ties-1)) / float64(n-1)
+		if got := rep.Features.Row(u)[features.FeatBetweennessPct]; math.Float64bits(got) != math.Float64bits(pct) {
+			t.Fatalf("node %d: betweenness_pct %v, want %v from the centrality sample", u, got, pct)
+		}
+	}
+	if rep.Features.Degeneracy != rep.MutualCore.Degeneracy || rep.Features.CoreK != rep.MutualCore.CoreK {
+		t.Fatalf("cores disagree: features (%d, %d), mutualcore (%d, %d)", rep.Features.Degeneracy,
+			rep.Features.CoreK, rep.MutualCore.Degeneracy, rep.MutualCore.CoreK)
+	}
+	if math.Float64bits(rep.Features.TailXmin) != math.Float64bits(rep.Degree.Fit.Xmin) {
+		t.Fatalf("tail xmin %v, degree fit xmin %v", rep.Features.TailXmin, rep.Degree.Fit.Xmin)
+	}
+}
+
+// TestFeatureStageCacheKeyCoversOptions flips each core.Options field in
+// turn against a cache primed at the baseline. When the features stage
+// still hits (its key did not change), the matrix the flipped options
+// compute from scratch must be bit-identical to the cached one. This
+// guards the features stage reading vectors it shares with other stages:
+// SkipBetweenness, Stages or Parallelism must not leak into the matrix.
+func TestFeatureStageCacheKeyCoversOptions(t *testing.T) {
+	// A platform smaller than testPlatform's: this test runs ~45 batteries.
+	p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := twitter.DatasetFromPlatform(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	activity := p.ActivitySeries(p.EnglishNodes())
+	dir := t.TempDir()
+	// The baseline skips the costly eigen and bootstrap work (their flips
+	// turn it on) but keeps betweenness and categories, which share
+	// quantities with the features stage.
+	base := cacheOptions(dir)
+	base.SkipEigen = true
+	base.SkipBootstrap = true
+	base.Parallelism = 4
+	base.Features = true
+	primed, err := NewCharacterizer(base).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flips := map[string]func(o *Options){
+		"DistanceSources":    func(o *Options) { o.DistanceSources = 30 },
+		"BetweennessSources": func(o *Options) { o.BetweennessSources += 8 },
+		"EigenK":             func(o *Options) { o.EigenK = 10 },
+		"EigenIters":         func(o *Options) { o.EigenIters = 50 },
+		"BootstrapReps":      func(o *Options) { o.BootstrapReps = 5 },
+		"TopNGrams":          func(o *Options) { o.TopNGrams = 4 },
+		"Seed":               func(o *Options) { o.Seed++ },
+		"SkipEigen":          func(o *Options) { o.SkipEigen = false },
+		"SkipBetweenness":    func(o *Options) { o.SkipBetweenness = true },
+		"SkipBootstrap":      func(o *Options) { o.SkipBootstrap = false },
+		"SkipCategories":     func(o *Options) { o.SkipCategories = true },
+		"Parallelism":        func(o *Options) { o.Parallelism = 1 },
+		"Stages":             func(o *Options) { o.Stages = []string{StageFeatures} },
+		"Timings":            func(o *Options) { o.Timings = true },
+		"CacheDir":           func(o *Options) { o.CacheDir = t.TempDir() },
+		"NoCache":            func(o *Options) { o.NoCache = true },
+		"CacheMemBytes":      func(o *Options) { o.CacheMemBytes = 1 << 20 },
+		"StageObserver":      func(o *Options) { o.StageObserver = func(StageTiming) {} },
+		"Features":           func(o *Options) { o.Features = false },
+		"StageRetries":       func(o *Options) { o.StageRetries = 1 },
+		"StageRetryBackoff":  func(o *Options) { o.StageRetryBackoff = time.Millisecond },
+		"StageTimeout":       func(o *Options) { o.StageTimeout = time.Minute },
+		"Faults":             func(o *Options) { o.Faults = faults.New(1) },
+	}
+	rt := reflect.TypeOf(Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		flip, ok := flips[name]
+		if !ok {
+			t.Fatalf("Options.%s has no flip: add one", name)
+		}
+		o := base
+		flip(&o)
+		rep, err := NewCharacterizer(o).Run(ds, activity)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Cache != nil && rep.Cache.Dir == dir && contains(rep.Cache.Misses, StageFeatures) {
+			t.Logf("%s: features key changed", name)
+			continue
+		}
+		// The key is unchanged (or this run bypassed the primed cache): the
+		// flipped options must compute the baseline's matrix.
+		o.CacheDir = ""
+		fresh, err := NewCharacterizer(o).Run(ds, activity)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fresh.Features == nil {
+			t.Logf("%s: features stage not run", name)
+			continue
+		}
+		matricesBitIdentical(t, primed.Features, fresh.Features, "flipped "+name)
 	}
 }

@@ -12,13 +12,16 @@ import (
 // change invalidates every stored shard — bump shardCodecVersion with it.
 const ShardRows = 4096
 
-// shardCodecVersion versions the per-shard binary layout below.
-const shardCodecVersion = 1
+// shardCodecVersion versions the per-shard binary layout below and what its
+// columns mean under an unchanged OptionsDigest (2: betweenness_pct reads
+// the battery's shared centrality sample).
+const shardCodecVersion = 2
 
 // ManifestCodecVersion versions the manifest layout (EncodeManifest /
 // DecodeManifest); core keys the features pipeline stage with it, so bump it
-// whenever the manifest or the Matrix scalars it captures change shape.
-const ManifestCodecVersion = 1
+// whenever the manifest or the Matrix scalars it captures change shape or
+// meaning (2: with shardCodecVersion 2).
+const ManifestCodecVersion = 2
 
 // NumShards returns the number of shards covering an n-row matrix.
 func NumShards(n int) int { return (n + ShardRows - 1) / ShardRows }

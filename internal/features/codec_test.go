@@ -24,7 +24,7 @@ func testMatrix(t testing.TB, n int) *Matrix {
 		}
 	}
 	ds := &twitter.Dataset{Graph: b.Build()}
-	m, err := Compute(ds, Options{BetweennessSources: 8, Seed: 9})
+	m, err := Compute(ds, nil, Options{BetweennessSources: 8, Seed: 9})
 	if err != nil {
 		t.Fatalf("compute: %v", err)
 	}

@@ -13,14 +13,15 @@
 // (codec.go), so serving layers answer per-user feature requests from
 // precomputed shards without touching the pipeline. The determinism
 // contract of the rest of the repo holds here too: the matrix is
-// bit-identical at every worker budget (fixed shard layout, per-stage
-// derived RNG streams for the sampled betweenness, a serial percentile
-// pass) and so is the trained scorer.
+// bit-identical at every worker budget (fixed shard layout, the battery's
+// shared "centrality" stream for the sampled betweenness, a serial
+// percentile pass) and so is the trained scorer.
 package features
 
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"elites/internal/cache"
 	"elites/internal/centrality"
@@ -86,7 +87,7 @@ type Options struct {
 	// BetweennessSources is the number of sampled Brandes sources
 	// (0 = 256, exact when >= number of nodes).
 	BetweennessSources int
-	// Seed derives the betweenness sampling stream (0 = 1).
+	// Seed derives the betweenness sample's "centrality" stream (0 = 1).
 	Seed uint64
 	// Parallelism is the worker budget for the sharded row fill and the
 	// betweenness sources (<= 0 means GOMAXPROCS). It never changes the
@@ -110,6 +111,34 @@ func (o Options) withDefaults() Options {
 func OptionsDigest(o Options) uint64 {
 	o = o.withDefaults()
 	return cache.HashWords(o.Seed, uint64(o.BetweennessSources))
+}
+
+// Shared is one run's memo of the graph-wide quantities that the battery's
+// degree, centrality, categories and mutualcore stages and the feature
+// matrix all read. Each accessor computes on first call and hands every
+// caller, concurrent ones included, the same read-only value. Betweenness
+// samples from core's centrality stage stream, so the report's panels and
+// each row's betweenness_pct share one sample (a core test pins the name).
+// It is a memo, not pipeline stages, as a cache-hydrated stage has no vectors.
+type Shared struct {
+	PageRank    func() ([]float64, error)
+	Cores       func() *graph.KCoreResult
+	Betweenness func() []float64
+	DegreeFit   func() (*powerlaw.Fit, error) // discrete fit of out-degrees
+}
+
+// NewShared builds the memo for g; opts shapes only Betweenness.
+func NewShared(g *graph.Digraph, opts Options) *Shared {
+	o := opts.withDefaults()
+	return &Shared{
+		PageRank: sync.OnceValues(func() ([]float64, error) { return centrality.PageRank(g, nil) }),
+		Cores:    sync.OnceValue(func() *graph.KCoreResult { return graph.KCores(g) }),
+		Betweenness: sync.OnceValue(func() []float64 {
+			rng := mathx.NewRNG(o.Seed).Derive("centrality")
+			return centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, o.Parallelism)
+		}),
+		DegreeFit: sync.OnceValues(func() (*powerlaw.Fit, error) { return powerlaw.FitDiscrete(g.OutDegrees(), nil) }),
+	}
 }
 
 // Rows is a contiguous row-range fragment of a feature matrix: rows
@@ -188,23 +217,24 @@ func RankByOutDegree(g *graph.Digraph) []int32 {
 }
 
 // Compute builds the feature matrix for a dataset and scores every row with
-// the default scorer. The result is bit-identical at every
+// the default scorer. sh must come from NewShared(ds.Graph, opts); nil
+// builds a fresh one. The result is bit-identical at every
 // Options.Parallelism: the global vectors (betweenness, PageRank, cores,
 // clustering, percentiles, the power-law fit) are computed with the repo's
 // deterministic kernels, and the row fill shards into fixed ShardRows-wide
 // chunks whose layout is independent of the worker count.
-func Compute(ds *twitter.Dataset, opts Options) (*Matrix, error) {
+func Compute(ds *twitter.Dataset, sh *Shared, opts Options) (*Matrix, error) {
 	sc, err := DefaultScorer()
 	if err != nil {
 		return nil, err
 	}
-	return computeWith(ds, opts, sc), nil
+	return computeWith(ds, sh, opts, sc), nil
 }
 
 // computeWith is Compute with an explicit scorer; a nil scorer leaves
 // Probs/Class zero (the scorer's own training path uses this to avoid
 // bootstrapping on itself).
-func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
+func computeWith(ds *twitter.Dataset, sh *Shared, opts Options, sc *Scorer) *Matrix {
 	o := opts.withDefaults()
 	g := ds.Graph
 	n := g.NumNodes()
@@ -220,6 +250,9 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 	if n == 0 {
 		return m
 	}
+	if sh == nil {
+		sh = NewShared(g, o)
+	}
 
 	// Global vectors first (degrees, cores, clustering, centrality
 	// percentiles, the tail fit); every one of these kernels is
@@ -227,7 +260,7 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 	// reads fixed inputs.
 	outDeg := g.OutDegrees()
 	inDeg := g.InDegrees()
-	cores := graph.KCores(g)
+	cores := sh.Cores()
 	m.Degeneracy = cores.MaxCore
 	m.CoreK = cores.MaxCore / 2
 	if m.CoreK < 1 {
@@ -235,20 +268,15 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 	}
 	clus := graph.LocalClusteringAll(g, o.Parallelism)
 
-	// The betweenness sample draws from its own derived stream, so the
-	// matrix commutes with every other consumer of the seed (Derive never
-	// advances the base generator).
-	rng := mathx.NewRNG(o.Seed).Derive("features/betweenness")
-	bc := centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, o.Parallelism)
-	pr, err := centrality.PageRank(g, nil)
+	pr, err := sh.PageRank()
 	if err != nil || pr == nil {
 		pr = make([]float64, n)
 	}
-	bPct := percentiles(bc)
+	bPct := percentiles(sh.Betweenness())
 	ePct := percentiles(pr)
 
 	xmin := math.NaN()
-	if fit, ferr := powerlaw.FitDiscrete(outDeg, nil); ferr == nil {
+	if fit, ferr := sh.DegreeFit(); ferr == nil {
 		xmin = fit.Xmin
 		m.TailXmin = xmin
 	}

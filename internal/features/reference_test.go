@@ -57,8 +57,8 @@ func referenceMatrix(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 
 	// The sampled Brandes kernel has its own reference suite
 	// (internal/centrality); here it is an input, called identically but
-	// always at workers=1.
-	rng := mathx.NewRNG(o.Seed).Derive("features/betweenness")
+	// always at workers=1, on the battery's shared "centrality" stream.
+	rng := mathx.NewRNG(o.Seed).Derive("centrality")
 	bc := centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, 1)
 	pr, err := centrality.PageRank(g, nil)
 	if err != nil || pr == nil {
@@ -225,7 +225,7 @@ func TestFeatureMatrixReferenceFixtures(t *testing.T) {
 		for _, workers := range referenceWorkerBudgets {
 			o := opts
 			o.Parallelism = workers
-			got := computeWith(ds, o, sc)
+			got := computeWith(ds, nil, o, sc)
 			requireMatrixEqual(t, ref, got, name+"/workers="+itoa(workers))
 		}
 	}
@@ -245,7 +245,7 @@ func TestFeatureMatrixReferenceCanonical(t *testing.T) {
 	for _, workers := range referenceWorkerBudgets {
 		o := opts
 		o.Parallelism = workers
-		got := computeWith(ds, o, sc)
+		got := computeWith(ds, nil, o, sc)
 		requireMatrixEqual(t, ref, got, "canonical/workers="+itoa(workers))
 	}
 }
@@ -256,14 +256,14 @@ func TestFeatureMatrixReferenceCanonical(t *testing.T) {
 func TestFeatureMatrixWorkerInvariance(t *testing.T) {
 	ds := canonicalDataset(t)
 	opts := Options{BetweennessSources: 32, Seed: 3, Parallelism: 1}
-	base, err := Compute(ds, opts)
+	base, err := Compute(ds, nil, opts)
 	if err != nil {
 		t.Fatalf("compute: %v", err)
 	}
 	for _, workers := range referenceWorkerBudgets[1:] {
 		o := opts
 		o.Parallelism = workers
-		got, gerr := Compute(ds, o)
+		got, gerr := Compute(ds, nil, o)
 		if gerr != nil {
 			t.Fatalf("compute workers=%d: %v", workers, gerr)
 		}

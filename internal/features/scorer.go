@@ -182,7 +182,7 @@ func Train(workers int) (*Scorer, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := computeWith(ds, Options{
+		m := computeWith(ds, nil, Options{
 			Seed:               seed,
 			BetweennessSources: trainBetwSrcs,
 			Parallelism:        workers,

@@ -157,7 +157,7 @@ func TestChaosFleetLoad(t *testing.T) {
 	}
 
 	// The chaos must actually have exercised the machinery.
-	retries, _, failovers, _, shed := rt.met.counters()
+	retries, failovers, shed := rt.met.retries.Value(), rt.met.failovers.Value(), rt.met.shed.Value()
 	if shed != 0 {
 		t.Fatalf("%d requests shed: the last-known-good floor has holes", shed)
 	}

@@ -459,7 +459,7 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, start time
 	}
 
 	if res.idx > 0 {
-		rt.met.addFailover()
+		rt.met.failovers.Inc()
 	}
 	if r.Method == http.MethodGet && res.resp.status == http.StatusOK {
 		rt.observeLatency(time.Since(start))
@@ -551,7 +551,7 @@ func (rt *Router) runAttempts(ctx context.Context, r *http.Request, candidates [
 				}
 				retriesUsed++
 				outstanding++
-				rt.met.addRetry()
+				rt.met.retries.Inc()
 				sp.AddEvent("retry", "failed_worker", res.w.name)
 			}
 		case <-hedgeC:
@@ -559,7 +559,7 @@ func (rt *Router) runAttempts(ctx context.Context, r *http.Request, candidates [
 			if !hedged && launch(true) {
 				hedged = true
 				outstanding++
-				rt.met.addHedge()
+				rt.met.hedges.Inc()
 				sp.AddEvent("hedge")
 			}
 		case <-ctx.Done():
@@ -737,7 +737,7 @@ func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, key uint64, ca
 			w.Header().Set("X-Elites-Degraded", "true")
 			w.WriteHeader(http.StatusOK)
 			w.Write(body)
-			rt.met.addDegraded()
+			rt.met.degraded.Inc()
 			sp.AddEvent("degraded")
 			if lg := rt.cfg.Logger; lg != nil {
 				obs.WithSpan(lg, sp).Warn("degraded response", "path", r.URL.Path)
@@ -749,7 +749,7 @@ func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, key uint64, ca
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"error": "no worker available and no cached response",
 	})
-	rt.met.addShed()
+	rt.met.shed.Inc()
 	sp.AddEvent("shed")
 	if lg := rt.cfg.Logger; lg != nil {
 		obs.WithSpan(lg, sp).Warn("request shed", "path", r.URL.Path)

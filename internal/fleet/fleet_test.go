@@ -289,7 +289,7 @@ func TestRetryFailsOverToNextWorker(t *testing.T) {
 	if got := rec.Header().Get("X-Elites-Worker"); got != order[1].name {
 		t.Fatalf("served by %q, want backup %q", got, order[1].name)
 	}
-	retries, _, failovers, _, _ := rt.met.counters()
+	retries, failovers := rt.met.retries.Value(), rt.met.failovers.Value()
 	if retries != 1 || failovers != 1 {
 		t.Fatalf("retries=%d failovers=%d, want 1/1", retries, failovers)
 	}
@@ -316,7 +316,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if err != nil || ra < 1 || ra > 2 {
 		t.Fatalf("Retry-After = %q, want jittered 1..2", rec.Header().Get("Retry-After"))
 	}
-	_, _, _, _, shed := rt.met.counters()
+	shed := rt.met.shed.Value()
 	if shed != 1 {
 		t.Fatalf("shed = %d, want 1", shed)
 	}
@@ -344,7 +344,7 @@ func TestHedgedRead(t *testing.T) {
 	if d := time.Since(start); d > 300*time.Millisecond {
 		t.Fatalf("hedge did not cut latency: %v", d)
 	}
-	_, hedges, failovers, _, _ := rt.met.counters()
+	hedges, failovers := rt.met.hedges.Value(), rt.met.failovers.Value()
 	if hedges != 1 || failovers != 1 {
 		t.Fatalf("hedges=%d failovers=%d, want 1/1", hedges, failovers)
 	}
@@ -387,7 +387,7 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("degraded Content-Type = %q", ct)
 	}
-	_, _, _, degraded, shed := rt.met.counters()
+	degraded, shed := rt.met.degraded.Value(), rt.met.shed.Value()
 	if degraded != 1 || shed != 0 {
 		t.Fatalf("degraded=%d shed=%d, want 1/0", degraded, shed)
 	}
@@ -420,7 +420,7 @@ func TestJobsScatter(t *testing.T) {
 	if info := order[0].info(); info.Failures != 0 {
 		t.Fatalf("scatter 404 counted as a worker failure: %+v", info)
 	}
-	retries, _, _, _, _ := rt.met.counters()
+	retries := rt.met.retries.Value()
 	if retries != 0 {
 		t.Fatalf("scatter counted as a retry: %d", retries)
 	}
@@ -547,7 +547,7 @@ func TestDownWorkerReceivesNoTraffic(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Body.String() != "backup" {
 		t.Fatalf("down-primary routing: %d %q", rec.Code, rec.Body.String())
 	}
-	retries, _, _, _, _ := rt.met.counters()
+	retries := rt.met.retries.Value()
 	if retries != 0 {
 		t.Fatalf("skipping a down worker burned %d retries", retries)
 	}

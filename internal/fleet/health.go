@@ -69,11 +69,11 @@ func (rt *Router) probeWorker(ctx context.Context, wk *worker) {
 
 	ok := rt.probeOnce(pctx, wk, "/healthz") == http.StatusOK
 	if !ok {
-		rt.met.addProbeFail()
+		rt.met.probeFails.Inc()
 	}
 	ejected, readmitted := wk.noteProbe(ok, rt.cfg.EjectAfter, rt.cfg.ProbationProbes)
 	if ejected {
-		rt.met.addEjection()
+		rt.met.ejections.Inc()
 		wk.mu.Lock()
 		wk.sawDigests = false
 		wk.mu.Unlock()
@@ -82,7 +82,7 @@ func (rt *Router) probeWorker(ctx context.Context, wk *worker) {
 		}
 	}
 	if readmitted {
-		rt.met.addReadmission()
+		rt.met.readmissions.Inc()
 		if lg := rt.cfg.Logger; lg != nil {
 			lg.Info("worker readmitted", "worker", wk.name)
 		}

@@ -77,20 +77,6 @@ func (m *fleetMetrics) observeRequest(route string, code int, d time.Duration, t
 	m.latency.ObserveExemplar(d.Seconds(), traceID)
 }
 
-func (m *fleetMetrics) addRetry()       { m.retries.Inc() }
-func (m *fleetMetrics) addHedge()       { m.hedges.Inc() }
-func (m *fleetMetrics) addFailover()    { m.failovers.Inc() }
-func (m *fleetMetrics) addDegraded()    { m.degraded.Inc() }
-func (m *fleetMetrics) addShed()        { m.shed.Inc() }
-func (m *fleetMetrics) addProbeFail()   { m.probeFails.Inc() }
-func (m *fleetMetrics) addEjection()    { m.ejections.Inc() }
-func (m *fleetMetrics) addReadmission() { m.readmissions.Inc() }
-
-// counters snapshots the robustness counters, for tests.
-func (m *fleetMetrics) counters() (retries, hedges, failovers, degraded, shed uint64) {
-	return m.retries.Value(), m.hedges.Value(), m.failovers.Value(), m.degraded.Value(), m.shed.Value()
-}
-
 // sync rebuilds the per-worker gauges and the trip total from a live
 // snapshot; called by write before rendering.
 func (m *fleetMetrics) sync(infos []workerInfo) {

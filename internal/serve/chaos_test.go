@@ -260,7 +260,7 @@ func TestChaosMatrix(t *testing.T) {
 				// must serve the full clean report, byte-identical to a
 				// never-faulted server's.
 				assertClean(t, chaosDo(t, ts, http.MethodGet, report), ref)
-				if inj.expect == "degraded" && s.met.degradedTotal() == 0 {
+				if inj.expect == "degraded" && s.met.degraded.Value() == 0 {
 					t.Fatal("eliteserve_degraded_total not incremented")
 				}
 			})
@@ -357,7 +357,7 @@ func TestChaosPanicThroughCoalescerWithWaiters(t *testing.T) {
 	// Fault window spent: the server recovers to clean, byte-identical
 	// bodies with no restart.
 	assertClean(t, chaosDo(t, ts, http.MethodGet, report), ref)
-	if got := s.met.degradedTotal(); got == 0 {
+	if got := s.met.degraded.Value(); got == 0 {
 		t.Fatal("eliteserve_degraded_total not incremented")
 	}
 }

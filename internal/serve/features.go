@@ -108,7 +108,7 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 		}
 		d.featMu.Unlock()
 		if ok {
-			s.met.addFeatureShardHit()
+			s.met.shardHits.Inc()
 			return &featureSource{shards: got}, nil
 		}
 	}
@@ -129,7 +129,7 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 		return runOutcome{}, nil
 	})
 	if joined {
-		s.met.addCoalesced()
+		s.met.coalesced.Inc()
 	}
 	if err != nil {
 		return nil, err
@@ -159,7 +159,7 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 	}
 	key := s.reportKey(d, []string{core.StageFeatures}, fmt.Sprintf("user-features:%d", rank))
 	if body, ok := s.bodies.get(key); ok {
-		s.met.addBodyHit()
+		s.met.bodyHits.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 		return
@@ -227,7 +227,7 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	key := s.reportKey(d, []string{core.StageFeatures}, "users-batch:"+sb.String())
 	if body, ok := s.bodies.get(key); ok {
-		s.met.addBodyHit()
+		s.met.bodyHits.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 		return

@@ -57,12 +57,12 @@ func TestUserFeaturesEndpoint(t *testing.T) {
 	}
 
 	// The second request must come from the body memo, not a second run.
-	runsBefore, _, _ := s.met.counters()
+	runsBefore := s.met.runs.Value()
 	_, again := get(t, ts, "/v1/datasets/demo/users/1/features")
 	if !bytes.Equal(body, again) {
 		t.Fatal("repeat request body differs")
 	}
-	if runsAfter, _, _ := s.met.counters(); runsAfter != runsBefore {
+	if runsAfter := s.met.runs.Value(); runsAfter != runsBefore {
 		t.Fatalf("repeat request ran the pipeline (%d -> %d)", runsBefore, runsAfter)
 	}
 
@@ -117,10 +117,10 @@ func TestUsersBatchGoldenBytes(t *testing.T) {
 	if !bytes.Equal(cold, fresh) {
 		t.Fatalf("shard-tier body diverged:\ncold: %s\nfresh: %s", cold, fresh)
 	}
-	if runs, _, _ := srvB.met.counters(); runs != 0 {
+	if runs := srvB.met.runs.Value(); runs != 0 {
 		t.Fatalf("second instance ran the pipeline %d times", runs)
 	}
-	if hits := srvB.met.featureShardHits(); hits == 0 {
+	if hits := srvB.met.shardHits.Value(); hits == 0 {
 		t.Fatal("second instance did not count a shard hit")
 	}
 
@@ -128,7 +128,7 @@ func TestUsersBatchGoldenBytes(t *testing.T) {
 	if code, _ := get(t, tsB, "/v1/datasets/demo/users/2/features"); code != http.StatusOK {
 		t.Fatalf("single-user over shards: %d", code)
 	}
-	if runs, _, _ := srvB.met.counters(); runs != 0 {
+	if runs := srvB.met.runs.Value(); runs != 0 {
 		t.Fatal("single-user request over shards ran the pipeline")
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -79,8 +78,6 @@ func (m *metrics) observeRequest(route string, code int, d time.Duration, traceI
 	m.latency.ObserveExemplar(d.Seconds(), traceID)
 }
 
-func (m *metrics) runStarted() { m.runs.Inc() }
-
 func (m *metrics) runFinished(cr *core.CacheReport, cancelled bool) {
 	if cancelled {
 		m.cancelled.Inc()
@@ -91,35 +88,12 @@ func (m *metrics) runFinished(cr *core.CacheReport, cancelled bool) {
 	}
 }
 
-func (m *metrics) addCoalesced() { m.coalesced.Inc() }
-func (m *metrics) addShed()      { m.shed.Inc() }
-func (m *metrics) addJobQueued() { m.jobsQueued.Inc() }
-func (m *metrics) addBodyHit()   { m.bodyHits.Inc() }
-
-func (m *metrics) addFeatureShardHit() { m.shardHits.Inc() }
-func (m *metrics) addDegraded()        { m.degraded.Inc() }
-func (m *metrics) addDrainRejected()   { m.drainRejected.Inc() }
-
-// degradedTotal is the degraded-response count, for tests.
-func (m *metrics) degradedTotal() uint64 { return m.degraded.Value() }
-
-// counters snapshots values used by tests.
-func (m *metrics) counters() (runs, coalesced, shed uint64) {
-	return m.runs.Value(), m.coalesced.Value(), m.shed.Value()
-}
-
-// featureShardHits is the shard-served feature request count, for tests.
-func (m *metrics) featureShardHits() uint64 { return m.shardHits.Value() }
-
-// write renders the exposition in the requested flavor.
-func (m *metrics) write(w io.Writer, om bool) { m.reg.Write(w, om) }
-
 // serveExposition renders /metrics with Accept-negotiated flavor:
 // classic 0.0.4 by default, OpenMetrics with exemplars on request.
 func (m *metrics) serveExposition(w http.ResponseWriter, r *http.Request) {
 	ct, om := obs.NegotiateExposition(r.Header)
 	w.Header().Set("Content-Type", ct)
-	m.write(w, om)
+	m.reg.Write(w, om)
 }
 
 // itoa3 formats an HTTP status code without fmt in the request path.

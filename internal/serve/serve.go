@@ -527,13 +527,13 @@ func (s *Server) retryAfterSeconds() int {
 // (degradable).
 func (s *Server) runBattery(ctx context.Context, d *dataset, stages []string, prog *progress) (*core.Report, error) {
 	if s.draining.Load() {
-		s.met.addDrainRejected()
+		s.met.drainRejected.Inc()
 		return nil, ErrDraining
 	}
 	adm := obs.SpanFromContext(ctx).Child("admit")
 	if err := s.admit.acquire(ctx); err != nil {
 		if errors.Is(err, ErrBusy) {
-			s.met.addShed()
+			s.met.shed.Inc()
 			adm.AddEvent("shed")
 		}
 		adm.End()
@@ -546,7 +546,7 @@ func (s *Server) runBattery(ctx context.Context, d *dataset, stages []string, pr
 	opts.Stages = stages
 	opts.Timings = true
 	opts.StageObserver = prog.observe
-	s.met.runStarted()
+	s.met.runs.Inc()
 	rep, err := core.NewCharacterizer(opts).RunContext(ctx, d.ds, d.activity)
 	var cr *core.CacheReport
 	if rep != nil {
@@ -630,7 +630,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, format string, out runOutco
 	w.Header().Set("Content-Type", contentType(format))
 	if out.degraded {
 		w.Header().Set("Warning", `199 eliteserve "degraded: one or more stages failed"`)
-		s.met.addDegraded()
+		s.met.degraded.Inc()
 	}
 	w.Write(out.body)
 }
@@ -770,7 +770,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	key := s.reportKey(d, stages, format)
 	reqSpan := obs.SpanFromContext(r.Context())
 	if body, ok := s.bodies.get(key); ok {
-		s.met.addBodyHit()
+		s.met.bodyHits.Inc()
 		reqSpan.SetAttr("body_cache", "hit")
 		w.Header().Set("Content-Type", contentType(format))
 		w.Write(body)
@@ -789,7 +789,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	out, joined, err := s.flight.Do(r.Context(), key, run)
 	if joined {
-		s.met.addCoalesced()
+		s.met.coalesced.Inc()
 	}
 	if err != nil {
 		s.writeRunError(w, r, err)
@@ -821,7 +821,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 					return run(ctx, prog)
 				})
 			if joined {
-				s.met.addCoalesced()
+				s.met.coalesced.Inc()
 			}
 			if err == nil && !out.degraded {
 				s.bodies.put(key, out.body)
@@ -840,7 +840,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 		}
 		s.writeOutcome(w, format, out)
 	case <-budget.C:
-		s.met.addJobQueued()
+		s.met.jobsQueued.Inc()
 		writeJSON(w, http.StatusAccepted, map[string]string{
 			"job_id":     j.ID,
 			"status_url": "/v1/jobs/" + j.ID,
@@ -872,7 +872,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	key := s.reportKey(d, runStages, "stage:"+stage)
 	reqSpan := obs.SpanFromContext(r.Context())
 	if body, ok := s.bodies.get(key); ok {
-		s.met.addBodyHit()
+		s.met.bodyHits.Inc()
 		reqSpan.SetAttr("body_cache", "hit")
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
@@ -901,7 +901,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		return runOutcome{body: append(b, '\n'), degraded: rerr != nil}, nil
 	})
 	if joined {
-		s.met.addCoalesced()
+		s.met.coalesced.Inc()
 	}
 	if err != nil {
 		s.writeRunError(w, r, err)

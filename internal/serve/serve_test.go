@@ -429,7 +429,7 @@ func TestHTTPCoalescing(t *testing.T) {
 			t.Fatalf("request %d body differs", i)
 		}
 	}
-	runs, coalesced, shed := s.met.counters()
+	runs, coalesced, shed := s.met.runs.Value(), s.met.coalesced.Value(), s.met.shed.Value()
 	bodyHits := s.met.bodyHits.Value()
 	if shed != 0 {
 		t.Fatalf("admission shed %d coalescible requests", shed)
@@ -701,7 +701,7 @@ func TestWarmRequestServedFromBodyMemo(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first: %d %s", code, first)
 	}
-	runsBefore, _, _ := s.met.counters()
+	runsBefore := s.met.runs.Value()
 	code, second := get(t, ts, "/v1/datasets/demo/report?stages=summary")
 	if code != http.StatusOK {
 		t.Fatal(code)
@@ -709,7 +709,7 @@ func TestWarmRequestServedFromBodyMemo(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("memoized body differs")
 	}
-	runsAfter, _, _ := s.met.counters()
+	runsAfter := s.met.runs.Value()
 	if runsAfter != runsBefore {
 		t.Fatalf("warm request started a pipeline run (%d → %d)", runsBefore, runsAfter)
 	}
