@@ -4,7 +4,7 @@
 // order — so one replica owns each identity, its single-flight coalescing
 // works fleet-wide, and a worker leaving never remaps identities between
 // the survivors — and climbs a degradation ladder as failures accumulate:
-// budgeted retries with decorrelated-jitter backoff onto the next worker
+// budgeted retries with equal-jitter exponential backoff onto the next worker
 // in hash order, hedged reads for warm GETs past a latency trigger,
 // per-worker circuit breakers, health-probe ejection with probationary
 // re-admission, and finally last-known-good cached bodies served with a

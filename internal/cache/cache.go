@@ -36,6 +36,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"elites/internal/faults"
 )
 
 // Key names one cached stage result. All four fields participate in the
@@ -161,28 +163,12 @@ type Cache struct {
 
 	fs     diskFS                // disk tier backend; osFS outside tests
 	faults func(op string) error // optional injection hook (SetFaults)
-	io     breaker               // disk-tier circuit breaker + error counters
-}
 
-// breaker tracks disk-tier health: consecutive I/O errors trip it open, and
-// while open the cache skips disk entirely except for a periodic half-open
-// probe. A successful disk operation (including a clean miss) closes it.
-// Guarded by Cache.mu.
-type breaker struct {
-	errors uint64 // lifetime I/O error count (Stats.IOErrors)
-	consec int    // consecutive I/O errors since the last success
-	open   bool
-	skips  int    // disk ops skipped while open, for probe cadence
-	trips  uint64 // lifetime open transitions (Stats.BreakerTrips)
+	// br skips the disk while consecutive I/O errors hold it open, bar its
+	// periodic probe; any disk success, even a clean miss, closes it.
+	br       faults.Breaker
+	ioErrors uint64 // lifetime I/O error count (Stats.IOErrors)
 }
-
-// Breaker thresholds: trip after breakerTripAfter consecutive I/O errors;
-// while open, let every breakerProbeAfter-th skipped operation through as a
-// half-open probe.
-const (
-	breakerTripAfter  = 3
-	breakerProbeAfter = 8
-)
 
 // diskResult classifies one disk-tier operation for the breaker.
 type diskResult int
@@ -328,7 +314,7 @@ func (c *Cache) Get(key string) (data []byte, ok bool) {
 		c.mu.Unlock()
 		return data, true
 	}
-	allowed := c.diskAllowedLocked()
+	allowed := c.br.Allow()
 	c.mu.Unlock()
 
 	res := diskMiss
@@ -356,7 +342,7 @@ func (c *Cache) Get(key string) (data []byte, ok bool) {
 func (c *Cache) Put(key string, data []byte) {
 	c.mu.Lock()
 	c.insert(key, data)
-	allowed := c.diskAllowedLocked()
+	allowed := c.br.Allow()
 	c.mu.Unlock()
 	if !allowed {
 		return
@@ -367,35 +353,15 @@ func (c *Cache) Put(key string, data []byte) {
 	c.mu.Unlock()
 }
 
-// diskAllowedLocked reports whether the next disk operation may proceed:
-// always when the breaker is closed, and as a periodic half-open probe when
-// open. Callers hold mu.
-func (c *Cache) diskAllowedLocked() bool {
-	if !c.io.open {
-		return true
-	}
-	c.io.skips++
-	return c.io.skips%breakerProbeAfter == 0
-}
-
 // noteDiskLocked feeds one attempted disk operation's outcome to the
 // breaker. Callers hold mu.
 func (c *Cache) noteDiskLocked(res diskResult) {
 	switch res {
 	case diskOK, diskMiss:
-		c.io.consec = 0
-		if c.io.open {
-			c.io.open = false
-			c.io.skips = 0
-		}
+		c.br.Success()
 	case diskIOError:
-		c.io.errors++
-		c.io.consec++
-		if c.io.consec >= breakerTripAfter && !c.io.open {
-			c.io.open = true
-			c.io.skips = 0
-			c.io.trips++
-		}
+		c.ioErrors++
+		c.br.Failure()
 	}
 }
 
@@ -445,7 +411,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		MemEntries: c.lru.Len(), MemBytes: c.memBytes, MaxBytes: c.maxBytes,
-		IOErrors: c.io.errors, BreakerTrips: c.io.trips, BreakerOpen: c.io.open,
+		IOErrors: c.ioErrors, BreakerTrips: c.br.Trips(), BreakerOpen: c.br.Open(),
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+
+	"elites/internal/faults"
 )
 
 // faultFS wraps osFS and fails selected operations, exercising the disk
@@ -159,28 +161,28 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	c, fs := newFaultCache(t)
 	fs.failRead = syscall.EIO
 
-	// breakerTripAfter consecutive failures open the breaker.
-	for i := 0; i < breakerTripAfter; i++ {
+	// faults.BreakerTripAfter consecutive failures open the breaker.
+	for i := 0; i < faults.BreakerTripAfter; i++ {
 		c.Get(fmt.Sprintf("k%d", i))
 	}
 	s := c.Stats()
-	if !s.BreakerOpen || s.BreakerTrips != 1 || s.IOErrors != uint64(breakerTripAfter) {
-		t.Fatalf("after %d failures: %+v, want open breaker", breakerTripAfter, s)
+	if !s.BreakerOpen || s.BreakerTrips != 1 || s.IOErrors != uint64(faults.BreakerTripAfter) {
+		t.Fatalf("after %d failures: %+v, want open breaker", faults.BreakerTripAfter, s)
 	}
 
 	// While open, disk is not touched: the fault stays armed but IOErrors
-	// must not advance for breakerProbeAfter-1 skipped operations.
-	for i := 0; i < breakerProbeAfter-1; i++ {
+	// must not advance for faults.BreakerProbeAfter-1 skipped operations.
+	for i := 0; i < faults.BreakerProbeAfter-1; i++ {
 		c.Get("skipped")
 	}
-	if s = c.Stats(); s.IOErrors != uint64(breakerTripAfter) {
-		t.Fatalf("breaker leaked %d disk ops while open", s.IOErrors-uint64(breakerTripAfter))
+	if s = c.Stats(); s.IOErrors != uint64(faults.BreakerTripAfter) {
+		t.Fatalf("breaker leaked %d disk ops while open", s.IOErrors-uint64(faults.BreakerTripAfter))
 	}
 
 	// The next operation is the half-open probe; it still fails, so the
 	// breaker stays open without re-tripping.
 	c.Get("probe")
-	if s = c.Stats(); s.IOErrors != uint64(breakerTripAfter)+1 || !s.BreakerOpen || s.BreakerTrips != 1 {
+	if s = c.Stats(); s.IOErrors != uint64(faults.BreakerTripAfter)+1 || !s.BreakerOpen || s.BreakerTrips != 1 {
 		t.Fatalf("failed probe: %+v", s)
 	}
 
@@ -188,7 +190,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	fs.mu.Lock()
 	fs.failRead = nil
 	fs.mu.Unlock()
-	for i := 0; i < breakerProbeAfter; i++ {
+	for i := 0; i < faults.BreakerProbeAfter; i++ {
 		c.Get("recovering")
 	}
 	if s = c.Stats(); s.BreakerOpen {
@@ -205,7 +207,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 // TestBreakerRecoveryRestoresHits: an entry persisted before the disk
 // fails must come back as a hit — with its original bytes — within one
-// probe window (breakerProbeAfter operations) of the filesystem healing.
+// probe window (faults.BreakerProbeAfter operations) of the filesystem healing.
 // This is the contract the serving layer's degraded mode leans on: a trip
 // is an episode, not a permanent demotion to cold reads.
 func TestBreakerRecoveryRestoresHits(t *testing.T) {
@@ -218,13 +220,13 @@ func TestBreakerRecoveryRestoresHits(t *testing.T) {
 	fs.mu.Lock()
 	fs.failRead = syscall.EIO
 	fs.mu.Unlock()
-	for i := 0; i < breakerTripAfter; i++ {
+	for i := 0; i < faults.BreakerTripAfter; i++ {
 		if _, ok := c.Get("k"); ok {
 			t.Fatal("Get hit through an EIO disk")
 		}
 	}
 	if s := c.Stats(); !s.BreakerOpen || s.BreakerTrips != 1 {
-		t.Fatalf("breaker not open after %d failures: %+v", breakerTripAfter, s)
+		t.Fatalf("breaker not open after %d failures: %+v", faults.BreakerTripAfter, s)
 	}
 
 	// Heal the filesystem. The entry must be served again within one probe
@@ -234,7 +236,7 @@ func TestBreakerRecoveryRestoresHits(t *testing.T) {
 	fs.failRead = nil
 	fs.mu.Unlock()
 	recovered := false
-	for i := 0; i < breakerProbeAfter; i++ {
+	for i := 0; i < faults.BreakerProbeAfter; i++ {
 		if got, ok := c.Get("k"); ok {
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("recovered entry = %q, want %q", got, payload)
@@ -244,7 +246,7 @@ func TestBreakerRecoveryRestoresHits(t *testing.T) {
 		}
 	}
 	if !recovered {
-		t.Fatalf("no hit within %d operations of the disk healing", breakerProbeAfter)
+		t.Fatalf("no hit within %d operations of the disk healing", faults.BreakerProbeAfter)
 	}
 	if s := c.Stats(); s.BreakerOpen {
 		t.Fatalf("breaker still open after successful probe: %+v", s)

@@ -122,8 +122,8 @@ type Options struct {
 	// are deterministic, so retries exist for environmental failures —
 	// cache hydration races, injected faults — not flaky math.
 	StageRetries int
-	// StageRetryBackoff is the base delay between retry attempts, doubling
-	// per attempt (0 = 10ms). It never affects results, only latency.
+	// StageRetryBackoff is the first retry delay (0 = 10ms), doubling per
+	// attempt up to max(1s, it). It never affects results, only latency.
 	StageRetryBackoff time.Duration
 	// StageTimeout bounds each stage's wall clock; a stage that overruns
 	// fails with pipeline.ErrStageTimeout and the rest of the battery

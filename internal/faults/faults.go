@@ -33,6 +33,12 @@
 //	key      := "after" | "times" | "delay" | "p"     (times accepts "all")
 //
 // Example: "stage:degree=panic,net:*=drop:times=3,net:*=slow:delay=5ms:p=0.2".
+//
+// The package also holds the one robustness toolkit for surviving those
+// faults: Breaker (the cache's and the fleet's circuit breaker), Backoff
+// (capped exponential backoff, unjittered for pipeline stage retries) and
+// Jitter (the router's and crawler's equal-jitter waits and the
+// Retry-After values of eliteserve and eliterouter).
 package faults
 
 import (

@@ -95,8 +95,6 @@ func TestChaosFleetLoad(t *testing.T) {
 		ProbationProbes: 3,
 		Retries:         2,
 		RequestTimeout:  60 * time.Second,
-		BackoffBase:     time.Millisecond,
-		BackoffCap:      5 * time.Millisecond,
 		HedgeAfter:      2 * time.Second, // static trigger; latency is bounded here
 		CacheDir:        cacheDir,
 		Faults:          inj,
@@ -206,8 +204,6 @@ func TestChaosWorkerDrainFailover(t *testing.T) {
 		ProbeInterval:  time.Hour,
 		EjectAfter:     3,
 		Retries:        2,
-		BackoffBase:    time.Millisecond,
-		BackoffCap:     5 * time.Millisecond,
 		RequestTimeout: 60 * time.Second,
 		CacheDir:       cacheDir,
 		Seed:           42,

@@ -12,13 +12,13 @@
 //
 //  1. Retry: a failed attempt (transport error, injected drop, 5xx) is
 //     retried on the next worker in hash order, under a budget, with
-//     decorrelated-jitter backoff between attempts.
+//     equal-jitter exponential backoff between attempts.
 //  2. Hedge: warm GETs that dawdle past a latency trigger (a fixed
 //     -hedge-after, or an adaptive p95 of recent successes) launch a
 //     speculative second attempt; first response wins.
-//  3. Breaker: per-worker consecutive failures trip a circuit breaker
-//     mirroring the result cache's 3-strike design; an open breaker skips
-//     the worker except for a periodic pass-through probe.
+//  3. Breaker: per-worker consecutive failures trip a faults.Breaker,
+//     the same breaker as the result cache's disk tier; an open breaker
+//     skips the worker except for a periodic pass-through probe.
 //  4. Eject: the health prober marks a worker down after consecutive
 //     failed /healthz probes; it rejoins through a probation period where
 //     any failure sends it straight back down.
@@ -48,7 +48,6 @@ import (
 
 	"elites/internal/cache"
 	"elites/internal/faults"
-	"elites/internal/mathx"
 	"elites/internal/obs"
 )
 
@@ -61,6 +60,9 @@ const (
 	// latencyRingSize is how many recent GET latencies feed the adaptive
 	// hedge trigger.
 	latencyRingSize = 128
+	// backoffBase doubles per retry up to backoffLimit, before jitter.
+	backoffBase  = 25 * time.Millisecond
+	backoffLimit = time.Second
 )
 
 // Config configures a Router. Zero values take the documented defaults.
@@ -84,11 +86,6 @@ type Config struct {
 	// RequestTimeout bounds one client request end to end, across all
 	// attempts (default 60s).
 	RequestTimeout time.Duration
-	// BackoffBase and BackoffCap bound the decorrelated-jitter backoff
-	// between retry attempts (defaults 25ms and 1s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-
 	// HedgeAfter, when positive, is a fixed delay after which a warm GET
 	// launches a speculative second attempt. When zero, the trigger is
 	// adaptive: the p95 of recent successful GET latencies, active once
@@ -139,12 +136,6 @@ func (c *Config) setDefaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = time.Second
-	}
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 20
 	}
@@ -164,10 +155,8 @@ type Router struct {
 	transport http.RoundTripper
 	client    *http.Client
 
-	jitterMu  sync.Mutex
-	backoff   *mathx.RNG
-	shedRNG   *mathx.RNG
-	prevDelay time.Duration
+	backoff    *faults.Jitter
+	retryAfter *faults.Jitter
 
 	digestMu sync.RWMutex
 	digests  map[string]uint64 // dataset id -> digest, learned from workers
@@ -211,20 +200,18 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Faults != nil {
 		transport = &faultTransport{base: cfg.Transport, inj: cfg.Faults}
 	}
-	root := mathx.NewRNG(cfg.Seed)
 	rt := &Router{
-		cfg:       cfg,
-		workers:   workers,
-		met:       newFleetMetrics(time.Now()),
-		lkg:       lkg,
-		transport: transport,
-		client:    &http.Client{Transport: transport},
-		backoff:   root.Derive("fleet/backoff"),
-		shedRNG:   root.Derive("fleet/retry-after"),
-		prevDelay: cfg.BackoffBase,
-		digests:   map[string]uint64{},
-		probeStop: make(chan struct{}),
-		probeDone: make(chan struct{}),
+		cfg:        cfg,
+		workers:    workers,
+		met:        newFleetMetrics(time.Now()),
+		lkg:        lkg,
+		transport:  transport,
+		client:     &http.Client{Transport: transport},
+		backoff:    faults.NewJitter(cfg.Seed, "fleet/backoff"),
+		retryAfter: faults.NewJitter(cfg.Seed, "fleet/retry-after"),
+		digests:    map[string]uint64{},
+		probeStop:  make(chan struct{}),
+		probeDone:  make(chan struct{}),
 	}
 	return rt, nil
 }
@@ -475,7 +462,7 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, start time
 }
 
 // runAttempts walks the candidate list: sequential budgeted retries on
-// failure (with decorrelated-jitter backoff), plus at most one hedged
+// failure (with jittered exponential backoff), plus at most one hedged
 // attempt for GETs that outlive the latency trigger. It returns the
 // winning result, or nil when every attempt failed (the degrade path).
 func (rt *Router) runAttempts(ctx context.Context, r *http.Request, candidates []*worker, body []byte, retryOn404 bool) *attemptResult {
@@ -543,7 +530,7 @@ func (rt *Router) runAttempts(ctx context.Context, r *http.Request, candidates [
 				if retriesUsed >= rt.cfg.Retries {
 					return nil
 				}
-				if !rt.backoffSleep(ctx) {
+				if !rt.backoffSleep(ctx, retriesUsed) {
 					return nil
 				}
 				if !launch(false) {
@@ -645,25 +632,11 @@ func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, hedge bool, 
 	finish(attemptResult{idx: idx, w: wk, resp: ur, err: err})
 }
 
-// backoffSleep waits one decorrelated-jitter interval:
-// d = min(cap, uniform(base, 3*prev)). Returns false if ctx expired.
-func (rt *Router) backoffSleep(ctx context.Context) bool {
-	rt.jitterMu.Lock()
-	base, hi := rt.cfg.BackoffBase, 3*rt.prevDelay
-	if hi < base {
-		hi = base
-	}
-	if hi > rt.cfg.BackoffCap {
-		hi = rt.cfg.BackoffCap
-	}
-	d := base
-	if span := hi - base; span > 0 {
-		d = base + time.Duration(rt.backoff.Intn(int(span)))
-	}
-	rt.prevDelay = d
-	rt.jitterMu.Unlock()
-
-	t := time.NewTimer(d)
+// backoffSleep waits before a request's retry-th retry (0-based). The
+// schedule is per request, so concurrent failovers never stretch each
+// other's waits. Returns false if ctx expired.
+func (rt *Router) backoffSleep(ctx context.Context, retry int) bool {
+	t := time.NewTimer(rt.backoff.Equal(faults.Backoff(backoffBase, backoffLimit, retry)))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -671,14 +644,6 @@ func (rt *Router) backoffSleep(ctx context.Context) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// retryAfterSeconds is the equal-jitter Retry-After for shed responses
-// (1 or 2 seconds over a 2s base), so synchronized clients spread out.
-func (rt *Router) retryAfterSeconds() int {
-	rt.jitterMu.Lock()
-	defer rt.jitterMu.Unlock()
-	return 1 + rt.shedRNG.Intn(2)
 }
 
 // --- hedging -----------------------------------------------------------------
@@ -745,7 +710,7 @@ func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, key uint64, ca
 			return
 		}
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", rt.retryAfterSeconds()))
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", rt.retryAfter.RetryAfterSeconds()))
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"error": "no worker available and no cached response",
 	})

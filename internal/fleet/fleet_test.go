@@ -12,17 +12,12 @@ import (
 	"time"
 
 	"elites/internal/cache"
+	"elites/internal/faults"
 )
 
 // newTestRouter builds a Router with fast test timings over worker URLs.
 func newTestRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
-	if cfg.BackoffCap == 0 {
-		cfg.BackoffCap = 2 * time.Millisecond
-	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
@@ -238,27 +233,27 @@ func TestWorkerBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < breakerTripAfter-1; i++ {
+	for i := 0; i < faults.BreakerTripAfter-1; i++ {
 		if tripped := w.noteRequestFailure(); tripped {
 			t.Fatalf("breaker tripped after only %d failures", i+1)
 		}
 	}
 	if !w.noteRequestFailure() {
-		t.Fatalf("breaker did not trip at %d consecutive failures", breakerTripAfter)
+		t.Fatalf("breaker did not trip at %d consecutive failures", faults.BreakerTripAfter)
 	}
 
-	// While open, only every breakerProbeAfter-th selection passes.
+	// While open, only every faults.BreakerProbeAfter-th selection passes.
 	passed := 0
-	for i := 1; i <= 2*breakerProbeAfter; i++ {
+	for i := 1; i <= 2*faults.BreakerProbeAfter; i++ {
 		if w.selectable() {
 			passed++
-			if i%breakerProbeAfter != 0 {
+			if i%faults.BreakerProbeAfter != 0 {
 				t.Fatalf("selection %d passed an open breaker off-cadence", i)
 			}
 		}
 	}
 	if passed != 2 {
-		t.Fatalf("%d probe selections in %d asks, want 2", passed, 2*breakerProbeAfter)
+		t.Fatalf("%d probe selections in %d asks, want 2", passed, 2*faults.BreakerProbeAfter)
 	}
 
 	// One success closes it.

@@ -8,16 +8,17 @@ import (
 	"sync"
 
 	"elites/internal/cache"
+	"elites/internal/faults"
 )
 
 // worker.go is the per-worker half of the fleet's robustness machinery:
 // the health state machine the prober drives (up → down after consecutive
 // probe failures, down → probation on the first healthy probe, probation →
 // up after a streak of clean probes — with any failure during probation
-// sending the worker straight back down), and a request-path circuit
-// breaker mirroring the result cache's 3-strike design (consecutive
-// request failures open it; while open the worker is skipped except for a
-// periodic pass-through probe request).
+// sending the worker straight back down), and a request-path
+// faults.Breaker, the same breaker as the result cache's disk tier
+// (consecutive request failures open it; while open the worker is skipped
+// except for a periodic pass-through probe request).
 
 // workerState is the health prober's verdict on one worker.
 type workerState int
@@ -44,14 +45,6 @@ func (s workerState) String() string {
 	return fmt.Sprintf("workerState(%d)", int(s))
 }
 
-// Breaker thresholds, mirroring internal/cache's disk breaker: trip after
-// breakerTripAfter consecutive request failures; while open, let every
-// breakerProbeAfter-th selection through as a live probe.
-const (
-	breakerTripAfter  = 3
-	breakerProbeAfter = 8
-)
-
 // worker is one eliteserve replica plus its health and breaker state.
 type worker struct {
 	url  *url.URL
@@ -64,11 +57,7 @@ type worker struct {
 	probeOKs   int // consecutive clean probes while in probation
 	sawDigests bool
 
-	consecFails uint64 // consecutive request failures (breaker input)
-	brOpen      bool
-	brSkips     uint64 // selections skipped while open, for probe cadence
-	brTrips     uint64
-
+	br       faults.Breaker
 	requests uint64 // proxied attempts sent to this worker
 	failures uint64 // attempts that failed (transport error or 5xx)
 }
@@ -120,18 +109,11 @@ func rendezvousOrder(workers []*worker, key uint64) []*worker {
 
 // selectable reports whether this worker may receive the next request:
 // never while down; while the breaker is open, only as the periodic
-// pass-through probe (every breakerProbeAfter-th ask).
+// pass-through probe (every faults.BreakerProbeAfter-th ask).
 func (w *worker) selectable() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.state == stateDown {
-		return false
-	}
-	if w.brOpen {
-		w.brSkips++
-		return w.brSkips%breakerProbeAfter == 0
-	}
-	return true
+	return w.state != stateDown && w.br.Allow()
 }
 
 // available reports whether the prober currently considers the worker
@@ -149,11 +131,7 @@ func (w *worker) noteRequestSuccess() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.requests++
-	w.consecFails = 0
-	if w.brOpen {
-		w.brOpen = false
-		w.brSkips = 0
-	}
+	w.br.Success()
 }
 
 // noteRequestFailure records a failed attempt; enough in a row trip the
@@ -164,18 +142,11 @@ func (w *worker) noteRequestFailure() (tripped bool) {
 	defer w.mu.Unlock()
 	w.requests++
 	w.failures++
-	w.consecFails++
 	if w.state == stateProbation {
 		w.state = stateDown
 		w.probeOKs = 0
 	}
-	if w.consecFails >= breakerTripAfter && !w.brOpen {
-		w.brOpen = true
-		w.brSkips = 0
-		w.brTrips++
-		return true
-	}
-	return false
+	return w.br.Failure()
 }
 
 // noteProbe feeds one health-probe outcome through the state machine.
@@ -201,11 +172,7 @@ func (w *worker) noteProbe(ok bool, ejectAfter, probation int) (ejected, readmit
 		}
 		// A reachable worker also closes the request breaker: the probe is
 		// the half-open check.
-		w.consecFails = 0
-		if w.brOpen {
-			w.brOpen = false
-			w.brSkips = 0
-		}
+		w.br.Success()
 		return
 	}
 	w.probeFails++
@@ -242,10 +209,10 @@ func (w *worker) info() workerInfo {
 	return workerInfo{
 		Worker:      w.name,
 		State:       w.state.String(),
-		BreakerOpen: w.brOpen,
+		BreakerOpen: w.br.Open(),
 		Requests:    w.requests,
 		Failures:    w.failures,
 		ProbeFails:  w.probeFails,
-		brTrips:     w.brTrips,
+		brTrips:     w.br.Trips(),
 	}
 }

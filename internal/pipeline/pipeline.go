@@ -42,6 +42,8 @@ import (
 	"runtime/pprof"
 	"sync"
 	"time"
+
+	"elites/internal/faults"
 )
 
 // Stage is one named node of the graph. Run is invoked at most once, after
@@ -80,9 +82,9 @@ type Stage struct {
 }
 
 // RetryPolicy bounds how a failing stage is retried: up to MaxRetries
-// re-runs, sleeping Backoff, 2·Backoff, 4·Backoff, ... between attempts
-// (deterministic — no jitter, so timed tests and chaos suites replay
-// exactly).
+// re-runs, sleeping Backoff, 2·Backoff, 4·Backoff, ... between attempts,
+// each sleep capped at max(1s, Backoff) (deterministic — no jitter, so
+// timed tests and chaos suites replay exactly).
 type RetryPolicy struct {
 	MaxRetries int
 	Backoff    time.Duration
@@ -466,7 +468,7 @@ func executeWithPolicy(ctx context.Context, s *Stage, opts *Options) (cacheHit b
 		if sctx.Err() != nil {
 			break
 		}
-		if d := s.Retry.Backoff << attempt; d > 0 {
+		if d := faults.Backoff(s.Retry.Backoff, max(time.Second, s.Retry.Backoff), attempt); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-sctx.Done():

@@ -65,9 +65,9 @@ func TestRetryAfterEqualJitter(t *testing.T) {
 	s := New(Config{Options: fastServeOptions()})
 	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		v := s.retryAfterSeconds()
+		v := s.retryAfter.RetryAfterSeconds()
 		if v < 1 || v > 2 {
-			t.Fatalf("retryAfterSeconds = %d, want 1..2", v)
+			t.Fatalf("RetryAfterSeconds = %d, want 1..2", v)
 		}
 		seen[v] = true
 	}

@@ -51,9 +51,9 @@ import (
 
 	"elites/internal/cache"
 	"elites/internal/core"
+	"elites/internal/faults"
 	"elites/internal/features"
 	"elites/internal/gen"
-	"elites/internal/mathx"
 	"elites/internal/obs"
 	"elites/internal/store"
 	"elites/internal/timeseries"
@@ -147,10 +147,9 @@ type Server struct {
 	// 503 so a fleet router stops routing here.
 	draining atomic.Bool
 
-	// jitterMu guards jitter, the seeded stream behind the equal-jitter
-	// Retry-After values on shed/draining responses.
-	jitterMu sync.Mutex
-	jitter   *mathx.RNG
+	// retryAfter jitters Retry-After on shed (429) and draining (503)
+	// responses, so rejected clients do not re-trip admission in lockstep.
+	retryAfter *faults.Jitter
 
 	mu       sync.Mutex
 	datasets map[string]*dataset
@@ -183,8 +182,8 @@ func New(cfg Config) *Server {
 			BetweennessSources: cfg.Options.BetweennessSources,
 			Seed:               cfg.Options.Seed,
 		}),
-		jitter:   mathx.NewRNG(cfg.Options.Seed).Derive("serve/retry-after"),
-		datasets: map[string]*dataset{},
+		retryAfter: faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
+		datasets:   map[string]*dataset{},
 	}
 	if cfg.Options.CacheDir != "" && !cfg.Options.NoCache {
 		if cc, err := cache.New(cfg.Options.CacheDir); err == nil {
@@ -505,16 +504,6 @@ func (s *Server) WaitJobs(ctx context.Context) (abandoned int) {
 	}
 }
 
-// retryAfterSeconds is the Retry-After value for shed (429) and draining
-// (503) responses: equal jitter over a 2-second base (1s floor + uniform
-// 0–1s) so a burst of simultaneously rejected clients doesn't come back in
-// lockstep and re-trip admission all at once.
-func (s *Server) retryAfterSeconds() int {
-	s.jitterMu.Lock()
-	defer s.jitterMu.Unlock()
-	return 1 + s.jitter.Intn(2)
-}
-
 // --- run execution -----------------------------------------------------------
 
 // runBattery is the single execution path every report-shaped request
@@ -639,10 +628,10 @@ func (s *Server) writeOutcome(w http.ResponseWriter, format string, out runOutco
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter.RetryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, "server busy: admission queue full")
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter.RetryAfterSeconds()))
 		writeError(w, http.StatusServiceUnavailable, "server draining: not admitting new work")
 	case r.Context().Err() != nil:
 		// The client is gone; nothing useful to write. The recorder logs

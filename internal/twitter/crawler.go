@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"elites/internal/faults"
 	"elites/internal/graph"
-	"elites/internal/mathx"
 )
 
 // crawlMaxRetries bounds per-call retries on transient 503s; backoff is
@@ -24,13 +24,13 @@ const crawlRetryBudget = 45 * time.Minute
 // from a fixed label so identical failure sequences back off identically —
 // the crawl stays deterministic, the waits still decorrelate.
 type retrier struct {
-	rng   *mathx.RNG
-	spent time.Duration
-	waits int
+	jitter *faults.Jitter
+	spent  time.Duration
+	waits  int
 }
 
 func newRetrier() *retrier {
-	return &retrier{rng: mathx.NewRNG(1).Derive("twitter/crawl/backoff")}
+	return &retrier{jitter: faults.NewJitter(1, "twitter/crawl/backoff")}
 }
 
 // wait pays one backoff on the virtual clock: equal jitter over the
@@ -38,9 +38,7 @@ func newRetrier() *retrier {
 // cumulative budget. Exhausting the budget returns an error wrapping the
 // transient failure that triggered the wait.
 func (r *retrier) wait(api *API, attempt int, lastErr error) error {
-	base := 5 * time.Second << uint(attempt)
-	half := base / 2
-	d := half + time.Duration(r.rng.Intn(int(half)+1))
+	d := r.jitter.Equal(faults.Backoff(5*time.Second, 5*time.Second<<crawlMaxRetries, attempt))
 	if r.spent+d > crawlRetryBudget {
 		return fmt.Errorf("twitter: crawl retry budget exhausted (%v spent over %d waits, budget %v): %w",
 			r.spent, r.waits, crawlRetryBudget, lastErr)

@@ -87,14 +87,20 @@ func TestFailuresConsumeRateBudget(t *testing.T) {
 
 // TestRetryWaitsAreJitteredAndDeterministic pins the backoff schedule: waits
 // carry equal jitter (uniform in [base/2, base]) and two fresh retriers
-// replay the identical sequence, keeping crawls reproducible.
+// replay the identical sequence, keeping crawls reproducible. The literal
+// waits pin the exact draws, so a change to the jitter stream or its
+// arithmetic fails here even when it stays inside the range.
 func TestRetryWaitsAreJitteredAndDeterministic(t *testing.T) {
+	want := []time.Duration{
+		4806571202, 8905343008, 17217434018,
+		21172130234, 47634298068, 125069688054,
+	}
 	p := smallPlatform(t, 300)
 	sample := func() []time.Duration {
 		api := NewAPI(p)
 		rt := newRetrier()
 		var waits []time.Duration
-		for attempt := 0; attempt < 5; attempt++ {
+		for attempt := range want {
 			before := api.Clock().Now()
 			if err := rt.wait(api, attempt, ErrServiceUnavailable); err != nil {
 				t.Fatalf("wait: %v", err)
@@ -108,6 +114,9 @@ func TestRetryWaitsAreJitteredAndDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("wait %d not deterministic: %v vs %v", i, a[i], b[i])
+		}
+		if a[i] != want[i] {
+			t.Fatalf("wait %d = %v (%d), want %v", i, a[i], int64(a[i]), want[i])
 		}
 		base := 5 * time.Second << uint(i)
 		if a[i] < base/2 || a[i] > base {
