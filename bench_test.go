@@ -445,8 +445,9 @@ func BenchmarkFullCharacterizationParallel(b *testing.B) {
 // BenchmarkCharacterizationCache contrasts the same full characterization
 // cold (fresh cache directory every iteration: every cached stage misses,
 // computes and stores) against warm (pre-populated directory: betweenness,
-// both bootstraps, the distance sweep and the basic/mutual-core metric
-// passes hydrate from the cache). Reports
+// both bootstraps, the distance sweep, the basic/mutual-core metric passes,
+// the category table's PageRanks, the bio n-grams and the §V tests hydrate
+// from the cache). Reports
 // are byte-identical either way — the warm number is what a production
 // re-analysis over an unchanged crawl pays. scripts/bench.sh records both
 // into BENCH_results.json.
@@ -499,7 +500,7 @@ func BenchmarkCharacterizationCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(rep.Cache.Hits) != 6 {
+			if len(rep.Cache.Hits) != 9 {
 				b.Fatalf("warm run hits = %v", rep.Cache.Hits)
 			}
 		}

@@ -54,6 +54,17 @@ func (e *Encoder) Float64s(xs []float64) {
 	}
 }
 
+// Len appends a sequence length that keeps a nil sequence distinct from an
+// empty one (0 for nil, n+1 for length n), so a decoded value is
+// reflect.DeepEqual to the encoded one.
+func (e *Encoder) Len(n int, isNil bool) {
+	if isNil {
+		e.Uvarint(0)
+		return
+	}
+	e.Uvarint(uint64(n) + 1)
+}
+
 // Decoder reads what an Encoder wrote. Errors are sticky: after the first
 // malformed read every accessor returns a zero value and Err reports
 // ErrCorrupt, so callers can decode a whole payload and check once at the
@@ -115,6 +126,22 @@ func (d *Decoder) Varint() int64 {
 
 // Int reads a signed integer.
 func (d *Decoder) Int() int { return int(d.Varint()) }
+
+// Len reads a length written by Encoder.Len for a sequence whose elements
+// each take at least minBytes (>= 1) on the wire. A length the unread payload
+// cannot hold is corruption, so the caller never allocates for more elements
+// than the payload could carry.
+func (d *Decoder) Len(minBytes int) (n int, isNil bool) {
+	v := d.Uvarint()
+	if d.err != nil || v == 0 {
+		return 0, true
+	}
+	if (v - 1) > uint64(len(d.buf)-d.off)/uint64(minBytes) {
+		d.fail()
+		return 0, true
+	}
+	return int(v - 1), false
+}
 
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,10 +32,11 @@ func renderString(t *testing.T, rep *Report) string {
 
 // cachedStageNames is what a full run should report as cache traffic, in
 // stage declaration order; seedKeyedStageNames is the subset whose options
-// digest includes Seed (basic and mutualcore are deterministic over the
-// graph, so a seed change still hits them).
+// digest includes Seed (basic, bios, categories, mutualcore and activity
+// are deterministic over the dataset, so a seed change still hits them).
 var (
-	cachedStageNames    = []string{StageBasic, StageDegree, StageEigen, StageDistances, StageCentrality, StageMutualCore}
+	cachedStageNames = []string{StageBasic, StageDegree, StageEigen, StageDistances, StageBios,
+		StageCentrality, StageCategories, StageMutualCore, StageActivity}
 	seedKeyedStageNames = []string{StageDegree, StageEigen, StageDistances, StageCentrality}
 )
 
@@ -83,6 +85,27 @@ func TestWarmRunByteIdenticalAndSkipsHeavyStages(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold.MutualCore, warm.MutualCore) {
 		t.Fatal("mutual-core analysis diverges after cache round trip")
+	}
+	if !reflect.DeepEqual(cold.Bios, warm.Bios) {
+		t.Fatal("bio analysis diverges after cache round trip")
+	}
+	if !reflect.DeepEqual(cold.Categories, warm.Categories) {
+		t.Fatal("category analysis diverges after cache round trip")
+	}
+	if !reflect.DeepEqual(cold.Activity, warm.Activity) || warm.Activity.Series != activity {
+		t.Fatal("activity analysis diverges after cache round trip")
+	}
+	// JSON views, not just the text render, must match byte for byte.
+	coldJSON, err := json.Marshal(NewReportView(cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmJSON, err := json.Marshal(NewReportView(warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(coldJSON, warmJSON) {
+		t.Fatal("warm-cache JSON view is not byte-identical to the cold run")
 	}
 }
 
@@ -137,6 +160,7 @@ func TestChangedOptionsMiss(t *testing.T) {
 		{"betweenness sources", func(o *Options) { o.BetweennessSources = 41 }, []string{StageCentrality}},
 		{"bootstrap reps", func(o *Options) { o.BootstrapReps = 21 }, []string{StageDegree, StageEigen}},
 		{"eigen k", func(o *Options) { o.EigenK = 41 }, []string{StageEigen}},
+		{"top n-grams", func(o *Options) { o.TopNGrams = 7 }, []string{StageBios}},
 		{"skip bootstrap", func(o *Options) { o.SkipBootstrap = true }, []string{StageDegree, StageEigen}},
 		{"parallelism (never keyed)", func(o *Options) { o.Parallelism = 3 }, nil},
 	}
@@ -351,5 +375,143 @@ func TestCacheKeysAreStageScoped(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("no cache file for stage %s (have %v)", name, entries)
 		}
+	}
+}
+
+// hydratedStageNames are the stages whose options digest is empty or
+// TopNGrams alone: the report tables and §V verdicts.
+var hydratedStageNames = []string{StageBios, StageCategories, StageActivity}
+
+// TestHydratedStageCacheKeysCoverOptions flips each core.Options field in
+// turn against a cache primed at the baseline. The bios key must move only
+// on TopNGrams, and the categories and activity keys never, so a Seed change
+// still hits all three. Where a key held, the flipped options must compute
+// the cached value from scratch: an option that shapes a stage but is left
+// out of its digest fails here.
+func TestHydratedStageCacheKeysCoverOptions(t *testing.T) {
+	p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := twitter.DatasetFromPlatform(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	activity := p.ActivitySeries(p.EnglishNodes())
+	dir := t.TempDir()
+	base := cacheOptions(dir)
+	base.SkipEigen = true
+	base.SkipBootstrap = true
+	base.Stages = hydratedStageNames
+	primed, err := NewCharacterizer(base).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if primed.Bios == nil || primed.Categories == nil || primed.Activity == nil {
+		t.Fatal("baseline run did not produce all three sections")
+	}
+
+	flips := optionFlips(t)
+	rt := reflect.TypeOf(Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		flip, ok := flips[name]
+		if !ok {
+			t.Fatalf("Options.%s has no flip: add one", name)
+		}
+		o := base
+		flip(&o)
+		rep, err := NewCharacterizer(o).Run(ds, activity)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		primedCache := rep.Cache != nil && rep.Cache.Dir == dir
+		for _, st := range hydratedStageNames {
+			wantMiss := st == StageBios && name == "TopNGrams"
+			if primedCache && contains(rep.Cache.Misses, st) != wantMiss {
+				t.Errorf("%s: %s missed=%v, want %v", name, st, !wantMiss, wantMiss)
+			}
+		}
+		if name == "Seed" && !reflect.DeepEqual(rep.Cache.Hits, hydratedStageNames) {
+			t.Errorf("Seed: hits = %v, want %v", rep.Cache.Hits, hydratedStageNames)
+		}
+		if name == "TopNGrams" {
+			continue
+		}
+		o.CacheDir = ""
+		fresh, err := NewCharacterizer(o).Run(ds, activity)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fresh.Bios != nil && !reflect.DeepEqual(fresh.Bios, primed.Bios) {
+			t.Errorf("%s: bios key held but the fresh table differs", name)
+		}
+		if fresh.Categories != nil && !reflect.DeepEqual(fresh.Categories, primed.Categories) {
+			t.Errorf("%s: categories key held but the fresh table differs", name)
+		}
+		if fresh.Activity != nil && !reflect.DeepEqual(fresh.Activity, primed.Activity) {
+			t.Errorf("%s: activity key held but the fresh verdicts differ", name)
+		}
+	}
+}
+
+// TestUndecodableEntriesRecomputeSilently stores well-framed entries whose
+// payloads the stage decoders reject (truncated, one trailing byte, an
+// impossible length). Each must read as a miss and a
+// silent recompute to the cold bytes, and the recomputed entry must serve
+// the next run.
+func TestUndecodableEntriesRecomputeSilently(t *testing.T) {
+	p, ds := testPlatform(t)
+	activity := p.ActivitySeries(p.EnglishNodes())
+	dir := t.TempDir()
+	opts := cacheOptions(dir)
+	opts.Stages = hydratedStageNames
+	cold, err := NewCharacterizer(opts).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := cache.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mangles := map[string]func([]byte) []byte{
+		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+		"trailing":  func(b []byte) []byte { return append(append([]byte{}, b...), 0) },
+		// A present flag, then 2^62 as the first length or float bits:
+		// no decoder can satisfy it from the bytes that follow.
+		"huge length": func([]byte) []byte { return []byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40} },
+	}
+	for how, mangle := range mangles {
+		t.Run(how, func(t *testing.T) {
+			for _, st := range hydratedStageNames {
+				paths, err := filepath.Glob(filepath.Join(dir, st+"-*.bin"))
+				if err != nil || len(paths) != 1 {
+					t.Fatalf("%s entries = %v (err %v)", st, paths, err)
+				}
+				key := strings.TrimSuffix(filepath.Base(paths[0]), ".bin")
+				good, ok := cc.Get(key)
+				if !ok {
+					t.Fatalf("%s entry unreadable", st)
+				}
+				cc.Put(key, mangle(append([]byte{}, good...)))
+			}
+			rep, err := NewCharacterizer(opts).Run(ds, activity)
+			if err != nil {
+				t.Fatalf("undecodable entries must recompute, not error: %v", err)
+			}
+			if len(rep.Cache.Hits) != 0 || !reflect.DeepEqual(rep.Cache.Misses, hydratedStageNames) {
+				t.Fatalf("traffic over undecodable entries: %+v", rep.Cache)
+			}
+			if renderString(t, rep) != renderString(t, cold) {
+				t.Fatal("recomputed report diverges from the cold run")
+			}
+			rep, err = NewCharacterizer(opts).Run(ds, activity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep.Cache.Hits, hydratedStageNames) {
+				t.Fatalf("repaired entries did not serve: %+v", rep.Cache)
+			}
+		})
 	}
 }

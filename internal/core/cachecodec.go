@@ -1,10 +1,15 @@
 package core
 
 import (
+	"math"
+
 	"elites/internal/cache"
 	"elites/internal/graph"
 	"elites/internal/powerlaw"
 	"elites/internal/stats"
+	"elites/internal/text"
+	"elites/internal/timeseries"
+	"elites/internal/twitter"
 )
 
 // Binary codecs for the cached pipeline stages (store-style: varints, raw
@@ -29,7 +34,22 @@ const (
 	// shaping options, so their options digest is the empty hash.
 	basicCodecVersion      = 1
 	mutualCoreCodecVersion = 1
+	// Of bios, categories and activity only bios has a shaping option
+	// (TopNGrams); categories reads unseeded PageRanks and activity reads
+	// only the series, both covered by the dataset digest.
+	biosCodecVersion       = 1
+	categoriesCodecVersion = 1
+	activityCodecVersion   = 1
 )
+
+// makeLen returns what a cache.Decoder.Len result describes: nil, or an
+// empty slice with room for n elements.
+func makeLen[T any](n int, isNil bool) []T {
+	if isNil {
+		return nil
+	}
+	return make([]T, 0, n)
+}
 
 // --- distances ---------------------------------------------------------------
 
@@ -268,4 +288,198 @@ func decodeMutualCoreFrom(d *cache.Decoder) (*MutualCoreAnalysis, error) {
 		}
 	}
 	return m, nil
+}
+
+// --- bios (§IV-E) ------------------------------------------------------------
+
+func encodeNGramsTo(e *cache.Encoder, grams []text.NGram) {
+	e.Len(len(grams), grams == nil)
+	for _, g := range grams {
+		e.Len(len(g.Tokens), g.Tokens == nil)
+		for _, tok := range g.Tokens {
+			e.String(tok)
+		}
+		e.Int(g.Count)
+	}
+}
+
+func decodeNGramsFrom(d *cache.Decoder) []text.NGram {
+	n, isNil := d.Len(2) // token-list length + count
+	grams := makeLen[text.NGram](n, isNil)
+	for i := 0; i < n; i++ {
+		m, tokNil := d.Len(1)
+		toks := makeLen[string](m, tokNil)
+		for j := 0; j < m; j++ {
+			toks = append(toks, d.String())
+		}
+		grams = append(grams, text.NGram{Tokens: toks, Count: d.Int()})
+	}
+	return grams
+}
+
+func encodeBiosTo(e *cache.Encoder, b *BioAnalysis) {
+	e.Bool(b != nil)
+	if b == nil {
+		return
+	}
+	encodeNGramsTo(e, b.TopUnigrams)
+	encodeNGramsTo(e, b.TopBigrams)
+	encodeNGramsTo(e, b.TopTrigrams)
+	e.Len(len(b.Cloud), b.Cloud == nil)
+	for _, c := range b.Cloud {
+		e.String(c.Word)
+		e.Int(c.Count)
+		e.Float64(c.Weight)
+	}
+}
+
+func decodeBiosFrom(d *cache.Decoder) (*BioAnalysis, error) {
+	if !d.Bool() {
+		return nil, d.Err()
+	}
+	b := &BioAnalysis{
+		TopUnigrams: decodeNGramsFrom(d),
+		TopBigrams:  decodeNGramsFrom(d),
+		TopTrigrams: decodeNGramsFrom(d),
+	}
+	n, isNil := d.Len(10) // word + count + weight
+	b.Cloud = makeLen[text.CloudEntry](n, isNil)
+	for i := 0; i < n; i++ {
+		b.Cloud = append(b.Cloud, text.CloudEntry{Word: d.String(), Count: d.Int(), Weight: d.Float64()})
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// --- categories (user categorization) ----------------------------------------
+
+func encodeCategoriesTo(e *cache.Encoder, ca *CategoryAnalysis) {
+	e.Bool(ca != nil)
+	if ca == nil {
+		return
+	}
+	e.Len(len(ca.Stats), ca.Stats == nil)
+	for i := range ca.Stats {
+		s := &ca.Stats[i]
+		e.Uvarint(uint64(s.Category))
+		e.Int(s.Count)
+		e.Float64(s.Share)
+		e.Float64(s.MeanFollowers)
+		e.Float64(s.MeanListed)
+		e.Float64(s.PageRankShare)
+		e.Float64(s.Affinity)
+		e.Len(len(s.DistinctiveTerms), s.DistinctiveTerms == nil)
+		for _, t := range s.DistinctiveTerms {
+			e.String(t.Term)
+			e.Float64(t.Score)
+			e.Int(t.Count)
+		}
+	}
+}
+
+func decodeCategoriesFrom(d *cache.Decoder) (*CategoryAnalysis, error) {
+	if !d.Bool() {
+		return nil, d.Err()
+	}
+	n, isNil := d.Len(43) // category + count + five floats + term-list length
+	ca := &CategoryAnalysis{Stats: makeLen[CategoryStat](n, isNil)}
+	for i := 0; i < n; i++ {
+		cat := d.Uvarint()
+		if cat > math.MaxUint8 {
+			return nil, cache.ErrCorrupt
+		}
+		s := CategoryStat{
+			Category:      twitter.Category(cat),
+			Count:         d.Int(),
+			Share:         d.Float64(),
+			MeanFollowers: d.Float64(),
+			MeanListed:    d.Float64(),
+			PageRankShare: d.Float64(),
+			Affinity:      d.Float64(),
+		}
+		m, termsNil := d.Len(10) // term + score + count
+		s.DistinctiveTerms = makeLen[text.DistinctiveTerm](m, termsNil)
+		for j := 0; j < m; j++ {
+			s.DistinctiveTerms = append(s.DistinctiveTerms,
+				text.DistinctiveTerm{Term: d.String(), Score: d.Float64(), Count: d.Int()})
+		}
+		ca.Stats = append(ca.Stats, s)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return ca, nil
+}
+
+// --- activity (§V) -----------------------------------------------------------
+
+// encodeActivityTo covers every ActivityAnalysis field except Series, which
+// is the run's own input: decodeActivityFrom re-attaches it.
+func encodeActivityTo(e *cache.Encoder, a *ActivityAnalysis) {
+	e.Bool(a != nil)
+	if a == nil {
+		return
+	}
+	e.Float64(a.LjungBoxMaxP)
+	e.Float64(a.BoxPierceMaxP)
+	e.Bool(a.ADF != nil)
+	if r := a.ADF; r != nil {
+		e.Float64(r.Statistic)
+		e.Int(r.Lags)
+		e.Int(r.NObs)
+		e.Float64(r.Crit1)
+		e.Float64(r.Crit5)
+		e.Float64(r.Crit10)
+		e.Float64(r.PValue)
+		e.Int(int(r.Regression))
+	}
+	e.Len(len(a.Changepoints), a.Changepoints == nil)
+	for _, c := range a.Changepoints {
+		e.Int(c.Index)
+		e.Float64(c.Stability)
+	}
+	for _, m := range a.WeekdayMeans {
+		e.Float64(m)
+	}
+	e.Float64(a.SundayWeekday)
+	e.Int(a.PortmanteauLag)
+}
+
+func decodeActivityFrom(d *cache.Decoder, series *timeseries.DailySeries) (*ActivityAnalysis, error) {
+	if !d.Bool() {
+		return nil, d.Err()
+	}
+	a := &ActivityAnalysis{
+		Series:        series,
+		LjungBoxMaxP:  d.Float64(),
+		BoxPierceMaxP: d.Float64(),
+	}
+	if d.Bool() {
+		a.ADF = &timeseries.ADFResult{
+			Statistic:  d.Float64(),
+			Lags:       d.Int(),
+			NObs:       d.Int(),
+			Crit1:      d.Float64(),
+			Crit5:      d.Float64(),
+			Crit10:     d.Float64(),
+			PValue:     d.Float64(),
+			Regression: timeseries.Regression(d.Int()),
+		}
+	}
+	n, isNil := d.Len(9) // index + stability
+	a.Changepoints = makeLen[timeseries.SweepCandidate](n, isNil)
+	for i := 0; i < n; i++ {
+		a.Changepoints = append(a.Changepoints, timeseries.SweepCandidate{Index: d.Int(), Stability: d.Float64()})
+	}
+	for i := range a.WeekdayMeans {
+		a.WeekdayMeans[i] = d.Float64()
+	}
+	a.SundayWeekday = d.Float64()
+	a.PortmanteauLag = d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return a, nil
 }

@@ -86,11 +86,14 @@ type Options struct {
 	// CacheDir, when non-empty, enables the two-tier per-stage result
 	// cache rooted at that directory (in-process LRU over an on-disk
 	// store; see internal/cache). The expensive and mid-weight stages —
-	// basic, distances, degree, eigen, centrality, mutualcore — are keyed
-	// on (dataset digest, options digest, stage, codec version), so a warm
+	// basic, degree, eigen, distances, bios, centrality, categories,
+	// mutualcore, activity (and the opt-in features) — are keyed on
+	// (dataset digest, options digest, stage, codec version), so a warm
 	// re-run hydrates their outputs instead of recomputing betweenness,
-	// the bootstraps, the clustering/assortativity passes and the
-	// BFS sweeps. Cached and fresh runs render byte-identically; cache
+	// the bootstraps, the clustering/assortativity passes, the BFS sweeps,
+	// the topic-sensitive PageRanks, the bio n-gram counts and the §V
+	// tests; only components, summary, reciprocity and histograms always
+	// run. Cached and fresh runs render byte-identically; cache
 	// traffic is reported in Report.Cache. Parallelism and Timings never
 	// enter cache keys (they cannot change results — the determinism
 	// contract), so a report cached at one worker budget serves every
@@ -491,10 +494,20 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 	)
 	if len(ds.Profiles) > 0 {
 		stages = append(stages,
-			pipeline.Stage{Name: StageBios, Run: func() error {
+			withCache(pipeline.Stage{Name: StageBios, Run: func() error {
 				c.bioAnalysis(rep, ds)
 				return nil
-			}},
+			}}, biosCodecVersion,
+				cache.HashWords(uint64(c.opts.TopNGrams)),
+				func(e *cache.Encoder) { encodeBiosTo(e, rep.Bios) },
+				func(d *cache.Decoder) error {
+					b, err := decodeBiosFrom(d)
+					if err != nil {
+						return err
+					}
+					rep.Bios = b
+					return nil
+				}),
 			pipeline.Stage{Name: StageHistograms, Run: func() error {
 				c.metricHistograms(rep, ds)
 				return nil
@@ -515,12 +528,24 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 				}),
 		)
 		if !c.opts.SkipCategories {
-			stages = append(stages, pipeline.Stage{Name: StageCategories, Run: func() error {
-				if ca, err := analyzeCategories(ds, sh); err == nil {
-					rep.Categories = ca
-				}
+			stages = append(stages, withCache(pipeline.Stage{Name: StageCategories, Run: func() error {
+				// A failed table is recorded (and cached) as nil.
+				rep.Categories, _ = analyzeCategories(ds, sh)
 				return nil
-			}})
+			}}, categoriesCodecVersion,
+				// PageRank and the topic-sensitive PageRanks are unseeded,
+				// and every profile field the table reads is in the dataset
+				// digest: no option shapes it.
+				cache.HashWords(),
+				func(e *cache.Encoder) { encodeCategoriesTo(e, rep.Categories) },
+				func(d *cache.Decoder) error {
+					ca, err := decodeCategoriesFrom(d)
+					if err != nil {
+						return err
+					}
+					rep.Categories = ca
+					return nil
+				}))
 		}
 	}
 	if !c.opts.SkipCategories {
@@ -540,10 +565,20 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			}))
 	}
 	if activity != nil {
-		stages = append(stages, pipeline.Stage{Name: StageActivity, Run: func() error {
+		stages = append(stages, withCache(pipeline.Stage{Name: StageActivity, Run: func() error {
 			c.activityAnalysis(rep, activity)
 			return nil
-		}})
+		}}, activityCodecVersion,
+			cache.HashWords(), // a function of the series alone, which the dataset digest covers
+			func(e *cache.Encoder) { encodeActivityTo(e, rep.Activity) },
+			func(d *cache.Decoder) error {
+				a, err := decodeActivityFrom(d, activity)
+				if err != nil {
+					return err
+				}
+				rep.Activity = a
+				return nil
+			}))
 	}
 	if c.opts.Features || stageRequested(c.opts.Stages, StageFeatures) {
 		fdigest := features.OptionsDigest(fopts)

@@ -207,6 +207,43 @@ func TestSharedQuantitiesAcrossStages(t *testing.T) {
 	}
 }
 
+// optionFlips returns, for every core.Options field, a change to it. The
+// cache-key coverage tests apply each flip to a primed baseline; booleans
+// and the stage selection toggle, so a flip moves any baseline.
+func optionFlips(t *testing.T) map[string]func(o *Options) {
+	return map[string]func(o *Options){
+		"DistanceSources":    func(o *Options) { o.DistanceSources = 30 },
+		"BetweennessSources": func(o *Options) { o.BetweennessSources += 8 },
+		"EigenK":             func(o *Options) { o.EigenK = 10 },
+		"EigenIters":         func(o *Options) { o.EigenIters = 50 },
+		"BootstrapReps":      func(o *Options) { o.BootstrapReps = 5 },
+		"TopNGrams":          func(o *Options) { o.TopNGrams = 4 },
+		"Seed":               func(o *Options) { o.Seed++ },
+		"SkipEigen":          func(o *Options) { o.SkipEigen = !o.SkipEigen },
+		"SkipBetweenness":    func(o *Options) { o.SkipBetweenness = !o.SkipBetweenness },
+		"SkipBootstrap":      func(o *Options) { o.SkipBootstrap = !o.SkipBootstrap },
+		"SkipCategories":     func(o *Options) { o.SkipCategories = !o.SkipCategories },
+		"Parallelism":        func(o *Options) { o.Parallelism = 1 },
+		"Stages": func(o *Options) {
+			if o.Stages == nil {
+				o.Stages = []string{StageFeatures}
+			} else {
+				o.Stages = nil
+			}
+		},
+		"Timings":           func(o *Options) { o.Timings = true },
+		"CacheDir":          func(o *Options) { o.CacheDir = t.TempDir() },
+		"NoCache":           func(o *Options) { o.NoCache = true },
+		"CacheMemBytes":     func(o *Options) { o.CacheMemBytes = 1 << 20 },
+		"StageObserver":     func(o *Options) { o.StageObserver = func(StageTiming) {} },
+		"Features":          func(o *Options) { o.Features = !o.Features },
+		"StageRetries":      func(o *Options) { o.StageRetries = 1 },
+		"StageRetryBackoff": func(o *Options) { o.StageRetryBackoff = time.Millisecond },
+		"StageTimeout":      func(o *Options) { o.StageTimeout = time.Minute },
+		"Faults":            func(o *Options) { o.Faults = faults.New(1) },
+	}
+}
+
 // TestFeatureStageCacheKeyCoversOptions flips each core.Options field in
 // turn against a cache primed at the baseline. When the features stage
 // still hits (its key did not change), the matrix the flipped options
@@ -238,31 +275,7 @@ func TestFeatureStageCacheKeyCoversOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flips := map[string]func(o *Options){
-		"DistanceSources":    func(o *Options) { o.DistanceSources = 30 },
-		"BetweennessSources": func(o *Options) { o.BetweennessSources += 8 },
-		"EigenK":             func(o *Options) { o.EigenK = 10 },
-		"EigenIters":         func(o *Options) { o.EigenIters = 50 },
-		"BootstrapReps":      func(o *Options) { o.BootstrapReps = 5 },
-		"TopNGrams":          func(o *Options) { o.TopNGrams = 4 },
-		"Seed":               func(o *Options) { o.Seed++ },
-		"SkipEigen":          func(o *Options) { o.SkipEigen = false },
-		"SkipBetweenness":    func(o *Options) { o.SkipBetweenness = true },
-		"SkipBootstrap":      func(o *Options) { o.SkipBootstrap = false },
-		"SkipCategories":     func(o *Options) { o.SkipCategories = true },
-		"Parallelism":        func(o *Options) { o.Parallelism = 1 },
-		"Stages":             func(o *Options) { o.Stages = []string{StageFeatures} },
-		"Timings":            func(o *Options) { o.Timings = true },
-		"CacheDir":           func(o *Options) { o.CacheDir = t.TempDir() },
-		"NoCache":            func(o *Options) { o.NoCache = true },
-		"CacheMemBytes":      func(o *Options) { o.CacheMemBytes = 1 << 20 },
-		"StageObserver":      func(o *Options) { o.StageObserver = func(StageTiming) {} },
-		"Features":           func(o *Options) { o.Features = false },
-		"StageRetries":       func(o *Options) { o.StageRetries = 1 },
-		"StageRetryBackoff":  func(o *Options) { o.StageRetryBackoff = time.Millisecond },
-		"StageTimeout":       func(o *Options) { o.StageTimeout = time.Minute },
-		"Faults":             func(o *Options) { o.Faults = faults.New(1) },
-	}
+	flips := optionFlips(t)
 	rt := reflect.TypeOf(Options{})
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name

@@ -14,17 +14,17 @@ func Reciprocity(g *Digraph) float64 {
 	if m == 0 {
 		return 0
 	}
+	// Edge u→v is reciprocated iff v is also an in-neighbour of u, so the
+	// reciprocated edges out of u are the intersection of u's sorted out-row
+	// with its sorted in-row. Each direction counts, so a mutual pair
+	// contributes 2.
 	// Sharded over source-node ranges; each ordered edge is owned by
 	// exactly one chunk, so the partial counts sum exactly.
+	inOff, inAdj := g.InCSR()
 	parts := chunkReduce(g.NumNodes(), func(lo, hi int) int64 {
 		var mutual int64
 		for u := lo; u < hi; u++ {
-			for _, v := range g.OutNeighbors(u) {
-				// Count each direction; a mutual pair contributes 2.
-				if g.HasEdge(int(v), u) {
-					mutual++
-				}
-			}
+			mutual += int64(intersectLen(g.OutNeighbors(u), inAdj[inOff[u]:inOff[u+1]]))
 		}
 		return mutual
 	})

@@ -245,3 +245,59 @@ func TestShardedMetricsMatchSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestReciprocityMatchesHasEdgeCount pins the merge kernel to the
+// definition: the fraction of edges u→v for which HasEdge(v, u) holds, with
+// the same integer count and so the same float. The graphs are built
+// directly in CSR form so they can carry self-loops (which the Builder
+// drops; a self-loop is its own reverse), and every third node is left
+// isolated. Sizes straddle the metric chunk so shard boundaries are covered.
+func TestReciprocityMatchesHasEdgeCount(t *testing.T) {
+	rng := mathx.NewRNG(19)
+	for _, n := range []int{1, 2, 7, 60, 2*metricChunk + 77} {
+		for trial := 0; trial < 3; trial++ {
+			deg := 1 + rng.Intn(6)
+			offsets := make([]int64, n+1)
+			var adj []int32
+			for u := 0; u < n; u++ {
+				if u%3 != 2 {
+					seen := map[int]bool{}
+					for k := 0; k < deg; k++ {
+						// Pick mostly near neighbours so reverse edges are common.
+						v := (u + rng.Intn(9) - 4 + n) % n
+						if u%3 == 1 && k == 0 {
+							v = u // self-loop
+						}
+						if v%3 != 2 {
+							seen[v] = true
+						}
+					}
+					row := make([]int32, 0, len(seen))
+					for v := 0; v < n; v++ {
+						if seen[v] {
+							row = append(row, int32(v))
+						}
+					}
+					adj = append(adj, row...)
+				}
+				offsets[u+1] = int64(len(adj))
+			}
+			g := &Digraph{n: n, offsets: offsets, adj: adj}
+			var mutual int64
+			g.Edges(func(u, v int) bool {
+				if g.HasEdge(v, u) {
+					mutual++
+				}
+				return true
+			})
+			want := 0.0
+			if m := g.NumEdges(); m > 0 {
+				want = float64(mutual) / float64(m)
+			}
+			if got := Reciprocity(g); got != want {
+				t.Fatalf("n=%d trial=%d: Reciprocity = %v, want %v (%d mutual of %d)",
+					n, trial, got, want, mutual, g.NumEdges())
+			}
+		}
+	}
+}

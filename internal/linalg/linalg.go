@@ -310,9 +310,22 @@ func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(ErrShape)
 	}
+	// Four products per iteration, still added to the one accumulator in
+	// index order, so the sum is bit-identical to a plain loop. The longer
+	// body makes the speed insensitive to code alignment: the one-product
+	// loop ran 10–20% slower at some function addresses on a 2-core Xeon
+	// VM, and Dot is the inner loop of the Lanczos re-orthogonalisation.
+	b = b[:len(a)]
 	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s += a[i] * b[i]
+		s += a[i+1] * b[i+1]
+		s += a[i+2] * b[i+2]
+		s += a[i+3] * b[i+3]
+	}
+	for ; i < len(a); i++ {
+		s += a[i] * b[i]
 	}
 	return s
 }
@@ -332,8 +345,18 @@ func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(ErrShape)
 	}
-	for i, v := range x {
-		y[i] += a * v
+	// Unrolled like Dot; each element is updated once, so results match a
+	// plain loop exactly.
+	y = y[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		y[i] += a * x[i]
+		y[i+1] += a * x[i+1]
+		y[i+2] += a * x[i+2]
+		y[i+3] += a * x[i+3]
+	}
+	for ; i < len(x); i++ {
+		y[i] += a * x[i]
 	}
 }
 

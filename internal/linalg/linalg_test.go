@@ -194,6 +194,36 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
+// TestDotAxpyMatchPlainLoops pins the unrolled kernels to the one-element
+// loops bit for bit, at every length around the unroll width.
+func TestDotAxpyMatchPlainLoops(t *testing.T) {
+	rng := mathx.NewRNG(17)
+	for n := 0; n <= 13; n++ {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = rng.Normal()*1e3, rng.Normal()*1e-3
+		}
+		want := 0.0
+		for i := range a {
+			want += a[i] * b[i]
+		}
+		if got := Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: Dot = %v, plain loop %v", n, got, want)
+		}
+		c := rng.Normal()
+		y, wantY := append([]float64{}, b...), append([]float64{}, b...)
+		for i := range a {
+			wantY[i] += c * a[i]
+		}
+		Axpy(c, a, y)
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
+				t.Fatalf("n=%d: Axpy[%d] = %v, plain loop %v", n, i, y[i], wantY[i])
+			}
+		}
+	}
+}
+
 func TestJacobiEigenDiagonal(t *testing.T) {
 	a := NewMatrix(3, 3)
 	a.Set(0, 0, 1)
