@@ -28,7 +28,10 @@ const (
 	// (dropped replicates are excluded), plus Fit grew derived unexported
 	// state — v1 entries carry pre-kernel values and must not be served.
 	degreeCodecVersion = 2
-	eigenCodecVersion  = 2
+	// eigen is at v3: partial reorthogonalization in the Lanczos solver
+	// moves the eigenvalues (by ~1e-14 relative where converged), so v2
+	// entries hold another solver's bits.
+	eigenCodecVersion = 3
 	// basic and mutualcore joined the cache in PR 4 (the ROADMAP's
 	// mid-weight leftovers): both are pure functions of the graph with no
 	// shaping options, so their options digest is the empty hash.

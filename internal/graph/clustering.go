@@ -54,9 +54,8 @@ func LocalClusteringAll(g *Digraph, workers int) []float64 {
 }
 
 // LocalClustering returns the local clustering coefficient of node u in the
-// undirected projection of g. It projects the whole graph on every call;
-// LocalClusteringAll is the bulk kernel, and this per-node merge is kept as
-// its naive reference.
+// undirected projection of g (the graph's cached one). LocalClusteringAll is
+// the bulk kernel, and this per-node merge is kept as its naive reference.
 func LocalClustering(g *Digraph, u int) float64 {
 	return localClustering(g.Undirected(), u)
 }

@@ -35,6 +35,12 @@ type Digraph struct {
 	inOnce sync.Once
 	inOff  []int64
 	inAdj  []int32
+
+	// Symmetric projection, built lazily by Undirected and cached for the
+	// graph's lifetime: the Laplacian operator, k-cores, the rich club and
+	// the undirected assortativity all read the same one.
+	undOnce sync.Once
+	und     *Digraph
 }
 
 // NumNodes returns the number of nodes.
@@ -168,16 +174,46 @@ func (g *Digraph) InducedSubgraph(keep []int) (*Digraph, []int, error) {
 
 // Undirected returns the underlying undirected graph as a symmetric digraph:
 // each pair {u,v} connected in either direction appears as both u→v and v→u
-// exactly once. Self-loops are never present (Builder drops them).
+// exactly once, with no self-loops. The projection is built on first use
+// and cached; the returned graph is shared and, like every Digraph,
+// immutable. Safe for concurrent use.
 func (g *Digraph) Undirected() *Digraph {
-	b := NewBuilder(g.n)
+	g.undOnce.Do(g.buildUndirected)
+	return g.und
+}
+
+// buildUndirected merges each sorted out-row with the cached in-CSR row:
+// their sorted union is u's undirected row (a Digraph holds no self-loops,
+// so u is never in it). One pass sizes the rows and one fills them, O(n + m)
+// in all.
+func (g *Digraph) buildUndirected() {
+	inOff, inAdj := g.InCSR()
+	offsets := make([]int64, g.n+1)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, int(v))
-			b.AddEdge(int(v), u)
+		out, in := g.OutNeighbors(u), inAdj[inOff[u]:inOff[u+1]]
+		offsets[u+1] = offsets[u] + int64(len(out)+len(in)-intersectLen(out, in))
+	}
+	adj := make([]int32, offsets[g.n])
+	for u := 0; u < g.n; u++ {
+		out, in := g.OutNeighbors(u), inAdj[inOff[u]:inOff[u+1]]
+		row := adj[offsets[u]:offsets[u+1]]
+		i, j := 0, 0
+		for k := range row {
+			switch {
+			case j == len(in) || (i < len(out) && out[i] < in[j]):
+				row[k] = out[i]
+				i++
+			case i == len(out) || in[j] < out[i]:
+				row[k] = in[j]
+				j++
+			default:
+				row[k] = out[i]
+				i++
+				j++
+			}
 		}
 	}
-	return b.Build()
+	g.und = &Digraph{n: g.n, offsets: offsets, adj: adj}
 }
 
 // Edges calls fn for every directed edge. Iteration stops if fn returns

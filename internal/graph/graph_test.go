@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -171,6 +174,85 @@ func TestUndirected(t *testing.T) {
 	if !u.HasEdge(2, 1) || !u.HasEdge(0, 1) {
 		t.Fatal("undirected symmetry broken")
 	}
+}
+
+// builderProjection is the reference undirected projection: every edge
+// added in both directions through a Builder, which sorts and dedups.
+func builderProjection(g *Digraph) *Digraph {
+	b := NewBuilder(g.NumNodes())
+	g.Edges(func(u, v int) bool {
+		b.AddEdge(u, v)
+		b.AddEdge(v, u)
+		return true
+	})
+	return b.Build()
+}
+
+// sameCSR fails unless got and want have identical CSR arrays, so every
+// row holds the same neighbours in the same order.
+func sameCSR(t *testing.T, name string, got, want *Digraph) {
+	t.Helper()
+	gotOff, gotAdj := got.CSR()
+	wantOff, wantAdj := want.CSR()
+	if got.NumNodes() != want.NumNodes() || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+		t.Fatalf("%s: CSR (%v, %v), want (%v, %v)", name, gotOff, gotAdj, wantOff, wantAdj)
+	}
+}
+
+func TestUndirectedMatchesBuilderProjection(t *testing.T) {
+	rng := mathx.NewRNG(11)
+	cases := map[string]*Digraph{
+		"n=0":          NewBuilder(0).Build(),
+		"n=1":          NewBuilder(1).Build(),
+		"zero value":   &Digraph{},
+		"edgeless":     NewBuilder(7).Build(),
+		"all mutual":   FromEdges(4, [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}, {1, 3}, {3, 1}}),
+		"one way star": FromEdges(6, [][2]int{{0, 1}, {0, 2}, {3, 0}, {4, 0}, {0, 4}}),
+	}
+	for trial := 0; trial < 12; trial++ {
+		n := 1 + rng.Intn(150)
+		p := []float64{0.01, 0.05, 0.2, 0.6}[trial%4]
+		g := randomDigraph(rng, n, p)
+		cases[fmt.Sprintf("random n=%d p=%v", n, p)] = g
+		cases[fmt.Sprintf("reverse n=%d p=%v", n, p)] = g.Reverse()
+		// A graph from NewFromCSR over copies of the arrays shares no
+		// cached state with g.
+		off, adj := g.CSR()
+		fromCSR, err := NewFromCSR(n, append([]int64(nil), off...), append([]int32(nil), adj...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("csr n=%d p=%v", n, p)] = fromCSR
+	}
+	for name, g := range cases {
+		want := builderProjection(g)
+		und := g.Undirected()
+		sameCSR(t, name, und, want)
+		if g.Undirected() != und {
+			t.Fatalf("%s: second call rebuilt the projection", name)
+		}
+	}
+}
+
+func TestUndirectedConcurrentFirstCall(t *testing.T) {
+	g := randomDigraph(mathx.NewRNG(12), 300, 0.05)
+	const callers = 8
+	got := make([]*Digraph, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.Undirected()
+		}(i)
+	}
+	wg.Wait()
+	for i, u := range got {
+		if u != got[0] {
+			t.Fatalf("caller %d got a different projection", i)
+		}
+	}
+	sameCSR(t, "concurrent", got[0], builderProjection(g))
 }
 
 func TestNewFromCSRRoundTrip(t *testing.T) {

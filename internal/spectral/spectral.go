@@ -2,9 +2,11 @@
 // materializing them. The paper fits a power law to the largest Laplacian
 // eigenvalues of the verified sub-graph (computed there "using the power
 // iteration method in existing solvers"); we provide both a Lanczos solver
-// with full reorthogonalization (the workhorse) and a power-iteration-with-
-// deflation solver (the ablation baseline), on matrix-free operators for the
-// symmetrized adjacency and Laplacian.
+// with partial reorthogonalization (the workhorse; it stores the whole
+// Krylov basis, O(n·iters) memory, but orthogonalizes against it only on
+// the steps where Simon's ω-recurrence says orthogonality is being lost)
+// and a power-iteration-with-deflation solver (the ablation baseline), on
+// matrix-free operators for the symmetrized adjacency and Laplacian.
 package spectral
 
 import (
@@ -35,8 +37,8 @@ type AdjacencyOperator struct {
 	und *graph.Digraph
 }
 
-// NewAdjacencyOperator builds the operator (materializes the undirected
-// projection once).
+// NewAdjacencyOperator builds the operator over g's cached undirected
+// projection.
 func NewAdjacencyOperator(g *graph.Digraph) *AdjacencyOperator {
 	return &AdjacencyOperator{und: g.Undirected()}
 }
@@ -64,7 +66,8 @@ type LaplacianOperator struct {
 	deg []float64
 }
 
-// NewLaplacianOperator builds the operator.
+// NewLaplacianOperator builds the operator over g's cached undirected
+// projection.
 func NewLaplacianOperator(g *graph.Digraph) *LaplacianOperator {
 	und := g.Undirected()
 	deg := make([]float64, und.NumNodes())
@@ -114,13 +117,20 @@ func (d *DenseOperator) Apply(dst, src []float64) {
 }
 
 // TopEigenvaluesLanczos computes the k largest eigenvalues of the symmetric
-// operator op using the Lanczos iteration with full reorthogonalization
-// against all stored basis vectors (robust against the ghost-eigenvalue
-// problem at the cost of O(n·iters) memory). iters controls the Krylov
-// dimension; it is clamped to [2k+10, n]. Eigenvalues return in descending
-// order; only Ritz values that have converged (residual heuristic via
-// repetition) are trustworthy, so callers requesting k values should allow
-// iters ≈ 3k for power-law-tailed spectra.
+// operator op by the Lanczos iteration with partial reorthogonalization
+// (Simon 1984): every basis vector is stored, as full reorthogonalization
+// would (O(n·iters) memory), but a step orthogonalizes against them only
+// when Simon's ω-recurrence estimates that the basis has drifted past
+// semi-orthogonality (√ε). That keeps the Ritz values accurate to working
+// precision without the O(n·iters²) cost of a pass at every step. iters
+// controls the Krylov dimension; it is clamped to [2k+10, n]. Eigenvalues
+// return in descending order. The largest converge first: a Ritz value θ_i
+// lies within its residual bound |β_m·s_{m,i}| of an eigenvalue (β_m the
+// final residual norm, s_{m,i} the last component of the i-th eigenvector
+// of the tridiagonal matrix), so callers requesting k values should allow
+// iters ≈ 3k for power-law-tailed spectra. The package tests check that
+// bound: on a generated 5k-user platform at k = 100 and 300 steps, the top
+// 96 values reach 1e-8 relative and the last four 8e-7–4e-5.
 func TopEigenvaluesLanczos(op Operator, k, iters int, rng *mathx.RNG) ([]float64, error) {
 	n := op.Dim()
 	if n == 0 {
@@ -138,13 +148,60 @@ func TopEigenvaluesLanczos(op Operator, k, iters int, rng *mathx.RNG) ([]float64
 	if iters > n {
 		iters = n
 	}
-	if iters < 1 {
-		iters = 1
+	alpha, beta, _ := lanczos(op, iters, rng)
+	evs, err := linalg.SymTridiagonalEigenvalues(alpha, beta[:len(alpha)-1])
+	if err != nil {
+		return nil, err
 	}
-	// Lanczos with full reorthogonalization.
+	if k > len(evs) {
+		k = len(evs)
+	}
+	return evs[:k], nil
+}
+
+// lanczos runs at most iters (1 ≤ iters ≤ n) Lanczos steps from a random
+// start and returns the tridiagonal matrix T: its diagonal alpha and, in
+// beta, the coupling beta[j] of v_j and v_{j+1} for j < len(alpha)-1 and the
+// final residual norm β_m in the last slot (len(beta) == len(alpha)). A zero
+// coupling marks an invariant subspace and a restart, so T splits into
+// independent blocks there. reorths counts the steps that orthogonalized
+// against the basis.
+//
+// The ω-recurrence (Simon 1984, as in Larsen's PROPACK) tracks estimates
+// ω_{j,k} ≈ v_jᵀv_k, with ω_{j+1,j} = τ/β_j and
+//
+//	β_j·ω_{j+1,k} = β_k·ω_{j,k+1} + (α_k − α_j)·ω_{j,k} + β_{k−1}·ω_{j,k−1}
+//	                − β_{j−1}·ω_{j−1,k} ± τ
+//
+// where τ = ε·‖T_j‖·√n/2 stands for the rounding error of one step (‖T_j‖
+// by its Gershgorin bound) and takes the sign that grows |ω|. When some
+// |ω_{j+1,k}| passes √ε the new vector, and the one after it (its
+// predecessor's loss would otherwise feed straight back through the
+// three-term recurrence), each get one modified Gram–Schmidt pass against
+// the whole basis, and their ω rows are reset to ε.
+func lanczos(op Operator, iters int, rng *mathx.RNG) (alpha, beta []float64, reorths int) {
+	const eps = 0x1p-52
+	tol := math.Sqrt(eps)
+	n := op.Dim()
 	basis := make([][]float64, 0, iters)
-	alpha := make([]float64, 0, iters)
-	beta := make([]float64, 0, iters) // beta[j] couples v_j and v_{j+1}
+	alpha = make([]float64, 0, iters)
+	beta = make([]float64, 0, iters)
+	// Rows ω_{j−1,·}, ω_{j,·} and ω_{j+1,·} of the estimate; row j has
+	// j+1 entries, the last being ω_{j,j} = 1.
+	prev := make([]float64, 0, iters+1)
+	cur := append(make([]float64, 0, iters+1), 1)
+	next := make([]float64, 0, iters+1)
+	// settle records that the new vector v_{j+1} has just been made
+	// orthogonal to the basis.
+	settle := func(j int) {
+		next = next[:j+2]
+		for k := 0; k <= j; k++ {
+			next[k] = eps
+		}
+		next[j+1] = 1
+	}
+	tnorm := 0.0
+	pairPending := false
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = rng.Normal()
@@ -154,63 +211,79 @@ func TopEigenvaluesLanczos(op Operator, k, iters int, rng *mathx.RNG) ([]float64
 	for j := 0; j < iters; j++ {
 		basis = append(basis, append([]float64(nil), v...))
 		op.Apply(w, v)
-		a := linalg.Dot(w, v)
-		alpha = append(alpha, a)
-		// w ← w − a·v_j − b_{j-1}·v_{j-1}, then full reorthogonalization.
-		linalg.Axpy(-a, v, w)
+		bPrev := 0.0
 		if j > 0 {
-			linalg.Axpy(-beta[j-1], basis[j-1], w)
+			bPrev = beta[j-1]
+			linalg.Axpy(-bPrev, basis[j-1], w)
 		}
-		for _, u := range basis {
-			c := linalg.Dot(w, u)
-			if c != 0 {
-				linalg.Axpy(-c, u, w)
-			}
-		}
+		a := linalg.Dot(w, v)
+		linalg.Axpy(-a, v, w)
+		alpha = append(alpha, a)
 		b := linalg.Norm2(w)
+		if j == iters-1 {
+			beta = append(beta, b)
+			break
+		}
+		reorth := pairPending
+		if b >= 1e-10 {
+			tnorm = math.Max(tnorm, bPrev+math.Abs(a)+b)
+			tau := eps * tnorm * math.Sqrt(float64(n)) / 2
+			next = next[:j+2]
+			for k := 0; k < j; k++ {
+				t := beta[k]*cur[k+1] + (alpha[k]-a)*cur[k] - bPrev*prev[k]
+				if k > 0 {
+					t += beta[k-1] * cur[k-1]
+				}
+				next[k] = (t + math.Copysign(tau, t)) / b
+				reorth = reorth || math.Abs(next[k]) > tol
+			}
+			next[j] = tau / b
+			next[j+1] = 1
+			reorth = reorth || next[j] > tol
+		}
+		if reorth {
+			orthogonalize(w, basis)
+			reorths++
+			b = linalg.Norm2(w)
+			settle(j)
+			pairPending = !pairPending
+		}
 		if b < 1e-10 {
 			// Invariant subspace found. Restart with a random vector
 			// orthogonal to the basis and record a zero coupling so
 			// the tridiagonal matrix splits into independent blocks
 			// (keeping a nonzero β here would fabricate spurious
 			// coupling between the blocks).
-			if len(basis) >= n {
-				break
-			}
 			for i := range w {
 				w[i] = rng.Normal()
 			}
-			for _, u := range basis {
-				c := linalg.Dot(w, u)
-				linalg.Axpy(-c, u, w)
-			}
+			orthogonalize(w, basis)
 			b2 := linalg.Norm2(w)
 			if b2 < 1e-10 {
+				beta = append(beta, b)
 				break
 			}
 			beta = append(beta, 0)
-			for i := range v {
-				v[i] = w[i] / b2
-			}
-			continue
+			settle(j)
+			b = b2
+		} else {
+			beta = append(beta, b)
 		}
-		beta = append(beta, b)
 		for i := range v {
 			v[i] = w[i] / b
 		}
+		prev, cur, next = cur, next, prev
 	}
-	m := len(alpha)
-	if m == 0 {
-		return nil, nil
+	return alpha, beta, reorths
+}
+
+// orthogonalize runs one modified Gram–Schmidt pass of w against basis.
+func orthogonalize(w []float64, basis [][]float64) {
+	for _, u := range basis {
+		if c := linalg.Dot(w, u); c != 0 {
+			linalg.Axpy(-c, u, w)
+		}
 	}
-	evs, err := linalg.SymTridiagonalEigenvalues(alpha, beta[:m-1])
-	if err != nil {
-		return nil, err
-	}
-	if k > len(evs) {
-		k = len(evs)
-	}
-	return evs[:k], nil
 }
 
 // TopEigenvaluesPower computes the k largest eigenvalues by power iteration
