@@ -32,17 +32,24 @@ func TopicSensitivePageRank(g *graph.Digraph, topicOf []int, topics int, opts *P
 			seedsByTopic[t] = append(seedsByTopic[t], v)
 		}
 	}
+	// Topics with members run through the lane kernel together; an empty
+	// topic keeps a zero row.
+	var ranked []int
+	var seedSets [][]int
+	for t, seeds := range seedsByTopic {
+		if len(seeds) > 0 {
+			ranked = append(ranked, t)
+			seedSets = append(seedSets, seeds)
+		}
+	}
 	tr := &TopicRank{Scores: make([][]float64, topics), Topics: topics}
-	for t := 0; t < topics; t++ {
-		if len(seedsByTopic[t]) == 0 {
+	for i, scores := range personalizedRanks(g, seedSets, opts.defaults()) {
+		tr.Scores[ranked[i]] = scores
+	}
+	for t, scores := range tr.Scores {
+		if scores == nil {
 			tr.Scores[t] = make([]float64, g.NumNodes())
-			continue
 		}
-		scores, err := PersonalizedPageRank(g, seedsByTopic[t], opts)
-		if err != nil {
-			return nil, err
-		}
-		tr.Scores[t] = scores
 	}
 	return tr, nil
 }

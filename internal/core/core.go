@@ -423,7 +423,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			return nil
 		}},
 		withCache(pipeline.Stage{Name: StageBasic, Deps: []string{StageComponents}, Run: func() error {
-			c.basic(rep, g, scc)
+			c.basic(rep, g, scc, sh)
 			return nil
 		}}, basicCodecVersion,
 			// No option shapes this stage's output (and Seed deliberately
@@ -809,11 +809,12 @@ func (c *Characterizer) summarize(rep *Report, ds *twitter.Dataset, scc *graph.S
 
 // basic fills the §IV-A analysis. It is the only stage that writes
 // rep.Basic, so no other stage can clobber it however the graph schedules.
-func (c *Characterizer) basic(rep *Report, g *graph.Digraph, scc *graph.SCCResult) {
+func (c *Characterizer) basic(rep *Report, g *graph.Digraph, scc *graph.SCCResult, sh *features.Shared) {
 	ac := graph.AttractingComponents(g, scc)
 	in := g.InDegrees()
 	basic := BasicAnalysis{
-		Clustering:           graph.AverageLocalClustering(g),
+		// The feature matrix's clustering column is this same vector.
+		Clustering:           graph.MeanClustering(sh.Clustering()),
 		Assortativity:        graph.DegreeAssortativityWithIn(g, in),
 		AttractingComponents: len(ac),
 	}

@@ -12,6 +12,7 @@ import (
 	"elites/internal/centrality"
 	"elites/internal/faults"
 	"elites/internal/features"
+	"elites/internal/graph"
 	"elites/internal/mathx"
 	"elites/internal/twitter"
 )
@@ -305,5 +306,31 @@ func TestFeatureStageCacheKeyCoversOptions(t *testing.T) {
 			continue
 		}
 		matricesBitIdentical(t, primed.Features, fresh.Features, "flipped "+name)
+	}
+}
+
+// TestFeatureStageSharesClusteringWithBasic runs basic and features in one
+// pass over one features.Shared: the report's mean clustering must carry
+// graph.AverageLocalClustering's bits, and the matrix's clustering column
+// must be the per-node vector that mean averages.
+func TestFeatureStageSharesClusteringWithBasic(t *testing.T) {
+	p, ds := testPlatform(t)
+	opts := fastOptions()
+	opts.Stages = []string{StageBasic, StageFeatures}
+	rep, err := NewCharacterizer(opts).Run(ds, p.ActivitySeries(p.EnglishNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	if got, want := rep.Basic.Clustering, graph.AverageLocalClustering(g); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("basic clustering %v, AverageLocalClustering %v", got, want)
+	}
+	if rep.Features == nil {
+		t.Fatal("feature stage did not run")
+	}
+	for u, c := range graph.LocalClusteringAll(g, 1) {
+		if got := rep.Features.Row(u)[features.FeatClustering]; math.Float64bits(got) != math.Float64bits(c) {
+			t.Fatalf("node %d: clustering column %v, LocalClusteringAll %v", u, got, c)
+		}
 	}
 }

@@ -114,17 +114,19 @@ func OptionsDigest(o Options) uint64 {
 }
 
 // Shared is one run's memo of the graph-wide quantities that the battery's
-// degree, centrality, categories and mutualcore stages and the feature
-// matrix all read. Each accessor computes on first call and hands every
-// caller, concurrent ones included, the same read-only value. Betweenness
-// samples from core's centrality stage stream, so the report's panels and
-// each row's betweenness_pct share one sample (a core test pins the name).
-// It is a memo, not pipeline stages, as a cache-hydrated stage has no vectors.
+// basic, degree, centrality, categories and mutualcore stages and the
+// feature matrix all read. Each accessor computes on first call and hands
+// every caller, concurrent ones included, the same read-only value.
+// Betweenness samples from core's centrality stage stream, so the report's
+// panels and each row's betweenness_pct share one sample (a core test pins
+// the name). It is a memo, not pipeline stages, as a cache-hydrated stage
+// has no vectors.
 type Shared struct {
 	PageRank    func() ([]float64, error)
 	Cores       func() *graph.KCoreResult
 	Betweenness func() []float64
 	DegreeFit   func() (*powerlaw.Fit, error) // discrete fit of out-degrees
+	Clustering  func() []float64              // graph.LocalClusteringAll
 }
 
 // NewShared builds the memo for g; opts shapes only Betweenness.
@@ -137,7 +139,8 @@ func NewShared(g *graph.Digraph, opts Options) *Shared {
 			rng := mathx.NewRNG(o.Seed).Derive("centrality")
 			return centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, o.Parallelism)
 		}),
-		DegreeFit: sync.OnceValues(func() (*powerlaw.Fit, error) { return powerlaw.FitDiscrete(g.OutDegrees(), nil) }),
+		DegreeFit:  sync.OnceValues(func() (*powerlaw.Fit, error) { return powerlaw.FitDiscrete(g.OutDegrees(), nil) }),
+		Clustering: sync.OnceValue(func() []float64 { return graph.LocalClusteringAll(g, o.Parallelism) }),
 	}
 }
 
@@ -266,7 +269,7 @@ func computeWith(ds *twitter.Dataset, sh *Shared, opts Options, sc *Scorer) *Mat
 	if m.CoreK < 1 {
 		m.CoreK = 1 // AnalyzeMutualCore's clamp, kept in lockstep
 	}
-	clus := graph.LocalClusteringAll(g, o.Parallelism)
+	clus := sh.Clustering()
 
 	pr, err := sh.PageRank()
 	if err != nil || pr == nil {

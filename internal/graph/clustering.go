@@ -8,14 +8,18 @@ import "elites/internal/parallel"
 // degree < 2 contribute 0 but still count in the denominator, matching the
 // networkx "average over all nodes" convention.
 func AverageLocalClustering(g *Digraph) float64 {
-	n := g.NumNodes()
+	return MeanClustering(LocalClusteringAll(g, 0))
+}
+
+// MeanClustering averages a LocalClusteringAll vector, so a caller that
+// already holds the vector gets AverageLocalClustering's bits without a
+// second triangle pass. It sums per metricChunk block, then across blocks:
+// the order cached basic-stage results and the goldens were computed in.
+func MeanClustering(clus []float64) float64 {
+	n := len(clus)
 	if n == 0 {
 		return 0
 	}
-	clus := LocalClusteringAll(g, 0)
-	// Summed per metricChunk block, then across blocks: the order cached
-	// basic-stage results and the goldens were computed in, so the mean
-	// keeps its bits.
 	total := 0.0
 	for lo := 0; lo < n; lo += metricChunk {
 		s := 0.0

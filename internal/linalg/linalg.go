@@ -360,6 +360,39 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
+// AxpyDot computes y += a·x in place and returns the updated y·z. Each y[i]
+// is updated before it enters the sum, and the sum runs in index order, so
+// the result is bit-identical to Axpy(a, x, y) followed by Dot(y, z) while
+// reading y once. z may alias y.
+func AxpyDot(a float64, x, y, z []float64) float64 {
+	if len(x) != len(y) || len(y) != len(z) {
+		panic(ErrShape)
+	}
+	y, z = y[:len(x)], z[:len(x)]
+	s := 0.0
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		y0 := y[i] + a*x[i]
+		y[i] = y0
+		s += y0 * z[i]
+		y1 := y[i+1] + a*x[i+1]
+		y[i+1] = y1
+		s += y1 * z[i+1]
+		y2 := y[i+2] + a*x[i+2]
+		y[i+2] = y2
+		s += y2 * z[i+2]
+		y3 := y[i+3] + a*x[i+3]
+		y[i+3] = y3
+		s += y3 * z[i+3]
+	}
+	for ; i < len(x); i++ {
+		yi := y[i] + a*x[i]
+		y[i] = yi
+		s += yi * z[i]
+	}
+	return s
+}
+
 // JacobiEigen computes all eigenvalues and eigenvectors of a small symmetric
 // matrix by the cyclic Jacobi rotation method. Eigenvalues are returned in
 // descending order with matching eigenvector columns. Intended for n up to a

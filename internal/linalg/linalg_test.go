@@ -195,7 +195,9 @@ func TestVectorOps(t *testing.T) {
 }
 
 // TestDotAxpyMatchPlainLoops pins the unrolled kernels to the one-element
-// loops bit for bit, at every length around the unroll width.
+// loops bit for bit, at every length around the unroll width. AxpyDot must
+// equal the plain Axpy loop followed by the plain Dot loop, also when its
+// dot operand is y itself.
 func TestDotAxpyMatchPlainLoops(t *testing.T) {
 	rng := mathx.NewRNG(17)
 	for n := 0; n <= 13; n++ {
@@ -219,6 +221,34 @@ func TestDotAxpyMatchPlainLoops(t *testing.T) {
 		for i := range y {
 			if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
 				t.Fatalf("n=%d: Axpy[%d] = %v, plain loop %v", n, i, y[i], wantY[i])
+			}
+		}
+		z := make([]float64, n)
+		for i := range z {
+			z[i] = rng.Normal()
+		}
+		for _, alias := range []bool{false, true} {
+			y := append([]float64{}, b...)
+			zz := z
+			if alias {
+				zz = y
+			}
+			wantDot := 0.0
+			for i := range wantY {
+				if alias {
+					wantDot += wantY[i] * wantY[i]
+				} else {
+					wantDot += wantY[i] * z[i]
+				}
+			}
+			got := AxpyDot(c, a, y, zz)
+			if math.Float64bits(got) != math.Float64bits(wantDot) {
+				t.Fatalf("n=%d alias=%v: AxpyDot = %v, plain loops %v", n, alias, got, wantDot)
+			}
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
+					t.Fatalf("n=%d alias=%v: AxpyDot y[%d] = %v, plain loop %v", n, alias, i, y[i], wantY[i])
+				}
 			}
 		}
 	}

@@ -211,15 +211,18 @@ func lanczos(op Operator, iters int, rng *mathx.RNG) (alpha, beta []float64, reo
 	for j := 0; j < iters; j++ {
 		basis = append(basis, append([]float64(nil), v...))
 		op.Apply(w, v)
+		// Each update is fused with the dot product that follows it
+		// (w is read once per pass, with the bits of Axpy then Dot).
 		bPrev := 0.0
+		var a float64
 		if j > 0 {
 			bPrev = beta[j-1]
-			linalg.Axpy(-bPrev, basis[j-1], w)
+			a = linalg.AxpyDot(-bPrev, basis[j-1], w, v)
+		} else {
+			a = linalg.Dot(w, v)
 		}
-		a := linalg.Dot(w, v)
-		linalg.Axpy(-a, v, w)
+		b := math.Sqrt(linalg.AxpyDot(-a, v, w, w))
 		alpha = append(alpha, a)
-		b := linalg.Norm2(w)
 		if j == iters-1 {
 			beta = append(beta, b)
 			break
@@ -277,12 +280,25 @@ func lanczos(op Operator, iters int, rng *mathx.RNG) (alpha, beta []float64, reo
 	return alpha, beta, reorths
 }
 
-// orthogonalize runs one modified Gram–Schmidt pass of w against basis.
+// orthogonalize runs one modified Gram–Schmidt pass of w against basis:
+// for each u in turn, c = w·u and, when c is nonzero, w -= c·u. Each update
+// is fused with the next coefficient's dot product (AxpyDot), so w is read
+// once per basis vector; the operations, and so the bits, are those of the
+// plain Dot-then-Axpy pass.
 func orthogonalize(w []float64, basis [][]float64) {
-	for _, u := range basis {
-		if c := linalg.Dot(w, u); c != 0 {
-			linalg.Axpy(-c, u, w)
+	if len(basis) == 0 {
+		return
+	}
+	c := linalg.Dot(w, basis[0])
+	for k := 1; k < len(basis); k++ {
+		if c != 0 {
+			c = linalg.AxpyDot(-c, basis[k-1], w, basis[k])
+		} else {
+			c = linalg.Dot(w, basis[k])
 		}
+	}
+	if c != 0 {
+		linalg.Axpy(-c, basis[len(basis)-1], w)
 	}
 }
 

@@ -375,3 +375,59 @@ func TestLanczosRitzConvergenceAtEigenK(t *testing.T) {
 		t.Fatalf("reorthogonalized on %d of %d steps, want 84", reorths, iters)
 	}
 }
+
+// TestOrthogonalizeMatchesPlainPass pins the fused Gram–Schmidt pass to the
+// plain one (a Dot, then an Axpy when the coefficient is nonzero) bit for
+// bit, at basis lengths 0, 1, 2 and 5 and every length mod 4. Each subset
+// of the basis is in turn supported away from w, so every position meets
+// an exactly zero coefficient, whose update both passes skip.
+func TestOrthogonalizeMatchesPlainPass(t *testing.T) {
+	rng := mathx.NewRNG(29)
+	for _, n := range []int{8, 9, 10, 11} {
+		half := n / 2
+		for _, m := range []int{0, 1, 2, 5} {
+			for mask := 0; mask < 1<<m; mask++ {
+				// w and the basis vectors outside the mask live on
+				// [0, half); those in the mask on [half, n). w is -0
+				// off its support, so an update by a zero coefficient
+				// would show: -0 + (-0)·u is +0 where u < 0.
+				w := make([]float64, n)
+				for i := range w {
+					w[i] = math.Copysign(0, -1)
+					if i < half {
+						w[i] = rng.Normal()
+					}
+				}
+				basis := make([][]float64, m)
+				for k := range basis {
+					lo, hi := 0, half
+					if mask&(1<<k) != 0 {
+						lo, hi = half, n
+					}
+					basis[k] = make([]float64, n)
+					for i := lo; i < hi; i++ {
+						basis[k][i] = rng.Normal()
+					}
+				}
+				want := append([]float64(nil), w...)
+				for _, u := range basis {
+					c := 0.0
+					for i := range want {
+						c += want[i] * u[i]
+					}
+					if c != 0 {
+						for i := range want {
+							want[i] += -c * u[i]
+						}
+					}
+				}
+				orthogonalize(w, basis)
+				for i := range w {
+					if math.Float64bits(w[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d m=%d mask=%b: w[%d] = %v, plain pass %v", n, m, mask, i, w[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
