@@ -3,7 +3,8 @@
 // seed 42; the paper's real network has 231,246 — all compared statistics
 // are scale-free or reported with expected drift). Each benchmark times the
 // analysis it names and prints a paper-vs-measured line into the benchmark
-// log, which EXPERIMENTS.md records.
+// log; that log is the record of those numbers. End-to-end and per-stage
+// latency are measured by perfbench (see README, "Performance").
 //
 // Run everything:
 //
@@ -12,24 +13,17 @@ package elites
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
-	"elites/internal/cache"
 	"elites/internal/centrality"
 	"elites/internal/core"
 	"elites/internal/gen"
 	"elites/internal/graph"
 	"elites/internal/mathx"
 	"elites/internal/powerlaw"
-	"elites/internal/serve"
 	"elites/internal/spectral"
 	"elites/internal/stats"
 	"elites/internal/text"
@@ -402,20 +396,6 @@ func BenchmarkPELTChangepoints(b *testing.B) {
 
 // --- Full pipeline ----------------------------------------------------------------------------------
 
-func BenchmarkFullCharacterization(b *testing.B) {
-	_, ds, activity, _ := fixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := core.Options{
-			BootstrapReps: 25, EigenK: 100, BetweennessSources: 128,
-			DistanceSources: 150, Seed: 23,
-		}
-		if _, err := core.NewCharacterizer(opts).Run(ds, activity); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFullCharacterizationParallel contrasts the stage-graph scheduler
 // across parallelism levels on the same workload: p=1 runs one stage at a
 // time (stage-internal sharding still uses all cores), p=max bounds wall
@@ -433,91 +413,6 @@ func BenchmarkFullCharacterizationParallel(b *testing.B) {
 				opts := core.Options{
 					BootstrapReps: 25, EigenK: 100, BetweennessSources: 128,
 					DistanceSources: 150, Seed: 23, Parallelism: lv.par,
-				}
-				if _, err := core.NewCharacterizer(opts).Run(ds, activity); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCharacterizationCache contrasts the same full characterization
-// cold (fresh cache directory every iteration: every cached stage misses,
-// computes and stores) against warm (pre-populated directory: betweenness,
-// both bootstraps, the distance sweep, the basic/mutual-core metric passes,
-// the category table's PageRanks, the bio n-grams and the §V tests hydrate
-// from the cache). Reports
-// are byte-identical either way — the warm number is what a production
-// re-analysis over an unchanged crawl pays. scripts/bench.sh records both
-// into BENCH_results.json.
-func BenchmarkCharacterizationCache(b *testing.B) {
-	_, ds, activity, _ := fixtures(b)
-	opts := func(dir string) core.Options {
-		return core.Options{
-			BootstrapReps: 25, EigenK: 100, BetweennessSources: 128,
-			DistanceSources: 150, Seed: 23, CacheDir: dir,
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir, err := os.MkdirTemp(b.TempDir(), "cold")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, err := core.NewCharacterizer(opts(dir)).Run(ds, activity); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			cache.Release(dir) // each iteration's dir is throwaway
-			b.StartTimer()
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		rep, err := core.NewCharacterizer(opts(dir)).Run(ds, activity)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Cache == nil || len(rep.Cache.Misses) == 0 {
-			b.Fatal("priming run did not populate the cache")
-		}
-		cc, err := cache.New(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Empty the in-process tier so every iteration pays the full
-			// disk path (open, checksum, decode) — what a fresh-process
-			// production re-run pays, which is the number this records.
-			b.StopTimer()
-			cc.DropMemory()
-			b.StartTimer()
-			rep, err := core.NewCharacterizer(opts(dir)).Run(ds, activity)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rep.Cache.Hits) != 9 {
-				b.Fatalf("warm run hits = %v", rep.Cache.Hits)
-			}
-		}
-	})
-}
-
-// BenchmarkPipelineStages times every analysis stage in isolation through
-// Options.Stages (each subset pulls in its transitive dependencies, so
-// "summary" includes "components").
-func BenchmarkPipelineStages(b *testing.B) {
-	_, ds, activity, _ := fixtures(b)
-	for _, stage := range core.StageNames() {
-		b.Run(stage, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.Options{
-					BootstrapReps: 25, EigenK: 100, BetweennessSources: 128,
-					DistanceSources: 150, Seed: 23, Stages: []string{stage},
 				}
 				if _, err := core.NewCharacterizer(opts).Run(ds, activity); err != nil {
 					b.Fatal(err)
@@ -734,69 +629,6 @@ func BenchmarkAblationReciprocityDial(b *testing.B) {
 	}
 }
 
-// --- serving layer -----------------------------------------------------------
-
-// BenchmarkServeRequest contrasts report request latency through the full
-// serving stack — router, body memo, coalescer, admission gate, pipeline,
-// encoding — cold (fresh cache directory each iteration: the battery
-// computes) versus warm (one priming request, then every request serves
-// from the encoded-body memo without touching the pipeline). The warm
-// number is what steady-state production traffic pays per request;
-// scripts/bench.sh records both into BENCH_results.json.
-func BenchmarkServeRequest(b *testing.B) {
-	_, ds, activity, _ := fixtures(b)
-	newServer := func(dir string) *serve.Server {
-		s := serve.New(serve.Config{Options: core.Options{
-			BootstrapReps: 25, EigenK: 100, BetweennessSources: 128,
-			DistanceSources: 150, Seed: 23, CacheDir: dir,
-		}})
-		if err := s.RegisterDataset("bench", ds, activity, "bench"); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	request := func(ts *httptest.Server) {
-		resp, err := ts.Client().Get(ts.URL + "/v1/datasets/bench/report")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("report: %d", resp.StatusCode)
-		}
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir, err := os.MkdirTemp(b.TempDir(), "servecold")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(newServer(dir))
-			b.StartTimer()
-			request(ts)
-			b.StopTimer()
-			ts.Close()
-			cache.Release(dir)
-			b.StartTimer()
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		ts := httptest.NewServer(newServer(dir))
-		defer ts.Close()
-		defer cache.Release(dir)
-		request(ts) // prime the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			request(ts)
-		}
-	})
-}
-
 // --- feature matrix ----------------------------------------------------------
 
 // BenchmarkFeatureMatrix times the bulk per-user feature pass (degrees,
@@ -817,67 +649,4 @@ func BenchmarkFeatureMatrix(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkServeUserBatch times warm users:batch requests through the full
-// serving stack. "body-memo" repeats one rank list (the response bytes come
-// straight from the encoded-body memo); "shards" rotates the rank list on a
-// fresh server over a primed cache directory, so every request decodes or
-// reuses precomputed feature shards — neither path runs the pipeline.
-func BenchmarkServeUserBatch(b *testing.B) {
-	_, ds, activity, _ := fixtures(b)
-	opts := core.Options{
-		BootstrapReps: 25, EigenK: 100, BetweennessSources: 128,
-		DistanceSources: 150, Seed: 23,
-	}
-	newServer := func(dir string) *serve.Server {
-		o := opts
-		o.CacheDir = dir
-		s := serve.New(serve.Config{Options: o})
-		if err := s.RegisterDataset("bench", ds, activity, "bench"); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	post := func(ts *httptest.Server, body string) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/datasets/bench/users:batch",
-			"application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("users:batch: %d", resp.StatusCode)
-		}
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	dir := b.TempDir()
-	defer cache.Release(dir)
-	prime := httptest.NewServer(newServer(dir))
-	post(prime, `{"ranks":[1,2,3]}`) // cold run populates the shard cache
-	prime.Close()
-
-	b.Run("body-memo", func(b *testing.B) {
-		ts := httptest.NewServer(newServer(dir))
-		defer ts.Close()
-		post(ts, `{"ranks":[1,2,3]}`)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			post(ts, `{"ranks":[1,2,3]}`)
-		}
-	})
-	b.Run("shards", func(b *testing.B) {
-		ts := httptest.NewServer(newServer(dir))
-		defer ts.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A distinct rank list each iteration defeats the body memo, so
-			// the rows resolve through the shard tier every time.
-			r := 1 + i%benchN
-			post(ts, fmt.Sprintf(`{"ranks":[%d,%d,%d]}`, r, 1+(r+97)%benchN, 1+(r+4211)%benchN))
-		}
-	})
 }

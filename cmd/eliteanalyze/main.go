@@ -200,13 +200,7 @@ func run(data string, n int, seed uint64, fast bool, figdir string, parallel int
 		logger.Info("analysis complete", "trace", traceID, "stages", len(rep.Timings))
 	}
 	rep.Render(os.Stdout)
-	if rep.Cache != nil {
-		// Stderr, so stdout stays byte-comparable between cold and warm
-		// runs (the CI smoke test relies on this).
-		fmt.Fprintf(os.Stderr, "eliteanalyze: cache %s: hits=%d %v misses=%d %v evictions=%d\n",
-			rep.Cache.Dir, len(rep.Cache.Hits), rep.Cache.Hits,
-			len(rep.Cache.Misses), rep.Cache.Misses, rep.Cache.Evictions)
-	}
+	reportCache(rep.Cache)
 	if timings {
 		renderTimings(os.Stdout, rep.Timings, traceID)
 	}
@@ -260,12 +254,19 @@ func runFeatures(ctx context.Context, ds *elites.Dataset, activity *elites.Daily
 		return err
 	}
 	os.Stdout.Write(append(b, '\n'))
-	if rep.Cache != nil {
-		fmt.Fprintf(os.Stderr, "eliteanalyze: cache %s: hits=%d %v misses=%d %v evictions=%d\n",
-			rep.Cache.Dir, len(rep.Cache.Hits), rep.Cache.Hits,
-			len(rep.Cache.Misses), rep.Cache.Misses, rep.Cache.Evictions)
-	}
+	reportCache(rep.Cache)
 	return nil
+}
+
+// reportCache prints the run's cache hit/miss summary, if the cache was on.
+// It goes to stderr, so stdout stays byte-comparable between cold and warm
+// runs (the CI smoke test relies on this).
+func reportCache(c *elites.CacheReport) {
+	if c == nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "eliteanalyze: cache %s: hits=%d %v misses=%d %v evictions=%d\n",
+		c.Dir, len(c.Hits), c.Hits, len(c.Misses), c.Misses, c.Evictions)
 }
 
 // renderTimings prints the per-stage wall-clock table. Stages are listed in

@@ -212,7 +212,7 @@ type (
 	// Report bundles every analysis output and renders the paper's
 	// tables and figures.
 	Report = core.Report
-	// StageTiming is one pipeline stage's measured wall clock
+	// StageTiming is one pipeline stage's start and measured wall clock
 	// (collected when Options.Timings is set; CacheHit marks stages
 	// hydrated from the result cache).
 	StageTiming = core.StageTiming

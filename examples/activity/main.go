@@ -16,7 +16,7 @@ import (
 func main() {
 	// The canonical instance (the §V verdicts are properties of one
 	// 366-point realization; this configuration is the one the test
-	// suite and EXPERIMENTS.md pin down).
+	// suite pins down, and README describes the analysis it feeds).
 	cfg := elites.DefaultPlatformConfig(3000)
 	cfg.Seed = 42
 	platform, err := elites.NewPlatform(cfg)

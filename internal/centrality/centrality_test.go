@@ -276,7 +276,7 @@ func argMaxF(x []float64) int {
 
 // equalBits fails the test unless two score vectors are bit-identical —
 // the worker-invariance contract is exact float equality, not tolerance.
-func equalBits(t *testing.T, label string, got, want []float64) {
+func equalBits(t testing.TB, label string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", label, len(got), len(want))

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
+	"elites/internal/gen"
 	"elites/internal/graph"
 	"elites/internal/mathx"
 )
@@ -226,5 +228,51 @@ func TestBetweennessSteadyStateAllocs(t *testing.T) {
 		if math.IsNaN(v) {
 			t.Fatal("NaN leaked into scores")
 		}
+	}
+}
+
+// minSpeedupVsReference is the least speed-up over the predecessor-list
+// reference that BenchmarkBetweennessVsReference accepts. The kernel runs
+// about 2× faster than the reference at one worker, with or without load
+// on the other cores, so the gate fires on a slowdown of about 1.5×.
+const minSpeedupVsReference = 1.25
+
+// BenchmarkBetweennessVsReference is the perf gate of the Brandes kernel.
+// It times betweennessFrom at one worker against refBetweennessFrom on the
+// same 128 sampled sources of a 20k-node Twittersphere graph, in one
+// process, so the ratio needs no recorded baseline and holds on any
+// machine. Each side takes the best of 5 runs, interleaved so that load
+// from other processes hits both alike. The benchmark keeps its own clock
+// and ignores b.N (ns/op is the kernel's best run); run it with
+// -benchtime 1x.
+func BenchmarkBetweennessVsReference(b *testing.B) {
+	res, err := gen.Twitter(20000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := res.Graph
+	g.InCSR()
+	src := sampleSources(g.NumNodes(), 128, mathx.NewRNG(31))
+	timed := func(best *time.Duration, run func() []float64) []float64 {
+		start := time.Now()
+		out := run()
+		if d := time.Since(start); *best == 0 || d < *best {
+			*best = d
+		}
+		return out
+	}
+	var kernel, ref time.Duration
+	var got, want []float64
+	for range 5 {
+		got = timed(&kernel, func() []float64 { return betweennessFrom(g, src, 1, 1) })
+		want = timed(&ref, func() []float64 { return refBetweennessFrom(g, src, 1) })
+	}
+	equalBits(b, "kernel vs reference", got, want)
+	ratio := ref.Seconds() / kernel.Seconds()
+	b.ReportMetric(ratio, "ref/kernel")
+	b.ReportMetric(float64(kernel.Nanoseconds()), "ns/op")
+	if ratio < minSpeedupVsReference {
+		b.Fatalf("kernel %v vs reference %v: speed-up %.2f× is below %.2f×",
+			kernel, ref, ratio, minSpeedupVsReference)
 	}
 }

@@ -171,26 +171,12 @@ func StageNames() []string {
 	}
 }
 
-// StageTiming is one executed pipeline stage's measured wall clock.
-// CacheHit marks stages hydrated from the result cache instead of computed.
-// A failed stage carries its error (a *pipeline.StagePanicError for
+// StageTiming is one executed pipeline stage's record: its start, wall
+// clock and cache outcome — the same record the stage's trace span is built
+// from. A failed stage carries its error (a *pipeline.StagePanicError for
 // contained panics, stack included); a stage skipped because a dependency
 // failed carries Skipped plus an error wrapping pipeline.ErrDependencySkipped.
-type StageTiming struct {
-	Name     string
-	Duration time.Duration
-	CacheHit bool
-	// Err is nil for stages that completed; view rendering turns non-nil
-	// entries into the report's structured stage_errors. Excluded from JSON
-	// (error values don't marshal usefully) — ReportView carries the
-	// rendered form.
-	Err error `json:"-"`
-	// Skipped marks stages that never executed because a dependency failed
-	// or the run was cancelled.
-	Skipped bool
-	// Retries counts re-run attempts beyond the first under StageRetries.
-	Retries int
-}
+type StageTiming = pipeline.Timing
 
 // CacheReport summarizes result-cache traffic for one Run (only stages that
 // participate in caching appear). Render ignores it, so cached and fresh
@@ -663,8 +649,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 	if observer != nil || runSpan != nil {
 		popts.Observe = func(tm pipeline.Timing) {
 			if observer != nil {
-				observer(StageTiming{Name: tm.Name, Duration: tm.Duration, CacheHit: tm.CacheHit,
-					Err: tm.Err, Skipped: tm.Skipped, Retries: tm.Retries})
+				observer(tm)
 			}
 			if runSpan == nil {
 				return
@@ -706,10 +691,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			if tm.Skipped && tm.Err == nil {
 				continue
 			}
-			rep.Timings = append(rep.Timings, StageTiming{
-				Name: tm.Name, Duration: tm.Duration, CacheHit: tm.CacheHit,
-				Err: tm.Err, Skipped: tm.Skipped, Retries: tm.Retries,
-			})
+			rep.Timings = append(rep.Timings, tm)
 		}
 	}
 	if rcache != nil {

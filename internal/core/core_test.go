@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"elites/internal/gen"
 	"elites/internal/mathx"
@@ -336,7 +337,9 @@ func TestTimingsOption(t *testing.T) {
 	opts.SkipBootstrap = true
 	opts.SkipEigen = true
 	opts.Timings = true
+	begin := time.Now()
 	rep, err := NewCharacterizer(opts).Run(ds, nil)
+	end := time.Now()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +351,15 @@ func TestTimingsOption(t *testing.T) {
 		seen[tm.Name] = true
 		if tm.Duration < 0 {
 			t.Fatalf("negative duration for %s", tm.Name)
+		}
+		// Start is the same record the stage span is built from: every
+		// executed stage has one, and it places the stage inside the run.
+		if tm.Start.IsZero() {
+			t.Fatalf("executed stage %s has no start", tm.Name)
+		}
+		if tm.Start.Before(begin) || tm.Start.Add(tm.Duration).After(end) {
+			t.Fatalf("stage %s [%v, +%v] falls outside the run [%v, %v]",
+				tm.Name, tm.Start, tm.Duration, begin, end)
 		}
 	}
 	for _, want := range []string{StageComponents, StageSummary, StageDegree, StageReciprocity} {

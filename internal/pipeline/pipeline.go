@@ -116,7 +116,9 @@ var ErrStageTimeout = errors.New("pipeline: stage deadline exceeded")
 type Timing struct {
 	Name     string
 	Duration time.Duration
-	Err      error
+	// Err is excluded from JSON: error values don't marshal usefully, so
+	// callers render it themselves.
+	Err      error `json:"-"`
 	Skipped  bool
 	CacheHit bool
 	// Retries counts re-run attempts beyond the first (0 for stages that
