@@ -2,15 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"elites/internal/cache"
 	"elites/internal/gen"
+	"elites/internal/store"
 	"elites/internal/twitter"
 )
 
@@ -136,6 +139,53 @@ func TestCacheTimingsMarkHits(t *testing.T) {
 	}
 	if hits[StageSummary] || hits[StageReciprocity] {
 		t.Error("uncached stage marked as hit")
+	}
+}
+
+// TestRunDigestedSharesRunContextCacheIdentity pins the two entry points to
+// one cache identity: RunContext hashes the dataset itself, RunDigested is
+// handed store.DatasetDigest by its caller, and a directory primed through
+// either one is hit on every cached stage (feature shards included) by the
+// other, from disk, with byte-identical rendered reports.
+func TestRunDigestedSharesRunContextCacheIdentity(t *testing.T) {
+	p, ds := testPlatform(t)
+	activity := p.ActivitySeries(p.EnglishNodes())
+	digest := store.DatasetDigest(ds, activity)
+	ctx := context.Background()
+	viaContext := func(c *Characterizer) (*Report, error) { return c.RunContext(ctx, ds, activity) }
+	viaDigest := func(c *Characterizer) (*Report, error) { return c.RunDigested(ctx, ds, activity, digest) }
+	want := append(slices.Clone(cachedStageNames), StageFeatures)
+
+	for _, tc := range []struct {
+		name          string
+		prime, reread func(*Characterizer) (*Report, error)
+	}{
+		{"RunContext then RunDigested", viaContext, viaDigest},
+		{"RunDigested then RunContext", viaDigest, viaContext},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := cacheOptions(t.TempDir())
+			opts.Features = true
+			cold, err := tc.prime(NewCharacterizer(opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cold.Cache.Hits) != 0 || !reflect.DeepEqual(cold.Cache.Misses, want) {
+				t.Fatalf("priming run: hits=%v misses=%v", cold.Cache.Hits, cold.Cache.Misses)
+			}
+			dropMemoryTier(t, opts.CacheDir)
+			warm, err := tc.reread(NewCharacterizer(opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm.Cache.Hits, want) || len(warm.Cache.Misses) != 0 {
+				t.Fatalf("other entry point: hits=%v misses=%v, want every cached stage hit",
+					warm.Cache.Hits, warm.Cache.Misses)
+			}
+			if renderString(t, cold) != renderString(t, warm) {
+				t.Fatal("reports rendered through the two entry points differ")
+			}
+		})
 	}
 }
 

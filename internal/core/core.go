@@ -337,6 +337,21 @@ func (c *Characterizer) Run(ds *twitter.Dataset, activity *timeseries.DailySerie
 // here so abandoned requests stop burning workers mid-battery; cancellation
 // is stage-granular — see internal/pipeline.
 func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, activity *timeseries.DailySeries) (*Report, error) {
+	var digest uint64
+	if c.cacheEnabled() {
+		digest = store.DatasetDigest(ds, activity)
+	}
+	return c.RunDigested(ctx, ds, activity, digest)
+}
+
+// RunDigested is RunContext for a caller that already holds the dataset's
+// content digest: digest must be store.DatasetDigest(ds, activity), and it
+// becomes the dataset half of every stage cache key instead of being
+// recomputed. A server hashes each registered dataset once and passes the
+// digest to every run over it; hashing costs time in proportion to the
+// whole dataset, not to the stages left to run. digest is unused when the
+// cache is off.
+func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, activity *timeseries.DailySeries, digest uint64) (*Report, error) {
 	if ds == nil || ds.Graph == nil {
 		return nil, ErrNoData
 	}
@@ -346,19 +361,17 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 	base := mathx.NewRNG(c.opts.Seed)
 	rep := &Report{}
 
-	// Result cache: content-address the dataset once, then give each
-	// expensive stage a key over exactly the options that shape its
-	// output. withCache is the identity when the cache is off, so the
-	// stage graph below reads the same either way.
+	// Result cache: key each expensive stage by the dataset digest and a
+	// digest of exactly the options that shape its output. withCache is
+	// the identity when the cache is off, so the stage graph below reads
+	// the same either way.
 	var rcache *cache.Cache
-	var dsDigest uint64
-	if c.opts.CacheDir != "" && !c.opts.NoCache {
+	if c.cacheEnabled() {
 		if cc, err := cache.New(c.opts.CacheDir); err == nil {
 			rcache = cc
 			if c.opts.CacheMemBytes > 0 {
 				rcache.SetMaxBytes(c.opts.CacheMemBytes)
 			}
-			dsDigest = store.DatasetDigest(ds, activity)
 		}
 	}
 	withCache := func(st pipeline.Stage, version int, optsDigest uint64,
@@ -368,7 +381,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		}
 		st.CacheKey = cache.Key{
 			Stage: st.Name, Version: version,
-			Dataset: dsDigest, Options: optsDigest,
+			Dataset: digest, Options: optsDigest,
 		}.String()
 		st.Encode = func() ([]byte, error) {
 			var e cache.Encoder
@@ -573,7 +586,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		// just the manifest. A missing or corrupt shard fails Decode, so
 		// the scheduler treats the whole stage as a miss and recomputes —
 		// the matrix is never partially hydrated.
-		fstore := features.Store{Cache: rcache, Dataset: dsDigest, Options: fdigest}
+		fstore := features.Store{Cache: rcache, Dataset: digest, Options: fdigest}
 		stages = append(stages, withCache(pipeline.Stage{Name: StageFeatures, Run: func() error {
 			m, err := features.Compute(ds, sh, fopts)
 			if err != nil {
@@ -716,6 +729,11 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		return rep, runErr
 	}
 	return rep, nil
+}
+
+// cacheEnabled reports whether the options ask for the result cache.
+func (c *Characterizer) cacheEnabled() bool {
+	return c.opts.CacheDir != "" && !c.opts.NoCache
 }
 
 // boolWord folds a flag into an options digest.

@@ -202,20 +202,28 @@ type Matrix struct {
 
 // RankByOutDegree returns node ids ordered by the serving layer's per-user
 // ranking: out-degree descending, node id ascending on ties. byRank[0] is
-// rank 1.
+// rank 1. It is a counting sort: one bucket per out-degree, highest first,
+// filled in ascending id order, so ties need no comparison.
 func RankByOutDegree(g *graph.Digraph) []int32 {
 	outDeg := g.OutDegrees()
-	byRank := make([]int32, g.NumNodes())
-	for i := range byRank {
-		byRank[i] = int32(i)
+	maxDeg := 0
+	for _, d := range outDeg {
+		maxDeg = max(maxDeg, d)
 	}
-	sort.SliceStable(byRank, func(a, b int) bool {
-		da, db := outDeg[byRank[a]], outDeg[byRank[b]]
-		if da != db {
-			return da > db
-		}
-		return byRank[a] < byRank[b]
-	})
+	// next[d] is the rank slot for the next node of out-degree d.
+	next := make([]int, maxDeg+1)
+	for _, d := range outDeg {
+		next[d]++
+	}
+	slot := 0
+	for d := maxDeg; d >= 0; d-- {
+		next[d], slot = slot, slot+next[d]
+	}
+	byRank := make([]int32, len(outDeg))
+	for v, d := range outDeg {
+		byRank[next[d]] = int32(v)
+		next[d]++
+	}
 	return byRank
 }
 

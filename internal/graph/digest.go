@@ -11,8 +11,9 @@ import "elites/internal/cache"
 // machines.
 //
 // Hashing folds one mixed word per offset and edge — hundreds of
-// milliseconds at the paper's 79M edges, noise next to the analyses the
-// cache skips.
+// milliseconds at the paper's 79M edges. That is noise next to a cold
+// battery but not next to a cached one, so a server hashes each dataset
+// once at registration rather than once per request.
 func (g *Digraph) Digest() uint64 {
 	h := cache.NewHasher()
 	h.Word(uint64(g.n))

@@ -14,7 +14,7 @@
 //     accumulating goroutines (admission.go);
 //   - request-context cancellation threaded down to the pipeline
 //     scheduler, so a run every waiter abandoned stops at the next stage
-//     boundary (core.RunContext);
+//     boundary (core.Characterizer.RunDigested);
 //   - an async job model: cold runs over the latency budget return 202
 //     with a job id and per-stage progress polling (jobs.go);
 //   - Prometheus-style /metrics with request, run, and stage-cache
@@ -257,7 +257,11 @@ func validID(id string) bool {
 }
 
 // RegisterDataset registers an in-memory dataset under id. The dataset's
-// content digest (the cache identity) is computed once here.
+// content digest (store.DatasetDigest) is computed once here, and only
+// here: the body memo, the feature shards and every pipeline run over the
+// dataset (core.Characterizer.RunDigested) key off this one value, so a
+// request never re-hashes the dataset. The dataset must not change after
+// registration.
 func (s *Server) RegisterDataset(id string, ds *twitter.Dataset, activity *timeseries.DailySeries, source string) error {
 	if !validID(id) {
 		return fmt.Errorf("serve: invalid dataset id %q", id)
@@ -536,7 +540,7 @@ func (s *Server) runBattery(ctx context.Context, d *dataset, stages []string, pr
 	opts.Timings = true
 	opts.StageObserver = prog.observe
 	s.met.runs.Inc()
-	rep, err := core.NewCharacterizer(opts).RunContext(ctx, d.ds, d.activity)
+	rep, err := core.NewCharacterizer(opts).RunDigested(ctx, d.ds, d.activity, d.digest)
 	var cr *core.CacheReport
 	if rep != nil {
 		cr = rep.Cache

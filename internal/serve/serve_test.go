@@ -9,12 +9,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"elites/internal/cache"
 	"elites/internal/core"
 	"elites/internal/timeseries"
 	"elites/internal/twitter"
@@ -198,7 +200,15 @@ func TestWarmReportServedFromCacheAndByteIdentical(t *testing.T) {
 		t.Fatal("warm text body differs from cold")
 	}
 
-	// Direct run with identical options == what eliteanalyze prints.
+	// Direct run with identical options == what eliteanalyze prints. The
+	// server keyed its run with the digest it took at registration, the
+	// direct run hashes the dataset itself: the two must name the same
+	// entries, so the direct run hits every cached stage from disk.
+	cc, err := cache.New(opts.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.DropMemory()
 	rep, err := core.NewCharacterizer(opts).Run(ds, activity)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +218,10 @@ func TestWarmReportServedFromCacheAndByteIdentical(t *testing.T) {
 	if !bytes.Equal(warm, direct.Bytes()) {
 		t.Fatal("served text report differs from a direct Characterizer render")
 	}
-	if rep.Cache == nil || len(rep.Cache.Hits) == 0 {
-		t.Fatalf("direct warm run should hit the shared cache: %+v", rep.Cache)
+	cached := []string{core.StageBasic, core.StageDegree, core.StageEigen, core.StageDistances,
+		core.StageBios, core.StageCentrality, core.StageCategories, core.StageMutualCore, core.StageActivity}
+	if rep.Cache == nil || len(rep.Cache.Misses) != 0 || !slices.Equal(rep.Cache.Hits, cached) {
+		t.Fatalf("direct run over the served cache dir: %+v, want hits=%v and no misses", rep.Cache, cached)
 	}
 
 	// JSON: also byte-stable.
