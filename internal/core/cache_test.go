@@ -10,8 +10,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"elites/internal/cache"
+	"elites/internal/faults"
 	"elites/internal/gen"
 	"elites/internal/store"
 	"elites/internal/twitter"
@@ -34,12 +36,14 @@ func renderString(t *testing.T, rep *Report) string {
 }
 
 // cachedStageNames is what a full run should report as cache traffic, in
-// stage declaration order; seedKeyedStageNames is the subset whose options
-// digest includes Seed (basic, bios, categories, mutualcore and activity
-// are deterministic over the dataset, so a seed change still hits them).
+// stage declaration order: every stage but the opt-in features.
+// seedKeyedStageNames is the subset whose options digest includes Seed (the
+// others are deterministic over the dataset, so a seed change still hits
+// them).
 var (
-	cachedStageNames = []string{StageBasic, StageDegree, StageEigen, StageDistances, StageBios,
-		StageCentrality, StageCategories, StageMutualCore, StageActivity}
+	cachedStageNames = []string{StageComponents, StageSummary, StageBasic, StageDegree, StageEigen,
+		StageReciprocity, StageDistances, StageBios, StageHistograms, StageCentrality,
+		StageCategories, StageMutualCore, StageActivity}
 	seedKeyedStageNames = []string{StageDegree, StageEigen, StageDistances, StageCentrality}
 )
 
@@ -71,6 +75,15 @@ func TestWarmRunByteIdenticalAndSkipsHeavyStages(t *testing.T) {
 	}
 	// The hydrated analyses must be structurally identical too, not just
 	// identically rendered.
+	if cold.Summary != warm.Summary {
+		t.Fatal("summary diverges after cache round trip")
+	}
+	if cold.Reciprocity != warm.Reciprocity {
+		t.Fatal("reciprocity diverges after cache round trip")
+	}
+	if !reflect.DeepEqual(cold.MetricHists, warm.MetricHists) {
+		t.Fatal("metric histograms diverge after cache round trip")
+	}
 	if !reflect.DeepEqual(cold.Distances, warm.Distances) {
 		t.Fatal("distances diverge after cache round trip")
 	}
@@ -126,19 +139,56 @@ func TestCacheTimingsMarkHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := map[string]bool{}
+	timed := map[string]bool{}
 	for _, tm := range warm.Timings {
-		if tm.CacheHit {
-			hits[tm.Name] = true
+		if !tm.CacheHit {
+			t.Errorf("stage %s not marked as a cache hit in timings", tm.Name)
 		}
+		timed[tm.Name] = true
 	}
 	for _, name := range cachedStageNames {
-		if !hits[name] {
-			t.Errorf("stage %s not marked as a cache hit in timings", name)
+		if !timed[name] {
+			t.Errorf("stage %s missing from the warm run's timings", name)
 		}
 	}
-	if hits[StageSummary] || hits[StageReciprocity] {
-		t.Error("uncached stage marked as hit")
+}
+
+// TestBasicMissBehindComponentsHit deletes basic's entry alone. components
+// still hits, so no run fills the SCC labels basic reads: basic must
+// compute them itself and match the cold analysis, attracting components
+// included, while components, summary and the rest stay hits.
+func TestBasicMissBehindComponentsHit(t *testing.T) {
+	p, ds := testPlatform(t)
+	activity := p.ActivitySeries(p.EnglishNodes())
+	dir := t.TempDir()
+	cold, err := NewCharacterizer(cacheOptions(dir)).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Basic.AttractingComponents == 0 || len(cold.Basic.AttractingCores) == 0 {
+		t.Fatalf("cold basic analysis has no attracting components: %+v", cold.Basic)
+	}
+	dropMemoryTier(t, dir)
+	paths, err := filepath.Glob(filepath.Join(dir, StageBasic+"-*.bin"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("basic entries = %v (err %v)", paths, err)
+	}
+	if err := os.Remove(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewCharacterizer(cacheOptions(dir)).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHits := slices.DeleteFunc(slices.Clone(cachedStageNames), func(s string) bool { return s == StageBasic })
+	if !reflect.DeepEqual(rep.Cache.Misses, []string{StageBasic}) || !reflect.DeepEqual(rep.Cache.Hits, wantHits) {
+		t.Fatalf("traffic: hits=%v misses=%v, want only basic to miss", rep.Cache.Hits, rep.Cache.Misses)
+	}
+	if !reflect.DeepEqual(rep.Basic, cold.Basic) {
+		t.Fatalf("re-run basic %+v, cold %+v", rep.Basic, cold.Basic)
+	}
+	if renderString(t, rep) != renderString(t, cold) {
+		t.Fatal("report with a recomputed basic diverges from the cold run")
 	}
 }
 
@@ -428,17 +478,91 @@ func TestCacheKeysAreStageScoped(t *testing.T) {
 	}
 }
 
-// hydratedStageNames are the stages whose options digest is empty or
-// TopNGrams alone: the report tables and §V verdicts.
+// hydratedStageNames are the report tables and §V verdicts: stages whose
+// options digest is empty or TopNGrams alone.
 var hydratedStageNames = []string{StageBios, StageCategories, StageActivity}
 
-// TestHydratedStageCacheKeysCoverOptions flips each core.Options field in
-// turn against a cache primed at the baseline. The bios key must move only
-// on TopNGrams, and the categories and activity keys never, so a Seed change
-// still hits all three. Where a key held, the flipped options must compute
-// the cached value from scratch: an option that shapes a stage but is left
-// out of its digest fails here.
-func TestHydratedStageCacheKeysCoverOptions(t *testing.T) {
+// optionFlip changes one Options field and names the cached stages whose
+// options digest that field enters. The field is declared to have no effect
+// on the output of every other stage.
+type optionFlip struct {
+	flip  func(o *Options)
+	moves []string
+}
+
+// optionFlips classifies every core.Options field. Booleans and the stage
+// selection toggle, so a flip moves any baseline.
+func optionFlips(t *testing.T) map[string]optionFlip {
+	seeded := []string{StageDegree, StageEigen, StageDistances, StageCentrality, StageFeatures}
+	return map[string]optionFlip{
+		"DistanceSources":    {func(o *Options) { o.DistanceSources = 30 }, []string{StageDistances}},
+		"BetweennessSources": {func(o *Options) { o.BetweennessSources += 8 }, []string{StageCentrality, StageFeatures}},
+		"EigenK":             {func(o *Options) { o.EigenK = 10 }, []string{StageEigen}},
+		"EigenIters":         {func(o *Options) { o.EigenIters = 50 }, []string{StageEigen}},
+		"BootstrapReps":      {func(o *Options) { o.BootstrapReps = 5 }, []string{StageDegree, StageEigen}},
+		"TopNGrams":          {func(o *Options) { o.TopNGrams = 4 }, []string{StageBios}},
+		"Seed":               {func(o *Options) { o.Seed++ }, seeded},
+		"SkipEigen":          {func(o *Options) { o.SkipEigen = !o.SkipEigen }, nil},
+		"SkipBetweenness":    {func(o *Options) { o.SkipBetweenness = !o.SkipBetweenness }, []string{StageCentrality}},
+		"SkipBootstrap":      {func(o *Options) { o.SkipBootstrap = !o.SkipBootstrap }, []string{StageDegree, StageEigen}},
+		"SkipCategories":     {func(o *Options) { o.SkipCategories = !o.SkipCategories }, nil},
+		"Parallelism":        {func(o *Options) { o.Parallelism = 1 }, nil},
+		"Stages": {func(o *Options) {
+			if o.Stages == nil {
+				o.Stages = []string{StageFeatures}
+			} else {
+				o.Stages = nil
+			}
+		}, nil},
+		"Timings":           {func(o *Options) { o.Timings = true }, nil},
+		"CacheDir":          {func(o *Options) { o.CacheDir = t.TempDir() }, nil},
+		"NoCache":           {func(o *Options) { o.NoCache = true }, nil},
+		"CacheMemBytes":     {func(o *Options) { o.CacheMemBytes = 1 << 20 }, nil},
+		"StageObserver":     {func(o *Options) { o.StageObserver = func(StageTiming) {} }, nil},
+		"Features":          {func(o *Options) { o.Features = !o.Features }, nil},
+		"StageRetries":      {func(o *Options) { o.StageRetries = 1 }, nil},
+		"StageRetryBackoff": {func(o *Options) { o.StageRetryBackoff = time.Millisecond }, nil},
+		"StageTimeout":      {func(o *Options) { o.StageTimeout = time.Minute }, nil},
+		"Faults":            {func(o *Options) { o.Faults = faults.New(1) }, nil},
+	}
+}
+
+// stagePayloads renders each cached stage's output from a report through
+// its own codec, so two outputs compare bit for bit (NaN included).
+// components has no report field of its own: its counts are the summary's.
+var stagePayloads = map[string]func(r *Report, e *cache.Encoder){
+	StageComponents: func(r *Report, e *cache.Encoder) {
+		encodeComponentsTo(e, componentCounts{r.Summary.NumSCCs, r.Summary.GiantSCCSize, r.Summary.NumWCCs})
+	},
+	StageSummary:     func(r *Report, e *cache.Encoder) { encodeSummaryTo(e, r.Summary) },
+	StageBasic:       func(r *Report, e *cache.Encoder) { encodeBasicTo(e, r.Basic) },
+	StageDegree:      func(r *Report, e *cache.Encoder) { encodeDegreeTo(e, r.DegreeSeries, r.Degree) },
+	StageEigen:       func(r *Report, e *cache.Encoder) { encodePowerLawTo(e, r.Eigen) },
+	StageReciprocity: func(r *Report, e *cache.Encoder) { e.Float64(r.Reciprocity) },
+	StageDistances:   func(r *Report, e *cache.Encoder) { encodeDistancesTo(e, r.Distances) },
+	StageBios:        func(r *Report, e *cache.Encoder) { encodeBiosTo(e, r.Bios) },
+	StageHistograms:  func(r *Report, e *cache.Encoder) { encodeHistogramsTo(e, r.MetricHists) },
+	StageCentrality:  func(r *Report, e *cache.Encoder) { encodeCentralityTo(e, r.Centrality) },
+	StageCategories:  func(r *Report, e *cache.Encoder) { encodeCategoriesTo(e, r.Categories) },
+	StageMutualCore:  func(r *Report, e *cache.Encoder) { encodeMutualCoreTo(e, r.MutualCore) },
+	StageActivity:    func(r *Report, e *cache.Encoder) { encodeActivityTo(e, r.Activity) },
+}
+
+func stagePayload(r *Report, stage string) []byte {
+	var e cache.Encoder
+	stagePayloads[stage](r, &e)
+	return e.Bytes()
+}
+
+// TestStageCacheKeysCoverOptions primes every cached stage, features
+// included, then flips each core.Options field in turn. A stage the flip
+// claims to move must miss; every other stage that runs must hit, and the
+// flipped options, run without a cache, must compute the primed output bit
+// for bit. An option that shapes a stage but is left out of its digest
+// fails here, and so does a new option or cached stage until optionFlips
+// classifies it.
+func TestStageCacheKeysCoverOptions(t *testing.T) {
+	// A platform smaller than testPlatform's: this test runs ~45 batteries.
 	p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(800))
 	if err != nil {
 		t.Fatal(err)
@@ -449,58 +573,74 @@ func TestHydratedStageCacheKeysCoverOptions(t *testing.T) {
 	}
 	activity := p.ActivitySeries(p.EnglishNodes())
 	dir := t.TempDir()
+	// The baseline skips only the bootstraps (their flip turns them on) and
+	// runs the stages at Parallelism 4, so stages sharing features.Shared
+	// overlap.
 	base := cacheOptions(dir)
-	base.SkipEigen = true
 	base.SkipBootstrap = true
-	base.Stages = hydratedStageNames
+	base.Parallelism = 4
+	base.Features = true
 	primed, err := NewCharacterizer(base).Run(ds, activity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if primed.Bios == nil || primed.Categories == nil || primed.Activity == nil {
-		t.Fatal("baseline run did not produce all three sections")
+	cached := append(slices.Clone(cachedStageNames), StageFeatures)
+	if len(primed.Cache.Hits) != 0 || !reflect.DeepEqual(primed.Cache.Misses, cached) {
+		t.Fatalf("priming run: hits=%v misses=%v, want misses=%v", primed.Cache.Hits, primed.Cache.Misses, cached)
+	}
+	for _, st := range cachedStageNames {
+		if stagePayloads[st] == nil {
+			t.Fatalf("stage %s has no payload in stagePayloads", st)
+		}
 	}
 
 	flips := optionFlips(t)
 	rt := reflect.TypeOf(Options{})
+	if len(flips) != rt.NumField() {
+		t.Fatalf("optionFlips has %d entries for %d Options fields", len(flips), rt.NumField())
+	}
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
-		flip, ok := flips[name]
+		f, ok := flips[name]
 		if !ok {
-			t.Fatalf("Options.%s has no flip: add one", name)
+			t.Fatalf("Options.%s is not classified: add it to optionFlips", name)
 		}
 		o := base
-		flip(&o)
+		f.flip(&o)
 		rep, err := NewCharacterizer(o).Run(ds, activity)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		primedCache := rep.Cache != nil && rep.Cache.Dir == dir
-		for _, st := range hydratedStageNames {
-			wantMiss := st == StageBios && name == "TopNGrams"
-			if primedCache && contains(rep.Cache.Misses, st) != wantMiss {
-				t.Errorf("%s: %s missed=%v, want %v", name, st, !wantMiss, wantMiss)
+		if rep.Cache != nil && rep.Cache.Dir == dir {
+			for _, st := range cached {
+				hit, miss := contains(rep.Cache.Hits, st), contains(rep.Cache.Misses, st)
+				if !hit && !miss {
+					continue // the flip deselected the stage
+				}
+				if want := contains(f.moves, st); miss != want {
+					t.Errorf("%s: %s missed=%v, want %v", name, st, miss, want)
+				}
 			}
 		}
-		if name == "Seed" && !reflect.DeepEqual(rep.Cache.Hits, hydratedStageNames) {
-			t.Errorf("Seed: hits = %v, want %v", rep.Cache.Hits, hydratedStageNames)
-		}
-		if name == "TopNGrams" {
-			continue
-		}
+		// Without the cache, every stage the flip does not move must
+		// compute the primed output.
 		o.CacheDir = ""
+		o.Timings = true
 		fresh, err := NewCharacterizer(o).Run(ds, activity)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if fresh.Bios != nil && !reflect.DeepEqual(fresh.Bios, primed.Bios) {
-			t.Errorf("%s: bios key held but the fresh table differs", name)
-		}
-		if fresh.Categories != nil && !reflect.DeepEqual(fresh.Categories, primed.Categories) {
-			t.Errorf("%s: categories key held but the fresh table differs", name)
-		}
-		if fresh.Activity != nil && !reflect.DeepEqual(fresh.Activity, primed.Activity) {
-			t.Errorf("%s: activity key held but the fresh verdicts differ", name)
+		for _, tm := range fresh.Timings {
+			if contains(f.moves, tm.Name) {
+				continue
+			}
+			if tm.Name == StageFeatures {
+				matricesBitIdentical(t, primed.Features, fresh.Features, "flipped "+name)
+				continue
+			}
+			if !bytes.Equal(stagePayload(fresh, tm.Name), stagePayload(primed, tm.Name)) {
+				t.Errorf("%s: %s key held but the fresh output differs", name, tm.Name)
+			}
 		}
 	}
 }

@@ -43,6 +43,13 @@ const (
 	biosCodecVersion       = 1
 	categoriesCodecVersion = 1
 	activityCodecVersion   = 1
+	// components, summary, reciprocity and histograms have no shaping
+	// option: the graph, every profile count and TotalVerified are in the
+	// dataset digest.
+	componentsCodecVersion  = 1
+	summaryCodecVersion     = 1
+	reciprocityCodecVersion = 1
+	histogramsCodecVersion  = 1
 )
 
 // makeLen returns what a cache.Decoder.Len result describes: nil, or an
@@ -208,6 +215,89 @@ func decodeCentralityFrom(d *cache.Decoder) ([]CentralityPair, error) {
 		pairs = append(pairs, p)
 	}
 	return pairs, nil
+}
+
+// --- components, summary (§III) ----------------------------------------------
+
+func encodeComponentsTo(e *cache.Encoder, c componentCounts) {
+	e.Int(c.NumSCCs)
+	e.Int(c.GiantSCCSize)
+	e.Int(c.NumWCCs)
+}
+
+func decodeComponentsFrom(d *cache.Decoder) (componentCounts, error) {
+	c := componentCounts{NumSCCs: d.Int(), GiantSCCSize: d.Int(), NumWCCs: d.Int()}
+	return c, d.Err()
+}
+
+func encodeSummaryTo(e *cache.Encoder, s DatasetSummary) {
+	e.Int(s.Nodes)
+	e.Varint(s.Edges)
+	e.Float64(s.Density)
+	e.Int(s.Isolated)
+	e.Float64(s.AvgOutDegree)
+	e.Int(s.MaxOutDegree)
+	e.Int(s.MaxOutNode)
+	e.Int(s.GiantSCCSize)
+	e.Float64(s.GiantSCCShare)
+	e.Int(s.NumSCCs)
+	e.Int(s.NumWCCs)
+	e.Int(s.TotalVerified)
+}
+
+func decodeSummaryFrom(d *cache.Decoder) (DatasetSummary, error) {
+	s := DatasetSummary{
+		Nodes:         d.Int(),
+		Edges:         d.Varint(),
+		Density:       d.Float64(),
+		Isolated:      d.Int(),
+		AvgOutDegree:  d.Float64(),
+		MaxOutDegree:  d.Int(),
+		MaxOutNode:    d.Int(),
+		GiantSCCSize:  d.Int(),
+		GiantSCCShare: d.Float64(),
+		NumSCCs:       d.Int(),
+		NumWCCs:       d.Int(),
+		TotalVerified: d.Int(),
+	}
+	return s, d.Err()
+}
+
+// --- histograms (Figure 1) ---------------------------------------------------
+
+// encodeHistogramsTo writes the four metric histograms in histogramMetrics
+// order; the map keys are implied by that order.
+func encodeHistogramsTo(e *cache.Encoder, hists map[string]*stats.Histogram) {
+	for _, m := range histogramMetrics {
+		h := hists[m.String()]
+		e.Float64s(h.Edges)
+		e.Len(len(h.Counts), h.Counts == nil)
+		for _, c := range h.Counts {
+			e.Int(c)
+		}
+	}
+}
+
+func decodeHistogramsFrom(d *cache.Decoder) (map[string]*stats.Histogram, error) {
+	hists := make(map[string]*stats.Histogram, len(histogramMetrics))
+	for _, m := range histogramMetrics {
+		h := &stats.Histogram{Edges: d.Float64s()}
+		n, isNil := d.Len(1)
+		// A histogram has one more edge than bins; anything else would
+		// index past Edges when rendered.
+		if d.Err() != nil || len(h.Edges) != n+1 {
+			return nil, cache.ErrCorrupt
+		}
+		h.Counts = makeLen[int](n, isNil)
+		for i := 0; i < n; i++ {
+			h.Counts = append(h.Counts, d.Int())
+		}
+		hists[m.String()] = h
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return hists, nil
 }
 
 // --- basic (§IV-A) -----------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"elites/internal/cache"
+	"elites/internal/stats"
 	"elites/internal/text"
 	"elites/internal/timeseries"
 	"elites/internal/twitter"
@@ -28,6 +29,8 @@ var codecSeries = &timeseries.DailySeries{
 	Values: []float64{3, 1, 4, 1, 5, 9, 2, 6},
 }
 
+// hydratedCodecs is indexed by codecCase.codec and by the fuzz corpus, so
+// new codecs are appended.
 var hydratedCodecs = []stageCodec{
 	{StageBios,
 		func(e *cache.Encoder, v any) { encodeBiosTo(e, v.(*BioAnalysis)) },
@@ -38,6 +41,19 @@ var hydratedCodecs = []stageCodec{
 	{StageActivity,
 		func(e *cache.Encoder, v any) { encodeActivityTo(e, v.(*ActivityAnalysis)) },
 		func(d *cache.Decoder) (any, error) { return decodeActivityFrom(d, codecSeries) }},
+	{StageComponents,
+		func(e *cache.Encoder, v any) { encodeComponentsTo(e, v.(componentCounts)) },
+		func(d *cache.Decoder) (any, error) { return decodeComponentsFrom(d) }},
+	{StageSummary,
+		func(e *cache.Encoder, v any) { encodeSummaryTo(e, v.(DatasetSummary)) },
+		func(d *cache.Decoder) (any, error) { return decodeSummaryFrom(d) }},
+	// reciprocity's codec is one float, written inline by the stage.
+	{StageReciprocity,
+		func(e *cache.Encoder, v any) { e.Float64(v.(float64)) },
+		func(d *cache.Decoder) (any, error) { r := d.Float64(); return r, d.Err() }},
+	{StageHistograms,
+		func(e *cache.Encoder, v any) { encodeHistogramsTo(e, v.(map[string]*stats.Histogram)) },
+		func(d *cache.Decoder) (any, error) { return decodeHistogramsFrom(d) }},
 }
 
 func (c stageCodec) encode(v any) []byte {
@@ -77,7 +93,7 @@ func codecCases() []codecCase {
 		{Tokens: []string{}, Count: 0},
 		{Tokens: nil, Count: 7},
 	}
-	stats := []CategoryStat{
+	catStats := []CategoryStat{
 		{Category: twitter.CatJournalist, Count: 90, Share: 0.45, MeanFollowers: 1e5,
 			MeanListed: 812.5, PageRankShare: 0.31, Affinity: 0.62,
 			DistinctiveTerms: []text.DistinctiveTerm{{Term: "news", Score: 2.5, Count: 40}, {Term: "", Score: -1, Count: 0}}},
@@ -96,6 +112,21 @@ func codecCases() []codecCase {
 	nanAct := *full
 	nanAct.LjungBoxMaxP = math.NaN()
 	nanAct.ADF = &timeseries.ADFResult{PValue: math.NaN()}
+	summary := DatasetSummary{Nodes: 231235, Edges: 79213811, Density: 0.0015, Isolated: 12,
+		AvgOutDegree: 342.6, MaxOutDegree: 99816, MaxOutNode: 4, GiantSCCSize: 225019,
+		GiantSCCShare: 0.973, NumSCCs: 6197, NumWCCs: 6251, TotalVerified: 297776}
+	nanSummary := summary
+	nanSummary.Density = math.NaN()
+	// Four metrics, each histogram shaped differently: the stage's own log
+	// bins, the empty-input fallback, and nil versus empty bin counts.
+	hists := func(a, b, c, d *stats.Histogram) map[string]*stats.Histogram {
+		return map[string]*stats.Histogram{
+			twitter.MetricFriends.String(): a, twitter.MetricFollowers.String(): b,
+			twitter.MetricListed.String(): c, twitter.MetricStatuses.String(): d,
+		}
+	}
+	logBins := stats.NewLogHistogram([]float64{1, 3, 9, 27, 81, 243, 0, -2}, 5)
+	fallback := stats.NewLogHistogram(nil, 30)
 	return []codecCase{
 		{codec: 0, name: "nil", value: (*BioAnalysis)(nil)},
 		{codec: 0, name: "nil sections", value: &BioAnalysis{}},
@@ -110,7 +141,7 @@ func codecCases() []codecCase {
 		{codec: 1, name: "failed (nil)", value: (*CategoryAnalysis)(nil)},
 		{codec: 1, name: "nil stats", value: &CategoryAnalysis{}},
 		{codec: 1, name: "empty stats", value: &CategoryAnalysis{Stats: []CategoryStat{}}},
-		{codec: 1, name: "full", value: &CategoryAnalysis{Stats: stats}},
+		{codec: 1, name: "full", value: &CategoryAnalysis{Stats: catStats}},
 		{codec: 1, name: "nan share", value: &CategoryAnalysis{
 			Stats: []CategoryStat{{Share: math.NaN()}}}, nan: true},
 		{codec: 2, name: "nil", value: (*ActivityAnalysis)(nil)},
@@ -120,6 +151,24 @@ func codecCases() []codecCase {
 		{codec: 2, name: "full", value: full},
 		{codec: 2, name: "series re-attached", value: &detached, want: full},
 		{codec: 2, name: "nan p-values", value: &nanAct, nan: true},
+		{codec: 3, name: "zero", value: componentCounts{}},
+		{codec: 3, name: "full", value: componentCounts{NumSCCs: 6197, GiantSCCSize: 225019, NumWCCs: 6251}},
+		{codec: 3, name: "negative", value: componentCounts{NumSCCs: -1, GiantSCCSize: math.MinInt64, NumWCCs: math.MaxInt64}},
+		{codec: 4, name: "zero", value: DatasetSummary{}},
+		{codec: 4, name: "full", value: summary},
+		{codec: 4, name: "nan density", value: nanSummary, nan: true},
+		{codec: 5, name: "zero", value: 0.0},
+		{codec: 5, name: "rate", value: 0.3318},
+		{codec: 5, name: "-inf", value: math.Inf(-1)},
+		{codec: 5, name: "nan", value: math.NaN(), nan: true},
+		{codec: 6, name: "stage bins", value: hists(logBins, fallback, logBins, fallback)},
+		{codec: 6, name: "nil and empty counts", value: hists(
+			&stats.Histogram{Edges: []float64{1}},
+			&stats.Histogram{Edges: []float64{1}, Counts: []int{}},
+			&stats.Histogram{Edges: []float64{-1, 0, math.Inf(1)}, Counts: []int{-5, math.MaxInt64}},
+			logBins)},
+		{codec: 6, name: "nan edge", value: hists(logBins, logBins, logBins,
+			&stats.Histogram{Edges: []float64{math.NaN(), 2}, Counts: []int{1}}), nan: true},
 	}
 }
 
@@ -173,17 +222,21 @@ func TestHydratedStageCodecsRejectTruncation(t *testing.T) {
 // TestHydratedStageCodecsLengthGuards claims 2^40 elements at every length
 // prefix the decoders read. Each must fail without allocating for the
 // claim: the guard compares a length with the bytes left before any make.
+// A histogram whose bin count disagrees with its edges must fail too, as
+// rendering it would index past the edges.
 func TestHydratedStageCodecsLengthGuards(t *testing.T) {
 	const huge = 1 << 40
 	type guardCase struct {
 		codec int
 		data  []byte
 	}
-	payload := func(c int, build func(e *cache.Encoder)) guardCase {
+	raw := func(c int, build func(e *cache.Encoder)) guardCase {
 		var e cache.Encoder
-		e.Bool(true)
 		build(&e)
 		return guardCase{c, e.Bytes()}
+	}
+	payload := func(c int, build func(e *cache.Encoder)) guardCase { // behind a present flag
+		return raw(c, func(e *cache.Encoder) { e.Bool(true); build(e) })
 	}
 	zeros := func(e *cache.Encoder, floats int) {
 		for i := 0; i < floats; i++ {
@@ -208,6 +261,17 @@ func TestHydratedStageCodecsLengthGuards(t *testing.T) {
 			e.Uvarint(huge)
 		}),
 		payload(2, func(e *cache.Encoder) { zeros(e, 2); e.Bool(false); e.Uvarint(huge) }), // changepoints
+		raw(6, func(e *cache.Encoder) { e.Uvarint(huge) }),                                 // edge count
+		raw(6, func(e *cache.Encoder) { e.Float64s([]float64{1, 10}); e.Uvarint(huge) }),   // bin count
+		raw(6, func(e *cache.Encoder) { // well-formed, but three bins between two edges
+			for i := 0; i < len(histogramMetrics); i++ {
+				e.Float64s([]float64{1, 10})
+				e.Len(3, false)
+				e.Int(1)
+				e.Int(2)
+				e.Int(3)
+			}
+		}),
 	}
 	for i, tc := range cases {
 		c, data := hydratedCodecs[tc.codec], tc.data
@@ -224,8 +288,9 @@ func TestHydratedStageCodecsLengthGuards(t *testing.T) {
 	}
 }
 
-// FuzzStageCodecDecode throws arbitrary payloads at the bios, categories
-// and activity decoders. A payload must decode to an error (a cache miss
+// FuzzStageCodecDecode throws arbitrary payloads at every hydratedCodecs
+// decoder: bios, categories, activity, components, summary, reciprocity and
+// histograms. A payload must decode to an error (a cache miss
 // and a recompute) or to a value that re-encodes to a canonical fixed
 // point, never panic, and never allocate more than a small multiple of its
 // own length: every decoded length is checked against the bytes left.

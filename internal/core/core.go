@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"elites/internal/cache"
@@ -85,15 +86,14 @@ type Options struct {
 	Timings bool
 	// CacheDir, when non-empty, enables the two-tier per-stage result
 	// cache rooted at that directory (in-process LRU over an on-disk
-	// store; see internal/cache). The expensive and mid-weight stages —
-	// basic, degree, eigen, distances, bios, centrality, categories,
-	// mutualcore, activity (and the opt-in features) — are keyed on
-	// (dataset digest, options digest, stage, codec version), so a warm
-	// re-run hydrates their outputs instead of recomputing betweenness,
-	// the bootstraps, the clustering/assortativity passes, the BFS sweeps,
-	// the topic-sensitive PageRanks, the bio n-gram counts and the §V
-	// tests; only components, summary, reciprocity and histograms always
-	// run. Cached and fresh runs render byte-identically; cache
+	// store; see internal/cache). Every stage (the opt-in features
+	// included) is keyed on (dataset digest, options digest, stage, codec
+	// version), so a warm re-run hydrates every output instead of
+	// recomputing betweenness, the bootstraps, the component
+	// decompositions, the clustering/assortativity and reciprocity passes,
+	// the BFS sweeps, the topic-sensitive PageRanks, the bio n-gram counts,
+	// the histograms and the §V tests: a fully warm run runs no graph or
+	// profile kernel. Cached and fresh runs render byte-identically; cache
 	// traffic is reported in Report.Cache. Parallelism and Timings never
 	// enter cache keys (they cannot change results — the determinism
 	// contract), so a report cached at one worker budget serves every
@@ -407,22 +407,46 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 	}
 	sh := features.NewShared(g, fopts)
 
-	// Shared intermediate: the component decompositions feed the summary.
-	var scc *graph.SCCResult
-	var wcc *graph.WCCResult
+	// The SCC decomposition feeds components and basic, computed at most
+	// once per run and only when one of them misses the cache.
+	scc := sync.OnceValue(func() *graph.SCCResult { return graph.StronglyConnectedComponents(g) })
+	var comps componentCounts
 
 	stages := []pipeline.Stage{
-		{Name: StageComponents, Run: func() error {
-			scc = graph.StronglyConnectedComponents(g)
-			wcc = graph.WeaklyConnectedComponents(g)
+		withCache(pipeline.Stage{Name: StageComponents, Run: func() error {
+			comps = countComponents(g, scc())
 			return nil
-		}},
-		{Name: StageSummary, Deps: []string{StageComponents}, Run: func() error {
-			c.summarize(rep, ds, scc, wcc)
+		}}, componentsCodecVersion,
+			// components, summary, reciprocity and histograms read only the
+			// graph and the profiles, all in the dataset digest: no option
+			// shapes them.
+			cache.HashWords(),
+			func(e *cache.Encoder) { encodeComponentsTo(e, comps) },
+			func(d *cache.Decoder) error {
+				cc, err := decodeComponentsFrom(d)
+				if err != nil {
+					return err
+				}
+				comps = cc
+				return nil
+			}),
+		withCache(pipeline.Stage{Name: StageSummary, Deps: []string{StageComponents}, Run: func() error {
+			c.summarize(rep, ds, comps)
 			return nil
-		}},
+		}}, summaryCodecVersion, cache.HashWords(),
+			func(e *cache.Encoder) { encodeSummaryTo(e, rep.Summary) },
+			func(d *cache.Decoder) error {
+				s, err := decodeSummaryFrom(d)
+				if err != nil {
+					return err
+				}
+				rep.Summary = s
+				return nil
+			}),
+		// basic reads the SCC labels, not the cached counts; the dependency
+		// on components only orders the cold schedule.
 		withCache(pipeline.Stage{Name: StageBasic, Deps: []string{StageComponents}, Run: func() error {
-			c.basic(rep, g, scc, sh)
+			c.basic(rep, g, scc(), sh)
 			return nil
 		}}, basicCodecVersion,
 			// No option shapes this stage's output (and Seed deliberately
@@ -471,10 +495,15 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			}))
 	}
 	stages = append(stages,
-		pipeline.Stage{Name: StageReciprocity, Run: func() error {
+		withCache(pipeline.Stage{Name: StageReciprocity, Run: func() error {
 			rep.Reciprocity = graph.Reciprocity(g)
 			return nil
-		}},
+		}}, reciprocityCodecVersion, cache.HashWords(),
+			func(e *cache.Encoder) { e.Float64(rep.Reciprocity) },
+			func(d *cache.Decoder) error {
+				rep.Reciprocity = d.Float64()
+				return d.Err()
+			}),
 		withCache(pipeline.Stage{Name: StageDistances, Run: func() error {
 			rep.Distances = graph.SampledDistancesWorkers(g, c.opts.DistanceSources,
 				base.Derive(StageDistances), c.opts.Parallelism)
@@ -507,10 +536,19 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 					rep.Bios = b
 					return nil
 				}),
-			pipeline.Stage{Name: StageHistograms, Run: func() error {
+			withCache(pipeline.Stage{Name: StageHistograms, Run: func() error {
 				c.metricHistograms(rep, ds)
 				return nil
-			}},
+			}}, histogramsCodecVersion, cache.HashWords(),
+				func(e *cache.Encoder) { encodeHistogramsTo(e, rep.MetricHists) },
+				func(d *cache.Decoder) error {
+					h, err := decodeHistogramsFrom(d)
+					if err != nil {
+						return err
+					}
+					rep.MetricHists = h
+					return nil
+				}),
 			withCache(pipeline.Stage{Name: StageCentrality, Run: func() error {
 				c.centralityAnalysis(rep, ds, sh)
 				return nil
@@ -785,12 +823,27 @@ func filterStageSelection(requested []string, stages []pipeline.Stage) ([]string
 	return only, nil
 }
 
-func (c *Characterizer) summarize(rep *Report, ds *twitter.Dataset, scc *graph.SCCResult, wcc *graph.WCCResult) {
+// componentCounts is what the components stage hands the summary: the
+// counts of the two decompositions, not their per-node labels, so a cache
+// hit carries everything the summary reads.
+type componentCounts struct {
+	NumSCCs, GiantSCCSize, NumWCCs int
+}
+
+func countComponents(g *graph.Digraph, scc *graph.SCCResult) componentCounts {
+	_, giant := scc.Largest()
+	return componentCounts{
+		NumSCCs:      scc.NumComponents(),
+		GiantSCCSize: giant,
+		NumWCCs:      graph.WeaklyConnectedComponents(g).NumComponents(),
+	}
+}
+
+func (c *Characterizer) summarize(rep *Report, ds *twitter.Dataset, comps componentCounts) {
 	g := ds.Graph
 	outDeg := g.OutDegrees()
 	ds1 := graph.SummarizeDegrees(outDeg)
 	maxNode := graph.ArgMax(outDeg)
-	_, giant := scc.Largest()
 	rep.Summary = DatasetSummary{
 		Nodes:         g.NumNodes(),
 		Edges:         g.NumEdges(),
@@ -799,10 +852,10 @@ func (c *Characterizer) summarize(rep *Report, ds *twitter.Dataset, scc *graph.S
 		AvgOutDegree:  ds1.Mean,
 		MaxOutDegree:  ds1.Max,
 		MaxOutNode:    maxNode,
-		GiantSCCSize:  giant,
-		GiantSCCShare: float64(giant) / float64(max(g.NumNodes(), 1)),
-		NumSCCs:       scc.NumComponents(),
-		NumWCCs:       wcc.NumComponents(),
+		GiantSCCSize:  comps.GiantSCCSize,
+		GiantSCCShare: float64(comps.GiantSCCSize) / float64(max(g.NumNodes(), 1)),
+		NumSCCs:       comps.NumSCCs,
+		NumWCCs:       comps.NumWCCs,
 		TotalVerified: ds.TotalVerified,
 	}
 }
@@ -891,12 +944,16 @@ func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
 	rep.Bios = ba
 }
 
+// histogramMetrics are the Figure 1 panels, in the order the histograms
+// codec writes them.
+var histogramMetrics = []twitter.Metric{
+	twitter.MetricFriends, twitter.MetricFollowers,
+	twitter.MetricListed, twitter.MetricStatuses,
+}
+
 func (c *Characterizer) metricHistograms(rep *Report, ds *twitter.Dataset) {
-	rep.MetricHists = make(map[string]*stats.Histogram, 4)
-	for _, m := range []twitter.Metric{
-		twitter.MetricFriends, twitter.MetricFollowers,
-		twitter.MetricListed, twitter.MetricStatuses,
-	} {
+	rep.MetricHists = make(map[string]*stats.Histogram, len(histogramMetrics))
+	for _, m := range histogramMetrics {
 		rep.MetricHists[m.String()] = stats.NewLogHistogram(ds.MetricValues(m), 30)
 	}
 }

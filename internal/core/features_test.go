@@ -6,15 +6,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"elites/internal/cache"
 	"elites/internal/centrality"
-	"elites/internal/faults"
 	"elites/internal/features"
 	"elites/internal/graph"
 	"elites/internal/mathx"
-	"elites/internal/twitter"
 )
 
 // featuresOptions enables the opt-in feature stage next to the cheap
@@ -205,107 +202,6 @@ func TestSharedQuantitiesAcrossStages(t *testing.T) {
 	}
 	if math.Float64bits(rep.Features.TailXmin) != math.Float64bits(rep.Degree.Fit.Xmin) {
 		t.Fatalf("tail xmin %v, degree fit xmin %v", rep.Features.TailXmin, rep.Degree.Fit.Xmin)
-	}
-}
-
-// optionFlips returns, for every core.Options field, a change to it. The
-// cache-key coverage tests apply each flip to a primed baseline; booleans
-// and the stage selection toggle, so a flip moves any baseline.
-func optionFlips(t *testing.T) map[string]func(o *Options) {
-	return map[string]func(o *Options){
-		"DistanceSources":    func(o *Options) { o.DistanceSources = 30 },
-		"BetweennessSources": func(o *Options) { o.BetweennessSources += 8 },
-		"EigenK":             func(o *Options) { o.EigenK = 10 },
-		"EigenIters":         func(o *Options) { o.EigenIters = 50 },
-		"BootstrapReps":      func(o *Options) { o.BootstrapReps = 5 },
-		"TopNGrams":          func(o *Options) { o.TopNGrams = 4 },
-		"Seed":               func(o *Options) { o.Seed++ },
-		"SkipEigen":          func(o *Options) { o.SkipEigen = !o.SkipEigen },
-		"SkipBetweenness":    func(o *Options) { o.SkipBetweenness = !o.SkipBetweenness },
-		"SkipBootstrap":      func(o *Options) { o.SkipBootstrap = !o.SkipBootstrap },
-		"SkipCategories":     func(o *Options) { o.SkipCategories = !o.SkipCategories },
-		"Parallelism":        func(o *Options) { o.Parallelism = 1 },
-		"Stages": func(o *Options) {
-			if o.Stages == nil {
-				o.Stages = []string{StageFeatures}
-			} else {
-				o.Stages = nil
-			}
-		},
-		"Timings":           func(o *Options) { o.Timings = true },
-		"CacheDir":          func(o *Options) { o.CacheDir = t.TempDir() },
-		"NoCache":           func(o *Options) { o.NoCache = true },
-		"CacheMemBytes":     func(o *Options) { o.CacheMemBytes = 1 << 20 },
-		"StageObserver":     func(o *Options) { o.StageObserver = func(StageTiming) {} },
-		"Features":          func(o *Options) { o.Features = !o.Features },
-		"StageRetries":      func(o *Options) { o.StageRetries = 1 },
-		"StageRetryBackoff": func(o *Options) { o.StageRetryBackoff = time.Millisecond },
-		"StageTimeout":      func(o *Options) { o.StageTimeout = time.Minute },
-		"Faults":            func(o *Options) { o.Faults = faults.New(1) },
-	}
-}
-
-// TestFeatureStageCacheKeyCoversOptions flips each core.Options field in
-// turn against a cache primed at the baseline. When the features stage
-// still hits (its key did not change), the matrix the flipped options
-// compute from scratch must be bit-identical to the cached one. This
-// guards the features stage reading vectors it shares with other stages:
-// SkipBetweenness, Stages or Parallelism must not leak into the matrix.
-func TestFeatureStageCacheKeyCoversOptions(t *testing.T) {
-	// A platform smaller than testPlatform's: this test runs ~45 batteries.
-	p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(800))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := twitter.DatasetFromPlatform(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	activity := p.ActivitySeries(p.EnglishNodes())
-	dir := t.TempDir()
-	// The baseline skips the costly eigen and bootstrap work (their flips
-	// turn it on) but keeps betweenness and categories, which share
-	// quantities with the features stage.
-	base := cacheOptions(dir)
-	base.SkipEigen = true
-	base.SkipBootstrap = true
-	base.Parallelism = 4
-	base.Features = true
-	primed, err := NewCharacterizer(base).Run(ds, activity)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	flips := optionFlips(t)
-	rt := reflect.TypeOf(Options{})
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		flip, ok := flips[name]
-		if !ok {
-			t.Fatalf("Options.%s has no flip: add one", name)
-		}
-		o := base
-		flip(&o)
-		rep, err := NewCharacterizer(o).Run(ds, activity)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rep.Cache != nil && rep.Cache.Dir == dir && contains(rep.Cache.Misses, StageFeatures) {
-			t.Logf("%s: features key changed", name)
-			continue
-		}
-		// The key is unchanged (or this run bypassed the primed cache): the
-		// flipped options must compute the baseline's matrix.
-		o.CacheDir = ""
-		fresh, err := NewCharacterizer(o).Run(ds, activity)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if fresh.Features == nil {
-			t.Logf("%s: features stage not run", name)
-			continue
-		}
-		matricesBitIdentical(t, primed.Features, fresh.Features, "flipped "+name)
 	}
 }
 

@@ -218,8 +218,10 @@ func TestWarmReportServedFromCacheAndByteIdentical(t *testing.T) {
 	if !bytes.Equal(warm, direct.Bytes()) {
 		t.Fatal("served text report differs from a direct Characterizer render")
 	}
-	cached := []string{core.StageBasic, core.StageDegree, core.StageEigen, core.StageDistances,
-		core.StageBios, core.StageCentrality, core.StageCategories, core.StageMutualCore, core.StageActivity}
+	// Every stage of the default battery is cached, in declaration order.
+	cached := []string{core.StageComponents, core.StageSummary, core.StageBasic, core.StageDegree,
+		core.StageEigen, core.StageReciprocity, core.StageDistances, core.StageBios, core.StageHistograms,
+		core.StageCentrality, core.StageCategories, core.StageMutualCore, core.StageActivity}
 	if rep.Cache == nil || len(rep.Cache.Misses) != 0 || !slices.Equal(rep.Cache.Hits, cached) {
 		t.Fatalf("direct run over the served cache dir: %+v, want hits=%v and no misses", rep.Cache, cached)
 	}
