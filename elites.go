@@ -4,13 +4,14 @@
 //
 //   - calibrated synthetic generators for the Twitter verified-user network
 //     and the generic Twittersphere reference (the July-2018 crawl the paper
-//     used is unobtainable; see DESIGN.md for the substitution argument);
+//     used is unobtainable; the internal/gen package comment gives the
+//     substitution argument);
 //   - a simulated Twitter platform — profiles with bios, a REST API with
 //     cursor pagination and 15-minute rate windows on a virtual clock, a
 //     Firehose of daily statistics — plus the paper's §III crawl pipeline;
 //   - the full analysis battery: CSR graph algorithms (SCC/WCC, attracting
 //     components, reciprocity, clustering, assortativity, BFS distance
-//     distributions), centrality (PageRank, Brandes betweenness, HITS),
+//     distributions), centrality (PageRank, Brandes betweenness),
 //     Lanczos eigenvalues, Clauset–Shalizi–Newman power-law inference with
 //     Vuong tests, bio n-gram tables, P-spline GAM correlations, and the
 //     §V time-series suite (Ljung–Box, Box–Pierce, ADF, PELT);
@@ -341,7 +342,7 @@ type (
 // Observability entry points.
 var (
 	// NewTracer builds a Tracer; pass it to ServerConfig.Tracer /
-	// RouterConfig.Tracer, or drive it directly with Root/StartSpan.
+	// RouterConfig.Tracer, or drive it directly with Root.
 	NewTracer = obs.NewTracer
 	// NewObsLogger builds a log/slog logger in "text" or "json" format —
 	// the value space of the commands' -log-format flag.

@@ -118,45 +118,6 @@ func TestPersonalizedPageRankConcentratesOnSeeds(t *testing.T) {
 	}
 }
 
-func TestHITSStar(t *testing.T) {
-	// Leaves 0,1,2 point at 3: leaves are pure hubs, 3 is the authority.
-	g := graph.FromEdges(4, [][2]int{{0, 3}, {1, 3}, {2, 3}})
-	res := HITS(g, 0, 0)
-	if res.Authorities[3] < 0.99 {
-		t.Fatalf("authority of center = %v", res.Authorities[3])
-	}
-	for i := 0; i < 3; i++ {
-		if math.Abs(res.Hubs[i]-1/math.Sqrt(3)) > 1e-6 {
-			t.Fatalf("hub %d = %v", i, res.Hubs[i])
-		}
-		if res.Authorities[i] > 1e-9 {
-			t.Fatalf("leaf authority should be 0: %v", res.Authorities[i])
-		}
-	}
-}
-
-func TestDegreeCentrality(t *testing.T) {
-	g := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 0}})
-	in, out := DegreeCentrality(g)
-	if out[0] != 1 || math.Abs(in[0]-1.0/3) > 1e-12 {
-		t.Fatalf("degree centrality wrong: in=%v out=%v", in, out)
-	}
-}
-
-func TestClosenessPath(t *testing.T) {
-	// 0→1→2: harmonic closeness (incoming) of 2 is (1/2 + 1/1)/3 sources
-	// when exact over all sources.
-	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	rng := mathx.NewRNG(2)
-	c := Closeness(g, 10, rng)
-	if math.Abs(c[2]-(1.0/2+1.0)/3) > 1e-12 {
-		t.Fatalf("closeness = %v", c)
-	}
-	if c[0] != 0 {
-		t.Fatalf("unreachable node closeness should be 0, got %v", c[0])
-	}
-}
-
 // bruteBetweenness computes betweenness via the σ_sv·σ_vt/σ_st identity with
 // independent forward BFS path counting — an oracle structurally different
 // from Brandes' dependency accumulation.

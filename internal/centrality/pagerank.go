@@ -2,9 +2,9 @@
 // paper's Figure 5 analysis: PageRank (power iteration with dangling-mass
 // redistribution), Brandes betweenness centrality (exact and source-sampled,
 // parallelized over sources with ordered reduction so scores are
-// bit-identical at any worker count), HITS hubs/authorities and closeness.
-// All routines operate on the CSR digraphs of internal/graph and are
-// deterministic given their inputs, whatever the scheduling.
+// bit-identical at any worker count). All routines operate on the CSR
+// digraphs of internal/graph and are deterministic given their inputs,
+// whatever the scheduling.
 package centrality
 
 import (
@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"elites/internal/graph"
-	"elites/internal/mathx"
 )
 
 // ErrBadParam flags out-of-range algorithm parameters.
@@ -244,130 +243,4 @@ func laneOf(slab []laneVec, l int) []float64 {
 		v[i] = slab[i][l]
 	}
 	return v
-}
-
-// HITSResult holds hub and authority scores (each L2-normalized).
-type HITSResult struct {
-	Hubs        []float64
-	Authorities []float64
-	Iterations  int
-}
-
-// HITS runs the Kleinberg hubs-and-authorities iteration to the given
-// tolerance (L1 change in both vectors).
-func HITS(g *graph.Digraph, maxIter int, tol float64) *HITSResult {
-	n := g.NumNodes()
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	hubs := make([]float64, n)
-	auth := make([]float64, n)
-	for i := range hubs {
-		hubs[i] = 1
-		auth[i] = 1
-	}
-	rev := g.Reverse()
-	newAuth := make([]float64, n)
-	newHubs := make([]float64, n)
-	iters := 0
-	for iter := 0; iter < maxIter; iter++ {
-		iters = iter + 1
-		// auth(v) = Σ_{u→v} hub(u)
-		for v := 0; v < n; v++ {
-			s := 0.0
-			for _, u := range rev.OutNeighbors(v) {
-				s += hubs[u]
-			}
-			newAuth[v] = s
-		}
-		normalizeL2(newAuth)
-		// hub(u) = Σ_{u→v} auth(v)
-		for u := 0; u < n; u++ {
-			s := 0.0
-			for _, v := range g.OutNeighbors(u) {
-				s += newAuth[v]
-			}
-			newHubs[u] = s
-		}
-		normalizeL2(newHubs)
-		delta := 0.0
-		for i := range hubs {
-			delta += math.Abs(newHubs[i]-hubs[i]) + math.Abs(newAuth[i]-auth[i])
-		}
-		copy(hubs, newHubs)
-		copy(auth, newAuth)
-		if delta < tol {
-			break
-		}
-	}
-	return &HITSResult{Hubs: hubs, Authorities: auth, Iterations: iters}
-}
-
-func normalizeL2(v []float64) {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	if s == 0 {
-		return
-	}
-	s = math.Sqrt(s)
-	for i := range v {
-		v[i] /= s
-	}
-}
-
-// DegreeCentrality returns in- and out-degree centralities normalized by
-// (n-1).
-func DegreeCentrality(g *graph.Digraph) (in, out []float64) {
-	n := g.NumNodes()
-	in = make([]float64, n)
-	out = make([]float64, n)
-	if n < 2 {
-		return
-	}
-	norm := 1 / float64(n-1)
-	for v, d := range g.InDegrees() {
-		in[v] = float64(d) * norm
-	}
-	for v := 0; v < n; v++ {
-		out[v] = float64(g.OutDegree(v)) * norm
-	}
-	return
-}
-
-// Closeness computes sampled harmonic closeness centrality: for k random
-// "landmark" sources, each node's score is the mean of 1/d(landmark→node)
-// over landmarks that reach it, rescaled to [0,1]. With k >= n it is exact
-// harmonic closeness on the reversed distances.
-func Closeness(g *graph.Digraph, k int, rng *mathx.RNG) []float64 {
-	n := g.NumNodes()
-	scores := make([]float64, n)
-	if n == 0 {
-		return scores
-	}
-	var sources []int
-	if k >= n {
-		sources = make([]int, n)
-		for i := range sources {
-			sources[i] = i
-		}
-	} else {
-		sources = rng.Perm(n)[:k]
-	}
-	for _, s := range sources {
-		dist := graph.BFS(g, s)
-		for v, d := range dist {
-			if d > 0 {
-				scores[v] += 1 / float64(d)
-			}
-		}
-	}
-	for i := range scores {
-		scores[i] /= float64(len(sources))
-	}
-	return scores
 }

@@ -213,17 +213,6 @@ func (in *Injector) Fired(point string) int {
 	return in.fired[point]
 }
 
-// TotalFired reports how many injections have fired anywhere.
-func (in *Injector) TotalFired() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for _, v := range in.fired {
-		n += v
-	}
-	return n
-}
-
 // match reports whether pattern covers point ("*" suffix is a prefix
 // wildcard).
 func match(pattern, point string) bool {

@@ -162,9 +162,6 @@ type Rows struct {
 // Count returns the number of rows covered.
 func (r *Rows) Count() int { return len(r.Class) }
 
-// Contains reports whether node u falls inside this fragment.
-func (r *Rows) Contains(u int) bool { return u >= r.Lo && u < r.Lo+r.Count() }
-
 // Row returns node u's feature vector (aliases internal storage).
 func (r *Rows) Row(u int) []float64 {
 	i := u - r.Lo

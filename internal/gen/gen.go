@@ -26,7 +26,6 @@ package gen
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"elites/internal/graph"
 	"elites/internal/mathx"
@@ -617,12 +616,4 @@ func ConfigurationModel(outDeg, inDeg []int, seed uint64) (*graph.Digraph, error
 		}
 	}
 	return b.Build(), nil
-}
-
-// SortedOutDegrees returns the generated graph's out-degree sequence in
-// descending order, a convenience for fingerprint reports.
-func SortedOutDegrees(g *graph.Digraph) []int {
-	deg := g.OutDegrees()
-	sort.Sort(sort.Reverse(sort.IntSlice(deg)))
-	return deg
 }

@@ -299,11 +299,3 @@ func TestConfigurationModel(t *testing.T) {
 		t.Fatal("length mismatch should error")
 	}
 }
-
-func TestSortedOutDegrees(t *testing.T) {
-	g := graph.FromEdges(3, [][2]int{{0, 1}, {0, 2}, {1, 2}})
-	d := SortedOutDegrees(g)
-	if d[0] != 2 || d[1] != 1 || d[2] != 0 {
-		t.Fatalf("sorted = %v", d)
-	}
-}

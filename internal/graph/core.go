@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file implements the core-structure analyses behind the paper's
 // §IV-C conjecture — "the larger reciprocity rate viz-a-viz the whole
@@ -19,20 +16,6 @@ type KCoreResult struct {
 	Core []int
 	// MaxCore is the degeneracy of the graph.
 	MaxCore int
-}
-
-// CoreSizes returns, for each k in [0, MaxCore], how many nodes have core
-// number >= k (the size of the k-core).
-func (r *KCoreResult) CoreSizes() []int {
-	sizes := make([]int, r.MaxCore+1)
-	for _, c := range r.Core {
-		sizes[c]++
-	}
-	// Suffix-sum: nodes with core >= k.
-	for k := r.MaxCore - 1; k >= 0; k-- {
-		sizes[k] += sizes[k+1]
-	}
-	return sizes
 }
 
 // KCores computes core numbers of the undirected projection of g using the
@@ -230,27 +213,4 @@ func CoreReciprocity(g *Digraph, cores *KCoreResult, k int) (core, periphery flo
 		periphery = float64(perMutual) / float64(perTotal)
 	}
 	return
-}
-
-// TopCoreNodes returns up to k nodes with the highest core numbers, ties
-// broken by undirected degree (the "publicly relevant and consequential
-// personalities").
-func TopCoreNodes(g *Digraph, cores *KCoreResult, k int) []int {
-	und := g.Undirected()
-	n := g.NumNodes()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ca, cb := cores.Core[idx[a]], cores.Core[idx[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		return und.OutDegree(idx[a]) > und.OutDegree(idx[b])
-	})
-	if k > n {
-		k = n
-	}
-	return idx[:k]
 }

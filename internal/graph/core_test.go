@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"testing"
 
 	"elites/internal/mathx"
@@ -25,10 +24,6 @@ func TestKCoresClique(t *testing.T) {
 		if c != 4 {
 			t.Fatalf("node %d core = %d", v, c)
 		}
-	}
-	sizes := res.CoreSizes()
-	if sizes[4] != 5 || sizes[0] != 5 {
-		t.Fatalf("core sizes = %v", sizes)
 	}
 }
 
@@ -202,44 +197,4 @@ func TestCoreReciprocityConjecture(t *testing.T) {
 	if coreR < 0.8 {
 		t.Fatalf("core reciprocity = %v, want high", coreR)
 	}
-}
-
-func TestTopCoreNodes(t *testing.T) {
-	// Clique 0-3 + pendants: top core nodes must be the clique.
-	b := NewBuilder(6)
-	for u := 0; u < 4; u++ {
-		for v := 0; v < 4; v++ {
-			if u != v {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	b.AddEdge(4, 0)
-	b.AddEdge(5, 1)
-	g := b.Build()
-	cores := KCores(g)
-	top := TopCoreNodes(g, cores, 4)
-	for _, v := range top {
-		if v >= 4 {
-			t.Fatalf("pendant %d in top core set %v", v, top)
-		}
-	}
-	if len(TopCoreNodes(g, cores, 100)) != 6 {
-		t.Fatal("k clamp failed")
-	}
-}
-
-func TestCoreSizesMonotone(t *testing.T) {
-	rng := mathx.NewRNG(11)
-	g := randomDigraph(rng, 120, 0.05)
-	sizes := KCores(g).CoreSizes()
-	for k := 1; k < len(sizes); k++ {
-		if sizes[k] > sizes[k-1] {
-			t.Fatalf("core sizes not monotone: %v", sizes)
-		}
-	}
-	if sizes[0] != g.NumNodes() {
-		t.Fatalf("0-core = %d, want all nodes", sizes[0])
-	}
-	_ = math.Pi
 }

@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"math"
-
 	"elites/internal/mathx"
 	"elites/internal/parallel"
 )
@@ -306,19 +304,6 @@ func distancesFromSources(g *Digraph, sources []int, workers int) *DistanceDistr
 	return out
 }
 
-// ReachableFrom returns the number of nodes reachable from src (excluding
-// src itself).
-func ReachableFrom(g *Digraph, src int) int {
-	dist := BFS(g, src)
-	cnt := 0
-	for _, d := range dist {
-		if d > 0 {
-			cnt++
-		}
-	}
-	return cnt
-}
-
 // DegreesWithinK returns, for each hop distance d in [0, k], the number of
 // nodes whose directed distance from src is exactly d. It powers the
 // spam-whitelisting example (Hentschel et al.: most users sit within 7 hops
@@ -332,18 +317,4 @@ func DegreesWithinK(g *Digraph, src, k int) []int {
 		}
 	}
 	return counts
-}
-
-// HarmonicMeanDistance returns the harmonic mean of pairwise distances from
-// the distribution (used as a robust small-world summary; infinite distances
-// contribute zero).
-func (d *DistanceDistribution) HarmonicMeanDistance() float64 {
-	s := 0.0
-	for dist := 1; dist < len(d.Counts); dist++ {
-		s += d.Counts[dist] / float64(dist)
-	}
-	if s == 0 {
-		return math.Inf(1)
-	}
-	return d.Pairs / s
 }

@@ -91,16 +91,6 @@ func TestSampledFallsBackToExact(t *testing.T) {
 	}
 }
 
-func TestReachableFrom(t *testing.T) {
-	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}})
-	if ReachableFrom(g, 0) != 2 {
-		t.Fatal("reach from 0 should be 2")
-	}
-	if ReachableFrom(g, 3) != 0 {
-		t.Fatal("reach from isolated should be 0")
-	}
-}
-
 func TestDegreesWithinK(t *testing.T) {
 	g := FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {3, 4}})
 	counts := DegreesWithinK(g, 0, 3)
@@ -110,18 +100,6 @@ func TestDegreesWithinK(t *testing.T) {
 		if counts[i] != w {
 			t.Fatalf("counts = %v", counts)
 		}
-	}
-}
-
-func TestHarmonicMeanDistance(t *testing.T) {
-	dd := &DistanceDistribution{Counts: []float64{0, 4, 4}, Pairs: 8}
-	// harmonic mean = 8 / (4/1 + 4/2) = 8/6
-	if math.Abs(dd.HarmonicMeanDistance()-8.0/6.0) > 1e-12 {
-		t.Fatalf("harmonic = %v", dd.HarmonicMeanDistance())
-	}
-	empty := &DistanceDistribution{Counts: []float64{0}, Pairs: 0}
-	if !math.IsInf(empty.HarmonicMeanDistance(), 1) {
-		t.Fatal("empty harmonic should be +Inf")
 	}
 }
 

@@ -28,7 +28,7 @@ type Digraph struct {
 	offsets []int64 // len n+1; out-neighbors of u are adj[offsets[u]:offsets[u+1]]
 	adj     []int32 // sorted within each row
 
-	// Transpose CSR (in-neighbors), built lazily by InCSR/InNeighbors and
+	// Transpose CSR (in-neighbors), built lazily by InCSR and
 	// cached for the graph's lifetime. Direction-optimizing traversals
 	// (bottom-up BFS in the betweenness kernel and the distance sweeps)
 	// read it; everything else never pays for it.
@@ -117,14 +117,6 @@ func (g *Digraph) buildIn() {
 func (g *Digraph) InCSR() ([]int64, []int32) {
 	g.inOnce.Do(g.buildIn)
 	return g.inOff, g.inAdj
-}
-
-// InNeighbors returns the sorted in-neighbor slice of v, building the cached
-// transpose on first use. The returned slice aliases internal storage and
-// must not be modified.
-func (g *Digraph) InNeighbors(v int) []int32 {
-	g.inOnce.Do(g.buildIn)
-	return g.inAdj[g.inOff[v]:g.inOff[v+1]]
 }
 
 // Reverse returns the transpose graph (every edge u→v becomes v→u). The
@@ -258,17 +250,6 @@ func (b *Builder) AddEdge(u, v int) {
 		return
 	}
 	b.rows[u] = append(b.rows[u], int32(v))
-}
-
-// HasEdgeSlow reports whether u→v has been added, by linear scan. Intended
-// for generator-side duplicate avoidance on short rows; Build dedups anyway.
-func (b *Builder) HasEdgeSlow(u, v int) bool {
-	for _, w := range b.rows[u] {
-		if w == int32(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // OutDegree returns the current (pre-dedup) out-degree of u.

@@ -88,37 +88,6 @@ func DegreeAssortativityWithIn(g *Digraph, in []int) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// UndirectedDegreeAssortativity returns the classic Newman degree
-// assortativity of the undirected projection: the Pearson correlation of the
-// degrees at the two ends of each undirected edge.
-func UndirectedDegreeAssortativity(g *Digraph) float64 {
-	und := g.Undirected()
-	var sx, sy, sxx, syy, sxy float64
-	var cnt float64
-	for u := 0; u < und.NumNodes(); u++ {
-		du := float64(und.OutDegree(u))
-		for _, v := range und.OutNeighbors(u) {
-			dv := float64(und.OutDegree(int(v)))
-			sx += du
-			sy += dv
-			sxx += du * du
-			syy += dv * dv
-			sxy += du * dv
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	cov := sxy/cnt - (sx/cnt)*(sy/cnt)
-	vx := sxx/cnt - (sx/cnt)*(sx/cnt)
-	vy := syy/cnt - (sy/cnt)*(sy/cnt)
-	if vx <= 0 || vy <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
-}
-
 // DegreeStats summarizes a degree sequence.
 type DegreeStats struct {
 	Min, Max int

@@ -287,24 +287,6 @@ func (c *Cholesky) Inverse() *Matrix {
 	return c.SolveMatrix(eye)
 }
 
-// LogDet returns ln|A| from the factorization.
-func (c *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
-}
-
-// SolveSPD is a convenience wrapper: factor A and solve A·x = b.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	ch, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return ch.Solve(b), nil
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -332,13 +314,6 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// Scale multiplies v by s in place.
-func Scale(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
 
 // Axpy computes y += a·x in place.
 func Axpy(a float64, x, y []float64) {

@@ -62,15 +62,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// ChiSquareCDF returns P(X <= x) for a chi-square distribution with k degrees
-// of freedom.
-func ChiSquareCDF(x float64, k float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return GammaRegP(k/2, x/2)
-}
-
 // ChiSquareSF returns P(X > x) for a chi-square distribution with k degrees
 // of freedom; this is the p-value of portmanteau statistics such as
 // Ljung–Box.
@@ -101,15 +92,6 @@ func StudentTCDF(t, nu float64) float64 {
 // StudentTSF returns P(T > t).
 func StudentTSF(t, nu float64) float64 { return 1 - StudentTCDF(t, nu) }
 
-// FDistCDF returns P(X <= x) for an F distribution with d1 and d2 degrees of
-// freedom.
-func FDistCDF(x, d1, d2 float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return BetaRegI(d1*x/(d1*x+d2), d1/2, d2/2)
-}
-
 // PoissonLogPMF returns ln P(X = k) for a Poisson distribution with mean mu.
 func PoissonLogPMF(k int, mu float64) float64 {
 	if mu <= 0 || k < 0 {
@@ -127,13 +109,4 @@ func LogNormalLogPDF(x, mu, sigma float64) float64 {
 	lx := math.Log(x)
 	z := (lx - mu) / sigma
 	return -lx - math.Log(sigma) - 0.5*math.Log(2*math.Pi) - 0.5*z*z
-}
-
-// ExponentialLogPDF returns the log density of an exponential distribution
-// with rate lambda at x (support x >= xmin handled by callers by shifting).
-func ExponentialLogPDF(x, lambda float64) float64 {
-	if x < 0 || lambda <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(lambda) - lambda*x
 }

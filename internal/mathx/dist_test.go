@@ -60,8 +60,8 @@ func TestChiSquareCDF(t *testing.T) {
 		{185, 185, 0.5138274914069601},
 	}
 	for _, c := range cases {
-		if got := ChiSquareCDF(c.x, c.k); !almostEqual(got, c.want, 1e-8) {
-			t.Errorf("ChiSquareCDF(%v, %v) = %v, want %v", c.x, c.k, got, c.want)
+		if got := 1 - ChiSquareSF(c.x, c.k); !almostEqual(got, c.want, 1e-8) {
+			t.Errorf("1 - ChiSquareSF(%v, %v) = %v, want %v", c.x, c.k, got, c.want)
 		}
 	}
 }
@@ -70,7 +70,7 @@ func TestChiSquareSFComplement(t *testing.T) {
 	f := func(x, k float64) bool {
 		x = math.Abs(math.Mod(x, 300))
 		k = 1 + math.Abs(math.Mod(k, 200))
-		return almostEqual(ChiSquareCDF(x, k)+ChiSquareSF(x, k), 1, 1e-10)
+		return almostEqual(GammaRegP(k/2, x/2)+ChiSquareSF(x, k), 1, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -104,17 +104,6 @@ func TestStudentTApproachesNormal(t *testing.T) {
 	}
 }
 
-func TestFDistCDF(t *testing.T) {
-	// F(d1=1, d2=k) at t² equals 2·P(T<=t)-1 for t>0.
-	for _, c := range []struct{ tval, nu float64 }{{1.5, 7}, {2.2, 20}} {
-		f := FDistCDF(c.tval*c.tval, 1, c.nu)
-		want := 2*StudentTCDF(c.tval, c.nu) - 1
-		if !almostEqual(f, want, 1e-9) {
-			t.Errorf("F/t relation failed: %v vs %v", f, want)
-		}
-	}
-}
-
 func TestPoissonLogPMFSumsToOne(t *testing.T) {
 	for _, mu := range []float64{0.5, 3, 20} {
 		sum := 0.0
@@ -137,14 +126,5 @@ func TestLogNormalLogPDFIntegratesToOne(t *testing.T) {
 	}
 	if !almostEqual(sum, 1, 1e-3) {
 		t.Errorf("lognormal pdf integrates to %v", sum)
-	}
-}
-
-func TestExponentialLogPDF(t *testing.T) {
-	if v := ExponentialLogPDF(2, 0.5); !almostEqual(v, math.Log(0.5)-1, 1e-12) {
-		t.Errorf("ExponentialLogPDF(2, 0.5) = %v", v)
-	}
-	if !math.IsInf(ExponentialLogPDF(-1, 1), -1) {
-		t.Error("negative support should be -Inf")
 	}
 }

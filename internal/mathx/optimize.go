@@ -92,34 +92,6 @@ func MinimizeBrent(f func(float64) float64, a, b, tol float64, maxIter int) (xmi
 	return x, fx
 }
 
-// FindRootBisect finds a root of f in [a, b] by bisection. f(a) and f(b)
-// must bracket a sign change; otherwise NaN is returned.
-func FindRootBisect(f func(float64) float64, a, b, tol float64, maxIter int) float64 {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a
-	}
-	if fb == 0 {
-		return b
-	}
-	if fa*fb > 0 {
-		return math.NaN()
-	}
-	for i := 0; i < maxIter; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m
-		}
-		if fa*fm < 0 {
-			b, fb = m, fm
-		} else {
-			a, fa = m, fm
-		}
-	}
-	return 0.5 * (a + b)
-}
-
 // Clamp restricts v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

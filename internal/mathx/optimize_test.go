@@ -33,17 +33,6 @@ func TestMinimizeBrentSwappedBounds(t *testing.T) {
 	}
 }
 
-func TestFindRootBisect(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 2 }
-	r := FindRootBisect(f, 0, 3, 1e-12, 200)
-	if math.Abs(r-math.Cbrt(2)) > 1e-9 {
-		t.Errorf("root %v, want %v", r, math.Cbrt(2))
-	}
-	if !math.IsNaN(FindRootBisect(f, 3, 4, 1e-9, 100)) {
-		t.Error("no bracket should give NaN")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")

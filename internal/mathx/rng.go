@@ -50,12 +50,6 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Split returns a new generator deterministically derived from this one.
-// It is used to give independent streams to concurrent workers. Unlike
-// Derive it consumes from this generator's stream, so the result depends on
-// how many draws preceded it.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
 // Derive returns an independent generator keyed by label: a pure function of
 // this generator's current state and the label's bytes, mixed SplitMix64-style.
 // It does not advance this generator, so derivations commute — any set of
@@ -249,15 +243,6 @@ func (r *RNG) Poisson(mu float64) int {
 			return int(k)
 		}
 	}
-}
-
-// Zipf returns a deviate from a bounded Zipf distribution over {1, ..., n}
-// with exponent s, by inversion over the precomputed CDF in ZipfSampler; this
-// convenience method rebuilds the table each call and is intended for
-// one-off sampling in tests.
-func (r *RNG) Zipf(n int, s float64) int {
-	z := NewZipfSampler(n, s)
-	return z.Sample(r)
 }
 
 // Shuffle permutes the first n elements using the provided swap function

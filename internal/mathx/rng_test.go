@@ -27,14 +27,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(7)
-	s := r.Split()
-	if r.Uint64() == s.Uint64() {
-		t.Error("split stream should differ from parent")
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(1)
 	f := func(n uint16) bool {

@@ -10,14 +10,7 @@
 // estimation.
 package mathx
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoConverge is returned by iterative routines that exhaust their
-// iteration budget before reaching the requested tolerance.
-var ErrNoConverge = errors.New("mathx: iteration did not converge")
+import "math"
 
 // eps is the convergence tolerance used by the continued-fraction and series
 // expansions below.
@@ -223,31 +216,6 @@ func HurwitzZeta(s, q float64) float64 {
 	return sum
 }
 
-// HurwitzZetaDeriv computes the derivative of ζ(s, q) with respect to s,
-// i.e. -Σ (k+q)^-s · ln(k+q), by the same direct-sum + Euler–Maclaurin
-// strategy. It is used by the Newton refinement of the discrete power-law
-// MLE.
-func HurwitzZetaDeriv(s, q float64) float64 {
-	if s <= 1 || q <= 0 {
-		return math.NaN()
-	}
-	const n = 16
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		x := q + float64(k)
-		sum -= math.Pow(x, -s) * math.Log(x)
-	}
-	a := q + n
-	la := math.Log(a)
-	// d/ds [a^{1-s}/(s-1)] = -a^{1-s}·ln a/(s-1) - a^{1-s}/(s-1)^2
-	sum += -math.Pow(a, 1-s)*la/(s-1) - math.Pow(a, 1-s)/((s-1)*(s-1))
-	// d/ds [0.5 a^{-s}] = -0.5 a^{-s} ln a
-	sum += -0.5 * math.Pow(a, -s) * la
-	// d/ds [s·a^{-s-1}/12] = a^{-s-1}(1 - s·ln a)/12
-	sum += math.Pow(a, -s-1) * (1 - s*la) / 12.0
-	return sum
-}
-
 // LogFactorial returns ln(n!) via Lgamma.
 func LogFactorial(n int) float64 {
 	if n < 0 {
@@ -255,12 +223,4 @@ func LogFactorial(n int) float64 {
 	}
 	lg, _ := math.Lgamma(float64(n) + 1)
 	return lg
-}
-
-// LogChoose returns ln(C(n, k)).
-func LogChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
 }

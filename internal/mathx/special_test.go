@@ -145,26 +145,11 @@ func TestHurwitzZetaRecurrence(t *testing.T) {
 	}
 }
 
-func TestHurwitzZetaDeriv(t *testing.T) {
-	// Compare against central finite differences.
-	for _, c := range []struct{ s, q float64 }{{2, 1}, {3.2, 10}, {2.5, 100}, {3.24, 1334}} {
-		h := 1e-6
-		want := (HurwitzZeta(c.s+h, c.q) - HurwitzZeta(c.s-h, c.q)) / (2 * h)
-		got := HurwitzZetaDeriv(c.s, c.q)
-		if !almostEqual(got, want, 1e-5) {
-			t.Errorf("HurwitzZetaDeriv(%v, %v) = %v, want ~%v", c.s, c.q, got, want)
-		}
-	}
-}
-
 func TestLogFactorialAndChoose(t *testing.T) {
 	if !almostEqual(LogFactorial(5), math.Log(120), 1e-12) {
 		t.Error("LogFactorial(5) wrong")
 	}
-	if !almostEqual(LogChoose(10, 3), math.Log(120), 1e-12) {
-		t.Error("LogChoose(10,3) wrong")
-	}
-	if v := LogChoose(5, 7); !math.IsInf(v, -1) {
-		t.Errorf("LogChoose(5,7) = %v, want -Inf", v)
+	if !math.IsNaN(LogFactorial(-1)) {
+		t.Error("LogFactorial(-1) should be NaN")
 	}
 }

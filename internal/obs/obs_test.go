@@ -235,26 +235,25 @@ func TestRenderTree(t *testing.T) {
 	}
 }
 
-// TestContextHelpers: StartSpan childs off the context span, or roots on
-// the tracer when the context carries none.
+// TestContextHelpers: ContextWithSpan installs a span that SpanFromContext
+// and TraceIDFromContext read back; an empty context carries none.
 func TestContextHelpers(t *testing.T) {
+	if SpanFromContext(t.Context()) != nil || TraceIDFromContext(t.Context()) != "" {
+		t.Fatal("empty context should carry no span")
+	}
 	tr := NewTracer(TracerConfig{Name: "svc", Seed: 1})
-	ctx, root := StartSpan(t.Context(), tr, "root")
-	if root == nil || SpanFromContext(ctx) != root {
-		t.Fatal("StartSpan did not install the root span")
+	root := tr.Root("root")
+	ctx := ContextWithSpan(t.Context(), root)
+	if SpanFromContext(ctx) != root {
+		t.Fatal("root span not installed in context")
 	}
-	ctx2, child := StartSpan(ctx, nil, "child")
-	if child == nil || child.TraceID() != root.TraceID() {
-		t.Fatal("StartSpan did not child off the context span")
-	}
+	child := root.Child("child")
+	ctx2 := ContextWithSpan(ctx, child)
 	if SpanFromContext(ctx2) != child {
 		t.Fatal("child not installed in context")
 	}
 	if got := TraceIDFromContext(ctx2); got != root.TraceID().String() {
 		t.Fatalf("TraceIDFromContext = %q", got)
-	}
-	if _, sp := StartSpan(t.Context(), nil, "none"); sp != nil {
-		t.Fatal("StartSpan with nil tracer and empty ctx should return nil span")
 	}
 }
 

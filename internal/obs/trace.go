@@ -65,9 +65,9 @@ type Event struct {
 }
 
 // Span is one timed operation in a trace. Create spans through a Tracer
-// (Root, Continue, Child, StartSpan) and finish them with End; a
-// finished span is recorded into the tracer's ring buffer and sink.
-// All methods are safe on a nil receiver and safe for concurrent use.
+// (Root, Continue, Child) and finish them with End; a finished span is
+// recorded into the tracer's ring buffer and sink. All methods are safe on
+// a nil receiver and safe for concurrent use.
 type Span struct {
 	tracer *Tracer
 	trace  TraceID
@@ -368,19 +368,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	}
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
-}
-
-// StartSpan starts a child of ctx's current span (using that span's
-// tracer), or a root span on t when ctx carries none, and returns a ctx
-// carrying the new span. With a nil tracer and no span in ctx it returns
-// (ctx, nil).
-func StartSpan(ctx context.Context, t *Tracer, name string) (context.Context, *Span) {
-	if parent := SpanFromContext(ctx); parent != nil {
-		sp := parent.Child(name)
-		return ContextWithSpan(ctx, sp), sp
-	}
-	sp := t.Root(name)
-	return ContextWithSpan(ctx, sp), sp
 }
 
 // ParseTraceID decodes a 32-hex-digit trace id; ok is false for

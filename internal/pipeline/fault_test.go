@@ -20,7 +20,7 @@ func TestPanicRecoveredAsStagePanicError(t *testing.T) {
 		{Name: "b", Deps: []string{"a"}, Run: func() error { return nil }},
 		{Name: "c", Run: func() error { ranC = true; return nil }},
 	}
-	timings, err := Run(stages, Options{Parallelism: 2})
+	timings, err := RunContext(t.Context(), stages, Options{Parallelism: 2})
 	if err == nil {
 		t.Fatal("no error")
 	}
@@ -56,7 +56,7 @@ func TestPanicInDecodeFallsBackToRun(t *testing.T) {
 		Encode: func() ([]byte, error) { return []byte("fresh"), nil },
 		Decode: func([]byte) error { panic("corrupt beyond belief") },
 	}}
-	timings, err := Run(stages, Options{Cache: c})
+	timings, err := RunContext(t.Context(), stages, Options{Cache: c})
 	if err != nil || !ran {
 		t.Fatalf("err=%v ran=%v, want clean fallback run", err, ran)
 	}
@@ -78,7 +78,7 @@ func TestRetryPolicyRetriesTransientErrors(t *testing.T) {
 			return nil
 		},
 	}}
-	timings, err := Run(stages, Options{})
+	timings, err := RunContext(t.Context(), stages, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRetryPolicyGivesUp(t *testing.T) {
 		Retry: RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond},
 		Run:   func() error { attempts++; return errors.New("persistent") },
 	}}
-	timings, err := Run(stages, Options{})
+	timings, err := RunContext(t.Context(), stages, Options{})
 	if err == nil || attempts != 3 {
 		t.Fatalf("err=%v attempts=%d, want failure after 3 attempts", err, attempts)
 	}
@@ -110,7 +110,7 @@ func TestRetryNeverRetriesPanics(t *testing.T) {
 		Retry: RetryPolicy{MaxRetries: 5, Backoff: time.Millisecond},
 		Run:   func() error { attempts++; panic("once is enough") },
 	}}
-	timings, err := Run(stages, Options{})
+	timings, err := RunContext(t.Context(), stages, Options{})
 	var pe *StagePanicError
 	if !errors.As(err, &pe) || attempts != 1 {
 		t.Fatalf("err=%v attempts=%d, want one panicking attempt", err, attempts)
@@ -127,7 +127,7 @@ func TestInterceptErrorFailsStage(t *testing.T) {
 		{Name: "a", Run: func() error { ran = true; return nil }},
 		{Name: "b", Run: func() error { return nil }},
 	}
-	timings, err := Run(stages, Options{
+	timings, err := RunContext(t.Context(), stages, Options{
 		Intercept: func(_ context.Context, stage string) error {
 			if stage == "a" {
 				return sentinel
@@ -152,7 +152,7 @@ func TestStageTimeout(t *testing.T) {
 		Timeout: 10 * time.Millisecond,
 		Run:     func() error { return nil },
 	}}
-	_, err := Run(stages, Options{
+	_, err := RunContext(t.Context(), stages, Options{
 		Intercept: func(ctx context.Context, _ string) error {
 			select {
 			case <-ctx.Done():
@@ -183,7 +183,7 @@ func TestPanicUnderConcurrencyKeepsSchedulerAlive(t *testing.T) {
 			stages = append(stages, Stage{Name: name, Run: func() error { return nil }})
 		}
 	}
-	timings, err := Run(stages, Options{Parallelism: 8})
+	timings, err := RunContext(t.Context(), stages, Options{Parallelism: 8})
 	if err == nil {
 		t.Fatal("no error")
 	}

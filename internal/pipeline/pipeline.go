@@ -170,16 +170,6 @@ var ErrDependencySkipped = errors.New("pipeline: dependency failed")
 // matches the context's own error (context.Canceled / DeadlineExceeded).
 var ErrCanceled = errors.New("pipeline: run cancelled")
 
-// Validate checks the graph for duplicate names, unknown dependencies and
-// cycles without running anything.
-func Validate(stages []Stage) error {
-	_, err := indexStages(stages)
-	if err != nil {
-		return err
-	}
-	return checkAcyclic(stages)
-}
-
 func indexStages(stages []Stage) (map[string]int, error) {
 	idx := make(map[string]int, len(stages))
 	for i, s := range stages {
@@ -201,11 +191,7 @@ func indexStages(stages []Stage) (map[string]int, error) {
 	return idx, nil
 }
 
-func checkAcyclic(stages []Stage) error {
-	idx, err := indexStages(stages)
-	if err != nil {
-		return err
-	}
+func checkAcyclic(stages []Stage, idx map[string]int) error {
 	const (
 		unvisited = 0
 		onStack   = 1
@@ -267,26 +253,23 @@ func selectStages(stages []Stage, idx map[string]int, only []string) ([]bool, er
 	return include, nil
 }
 
-// Run executes the stage graph and returns one Timing per stage, in the
-// order the stages were declared. The returned error joins every stage
-// error (dependency skips are not doubled in). Run validates the graph
-// first, so a malformed graph fails before any stage executes.
-func Run(stages []Stage, opts Options) ([]Timing, error) {
-	return RunContext(context.Background(), stages, opts)
-}
-
-// RunContext is Run with cancellation: once ctx is cancelled no further
-// stage starts. Stages already executing finish normally and keep their
-// results; stages that never started are marked Skipped with an error
-// wrapping ErrCanceled, and the returned error wraps ctx.Err() exactly once
-// (so errors.Is(err, context.Canceled) works) rather than once per
-// unstarted stage.
+// RunContext executes the stage graph and returns one Timing per stage, in
+// the order the stages were declared. The returned error joins every stage
+// error (dependency skips are not doubled in). The graph is validated first
+// (names, dependencies, cycles), so a malformed graph fails before any
+// stage executes.
+//
+// Once ctx is cancelled no further stage starts. Stages already executing
+// finish normally and keep their results; stages that never started are
+// marked Skipped with an error wrapping ErrCanceled, and the returned error
+// wraps ctx.Err() exactly once (so errors.Is(err, context.Canceled) works)
+// rather than once per unstarted stage.
 func RunContext(ctx context.Context, stages []Stage, opts Options) ([]Timing, error) {
 	idx, err := indexStages(stages)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkAcyclic(stages); err != nil {
+	if err := checkAcyclic(stages, idx); err != nil {
 		return nil, err
 	}
 	include, err := selectStages(stages, idx, opts.Only)

@@ -45,7 +45,7 @@ func TestDependencyOrdering(t *testing.T) {
 			rec.stage("leaf", "mid", "fan1"),
 			rec.stage("fan2", "root"),
 		}
-		if _, err := Run(stages, Options{Parallelism: par}); err != nil {
+		if _, err := RunContext(t.Context(), stages, Options{Parallelism: par}); err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
 		if len(rec.order) != len(stages) {
@@ -68,7 +68,7 @@ func TestFailurePropagation(t *testing.T) {
 		{Name: "grandleaf", Deps: []string{"leaf"}, Run: func() error { ranLeaf.Store(true); return nil }},
 		{Name: "sibling", Run: func() error { ranSibling.Store(true); return nil }},
 	}
-	timings, err := Run(stages, Options{Parallelism: 2})
+	timings, err := RunContext(t.Context(), stages, Options{Parallelism: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -108,7 +108,7 @@ func TestStageSubsetting(t *testing.T) {
 		rec.stage("leaf", "mid"),
 		rec.stage("other"),
 	}
-	timings, err := Run(stages, Options{Only: []string{"mid"}, Parallelism: 3})
+	timings, err := RunContext(t.Context(), stages, Options{Only: []string{"mid"}, Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestStageSubsetting(t *testing.T) {
 			t.Fatalf("%s timing = %+v, want cleanly skipped", name, tm)
 		}
 	}
-	if _, err := Run(stages, Options{Only: []string{"nope"}}); err == nil {
+	if _, err := RunContext(t.Context(), stages, Options{Only: []string{"nope"}}); err == nil {
 		t.Fatal("unknown subset name must error")
 	}
 }
@@ -146,7 +146,7 @@ func TestParallelismBound(t *testing.T) {
 	done := make(chan struct{})
 	var timings []Timing
 	go func() {
-		timings, _ = Run(stages, Options{Parallelism: 2})
+		timings, _ = RunContext(t.Context(), stages, Options{Parallelism: 2})
 		close(done)
 	}()
 	// Let the pool saturate, then release everyone.
@@ -165,29 +165,36 @@ func TestParallelismBound(t *testing.T) {
 }
 
 func TestGraphValidation(t *testing.T) {
-	if err := Validate([]Stage{{Name: "a", Deps: []string{"missing"}}}); err == nil {
-		t.Fatal("unknown dep must fail validation")
+	ran := false
+	mark := func() error { ran = true; return nil }
+	for _, bad := range []struct {
+		why    string
+		stages []Stage
+	}{
+		{"unknown dep", []Stage{{Name: "a", Deps: []string{"missing"}, Run: mark}}},
+		{"duplicate name", []Stage{{Name: "a", Run: mark}, {Name: "a", Run: mark}}},
+		{"cycle", []Stage{{Name: "a", Deps: []string{"b"}, Run: mark}, {Name: "b", Deps: []string{"a"}, Run: mark}}},
+		{"self-cycle", []Stage{{Name: "a", Deps: []string{"a"}, Run: mark}}},
+		{"unnamed stage", []Stage{{Run: mark}}},
+	} {
+		if _, err := RunContext(t.Context(), bad.stages, Options{}); err == nil {
+			t.Fatalf("%s must fail validation", bad.why)
+		}
+		if ran {
+			t.Fatalf("%s: a stage ran before validation failed", bad.why)
+		}
 	}
-	if err := Validate([]Stage{{Name: "a"}, {Name: "a"}}); err == nil {
-		t.Fatal("duplicate name must fail validation")
-	}
-	if err := Validate([]Stage{{Name: "a", Deps: []string{"b"}}, {Name: "b", Deps: []string{"a"}}}); err == nil {
-		t.Fatal("cycle must fail validation")
-	}
-	if _, err := Run([]Stage{{Name: "a", Deps: []string{"a"}}}, Options{}); err == nil {
-		t.Fatal("self-cycle must fail Run")
-	}
-	if err := Validate([]Stage{{Name: "a"}, {Name: "b", Deps: []string{"a"}}}); err != nil {
+	if _, err := RunContext(t.Context(), []Stage{{Name: "a", Run: mark}, {Name: "b", Deps: []string{"a"}, Run: mark}}, Options{}); err != nil || !ran {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if timings, err := Run(nil, Options{}); err != nil || len(timings) != 0 {
+	if timings, err := RunContext(t.Context(), nil, Options{}); err != nil || len(timings) != 0 {
 		t.Fatalf("empty graph: %v %v", timings, err)
 	}
 	ran := false
-	timings, err := Run([]Stage{{Name: "only", Run: func() error { ran = true; return nil }}}, Options{Parallelism: 16})
+	timings, err := RunContext(t.Context(), []Stage{{Name: "only", Run: func() error { ran = true; return nil }}}, Options{Parallelism: 16})
 	if err != nil || !ran {
 		t.Fatalf("single stage: ran=%v err=%v", ran, err)
 	}
@@ -244,7 +251,7 @@ func TestCacheHitSkipsRun(t *testing.T) {
 
 	// Cold: runs, stores.
 	state = ""
-	timings, err := Run(mk(), Options{Cache: cache})
+	timings, err := RunContext(t.Context(), mk(), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +264,7 @@ func TestCacheHitSkipsRun(t *testing.T) {
 
 	// Warm: hydrates without running.
 	state = ""
-	timings, err = Run(mk(), Options{Cache: cache})
+	timings, err = RunContext(t.Context(), mk(), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +290,7 @@ func TestCacheDecodeFailureFallsBackToRun(t *testing.T) {
 		Encode:   func() ([]byte, error) { return []byte("good"), nil },
 		Decode:   func(b []byte) error { return errors.New("corrupt") },
 	}}
-	timings, err := Run(stages, Options{Cache: cache})
+	timings, err := RunContext(t.Context(), stages, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +311,7 @@ func TestCacheEncodeFailureStillSucceeds(t *testing.T) {
 		Encode:   func() ([]byte, error) { return nil, errors.New("cannot encode") },
 		Decode:   func(b []byte) error { return nil },
 	}}
-	timings, err := Run(stages, Options{Cache: cache})
+	timings, err := RunContext(t.Context(), stages, Options{Cache: cache})
 	if err != nil || timings[0].Err != nil {
 		t.Fatalf("encode failure must not fail the stage: %v %v", err, timings[0].Err)
 	}
@@ -323,7 +330,7 @@ func TestCacheIgnoredWithoutHooksOrCacher(t *testing.T) {
 		Encode:   func() ([]byte, error) { return nil, nil },
 		Decode:   func(b []byte) error { return nil },
 	}}
-	if _, err := Run(stages, Options{}); err != nil {
+	if _, err := RunContext(t.Context(), stages, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -333,7 +340,7 @@ func TestCacheIgnoredWithoutHooksOrCacher(t *testing.T) {
 	// Cacher configured but stage has no key: never consulted.
 	cache := newMapCache()
 	plain := []Stage{{Name: "p", Run: func() error { return nil }}}
-	if _, err := Run(plain, Options{Cache: cache}); err != nil {
+	if _, err := RunContext(t.Context(), plain, Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if cache.gets != 0 || cache.puts != 0 {
@@ -351,7 +358,7 @@ func TestCacheFailedStageNotStored(t *testing.T) {
 		Encode:   func() ([]byte, error) { return []byte("x"), nil },
 		Decode:   func(b []byte) error { return nil },
 	}}
-	if _, err := Run(stages, Options{Cache: cache}); !errors.Is(err, boom) {
+	if _, err := RunContext(t.Context(), stages, Options{Cache: cache}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if cache.puts != 0 {
@@ -451,7 +458,7 @@ func TestObserverSeesEveryExecutedStage(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := map[string]Timing{}
-	_, err := Run(stages, Options{Cache: cache, Observe: func(tm Timing) {
+	_, err := RunContext(t.Context(), stages, Options{Cache: cache, Observe: func(tm Timing) {
 		mu.Lock()
 		seen[tm.Name] = tm
 		mu.Unlock()
@@ -501,7 +508,7 @@ func TestStagePprofLabels(t *testing.T) {
 	finished.Add(1)
 	go func() {
 		defer finished.Done()
-		_, runErr = Run(stages, Options{Parallelism: 2})
+		_, runErr = RunContext(t.Context(), stages, Options{Parallelism: 2})
 	}()
 	running.Wait() // both stages are now blocked inside Run
 	var buf strings.Builder

@@ -7,11 +7,10 @@ import (
 )
 
 // Codec for cached pipeline stages (internal/cache). A Fit round-trips
-// completely — including the sorted data and fit options that back Tail,
+// completely — including the sorted data and fit options that back
 // GoodnessOfFit and CompareAll — so a fit hydrated from the result cache is
 // indistinguishable from a freshly computed one. Derived unexported state
-// (the suffix log-sums and the discrete CCDF denominator) is deliberately
-// not encoded: it is a pure function of the encoded fields and is
+// (the suffix log-sums) is deliberately not encoded: it is a pure function of the encoded fields and is
 // recomputed by DecodeFitFrom, keeping cache entries minimal.
 
 // ErrDecode reports a malformed Fit or VuongResult payload.

@@ -31,9 +31,9 @@ func TestFitCodecRoundTrip(t *testing.T) {
 		got.LogLik != fit.LogLik || got.AlphaStdErr != fit.AlphaStdErr {
 		t.Fatalf("exported fields diverge: %+v vs %+v", got, fit)
 	}
-	// The unexported state must round-trip too: Tail, the bootstrap and the
-	// Vuong comparisons all read it.
-	a, b := fit.Tail(), got.Tail()
+	// The unexported state must round-trip too: the bootstrap and the Vuong
+	// comparisons read it.
+	a, b := fit.tailView(), got.tailView()
 	if len(a) != len(b) {
 		t.Fatalf("tail lengths diverge: %d vs %d", len(a), len(b))
 	}

@@ -117,16 +117,7 @@ type Fit struct {
 
 	sorted []float64 // full sorted data, ascending
 	logSuf []float64 // suffix sums of ln(sorted): logSuf[i] = Σ_{j≥i} ln sorted[j]
-	zden   float64   // ζ(Alpha, Xmin) for discrete fits (the CCDF denominator)
 	opts   Options
-}
-
-// Tail returns a copy of the observations at or above Xmin, ascending.
-func (f *Fit) Tail() []float64 {
-	i := f.tailStart()
-	out := make([]float64, len(f.sorted)-i)
-	copy(out, f.sorted[i:])
-	return out
 }
 
 // tailStart returns the index of the first observation at or above Xmin.
@@ -151,18 +142,15 @@ func (f *Fit) tailLogSum(i int) float64 {
 	return s
 }
 
-// initDerived fills the unexported derived state (suffix log-sums, the
-// discrete CCDF denominator) that EncodeTo deliberately does not persist:
-// both are pure functions of the encoded fields, so hydrating a fit from
-// the result cache recomputes them instead of storing redundant bytes.
+// initDerived fills the unexported derived state (suffix log-sums) that
+// EncodeTo deliberately does not persist: it is a pure function of the
+// encoded fields, so hydrating a fit from the result cache recomputes it
+// instead of storing redundant bytes.
 func (f *Fit) initDerived() {
 	n := len(f.sorted)
 	f.logSuf = make([]float64, n+1)
 	for i := n - 1; i >= 0; i-- {
 		f.logSuf[i] = f.logSuf[i+1] + math.Log(f.sorted[i])
-	}
-	if f.Discrete {
-		f.zden = mathx.HurwitzZeta(f.Alpha, f.Xmin)
 	}
 }
 
@@ -204,7 +192,7 @@ func fit(data []float64, discrete bool, o Options) (*Fit, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fit{
+	return &Fit{
 		Discrete:    discrete,
 		Alpha:       res.alpha,
 		Xmin:        res.xmin,
@@ -216,11 +204,7 @@ func fit(data []float64, discrete bool, o Options) (*Fit, error) {
 		sorted:      data,
 		logSuf:      fc.logSuf,
 		opts:        o,
-	}
-	if discrete {
-		f.zden = fc.zeta.Get(res.alpha, res.xmin)
-	}
-	return f, nil
+	}, nil
 }
 
 // fitResult is the winning candidate of one xmin scan.
@@ -443,21 +427,6 @@ func (fc *fitCore) ksDistance(data []float64, i, nt int, xmin, alpha float64, di
 		}
 	}
 	return d
-}
-
-// CCDF returns the model complementary CDF P(X >= x) at x (x >= Xmin).
-func (f *Fit) CCDF(x float64) float64 {
-	if x < f.Xmin {
-		return 1
-	}
-	if f.Discrete {
-		zden := f.zden
-		if zden == 0 { // hand-constructed fit; no precomputed denominator
-			zden = mathx.HurwitzZeta(f.Alpha, f.Xmin)
-		}
-		return mathx.HurwitzZeta(f.Alpha, math.Ceil(x)) / zden
-	}
-	return math.Pow(x/f.Xmin, 1-f.Alpha)
 }
 
 // GoFResult reports one bootstrap goodness-of-fit estimate.

@@ -113,29 +113,6 @@ func TestKSDistanceSmallForTrueModel(t *testing.T) {
 	}
 }
 
-func TestCCDFProperties(t *testing.T) {
-	rng := mathx.NewRNG(6)
-	data := make([]float64, 5000)
-	for i := range data {
-		data[i] = rng.Pareto(2, 3)
-	}
-	fit, _ := FitContinuous(data, &Options{FixedXmin: 2})
-	if fit.CCDF(1) != 1 {
-		t.Error("CCDF below xmin should be 1")
-	}
-	if v := fit.CCDF(2); math.Abs(v-1) > 1e-9 {
-		t.Errorf("CCDF(xmin) = %v", v)
-	}
-	prev := 1.0
-	for x := 2.0; x < 100; x *= 1.5 {
-		v := fit.CCDF(x)
-		if v > prev+1e-12 {
-			t.Error("CCDF not monotone")
-		}
-		prev = v
-	}
-}
-
 func TestGoodnessOfFitAcceptsTrueModel(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	data := make([]int, 3000)
@@ -185,24 +162,6 @@ func TestAlphaStdErr(t *testing.T) {
 	}
 	if math.Abs(fit.Alpha-3) > 3*fit.AlphaStdErr+0.05 {
 		t.Errorf("alpha %v more than 3 stderr from truth", fit.Alpha)
-	}
-}
-
-func TestTailCopy(t *testing.T) {
-	rng := mathx.NewRNG(10)
-	data := make([]float64, 200)
-	for i := range data {
-		data[i] = rng.Pareto(1, 2.5)
-	}
-	fit, _ := FitContinuous(data, &Options{FixedXmin: 1, MinTail: 5})
-	tail := fit.Tail()
-	if len(tail) != fit.NTail {
-		t.Fatalf("tail length %d != NTail %d", len(tail), fit.NTail)
-	}
-	tail[0] = -99 // must not corrupt the fit's internal state
-	tail2 := fit.Tail()
-	if tail2[0] == -99 {
-		t.Fatal("Tail returned aliased storage")
 	}
 }
 

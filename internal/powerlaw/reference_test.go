@@ -238,7 +238,7 @@ func referenceBootstrap(f *Fit, B int, rng *mathx.RNG) GoFResult {
 // referenceVuong mirrors compareAlternative with a copied tail and a naive
 // descending tail log-sum instead of the fit's shared views.
 func referenceVuong(f *Fit, alt Alternative) (*VuongResult, error) {
-	tail := f.Tail()
+	tail := slices.Clone(f.tailView())
 	n := len(tail)
 	if n < 3 {
 		return nil, ErrTooFewPoints
@@ -426,7 +426,7 @@ func TestVuongMatchesReference(t *testing.T) {
 	for _, f := range []*Fit{fd, fc} {
 		for _, alt := range []Alternative{AltLognormal, AltExponential, AltPoisson} {
 			want, werr := referenceVuong(f, alt)
-			got, gerr := f.CompareAlternative(alt)
+			got, gerr := f.compareAlternative(f.tailView(), alt)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("discrete=%v %v: err %v vs reference %v", f.Discrete, alt, gerr, werr)
 			}

@@ -66,15 +66,10 @@ func (v *VuongResult) Favours() int {
 	return -1
 }
 
-// CompareAlternative fits the alternative to the tail of f (same xmin,
-// truncated support) by maximum likelihood and runs the Vuong test.
-func (f *Fit) CompareAlternative(alt Alternative) (*VuongResult, error) {
-	return f.compareAlternative(f.tailView(), alt)
-}
-
-// compareAlternative is CompareAlternative over an already-materialized
-// tail view, so CompareAll shares one view across all three alternatives
-// instead of copying the tail per comparison. tail is read-only.
+// compareAlternative fits the alternative to the tail of f (same xmin,
+// truncated support) by maximum likelihood and runs the Vuong test. tail is
+// f's tail view, read-only, so CompareAll shares one view across all three
+// alternatives instead of copying the tail per comparison.
 func (f *Fit) compareAlternative(tail []float64, alt Alternative) (*VuongResult, error) {
 	n := len(tail)
 	if n < 3 {

@@ -18,7 +18,7 @@ func TestVuongFavoursPowerLawOnParetoData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alt := range []Alternative{AltLognormal, AltExponential, AltPoisson} {
-		res, err := fit.CompareAlternative(alt)
+		res, err := fit.compareAlternative(fit.tailView(), alt)
 		if err != nil {
 			t.Fatalf("%v: %v", alt, err)
 		}
@@ -52,7 +52,7 @@ func TestVuongFavoursLognormalOnLognormalData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fit.CompareAlternative(AltLognormal)
+	res, err := fit.compareAlternative(fit.tailView(), AltLognormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestVuongExponentialParamRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fit.CompareAlternative(AltExponential)
+	res, err := fit.compareAlternative(fit.tailView(), AltExponential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPoissonRequiresDiscrete(t *testing.T) {
 		data[i] = rng.Pareto(1, 3)
 	}
 	fit, _ := FitContinuous(data, &Options{FixedXmin: 1})
-	if _, err := fit.CompareAlternative(AltPoisson); err == nil {
+	if _, err := fit.compareAlternative(fit.tailView(), AltPoisson); err == nil {
 		t.Fatal("poisson on continuous data should error")
 	}
 }

@@ -24,8 +24,8 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !s.Draining() {
-		t.Fatalf("drain: %d, Draining=%v", resp.StatusCode, s.Draining())
+	if resp.StatusCode != http.StatusOK || !s.draining.Load() {
+		t.Fatalf("drain: %d, draining=%v", resp.StatusCode, s.draining.Load())
 	}
 
 	if code, body := get(t, ts, "/healthz"); code != http.StatusServiceUnavailable ||

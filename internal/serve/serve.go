@@ -488,9 +488,6 @@ var ErrDraining = errors.New("serve: server draining")
 // requests and async jobs run to completion. Draining is one-way.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // WaitJobs blocks until every async job has finished or ctx expires, and
 // returns the number of jobs still running at return — the jobs a shutdown
 // at that moment would abandon.

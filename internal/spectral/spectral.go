@@ -5,8 +5,8 @@
 // with partial reorthogonalization (the workhorse; it stores the whole
 // Krylov basis, O(n·iters) memory, but orthogonalizes against it only on
 // the steps where Simon's ω-recurrence says orthogonality is being lost)
-// and a power-iteration-with-deflation solver (the ablation baseline), on
-// matrix-free operators for the symmetrized adjacency and Laplacian.
+// and a power-iteration-with-deflation solver (the ablation baseline), on a
+// matrix-free operator for the Laplacian of the symmetrized graph.
 package spectral
 
 import (
@@ -29,36 +29,11 @@ type Operator interface {
 	Apply(dst, src []float64)
 }
 
-// AdjacencyOperator applies the symmetrized adjacency matrix of a digraph:
-// A_sym[u][v] = 1 iff u→v or v→u. Symmetrization makes the spectrum real,
-// matching how spectral analyses of directed social graphs are performed in
-// practice (including the toolchains the paper used).
-type AdjacencyOperator struct {
-	und *graph.Digraph
-}
-
-// NewAdjacencyOperator builds the operator over g's cached undirected
-// projection.
-func NewAdjacencyOperator(g *graph.Digraph) *AdjacencyOperator {
-	return &AdjacencyOperator{und: g.Undirected()}
-}
-
-// Dim returns the number of nodes.
-func (a *AdjacencyOperator) Dim() int { return a.und.NumNodes() }
-
-// Apply computes dst = A_sym·src.
-func (a *AdjacencyOperator) Apply(dst, src []float64) {
-	for u := 0; u < a.und.NumNodes(); u++ {
-		s := 0.0
-		for _, v := range a.und.OutNeighbors(u) {
-			s += src[v]
-		}
-		dst[u] = s
-	}
-}
-
 // LaplacianOperator applies L = D − A_sym of the undirected projection,
-// where D is the diagonal degree matrix. Its largest eigenvalues track the
+// where A_sym[u][v] = 1 iff u→v or v→u and D is the diagonal degree
+// matrix. Symmetrization makes the spectrum real, matching how spectral
+// analyses of directed social graphs are performed in practice (including
+// the toolchains the paper used). Its largest eigenvalues track the
 // largest degrees (for a star of degree d, λ_max = d+1), which couples the
 // eigenvalue power law to the degree power law exactly as §IV-B observes.
 type LaplacianOperator struct {
@@ -102,18 +77,6 @@ func (l *LaplacianOperator) MaxDegree() float64 {
 		}
 	}
 	return m
-}
-
-// DenseOperator wraps a dense symmetric matrix as an Operator (test oracle).
-type DenseOperator struct{ M *linalg.Matrix }
-
-// Dim returns the matrix dimension.
-func (d *DenseOperator) Dim() int { return d.M.Rows }
-
-// Apply computes dst = M·src.
-func (d *DenseOperator) Apply(dst, src []float64) {
-	out := d.M.MulVec(src)
-	copy(dst, out)
 }
 
 // TopEigenvaluesLanczos computes the k largest eigenvalues of the symmetric

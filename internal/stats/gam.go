@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"elites/internal/linalg"
 )
@@ -285,62 +284,4 @@ func diffMatrix(n, k int) *linalg.Matrix {
 		cur = next
 	}
 	return cur
-}
-
-// BinnedMedians reduces a scatter to per-bin medians on a log-x grid — used
-// to overlay Figure 5 scatters with robust trend points.
-type BinnedPoint struct {
-	X, Median float64
-	Count     int
-}
-
-// LogBinnedMedians bins positive x values into k log bins and reports the
-// median y per non-empty bin.
-func LogBinnedMedians(x, y []float64, k int) []BinnedPoint {
-	if len(x) != len(y) || len(x) == 0 || k <= 0 {
-		return nil
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range x {
-		if v > 0 {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	if !(hi > lo) {
-		return nil
-	}
-	lLo, lHi := math.Log(lo), math.Log(hi)
-	w := (lHi - lLo) / float64(k)
-	buckets := make([][]float64, k)
-	for i, v := range x {
-		if v <= 0 {
-			continue
-		}
-		b := int((math.Log(v) - lLo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= k {
-			b = k - 1
-		}
-		buckets[b] = append(buckets[b], y[i])
-	}
-	var out []BinnedPoint
-	for b, ys := range buckets {
-		if len(ys) == 0 {
-			continue
-		}
-		sort.Float64s(ys)
-		out = append(out, BinnedPoint{
-			X:      math.Exp(lLo + w*(float64(b)+0.5)),
-			Median: Quantile(ys, 0.5),
-			Count:  len(ys),
-		})
-	}
-	return out
 }

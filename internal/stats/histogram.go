@@ -21,16 +21,6 @@ func (h *Histogram) Total() int {
 	return t
 }
 
-// Centers returns the bin midpoints (geometric midpoints would suit log bins;
-// callers plotting log-log should use GeometricCenters).
-func (h *Histogram) Centers() []float64 {
-	out := make([]float64, len(h.Counts))
-	for i := range out {
-		out[i] = (h.Edges[i] + h.Edges[i+1]) / 2
-	}
-	return out
-}
-
 // GeometricCenters returns sqrt(lo·hi) per bin, the natural x-coordinate for
 // log-binned data.
 func (h *Histogram) GeometricCenters() []float64 {
@@ -39,59 +29,6 @@ func (h *Histogram) GeometricCenters() []float64 {
 		out[i] = math.Sqrt(h.Edges[i] * h.Edges[i+1])
 	}
 	return out
-}
-
-// Densities returns counts normalized by bin width and total count, i.e. an
-// empirical pdf.
-func (h *Histogram) Densities() []float64 {
-	total := float64(h.Total())
-	out := make([]float64, len(h.Counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		w := h.Edges[i+1] - h.Edges[i]
-		if w > 0 {
-			out[i] = float64(c) / (total * w)
-		}
-	}
-	return out
-}
-
-// NewHistogram bins xs into k equal-width bins spanning [min, max]. Values
-// outside the range are clamped into the edge bins.
-func NewHistogram(xs []float64, k int) *Histogram {
-	if k <= 0 || len(xs) == 0 {
-		return &Histogram{Edges: []float64{0, 1}, Counts: make([]int, 1)}
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	h := &Histogram{Edges: make([]float64, k+1), Counts: make([]int, k)}
-	for i := 0; i <= k; i++ {
-		h.Edges[i] = lo + (hi-lo)*float64(i)/float64(k)
-	}
-	w := (hi - lo) / float64(k)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= k {
-			i = k - 1
-		}
-		h.Counts[i]++
-	}
-	return h
 }
 
 // NewLogHistogram bins positive values into k logarithmically spaced bins —
@@ -143,28 +80,6 @@ func NewLogHistogram(xs []float64, k int) *Histogram {
 type CCDFPoint struct {
 	X float64 // value
 	P float64 // fraction of observations >= X
-}
-
-// EmpiricalCCDF returns P(X >= x) evaluated at each distinct value of the
-// sample, ascending in X — the standard log-log tail plot (Figure 2 uses the
-// pdf variant; the CCDF is what the KS machinery compares).
-func EmpiricalCCDF(xs []float64) []CCDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	var out []CCDFPoint
-	for i := 0; i < len(sorted); {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[i] {
-			j++
-		}
-		out = append(out, CCDFPoint{X: sorted[i], P: float64(len(sorted)-i) / n})
-		i = j + 1
-	}
-	return out
 }
 
 // DegreeFrequency returns, for each distinct positive value, the fraction of

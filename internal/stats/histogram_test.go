@@ -3,35 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"elites/internal/mathx"
 )
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if h.Total() != 10 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	for _, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("uniform data should spread evenly: %v", h.Counts)
-		}
-	}
-	if len(h.Edges) != 6 {
-		t.Fatalf("edges = %v", h.Edges)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{5, 5, 5}, 3)
-	if h.Total() != 3 {
-		t.Fatalf("constant data lost: %v", h.Counts)
-	}
-	h = NewHistogram(nil, 3)
-	if h.Total() != 0 {
-		t.Fatal("empty data")
-	}
-}
 
 func TestLogHistogram(t *testing.T) {
 	xs := []float64{1, 10, 100, 1000, -5, 0}
@@ -48,42 +20,6 @@ func TestLogHistogram(t *testing.T) {
 	gc := h.GeometricCenters()
 	if len(gc) != 3 || gc[0] <= h.Edges[0] || gc[0] >= h.Edges[1] {
 		t.Fatalf("geometric centers wrong: %v", gc)
-	}
-}
-
-func TestDensitiesIntegrateToOne(t *testing.T) {
-	rng := mathx.NewRNG(1)
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = rng.Normal()
-	}
-	h := NewHistogram(xs, 40)
-	sum := 0.0
-	for i, d := range h.Densities() {
-		sum += d * (h.Edges[i+1] - h.Edges[i])
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("densities integrate to %v", sum)
-	}
-}
-
-func TestEmpiricalCCDF(t *testing.T) {
-	pts := EmpiricalCCDF([]float64{1, 2, 2, 3})
-	// P(X>=1)=1, P(X>=2)=0.75, P(X>=3)=0.25
-	if len(pts) != 3 {
-		t.Fatalf("points = %v", pts)
-	}
-	if pts[0].P != 1 || pts[1].P != 0.75 || pts[2].P != 0.25 {
-		t.Fatalf("ccdf = %v", pts)
-	}
-	// Monotone decreasing in P, increasing in X.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X <= pts[i-1].X || pts[i].P >= pts[i-1].P {
-			t.Fatal("CCDF not monotone")
-		}
-	}
-	if EmpiricalCCDF(nil) != nil {
-		t.Fatal("empty CCDF")
 	}
 }
 

@@ -126,18 +126,3 @@ func firstWeekday(t time.Time) time.Weekday {
 	first := time.Date(t.Year(), t.Month(), 1, 0, 0, 0, 0, t.Location())
 	return first.Weekday()
 }
-
-// Slice returns the sub-series covering [from, to) by index, sharing
-// storage.
-func (d *DailySeries) Slice(from, to int) *DailySeries {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(d.Values) {
-		to = len(d.Values)
-	}
-	if from >= to {
-		return &DailySeries{Start: d.Start}
-	}
-	return &DailySeries{Start: d.Date(from), Values: d.Values[from:to]}
-}

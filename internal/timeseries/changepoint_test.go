@@ -216,18 +216,3 @@ func containsStr(s, sub string) bool {
 		return false
 	})()
 }
-
-func TestSlice(t *testing.T) {
-	start := time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
-	s := &DailySeries{Start: start, Values: []float64{0, 1, 2, 3, 4}}
-	sub := s.Slice(1, 3)
-	if sub.Len() != 2 || sub.Values[0] != 1 || sub.Start.Day() != 2 {
-		t.Fatalf("slice = %+v", sub)
-	}
-	if s.Slice(4, 2).Len() != 0 {
-		t.Fatal("inverted slice should be empty")
-	}
-	if s.Slice(-5, 99).Len() != 5 {
-		t.Fatal("clamped slice")
-	}
-}

@@ -113,7 +113,7 @@ func TestAPIFriendListsContainPeriphery(t *testing.T) {
 	}
 	var verified, periphery int
 	for _, id := range page {
-		if IsPeripheryID(id) {
+		if id >= peripheryIDBase {
 			periphery++
 		} else {
 			verified++
@@ -182,18 +182,6 @@ func TestMetricValuesAndBios(t *testing.T) {
 	bios := ds.Bios()
 	if len(bios) != len(ds.Profiles) || bios[0] == "" {
 		t.Fatal("bios wrong")
-	}
-}
-
-func TestNodeIDMapping(t *testing.T) {
-	if NodeOfID(VerifiedID(7), 10) != 7 {
-		t.Fatal("round trip failed")
-	}
-	if NodeOfID(VerifiedID(15), 10) != -1 {
-		t.Fatal("out of range should be -1")
-	}
-	if !IsPeripheryID(peripheryIDBase+1) || IsPeripheryID(VerifiedID(3)) {
-		t.Fatal("periphery classification wrong")
 	}
 }
 

@@ -233,23 +233,11 @@ func (p *Platform) buildActivityModel(rng *mathx.RNG) {
 // with VerifiedID).
 func (p *Platform) Graph() *graph.Digraph { return p.graph }
 
-// GenResult exposes the generator output (roles, fame ranks) for analyses.
-func (p *Platform) GenResult() *gen.Result { return p.genres }
-
 // NumVerified returns the number of verified accounts.
 func (p *Platform) NumVerified() int { return p.graph.NumNodes() }
 
 // ProfileByNode returns the profile of a graph node.
 func (p *Platform) ProfileByNode(v int) *Profile { return &p.profiles[v] }
-
-// ProfileByID returns the profile for a user id.
-func (p *Platform) ProfileByID(id int64) (*Profile, error) {
-	v, ok := p.byID[id]
-	if !ok {
-		return nil, ErrUnknownUser
-	}
-	return &p.profiles[v], nil
-}
 
 // EnglishNodes returns the node indexes whose profile language is English —
 // the population the paper studies.
@@ -291,18 +279,4 @@ func (p *Platform) ActivitySeries(nodes []int) *timeseries.DailySeries {
 		vals[d] = s
 	}
 	return &timeseries.DailySeries{Start: CollectionStart, Values: vals}
-}
-
-// FollowerSeries returns the Firehose's daily follower counts for one user:
-// a smooth growth curve from 90% of the snapshot value across the window,
-// with deterministic daily jitter.
-func (p *Platform) FollowerSeries(v int) []float64 {
-	out := make([]float64, CollectionDays)
-	final := float64(p.profiles[v].Followers)
-	for d := 0; d < CollectionDays; d++ {
-		progress := float64(d) / float64(CollectionDays-1)
-		base := final * (0.90 + 0.10*progress)
-		out[d] = base * (0.99 + 0.02*(p.userDayNoise(v, d+CollectionDays)-0.67)/0.83)
-	}
-	return out
 }

@@ -103,16 +103,3 @@ const (
 
 // VerifiedID maps a graph node index to its simulated user id.
 func VerifiedID(node int) int64 { return verifiedIDBase + int64(node) }
-
-// NodeOfID maps a verified user id back to its node index, or -1.
-func NodeOfID(id int64, n int) int {
-	node := id - verifiedIDBase
-	if node < 0 || node >= int64(n) {
-		return -1
-	}
-	return int(node)
-}
-
-// IsPeripheryID reports whether the id belongs to the simulated non-verified
-// periphery.
-func IsPeripheryID(id int64) bool { return id >= peripheryIDBase }

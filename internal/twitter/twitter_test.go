@@ -30,15 +30,6 @@ func TestPlatformBasics(t *testing.T) {
 	if share < 0.72 || share < 0.5 || share > 0.84 {
 		t.Fatalf("english share = %v, want ≈0.777", share)
 	}
-	// Profiles resolvable both ways.
-	pr := p.ProfileByNode(7)
-	got, err := p.ProfileByID(pr.ID)
-	if err != nil || got.ScreenName != pr.ScreenName {
-		t.Fatalf("profile lookup mismatch: %v", err)
-	}
-	if _, err := p.ProfileByID(555); err != ErrUnknownUser {
-		t.Fatal("unknown id should error")
-	}
 }
 
 func TestProfileMetricsPlausible(t *testing.T) {
@@ -83,7 +74,7 @@ func TestProfileMetricsPlausible(t *testing.T) {
 
 func TestCategorySinksAreStars(t *testing.T) {
 	p := smallPlatform(t, 4000)
-	for v, role := range p.GenResult().Roles {
+	for v, role := range p.genres.Roles {
 		if role == gen.RoleCelebritySink {
 			cat := p.ProfileByNode(v).Category
 			if cat != CatActor && cat != CatMusician {
@@ -211,21 +202,6 @@ func abs(a int) int {
 		return -a
 	}
 	return a
-}
-
-func TestFollowerSeriesMonotoneTrend(t *testing.T) {
-	p := smallPlatform(t, 500)
-	fs := p.FollowerSeries(3)
-	if len(fs) != CollectionDays {
-		t.Fatal("length")
-	}
-	if fs[CollectionDays-1] <= fs[0] {
-		t.Fatalf("followers should grow: %v -> %v", fs[0], fs[CollectionDays-1])
-	}
-	final := float64(p.ProfileByNode(3).Followers)
-	if math.Abs(fs[CollectionDays-1]-final)/final > 0.05 {
-		t.Fatalf("final followers %v vs snapshot %v", fs[CollectionDays-1], final)
-	}
 }
 
 func TestTweetsOnBounds(t *testing.T) {
