@@ -99,7 +99,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(*data, *n, *seed, *fast, *figdir, *parallel, *stagesF, *timings, *cacheDir, *noCache, *cacheMem, *featuresF, *logFormat, *traceOut)
+	if *noCache {
+		*cacheDir = ""
+	}
+	err := run(*data, *n, *seed, *fast, *figdir, *parallel, *stagesF, *timings, *cacheDir, *cacheMem, *featuresF, *logFormat, *traceOut)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -122,7 +125,7 @@ func main() {
 	}
 }
 
-func run(data string, n int, seed uint64, fast bool, figdir string, parallel int, stagesF string, timings bool, cacheDir string, noCache bool, cacheMem int64, featuresF, logFormat, traceOut string) error {
+func run(data string, n int, seed uint64, fast bool, figdir string, parallel int, stagesF string, timings bool, cacheDir string, cacheMem int64, featuresF, logFormat, traceOut string) error {
 	logger, err := elites.NewObsLogger(logFormat, os.Stderr)
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
@@ -163,7 +166,7 @@ func run(data string, n int, seed uint64, fast bool, figdir string, parallel int
 	}
 	opts := elites.Options{
 		Seed: seed, Parallelism: parallel, Timings: timings,
-		CacheDir: cacheDir, NoCache: noCache, CacheMemBytes: cacheMem,
+		CacheDir: cacheDir, CacheMemBytes: cacheMem,
 	}
 	if fast {
 		opts.SkipEigen = true

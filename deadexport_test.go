@@ -25,7 +25,6 @@ var deadExportAllowed = map[string]string{
 	"linalg.Matrix.Transpose":              "linalg TestTMulEqualsTransposeMul checks TMul",
 	"linalg.Mul":                           "linalg TestCholeskyInverseAndLogDet checks Cholesky.Inverse",
 	"linalg.MulT":                          "linalg TestCholeskyReconstruction checks NewCholesky",
-	"mathx.RNG.Poisson":                    "mathx TestPoissonMoments only; a keeper for now, next to delete",
 	"spectral.LaplacianOperator.MaxDegree": "spectral TestLaplacianEigenvaluesNonNegative bounds λ_max",
 	"spectral.TopEigenvaluesPower":         "root BenchmarkAblationEigensolvers, the power-iteration baseline",
 	"stats.Summarize":                      "root BenchmarkFigure1Distributions prints the paper comparison",

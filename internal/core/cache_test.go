@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"elites/internal/cache"
 	"elites/internal/faults"
@@ -380,32 +379,17 @@ func dropMemoryTier(t *testing.T, dir string) {
 	cc.DropMemory()
 }
 
-func TestNoCacheAndNoDir(t *testing.T) {
+// TestCacheOffWithoutDir: without a CacheDir there is no cache and no
+// cache report.
+func TestCacheOffWithoutDir(t *testing.T) {
 	p, ds := testPlatform(t)
 	activity := p.ActivitySeries(p.EnglishNodes())
-
-	// No CacheDir: no cache report, no files.
 	rep, err := NewCharacterizer(fastOptions()).Run(ds, activity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Cache != nil {
 		t.Fatal("cache report without CacheDir")
-	}
-
-	// NoCache overrides CacheDir.
-	dir := t.TempDir()
-	opts := cacheOptions(dir)
-	opts.NoCache = true
-	rep, err = NewCharacterizer(opts).Run(ds, activity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cache != nil {
-		t.Fatal("cache report despite NoCache")
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Fatalf("NoCache wrote files: %v", entries)
 	}
 }
 
@@ -514,16 +498,13 @@ func optionFlips(t *testing.T) map[string]optionFlip {
 				o.Stages = nil
 			}
 		}, nil},
-		"Timings":           {func(o *Options) { o.Timings = true }, nil},
-		"CacheDir":          {func(o *Options) { o.CacheDir = t.TempDir() }, nil},
-		"NoCache":           {func(o *Options) { o.NoCache = true }, nil},
-		"CacheMemBytes":     {func(o *Options) { o.CacheMemBytes = 1 << 20 }, nil},
-		"StageObserver":     {func(o *Options) { o.StageObserver = func(StageTiming) {} }, nil},
-		"Features":          {func(o *Options) { o.Features = !o.Features }, nil},
-		"StageRetries":      {func(o *Options) { o.StageRetries = 1 }, nil},
-		"StageRetryBackoff": {func(o *Options) { o.StageRetryBackoff = time.Millisecond }, nil},
-		"StageTimeout":      {func(o *Options) { o.StageTimeout = time.Minute }, nil},
-		"Faults":            {func(o *Options) { o.Faults = faults.New(1) }, nil},
+		"Timings":       {func(o *Options) { o.Timings = true }, nil},
+		"CacheDir":      {func(o *Options) { o.CacheDir = t.TempDir() }, nil},
+		"CacheMemBytes": {func(o *Options) { o.CacheMemBytes = 1 << 20 }, nil},
+		"StageObserver": {func(o *Options) { o.StageObserver = func(StageTiming) {} }, nil},
+		"Features":      {func(o *Options) { o.Features = !o.Features }, nil},
+		"StageRetries":  {func(o *Options) { o.StageRetries = 1 }, nil},
+		"Faults":        {func(o *Options) { o.Faults = faults.New(1) }, nil},
 	}
 }
 
@@ -683,15 +664,17 @@ func checkStageKeysCoverOptions(t *testing.T, setup func(*Options), checked []st
 
 // TestUndecodableEntriesRecomputeSilently stores well-framed entries whose
 // payloads the stage decoders reject (truncated, one trailing byte, an
-// impossible length). Each must read as a miss and a
-// silent recompute to the cold bytes, and the recomputed entry must serve
-// the next run.
+// impossible length) for every cached default stage. Each must read as a
+// miss and a silent recompute to the cold bytes, and the recomputed entry
+// must serve the next run. One trailing byte is what a forgotten codec
+// version bump looks like: the payload decodes in full and only the final
+// length check rejects it, so a decoder that stored its value before that
+// check would leave it in the report for the recompute to add to.
 func TestUndecodableEntriesRecomputeSilently(t *testing.T) {
 	p, ds := testPlatform(t)
 	activity := p.ActivitySeries(p.EnglishNodes())
 	dir := t.TempDir()
 	opts := cacheOptions(dir)
-	opts.Stages = hydratedStageNames
 	cold, err := NewCharacterizer(opts).Run(ds, activity)
 	if err != nil {
 		t.Fatal(err)
@@ -709,7 +692,7 @@ func TestUndecodableEntriesRecomputeSilently(t *testing.T) {
 	}
 	for how, mangle := range mangles {
 		t.Run(how, func(t *testing.T) {
-			for _, st := range hydratedStageNames {
+			for _, st := range cachedStageNames {
 				paths, err := filepath.Glob(filepath.Join(dir, st+"-*.bin"))
 				if err != nil || len(paths) != 1 {
 					t.Fatalf("%s entries = %v (err %v)", st, paths, err)
@@ -725,7 +708,7 @@ func TestUndecodableEntriesRecomputeSilently(t *testing.T) {
 			if err != nil {
 				t.Fatalf("undecodable entries must recompute, not error: %v", err)
 			}
-			if len(rep.Cache.Hits) != 0 || !reflect.DeepEqual(rep.Cache.Misses, hydratedStageNames) {
+			if len(rep.Cache.Hits) != 0 || !reflect.DeepEqual(rep.Cache.Misses, cachedStageNames) {
 				t.Fatalf("traffic over undecodable entries: %+v", rep.Cache)
 			}
 			if renderString(t, rep) != renderString(t, cold) {
@@ -735,7 +718,7 @@ func TestUndecodableEntriesRecomputeSilently(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rep.Cache.Hits, hydratedStageNames) {
+			if !reflect.DeepEqual(rep.Cache.Hits, cachedStageNames) {
 				t.Fatalf("repaired entries did not serve: %+v", rep.Cache)
 			}
 		})

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"elites/internal/cache"
 	"elites/internal/faults"
@@ -99,8 +98,6 @@ type Options struct {
 	// contract), so a report cached at one worker budget serves every
 	// other.
 	CacheDir string
-	// NoCache disables the result cache even when CacheDir is set.
-	NoCache bool
 	// CacheMemBytes caps the cache's in-memory LRU tier (0 keeps
 	// cache.DefaultMemBytes). The cap applies to the per-directory shared
 	// instance, so the last Characterizer to set it wins for every holder
@@ -123,15 +120,9 @@ type Options struct {
 	// StageRetries re-runs a failed (non-panicking) stage up to this many
 	// extra times before recording the failure; 0 disables retries. Stages
 	// are deterministic, so retries exist for environmental failures —
-	// cache hydration races, injected faults — not flaky math.
+	// cache hydration races, injected faults — not flaky math. It sets
+	// pipeline.Options.Retries, whose fixed backoff affects latency only.
 	StageRetries int
-	// StageRetryBackoff is the first retry delay (0 = 10ms), doubling per
-	// attempt up to max(1s, it). It never affects results, only latency.
-	StageRetryBackoff time.Duration
-	// StageTimeout bounds each stage's wall clock; a stage that overruns
-	// fails with pipeline.ErrStageTimeout and the rest of the battery
-	// continues. 0 disables per-stage deadlines.
-	StageTimeout time.Duration
 	// Faults, when non-nil, is the deterministic fault-injection layer: the
 	// scheduler consults it before every stage attempt and the result cache
 	// before every disk operation. Production runs leave it nil; the chaos
@@ -374,8 +365,7 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			}
 		}
 	}
-	withCache := func(st pipeline.Stage, version int, optsDigest uint64,
-		enc func(e *cache.Encoder), dec func(d *cache.Decoder) error) pipeline.Stage {
+	withCache := func(st pipeline.Stage, version int, optsDigest uint64, b binding) pipeline.Stage {
 		if rcache == nil {
 			return st
 		}
@@ -385,15 +375,20 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 		}.String()
 		st.Encode = func() ([]byte, error) {
 			var e cache.Encoder
-			enc(&e)
+			b.enc(&e)
 			return e.Bytes(), nil
 		}
 		st.Decode = func(data []byte) error {
 			d := cache.NewDecoder(data)
-			if err := dec(d); err != nil {
+			commit, err := b.dec(d)
+			if err != nil {
 				return err
 			}
-			return d.Finish()
+			if err := d.Finish(); err != nil {
+				return err
+			}
+			commit()
+			return nil
 		}
 		return st
 	}
@@ -421,28 +416,12 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			// graph and the profiles, all in the dataset digest: no option
 			// shapes them.
 			cache.HashWords(),
-			func(e *cache.Encoder) { encodeComponentsTo(e, comps) },
-			func(d *cache.Decoder) error {
-				cc, err := decodeComponentsFrom(d)
-				if err != nil {
-					return err
-				}
-				comps = cc
-				return nil
-			}),
+			bind(&comps, encodeComponentsTo, decodeComponentsFrom)),
 		withCache(pipeline.Stage{Name: StageSummary, Deps: []string{StageComponents}, Run: func() error {
 			c.summarize(rep, ds, comps)
 			return nil
 		}}, summaryCodecVersion, cache.HashWords(),
-			func(e *cache.Encoder) { encodeSummaryTo(e, rep.Summary) },
-			func(d *cache.Decoder) error {
-				s, err := decodeSummaryFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Summary = s
-				return nil
-			}),
+			bind(&rep.Summary, encodeSummaryTo, decodeSummaryFrom)),
 		// basic reads the SCC labels, not the cached counts; the dependency
 		// on components only orders the cold schedule.
 		withCache(pipeline.Stage{Name: StageBasic, Deps: []string{StageComponents}, Run: func() error {
@@ -453,28 +432,22 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			// stays out of the digest), so one entry serves every run over
 			// the same dataset.
 			cache.HashWords(),
-			func(e *cache.Encoder) { encodeBasicTo(e, rep.Basic) },
-			func(d *cache.Decoder) error {
-				b, err := decodeBasicFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Basic = b
-				return nil
-			}),
+			bind(&rep.Basic, encodeBasicTo, decodeBasicFrom)),
 		withCache(pipeline.Stage{Name: StageDegree, Run: func() error {
 			c.degreeAnalysis(rep, g, sh, base.Derive(StageDegree))
 			return nil
 		}}, degreeCodecVersion,
 			cache.HashWords(c.opts.Seed, uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
-			func(e *cache.Encoder) { encodeDegreeTo(e, rep.DegreeSeries, rep.Degree) },
-			func(d *cache.Decoder) error {
-				series, pa, err := decodeDegreeFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.DegreeSeries, rep.Degree = series, pa
-				return nil
+			// Two report fields, so the binding is written out.
+			binding{
+				enc: func(e *cache.Encoder) { encodeDegreeTo(e, rep.DegreeSeries, rep.Degree) },
+				dec: func(d *cache.Decoder) (func(), error) {
+					series, pa, err := decodeDegreeFrom(d)
+					if err != nil {
+						return nil, err
+					}
+					return func() { rep.DegreeSeries, rep.Degree = series, pa }, nil
+				},
 			}),
 	}
 	if !c.opts.SkipEigen {
@@ -484,41 +457,24 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 		}}, eigenCodecVersion,
 			cache.HashWords(c.opts.Seed, uint64(c.opts.EigenK), uint64(c.opts.EigenIters),
 				uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
-			func(e *cache.Encoder) { encodePowerLawTo(e, rep.Eigen) },
-			func(d *cache.Decoder) error {
-				pa, err := decodePowerLawFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Eigen = pa
-				return nil
-			}))
+			bind(&rep.Eigen, encodePowerLawTo, decodePowerLawFrom)))
 	}
 	stages = append(stages,
 		withCache(pipeline.Stage{Name: StageReciprocity, Run: func() error {
 			rep.Reciprocity = graph.Reciprocity(g)
 			return nil
 		}}, reciprocityCodecVersion, cache.HashWords(),
-			func(e *cache.Encoder) { e.Float64(rep.Reciprocity) },
-			func(d *cache.Decoder) error {
-				rep.Reciprocity = d.Float64()
-				return d.Err()
-			}),
+			bind(&rep.Reciprocity, (*cache.Encoder).Float64, func(d *cache.Decoder) (float64, error) {
+				r := d.Float64()
+				return r, d.Err()
+			})),
 		withCache(pipeline.Stage{Name: StageDistances, Run: func() error {
 			rep.Distances = graph.SampledDistancesWorkers(g, c.opts.DistanceSources,
 				base.Derive(StageDistances), c.opts.Parallelism)
 			return nil
 		}}, distancesCodecVersion,
 			cache.HashWords(c.opts.Seed, uint64(c.opts.DistanceSources)),
-			func(e *cache.Encoder) { encodeDistancesTo(e, rep.Distances) },
-			func(d *cache.Decoder) error {
-				dd, err := decodeDistancesFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Distances = dd
-				return nil
-			}),
+			bind(&rep.Distances, encodeDistancesTo, decodeDistancesFrom)),
 	)
 	if len(ds.Profiles) > 0 {
 		stages = append(stages,
@@ -527,42 +483,18 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 				return nil
 			}}, biosCodecVersion,
 				cache.HashWords(uint64(c.opts.TopNGrams)),
-				func(e *cache.Encoder) { encodeBiosTo(e, rep.Bios) },
-				func(d *cache.Decoder) error {
-					b, err := decodeBiosFrom(d)
-					if err != nil {
-						return err
-					}
-					rep.Bios = b
-					return nil
-				}),
+				bind(&rep.Bios, encodeBiosTo, decodeBiosFrom)),
 			withCache(pipeline.Stage{Name: StageHistograms, Run: func() error {
 				c.metricHistograms(rep, ds)
 				return nil
 			}}, histogramsCodecVersion, cache.HashWords(),
-				func(e *cache.Encoder) { encodeHistogramsTo(e, rep.MetricHists) },
-				func(d *cache.Decoder) error {
-					h, err := decodeHistogramsFrom(d)
-					if err != nil {
-						return err
-					}
-					rep.MetricHists = h
-					return nil
-				}),
+				bind(&rep.MetricHists, encodeHistogramsTo, decodeHistogramsFrom)),
 			withCache(pipeline.Stage{Name: StageCentrality, Run: func() error {
 				c.centralityAnalysis(rep, ds, sh)
 				return nil
 			}}, centralityCodecVersion,
 				cache.HashWords(c.opts.Seed, uint64(c.opts.BetweennessSources), boolWord(c.opts.SkipBetweenness)),
-				func(e *cache.Encoder) { encodeCentralityTo(e, rep.Centrality) },
-				func(d *cache.Decoder) error {
-					pairs, err := decodeCentralityFrom(d)
-					if err != nil {
-						return err
-					}
-					rep.Centrality = pairs
-					return nil
-				}),
+				bind(&rep.Centrality, encodeCentralityTo, decodeCentralityFrom)),
 		)
 		if !c.opts.SkipCategories {
 			stages = append(stages, withCache(pipeline.Stage{Name: StageCategories, Run: func() error {
@@ -574,15 +506,7 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 				// and every profile field the table reads is in the dataset
 				// digest: no option shapes it.
 				cache.HashWords(),
-				func(e *cache.Encoder) { encodeCategoriesTo(e, rep.Categories) },
-				func(d *cache.Decoder) error {
-					ca, err := decodeCategoriesFrom(d)
-					if err != nil {
-						return err
-					}
-					rep.Categories = ca
-					return nil
-				}))
+				bind(&rep.Categories, encodeCategoriesTo, decodeCategoriesFrom)))
 		}
 	}
 	if !c.opts.SkipCategories {
@@ -591,15 +515,7 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			return nil
 		}}, mutualCoreCodecVersion,
 			cache.HashWords(), // deterministic over the graph; no options
-			func(e *cache.Encoder) { encodeMutualCoreTo(e, rep.MutualCore) },
-			func(d *cache.Decoder) error {
-				m, err := decodeMutualCoreFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.MutualCore = m
-				return nil
-			}))
+			bind(&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom)))
 	}
 	if activity != nil {
 		stages = append(stages, withCache(pipeline.Stage{Name: StageActivity, Run: func() error {
@@ -607,15 +523,9 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			return nil
 		}}, activityCodecVersion,
 			cache.HashWords(), // a function of the series alone, which the dataset digest covers
-			func(e *cache.Encoder) { encodeActivityTo(e, rep.Activity) },
-			func(d *cache.Decoder) error {
-				a, err := decodeActivityFrom(d, activity)
-				if err != nil {
-					return err
-				}
-				rep.Activity = a
-				return nil
-			}))
+			bind(&rep.Activity, encodeActivityTo, func(d *cache.Decoder) (*ActivityAnalysis, error) {
+				return decodeActivityFrom(d, activity)
+			})))
 	}
 	if c.opts.Features || stageRequested(c.opts.Stages, StageFeatures) {
 		fdigest := features.OptionsDigest(fopts)
@@ -633,20 +543,22 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			rep.Features = m
 			return nil
 		}}, features.ManifestCodecVersion, fdigest,
-			func(e *cache.Encoder) {
-				features.EncodeManifest(e, rep.Features)
-				fstore.Put(rep.Features)
-			},
-			func(d *cache.Decoder) error {
-				m, err := features.DecodeManifest(d, g.NumNodes())
-				if err != nil {
-					return err
-				}
-				if err := fstore.Load(m); err != nil {
-					return err
-				}
-				rep.Features = m
-				return nil
+			// The manifest plus its row shards, so the binding is written out.
+			binding{
+				enc: func(e *cache.Encoder) {
+					features.EncodeManifest(e, rep.Features)
+					fstore.Put(rep.Features)
+				},
+				dec: func(d *cache.Decoder) (func(), error) {
+					m, err := features.DecodeManifest(d, g.NumNodes())
+					if err != nil {
+						return nil, err
+					}
+					if err := fstore.Load(m); err != nil {
+						return nil, err
+					}
+					return func() { rep.Features = m }, nil
+				},
 			}))
 	}
 
@@ -654,22 +566,10 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 	if err != nil {
 		return nil, err
 	}
-	// Per-stage resilience policy: bounded retries with deterministic
-	// backoff and an optional deadline, applied uniformly (panics are never
-	// retried — the pipeline refuses).
-	if c.opts.StageRetries > 0 || c.opts.StageTimeout > 0 {
-		policy := pipeline.RetryPolicy{MaxRetries: c.opts.StageRetries, Backoff: c.opts.StageRetryBackoff}
-		if policy.MaxRetries > 0 && policy.Backoff == 0 {
-			policy.Backoff = 10 * time.Millisecond
-		}
-		for i := range stages {
-			stages[i].Retry = policy
-			stages[i].Timeout = c.opts.StageTimeout
-		}
-	}
 	popts := pipeline.Options{
 		Parallelism: c.opts.Parallelism,
 		Only:        only,
+		Retries:     c.opts.StageRetries,
 	}
 	if rcache != nil {
 		popts.Cache = rcache
@@ -771,7 +671,30 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 
 // cacheEnabled reports whether the options ask for the result cache.
 func (c *Characterizer) cacheEnabled() bool {
-	return c.opts.CacheDir != "" && !c.opts.NoCache
+	return c.opts.CacheDir != ""
+}
+
+// A binding ties a cached stage's report output to its codec. enc writes
+// the output; dec reads a payload and returns the commit that stores it.
+// withCache runs the commit only once the whole payload decoded, so a
+// rejected entry leaves nothing in the report for the recompute to add to.
+type binding struct {
+	enc func(e *cache.Encoder)
+	dec func(d *cache.Decoder) (commit func(), err error)
+}
+
+// bind is the binding of a stage whose output is the one value at dst.
+func bind[T any](dst *T, enc func(*cache.Encoder, T), dec func(*cache.Decoder) (T, error)) binding {
+	return binding{
+		enc: func(e *cache.Encoder) { enc(e, *dst) },
+		dec: func(d *cache.Decoder) (func(), error) {
+			v, err := dec(d)
+			if err != nil {
+				return nil, err
+			}
+			return func() { *dst = v }, nil
+		},
+	}
 }
 
 // boolWord folds a flag into an options digest.

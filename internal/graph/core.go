@@ -121,31 +121,26 @@ func RichClub(g *Digraph, points int) []RichClubPoint {
 	ks := logSpacedInts(1, maxDeg/2, points)
 	out := make([]RichClubPoint, 0, len(ks))
 	for _, k := range ks {
-		var members []int
-		for v := 0; v < n; v++ {
-			if deg[v] > k {
-				members = append(members, v)
-			}
-		}
-		if len(members) < 2 {
-			break
-		}
-		inSet := make(map[int32]bool, len(members))
-		for _, v := range members {
-			inSet[int32(v)] = true
-		}
+		members := 0
 		var edges int64 // directed count within the symmetric projection
-		for _, v := range members {
+		for v := 0; v < n; v++ {
+			if deg[v] <= k {
+				continue
+			}
+			members++
 			for _, u := range und.OutNeighbors(v) {
-				if inSet[u] {
+				if deg[u] > k {
 					edges++
 				}
 			}
 		}
-		nm := float64(len(members))
+		if members < 2 {
+			break
+		}
+		nm := float64(members)
 		phi := float64(edges) / (nm * (nm - 1))
 		out = append(out, RichClubPoint{
-			K: k, N: len(members), Phi: phi, PhiNorm: phi / overall,
+			K: k, N: members, Phi: phi, PhiNorm: phi / overall,
 		})
 	}
 	return out
@@ -159,7 +154,7 @@ func logSpacedInts(lo, hi, points int) []int {
 	last := -1
 	for i := 0; i < points; i++ {
 		f := float64(i) / float64(points-1)
-		v := int(float64(lo) * pow(float64(hi)/float64(lo), f))
+		v := int(float64(lo) * math.Pow(float64(hi)/float64(lo), f))
 		if v != last {
 			out = append(out, v)
 			last = v
@@ -167,8 +162,6 @@ func logSpacedInts(lo, hi, points int) []int {
 	}
 	return out
 }
-
-func pow(base, exp float64) float64 { return math.Pow(base, exp) }
 
 // MutualSubgraph returns the sub-graph keeping only reciprocated edges
 // (u→v and v→u both present) — the "mutual core" whose relative size the

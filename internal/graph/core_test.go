@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"elites/internal/mathx"
@@ -143,6 +145,97 @@ func TestRichClubDetectsElite(t *testing.T) {
 	// Low-k point should be near the overall density (φ_norm ≈ 1).
 	if rc[0].PhiNorm > 3 {
 		t.Fatalf("low-k already elite? %+v", rc[0])
+	}
+}
+
+// richClubWithSets is the reference for RichClub: it collects each club's
+// members into a set and looks every edge up in it, where RichClub tests
+// the endpoints' degrees. TestRichClubMatchesSetReference holds the two
+// equal.
+func richClubWithSets(g *Digraph, points int) []RichClubPoint {
+	und := g.Undirected()
+	n := und.NumNodes()
+	if n < 3 || points < 1 {
+		return nil
+	}
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		deg[v] = und.OutDegree(v)
+		maxDeg = max(maxDeg, deg[v])
+	}
+	overall := und.Density()
+	if overall == 0 {
+		return nil
+	}
+	var out []RichClubPoint
+	for _, k := range logSpacedInts(1, maxDeg/2, points) {
+		var members []int
+		for v := 0; v < n; v++ {
+			if deg[v] > k {
+				members = append(members, v)
+			}
+		}
+		if len(members) < 2 {
+			break
+		}
+		inSet := make(map[int32]bool, len(members))
+		for _, v := range members {
+			inSet[int32(v)] = true
+		}
+		var edges int64
+		for _, v := range members {
+			for _, u := range und.OutNeighbors(v) {
+				if inSet[u] {
+					edges++
+				}
+			}
+		}
+		nm := float64(len(members))
+		phi := float64(edges) / (nm * (nm - 1))
+		out = append(out, RichClubPoint{K: k, N: len(members), Phi: phi, PhiNorm: phi / overall})
+	}
+	return out
+}
+
+// chungLuDigraph draws u→v with probability proportional to w_u·w_v for
+// power-law weights, so degrees are heavy-tailed and the club thresholds
+// cut the graph at many sizes.
+func chungLuDigraph(rng *mathx.RNG, n int, avgDeg float64) *Digraph {
+	w := make([]float64, n)
+	var sum float64
+	for i := range w {
+		w[i] = math.Pow(float64(i+1), -0.7)
+		sum += w[i]
+	}
+	b := NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u != v && rng.Bool(min(1, avgDeg*w[u]*w[v]*float64(n)/(sum*sum))) {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+func TestRichClubMatchesSetReference(t *testing.T) {
+	rng := mathx.NewRNG(11)
+	for i, g := range []*Digraph{
+		randomDigraph(rng, 60, 0.1),
+		randomDigraph(rng, 200, 0.03),
+		chungLuDigraph(rng, 300, 8),
+		chungLuDigraph(rng, 800, 12),
+	} {
+		for _, points := range []int{1, 5, 10, 30} {
+			got, want := RichClub(g, points), richClubWithSets(g, points)
+			if len(want) == 0 {
+				t.Fatalf("graph %d, %d points: the reference found no club", i, points)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d, %d points:\n got %+v\nwant %+v", i, points, got, want)
+			}
+		}
 	}
 }
 

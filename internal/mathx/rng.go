@@ -202,49 +202,6 @@ func (r *RNG) ParetoInt(xmin int, alpha float64) int {
 	return v
 }
 
-// Poisson returns a Poisson deviate with mean mu. For small mu it uses
-// Knuth's product method; for large mu the PTRS transformed-rejection method
-// of Hörmann, which stays O(1).
-func (r *RNG) Poisson(mu float64) int {
-	if mu <= 0 {
-		return 0
-	}
-	if mu < 30 {
-		l := math.Exp(-mu)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// PTRS (Hörmann 1993).
-	smu := math.Sqrt(mu)
-	b := 0.931 + 2.53*smu
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mu + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(mu)-mu-lg {
-			return int(k)
-		}
-	}
-}
-
 // Shuffle permutes the first n elements using the provided swap function
 // (Fisher–Yates).
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

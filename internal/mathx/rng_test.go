@@ -118,27 +118,6 @@ func TestParetoIntSupport(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := NewRNG(17)
-	for _, mu := range []float64{0.5, 4, 25, 100, 400} {
-		const n = 50000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			v := float64(r.Poisson(mu))
-			sum += v
-			sumSq += v * v
-		}
-		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if math.Abs(mean-mu) > 4*math.Sqrt(mu/n)+0.02 {
-			t.Errorf("Poisson(%v) mean = %v", mu, mean)
-		}
-		if math.Abs(variance-mu) > 0.1*mu+0.1 {
-			t.Errorf("Poisson(%v) variance = %v", mu, variance)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(23)
 	f := func(n uint8) bool {

@@ -47,12 +47,22 @@ func (s *Span) Traceparent() string {
 	return "00-" + s.trace.String() + "-" + s.id.String() + "-01"
 }
 
-// ParseTraceparent decodes a W3C traceparent header value. It accepts
-// any version whose first two fields are the standard 32-hex trace id
-// and 16-hex parent span id, and rejects all-zero ids per the spec.
+// ParseTraceparent decodes a W3C Trace Context traceparent header value:
+// a hex version, the 32-hex trace id, the 16-hex parent span id and hex
+// flags, '-'-separated. The reserved version ff is rejected, version 00
+// has exactly those four fields, and a later version may append more,
+// which are ignored. All-zero ids are rejected per the spec.
 func ParseTraceparent(v string) (trace TraceID, parent SpanID, ok bool) {
 	parts := strings.Split(strings.TrimSpace(v), "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
+		return TraceID{}, SpanID{}, false
+	}
+	var version, flags [1]byte
+	if _, err := hex.Decode(version[:], []byte(parts[0])); err != nil || version[0] == 0xff ||
+		version[0] == 0 && len(parts) != 4 {
+		return TraceID{}, SpanID{}, false
+	}
+	if _, err := hex.Decode(flags[:], []byte(parts[3])); err != nil {
 		return TraceID{}, SpanID{}, false
 	}
 	if _, err := hex.Decode(trace[:], []byte(parts[1])); err != nil {

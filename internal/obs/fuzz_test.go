@@ -5,8 +5,8 @@ import "testing"
 // FuzzParseTraceparent feeds ParseTraceparent arbitrary header values, as
 // any client can send. The invariants: it never panics, it never accepts
 // an all-zero id, and every accepted value re-renders through Traceparent
-// and parses back to the same ids. The version field stays opaque, so a
-// value accepted under any version re-renders under "00". Seeds live in
+// and parses back to the same ids. A value accepted under a later version
+// re-renders under "00" with its extra fields dropped. Seeds live in
 // testdata/fuzz/FuzzParseTraceparent.
 func FuzzParseTraceparent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, v string) {

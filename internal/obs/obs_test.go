@@ -40,18 +40,21 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if !ok || trace != sp.TraceID() || parent != sp.SpanID() {
 		t.Fatalf("round trip failed: %q -> %s %s %v", sp.Traceparent(), trace, parent, ok)
 	}
-	for _, bad := range []string{
-		"",
-		"00-abc-def-01",
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero parent id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
-		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // ok: version opaque
+	for v, wantOK := range map[string]bool{
+		"":              false,
+		"00-abc-def-01": false,
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01":        false, // zero trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01":        false, // zero parent id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7":           false, // missing flags
+		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        false, // non-hex version
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        false, // reserved version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz":        false, // non-hex flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future": false, // version 00 has four fields
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        true,  // a later version
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future": true,  // may add fields
 	} {
-		_, _, ok := ParseTraceparent(bad)
-		wantOK := strings.HasPrefix(bad, "zz")
-		if ok != wantOK {
-			t.Errorf("ParseTraceparent(%q) ok=%v, want %v", bad, ok, wantOK)
+		if _, _, ok := ParseTraceparent(v); ok != wantOK {
+			t.Errorf("ParseTraceparent(%q) ok=%v, want %v", v, ok, wantOK)
 		}
 	}
 	h := http.Header{}

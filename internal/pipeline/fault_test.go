@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestPanicRecoveredAsStagePanicError asserts the containment contract: a
@@ -68,8 +67,7 @@ func TestPanicInDecodeFallsBackToRun(t *testing.T) {
 func TestRetryPolicyRetriesTransientErrors(t *testing.T) {
 	attempts := 0
 	stages := []Stage{{
-		Name:  "flaky",
-		Retry: RetryPolicy{MaxRetries: 3, Backoff: time.Millisecond},
+		Name: "flaky",
 		Run: func() error {
 			attempts++
 			if attempts < 3 {
@@ -78,7 +76,7 @@ func TestRetryPolicyRetriesTransientErrors(t *testing.T) {
 			return nil
 		},
 	}}
-	timings, err := RunContext(t.Context(), stages, Options{})
+	timings, err := RunContext(t.Context(), stages, Options{Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +88,10 @@ func TestRetryPolicyRetriesTransientErrors(t *testing.T) {
 func TestRetryPolicyGivesUp(t *testing.T) {
 	attempts := 0
 	stages := []Stage{{
-		Name:  "doomed",
-		Retry: RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond},
-		Run:   func() error { attempts++; return errors.New("persistent") },
+		Name: "doomed",
+		Run:  func() error { attempts++; return errors.New("persistent") },
 	}}
-	timings, err := RunContext(t.Context(), stages, Options{})
+	timings, err := RunContext(t.Context(), stages, Options{Retries: 2})
 	if err == nil || attempts != 3 {
 		t.Fatalf("err=%v attempts=%d, want failure after 3 attempts", err, attempts)
 	}
@@ -106,11 +103,10 @@ func TestRetryPolicyGivesUp(t *testing.T) {
 func TestRetryNeverRetriesPanics(t *testing.T) {
 	attempts := 0
 	stages := []Stage{{
-		Name:  "panicky",
-		Retry: RetryPolicy{MaxRetries: 5, Backoff: time.Millisecond},
-		Run:   func() error { attempts++; panic("once is enough") },
+		Name: "panicky",
+		Run:  func() error { attempts++; panic("once is enough") },
 	}}
-	timings, err := RunContext(t.Context(), stages, Options{})
+	timings, err := RunContext(t.Context(), stages, Options{Retries: 5})
 	var pe *StagePanicError
 	if !errors.As(err, &pe) || attempts != 1 {
 		t.Fatalf("err=%v attempts=%d, want one panicking attempt", err, attempts)
@@ -140,33 +136,6 @@ func TestInterceptErrorFailsStage(t *testing.T) {
 	}
 	if timings[1].Err != nil {
 		t.Fatalf("uninjected stage failed: %v", timings[1].Err)
-	}
-}
-
-// TestStageTimeout asserts the deadline policy at a stage's cancellation
-// point: an Intercept that waits on the stage context observes the per-stage
-// deadline, and the failure is typed ErrStageTimeout.
-func TestStageTimeout(t *testing.T) {
-	stages := []Stage{{
-		Name:    "slow",
-		Timeout: 10 * time.Millisecond,
-		Run:     func() error { return nil },
-	}}
-	_, err := RunContext(t.Context(), stages, Options{
-		Intercept: func(ctx context.Context, _ string) error {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(5 * time.Second):
-				return nil
-			}
-		},
-	})
-	if !errors.Is(err, ErrStageTimeout) {
-		t.Fatalf("err = %v, want ErrStageTimeout", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
 	}
 }
 

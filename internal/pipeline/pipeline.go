@@ -27,10 +27,9 @@
 // Failure containment: a panic inside a stage (its Run, Encode, Decode or
 // the Intercept hook) is recovered into a typed *StagePanicError carrying
 // the captured stack — the stage fails, its dependents are skipped, and the
-// process survives. Stages may additionally declare a RetryPolicy (bounded
-// re-runs with deterministic exponential backoff after transient errors;
-// panics and cancellations are never retried) and a Timeout (a per-stage
-// deadline enforced at the stage's cancellation points).
+// process survives. Options.Retries re-runs a stage that returned a plain
+// error, after a fixed deterministic backoff; panics and cancellations are
+// never retried.
 package pipeline
 
 import (
@@ -68,27 +67,15 @@ type Stage struct {
 	// Decode hydrates the stage's outputs from a cached payload. An error
 	// is treated as a miss and the stage runs normally.
 	Decode func([]byte) error
-	// Retry, when MaxRetries > 0, re-runs the stage after a failed attempt.
-	// Panics and cancellations are never retried — only plain errors, which
-	// for deterministic stages are transient by construction (an injected
-	// fault, a flaky cache disk), so a re-run is always safe.
-	Retry RetryPolicy
-	// Timeout, when > 0, bounds the stage's wall clock with a derived
-	// deadline context. Stages are only preemptible at their cancellation
-	// points (the Intercept hook and anything the stage itself selects on),
-	// so a compute-bound Run past its deadline still finishes — the
-	// deadline is enforced, not the preemption.
-	Timeout time.Duration
 }
 
-// RetryPolicy bounds how a failing stage is retried: up to MaxRetries
-// re-runs, sleeping Backoff, 2·Backoff, 4·Backoff, ... between attempts,
-// each sleep capped at max(1s, Backoff) (deterministic — no jitter, so
-// timed tests and chaos suites replay exactly).
-type RetryPolicy struct {
-	MaxRetries int
-	Backoff    time.Duration
-}
+// The wait before retry n (from 0) is retryBackoff·2ⁿ, capped at
+// maxRetryBackoff. There is no jitter, so timed tests and chaos suites
+// replay exactly.
+const (
+	retryBackoff    = 10 * time.Millisecond
+	maxRetryBackoff = time.Second
+)
 
 // StagePanicError is the typed error a recovered stage panic converts to:
 // the stage name, the panic value and the stack captured at recovery. The
@@ -104,10 +91,6 @@ type StagePanicError struct {
 func (e *StagePanicError) Error() string {
 	return fmt.Sprintf("pipeline: stage %q panicked: %v", e.Stage, e.Value)
 }
-
-// ErrStageTimeout wraps the error recorded for a stage that exceeded its
-// declared Timeout.
-var ErrStageTimeout = errors.New("pipeline: stage deadline exceeded")
 
 // Timing reports how one stage fared: wall-clock duration for executed
 // stages, Skipped for stages that never ran (deselected, or a dependency
@@ -147,6 +130,11 @@ type Options struct {
 	Only []string
 	// Cache, when non-nil, serves stages that declare a CacheKey.
 	Cache Cacher
+	// Retries re-runs a stage whose attempt returned a plain error up to
+	// this many extra times (0 = none). Panics and cancellations are never
+	// retried. Stages are deterministic, so a plain error is environmental
+	// (an injected fault, a flaky cache disk) and a re-run is always safe.
+	Retries int
 	// Observe, when non-nil, is called once per executed stage as it
 	// finishes (cache hits included; deselected, dependency-skipped and
 	// cancellation-skipped stages never reach it). Concurrent stages may
@@ -408,7 +396,7 @@ func RunContext(ctx context.Context, stages []Stage, opts Options) ([]Timing, er
 	return timings, errors.Join(errs...)
 }
 
-// execute runs one stage through its retry/deadline policy, consulting the
+// execute runs one stage, retrying it per Options.Retries, consulting the
 // result cache first when the stage opted in. A cache hit hydrates the
 // stage's outputs through Decode and skips Run entirely; a decode failure
 // (corrupt or stale payload) falls back to a normal run. After a successful
@@ -424,52 +412,30 @@ func RunContext(ctx context.Context, stages []Stage, opts Options) ([]Timing, er
 // chunk workers inherit them), so sharded loops are attributed too.
 func execute(ctx context.Context, s *Stage, opts *Options) (cacheHit bool, retries int, err error) {
 	pprof.Do(ctx, pprof.Labels("stage", s.Name), func(ctx context.Context) {
-		cacheHit, retries, err = executeWithPolicy(ctx, s, opts)
+		cacheHit, retries, err = executeWithRetries(ctx, s, opts)
 	})
 	return cacheHit, retries, err
 }
 
-// executeWithPolicy drives the stage's attempt loop: a deadline context
-// when the stage declares a Timeout, then up to 1+MaxRetries attempts with
-// deterministic exponential backoff between them. Panics (already converted
+// executeWithRetries drives the stage's attempt loop: up to 1+Retries
+// attempts with the fixed backoff between them. Panics (already converted
 // to *StagePanicError by executeOnce) and cancellations end the loop
 // immediately — only plain errors are retried.
-func executeWithPolicy(ctx context.Context, s *Stage, opts *Options) (cacheHit bool, retries int, err error) {
-	sctx := ctx
-	if s.Timeout > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, s.Timeout)
-		defer cancel()
-	}
+func executeWithRetries(ctx context.Context, s *Stage, opts *Options) (cacheHit bool, retries int, err error) {
 	for attempt := 0; ; attempt++ {
-		cacheHit, err = executeOnce(sctx, s, opts)
-		if err == nil {
-			return cacheHit, attempt, nil
-		}
+		cacheHit, err = executeOnce(ctx, s, opts)
 		var pe *StagePanicError
-		if errors.As(err, &pe) || ctx.Err() != nil || attempt >= s.Retry.MaxRetries {
-			break
+		if err == nil || errors.As(err, &pe) || ctx.Err() != nil || attempt >= opts.Retries {
+			return cacheHit, attempt, err
 		}
-		if sctx.Err() != nil {
-			break
+		t := time.NewTimer(faults.Backoff(retryBackoff, maxRetryBackoff, attempt))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return cacheHit, attempt, err
+		case <-t.C:
 		}
-		if d := faults.Backoff(s.Retry.Backoff, max(time.Second, s.Retry.Backoff), attempt); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-sctx.Done():
-				t.Stop()
-			case <-t.C:
-			}
-		}
-		if sctx.Err() != nil {
-			break
-		}
-		retries = attempt + 1
 	}
-	if s.Timeout > 0 && sctx.Err() != nil && ctx.Err() == nil {
-		err = fmt.Errorf("%w: stage %q exceeded %v: %w", ErrStageTimeout, s.Name, s.Timeout, err)
-	}
-	return cacheHit, retries, err
 }
 
 // executeOnce is one attempt. The deferred recover is the pipeline's panic

@@ -362,14 +362,13 @@ func TestChaosPanicThroughCoalescerWithWaiters(t *testing.T) {
 	}
 }
 
-// TestChaosStageRetrySucceedsTransiently: with a per-stage retry policy, a
+// TestChaosStageRetryAbsorbsTransientFault: with stage retries on, a
 // rule that fails the degree stage exactly once is absorbed — the response
 // is clean and the retry is invisible to the client.
 func TestChaosStageRetryAbsorbsTransientFault(t *testing.T) {
 	ref := referenceBody(t)
 	cfg := chaosConfig(t, "stage:degree=error")
 	cfg.Options.StageRetries = 2
-	cfg.Options.StageRetryBackoff = time.Millisecond
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -185,7 +185,7 @@ func New(cfg Config) *Server {
 		retryAfter: faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
 		datasets:   map[string]*dataset{},
 	}
-	if cfg.Options.CacheDir != "" && !cfg.Options.NoCache {
+	if cfg.Options.CacheDir != "" {
 		if cc, err := cache.New(cfg.Options.CacheDir); err == nil {
 			s.shards = cc
 		}
