@@ -4,11 +4,11 @@
 // order — so one replica owns each identity, its single-flight coalescing
 // works fleet-wide, and a worker leaving never remaps identities between
 // the survivors — and climbs a degradation ladder as failures accumulate:
-// budgeted retries with equal-jitter exponential backoff onto the next worker
-// in hash order, hedged reads for warm GETs past a latency trigger,
-// per-worker circuit breakers, health-probe ejection with probationary
-// re-admission, and finally last-known-good cached bodies served with a
-// Warning header instead of a 502 when every replica is down.
+// budgeted retries with equal-jitter exponential backoff onto the next
+// worker in hash order, per-worker circuit breakers, health-probe ejection
+// with probationary re-admission, and finally last-known-good cached
+// bodies served with a Warning header instead of a 502 when every replica
+// is down.
 //
 // Endpoints (see docs/ARCHITECTURE.md "The fleet"):
 //
@@ -18,10 +18,10 @@
 //	GET  /debug/traces     recent request span trees as JSON
 //	(everything else)      proxied onto the fleet by identity
 //
-// Every proxied request gets a root span; retries, hedges, breaker
-// trips and degraded serves are span events, and the traceparent header
-// injected on each attempt makes the worker's serve and pipeline spans
-// part of the same trace (query both /debug/traces with one trace id).
+// Every proxied request gets a root span; retries, breaker trips and
+// degraded serves are span events, and the traceparent header injected
+// on each attempt makes the worker's serve and pipeline spans part of the
+// same trace (query both /debug/traces with one trace id).
 // -trace-out appends every finished span as a JSON line
 // (scripts/traceview.sh pretty-prints it); -log-format picks text or
 // JSON structured logs; -slow-request logs the full span tree of
@@ -74,7 +74,6 @@ func main() {
 		ejectAfter    = flag.Int("eject-after", 3, "consecutive failed probes before a worker is ejected")
 		retries       = flag.Int("retries", 2, "extra attempts on other workers after a failed attempt")
 		reqTimeout    = flag.Duration("request-timeout", 60*time.Second, "end-to-end budget for one routed request, across all attempts")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "fixed delay before hedging a warm GET (0 = adaptive p95 of recent latencies)")
 		faultSpec     = flag.String("faults", "", `inject deterministic network faults, e.g. "net:127.0.0.1:9001=drop:times=3" (testing; overrides $ELITES_FAULTS)`)
 		faultSeed     = flag.Uint64("faults-seed", 1, "seed for probabilistic fault rules")
 		seed          = flag.Uint64("seed", 42, "seed for backoff, Retry-After jitter and trace ids")
@@ -86,7 +85,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*addr, *cacheDir, *probeInterval, *ejectAfter, *retries,
-		*reqTimeout, *hedgeAfter, *faultSpec, *faultSeed, *seed,
+		*reqTimeout, *faultSpec, *faultSeed, *seed,
 		*logFormat, *traceOut, *slowReq, workers); err != nil {
 		fmt.Fprintln(os.Stderr, "eliterouter:", err)
 		os.Exit(1)
@@ -94,7 +93,7 @@ func main() {
 }
 
 func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries int,
-	reqTimeout, hedgeAfter time.Duration, faultSpec string, faultSeed, seed uint64,
+	reqTimeout time.Duration, faultSpec string, faultSeed, seed uint64,
 	logFormat, traceOut string, slowReq time.Duration, workers []string) error {
 	logger, err := elites.NewObsLogger(logFormat, os.Stderr)
 	if err != nil {
@@ -115,7 +114,6 @@ func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries
 		EjectAfter:     ejectAfter,
 		Retries:        retries,
 		RequestTimeout: reqTimeout,
-		HedgeAfter:     hedgeAfter,
 		CacheDir:       cacheDir,
 		Seed:           seed,
 		Tracer:         elites.NewTracer(tcfg),

@@ -314,8 +314,9 @@ var (
 // Re-exported fleet types (cmd/eliterouter is a thin wrapper over these).
 type (
 	// Router is the fleet coordinator: rendezvous-hashed placement over
-	// eliteserve workers with health checking, budgeted retries, hedged
-	// reads, per-worker circuit breakers and last-known-good degradation.
+	// eliteserve workers with health checking, budgeted sequential
+	// retries, per-worker circuit breakers and last-known-good
+	// degradation.
 	Router = fleet.Router
 	// RouterConfig tunes a Router.
 	RouterConfig = fleet.Config

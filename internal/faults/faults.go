@@ -18,9 +18,9 @@
 // The "net:" points are the fleet's network fault surface: eliterouter's
 // transport consults Net before every proxied attempt, so rules can inject
 // added latency (slow), connection drops (drop) and synthesized 5xx bursts
-// (5xx) per worker — which is how the chaos suite exercises failover,
-// hedging and the per-worker circuit breaker deterministically, without a
-// flaky network.
+// (5xx) per worker — which is how the chaos suite exercises failover
+// and the per-worker circuit breaker deterministically, without a flaky
+// network.
 //
 // The textual rule grammar accepted by Parse:
 //

@@ -95,7 +95,6 @@ func TestChaosFleetLoad(t *testing.T) {
 		ProbationProbes: 3,
 		Retries:         2,
 		RequestTimeout:  60 * time.Second,
-		HedgeAfter:      2 * time.Second, // static trigger; latency is bounded here
 		CacheDir:        cacheDir,
 		Faults:          inj,
 		Seed:            42,

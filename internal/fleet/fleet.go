@@ -13,23 +13,24 @@
 //  1. Retry: a failed attempt (transport error, injected drop, 5xx) is
 //     retried on the next worker in hash order, under a budget, with
 //     equal-jitter exponential backoff between attempts.
-//  2. Hedge: warm GETs that dawdle past a latency trigger (a fixed
-//     -hedge-after, or an adaptive p95 of recent successes) launch a
-//     speculative second attempt; first response wins.
-//  3. Breaker: per-worker consecutive failures trip a faults.Breaker,
+//  2. Breaker: per-worker consecutive failures trip a faults.Breaker,
 //     the same breaker as the result cache's disk tier; an open breaker
 //     skips the worker except for a periodic pass-through probe.
-//  4. Eject: the health prober marks a worker down after consecutive
+//  3. Eject: the health prober marks a worker down after consecutive
 //     failed /healthz probes; it rejoins through a probation period where
 //     any failure sends it straight back down.
-//  5. Degrade: when every attempt fails — all replicas down or the budget
+//  4. Degrade: when every attempt fails — all replicas down or the budget
 //     exhausted — the router serves the last-known-good body for the
 //     identity from the shared cache directory, verbatim, with a Warning
 //     header, rather than a 502.
 //
+// At most one attempt is in flight per request: every body is a fixed
+// function of its identity, so a speculative second attempt could only
+// repeat the primary's work, never fetch a better answer.
+//
 // Only when there is no worker and no cached body does a request shed
 // with 503 and a jittered Retry-After. Every rung is visible in
-// /metrics (eliterouter_retries_total, _hedges_total, _failovers_total,
+// /metrics (eliterouter_retries_total, _failovers_total,
 // _breaker_trips_total, _degraded_total, _shed_total, _worker_up).
 package fleet
 
@@ -41,7 +42,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -53,13 +53,10 @@ import (
 
 const (
 	// maxRequestBody bounds the buffered client body (re-sent on every
-	// retry and hedge attempt).
+	// retry).
 	maxRequestBody = 8 << 20
 	// maxResponseBody bounds a buffered worker response.
 	maxResponseBody = 64 << 20
-	// latencyRingSize is how many recent GET latencies feed the adaptive
-	// hedge trigger.
-	latencyRingSize = 128
 	// backoffBase doubles per retry up to backoffLimit, before jitter.
 	backoffBase  = 25 * time.Millisecond
 	backoffLimit = time.Second
@@ -86,12 +83,6 @@ type Config struct {
 	// RequestTimeout bounds one client request end to end, across all
 	// attempts (default 60s).
 	RequestTimeout time.Duration
-	// HedgeAfter, when positive, is a fixed delay after which a warm GET
-	// launches a speculative second attempt. When zero, the trigger is
-	// adaptive: the p95 of recent successful GET latencies, active once
-	// HedgeMinSamples (default 20) have been observed.
-	HedgeAfter      time.Duration
-	HedgeMinSamples int
 
 	// CacheDir is the shared result-cache directory; the router stores
 	// last-known-good bodies there for degraded serving. Empty disables
@@ -136,9 +127,6 @@ func (c *Config) setDefaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 20
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
@@ -160,11 +148,6 @@ type Router struct {
 
 	digestMu sync.RWMutex
 	digests  map[string]uint64 // dataset id -> digest, learned from workers
-
-	latMu    sync.Mutex
-	latRing  [latencyRingSize]float64 // seconds
-	latNext  int
-	latCount int
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -381,7 +364,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
 	}
 	rec := &statusRecorder{ResponseWriter: w}
-	class := rt.proxyRouted(rec, r, start)
+	class := rt.proxyRouted(rec, r)
 	code := rec.status
 	if code == 0 {
 		// Nothing written: the client went away mid-request.
@@ -411,7 +394,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 
 // proxyRouted is the routing body: identity, attempts, degradation. It
 // returns the route class for the metrics series.
-func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, start time.Time) string {
+func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 	key, class, retryOn404, cacheable := rt.identityKey(r)
 
 	var body []byte
@@ -448,11 +431,9 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, start time
 	if res.idx > 0 {
 		rt.met.failovers.Inc()
 	}
-	if r.Method == http.MethodGet && res.resp.status == http.StatusOK {
-		rt.observeLatency(time.Since(start))
-		if cacheable && res.resp.header.Get("Warning") == "" {
-			rt.lkg.put(key, res.resp.header.Get("Content-Type"), res.resp.body)
-		}
+	if r.Method == http.MethodGet && res.resp.status == http.StatusOK &&
+		cacheable && res.resp.header.Get("Warning") == "" {
+		rt.lkg.put(key, res.resp.header.Get("Content-Type"), res.resp.body)
 	}
 	res.resp.copyHeaders(w.Header())
 	w.Header().Set("X-Elites-Worker", res.w.name)
@@ -461,96 +442,52 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, start time
 	return class
 }
 
-// runAttempts walks the candidate list: sequential budgeted retries on
-// failure (with jittered exponential backoff), plus at most one hedged
-// attempt for GETs that outlive the latency trigger. It returns the
-// winning result, or nil when every attempt failed (the degrade path).
+// runAttempts walks the candidate list one attempt at a time: a failed
+// attempt is retried on the next worker under the budget, after an
+// equal-jitter exponential backoff. It returns the result to serve, or
+// nil when every attempt failed or the request itself ended (the degrade
+// path).
 func (rt *Router) runAttempts(ctx context.Context, r *http.Request, candidates []*worker, body []byte, retryOn404 bool) *attemptResult {
-	if len(candidates) == 0 {
-		return nil
-	}
 	pathq := r.URL.Path
 	if r.URL.RawQuery != "" {
 		pathq += "?" + r.URL.RawQuery
 	}
 
 	sp := obs.SpanFromContext(ctx)
-	resc := make(chan attemptResult, len(candidates))
-	launched := 0
-	launch := func(hedge bool) bool {
-		if launched >= len(candidates) {
-			return false
-		}
-		wk, idx := candidates[launched], launched
-		launched++
-		go rt.attempt(ctx, wk, idx, hedge, r, pathq, body, resc)
-		return true
-	}
-
-	launch(false)
-	outstanding := 1
 	retriesUsed := 0
-	hedged := false
-	canHedge := r.Method == http.MethodGet
-	var hedgeC <-chan time.Time
-	if d, ok := rt.hedgeDelay(); ok && canHedge && len(candidates) > 1 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	for outstanding > 0 {
-		select {
-		case res := <-resc:
-			outstanding--
-			v, tripped := rt.classify(&res, retryOn404)
-			if tripped {
-				sp.AddEvent("breaker.open", "worker", res.w.name)
-				if lg := rt.cfg.Logger; lg != nil {
-					obs.WithSpan(lg, sp).Warn("breaker open", "worker", res.w.name)
-				}
-			}
-			switch v {
-			case verdictServe:
-				return &res
-			case verdictSoft:
-				// Jobs scatter: the worker is healthy, the job just is
-				// not there. Try the next worker immediately; if the
-				// scatter is exhausted, the 404 stands.
-				if outstanding == 0 && !launch(false) {
-					return &res
-				}
-				if outstanding == 0 {
-					outstanding++
-				}
-			case verdictRetry:
-				if outstanding > 0 {
-					continue // a hedge is still in flight; let it answer
-				}
-				if retriesUsed >= rt.cfg.Retries {
-					return nil
-				}
-				if !rt.backoffSleep(ctx, retriesUsed) {
-					return nil
-				}
-				if !launch(false) {
-					return nil
-				}
-				retriesUsed++
-				outstanding++
-				rt.met.retries.Inc()
-				sp.AddEvent("retry", "failed_worker", res.w.name)
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if !hedged && launch(true) {
-				hedged = true
-				outstanding++
-				rt.met.hedges.Inc()
-				sp.AddEvent("hedge")
-			}
-		case <-ctx.Done():
+	for idx, wk := range candidates {
+		res := rt.attempt(ctx, wk, idx, r, pathq, body)
+		if res.err != nil && ctx.Err() != nil {
+			// The client left or RequestTimeout expired: the failure is
+			// the request's, not the worker's, and there is no one to
+			// retry for.
 			return nil
+		}
+		last := idx == len(candidates)-1
+		v, tripped := rt.classify(&res, retryOn404)
+		if tripped {
+			sp.AddEvent("breaker.open", "worker", res.w.name)
+			if lg := rt.cfg.Logger; lg != nil {
+				obs.WithSpan(lg, sp).Warn("breaker open", "worker", res.w.name)
+			}
+		}
+		switch v {
+		case verdictServe:
+			return &res
+		case verdictSoft:
+			// Jobs scatter: the worker is healthy, the job just is not
+			// there. Try the next worker immediately; if the scatter is
+			// exhausted, the 404 stands.
+			if last {
+				return &res
+			}
+		case verdictRetry:
+			if last || retriesUsed >= rt.cfg.Retries || !rt.backoffSleep(ctx, retriesUsed) {
+				return nil
+			}
+			retriesUsed++
+			rt.met.retries.Inc()
+			sp.AddEvent("retry", "failed_worker", res.w.name)
 		}
 	}
 	return nil
@@ -587,18 +524,15 @@ func (rt *Router) classify(res *attemptResult, retryOn404 bool) (v verdict, trip
 	}
 }
 
-// attempt sends one request to one worker and reports on resc. Each
-// attempt gets its own child span (hedged attempts are siblings with a
-// hedge=true attr), and that span's traceparent is injected upstream so
-// the worker's serve/pipeline spans continue the same trace.
-func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, hedge bool, r *http.Request, pathq string, body []byte, resc chan<- attemptResult) {
+// attempt sends one request to one worker and returns its outcome. Each
+// attempt gets its own child span, and that span's traceparent is
+// injected upstream so the worker's serve/pipeline spans continue the
+// same trace.
+func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, r *http.Request, pathq string, body []byte) attemptResult {
 	asp := obs.SpanFromContext(ctx).Child("router.attempt")
 	asp.SetAttr("worker", wk.name)
 	asp.SetAttrInt("attempt", idx)
-	if hedge {
-		asp.SetAttrBool("hedge", true)
-	}
-	finish := func(res attemptResult) {
+	finish := func(res attemptResult) attemptResult {
 		switch {
 		case res.err != nil:
 			asp.SetAttr("error", res.err.Error())
@@ -609,13 +543,12 @@ func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, hedge bool, 
 			asp.SetAttrInt("status", res.resp.status)
 		}
 		asp.End()
-		resc <- res
+		return res
 	}
 
 	req, err := http.NewRequestWithContext(ctx, r.Method, wk.url.String()+pathq, bodyReader(body))
 	if err != nil {
-		finish(attemptResult{idx: idx, w: wk, err: err})
-		return
+		return finish(attemptResult{idx: idx, w: wk, err: err})
 	}
 	for _, k := range []string{"Content-Type", "Accept"} {
 		if v := r.Header.Get(k); v != "" {
@@ -625,11 +558,10 @@ func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, hedge bool, 
 	obs.InjectHeader(req.Header, asp)
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		finish(attemptResult{idx: idx, w: wk, err: err})
-		return
+		return finish(attemptResult{idx: idx, w: wk, err: err})
 	}
 	ur, err := readResponse(resp)
-	finish(attemptResult{idx: idx, w: wk, resp: ur, err: err})
+	return finish(attemptResult{idx: idx, w: wk, resp: ur, err: err})
 }
 
 // backoffSleep waits before a request's retry-th retry (0-based). The
@@ -644,45 +576,6 @@ func (rt *Router) backoffSleep(ctx context.Context, retry int) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// --- hedging -----------------------------------------------------------------
-
-// observeLatency records one successful GET latency for the adaptive
-// hedge trigger.
-func (rt *Router) observeLatency(d time.Duration) {
-	rt.latMu.Lock()
-	rt.latRing[rt.latNext] = d.Seconds()
-	rt.latNext = (rt.latNext + 1) % latencyRingSize
-	if rt.latCount < latencyRingSize {
-		rt.latCount++
-	}
-	rt.latMu.Unlock()
-}
-
-// hedgeDelay returns the current hedge trigger: the fixed HedgeAfter if
-// configured, otherwise the p95 of recent successful GET latencies once
-// enough samples exist. ok=false disables hedging for this request.
-func (rt *Router) hedgeDelay() (time.Duration, bool) {
-	if rt.cfg.HedgeAfter > 0 {
-		return rt.cfg.HedgeAfter, true
-	}
-	rt.latMu.Lock()
-	n := rt.latCount
-	if n < rt.cfg.HedgeMinSamples {
-		rt.latMu.Unlock()
-		return 0, false
-	}
-	samples := make([]float64, n)
-	copy(samples, rt.latRing[:n])
-	rt.latMu.Unlock()
-	sort.Float64s(samples)
-	p95 := samples[(n*95)/100]
-	d := time.Duration(p95 * float64(time.Second))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d, true
 }
 
 // --- degradation -------------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,31 +318,83 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestHedgedRead: a GET whose primary dawdles past the hedge trigger is
-// answered by a speculative attempt on the next worker.
-func TestHedgedRead(t *testing.T) {
+// countingHandler answers 200 and counts the requests it receives.
+func countingHandler(n *atomic.Int32) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n.Add(1)
+		fmt.Fprint(w, "backup")
+	}
+}
+
+// TestSlowPrimaryServesAlone: after a run of fast GETs, a GET whose
+// primary is slow is still answered by the primary alone. Every body is
+// a function of its identity, so no second attempt is launched while the
+// first is in flight.
+func TestSlowPrimaryServesAlone(t *testing.T) {
 	bs, addrs := fakeFleet(t, 2)
-	rt := newTestRouter(t, Config{Workers: addrs, HedgeAfter: 10 * time.Millisecond})
+	rt := newTestRouter(t, Config{Workers: addrs})
 
 	const target = "/v1/datasets/demo/report?stages=summary"
 	order := orderFor(rt, http.MethodGet, target)
+	var backupHits atomic.Int32
+	bs.set(order[1].name, countingHandler(&backupHits))
+	for i := 0; i < 20; i++ {
+		if rec := doGet(rt, target); rec.Code != http.StatusOK {
+			t.Fatalf("fast GET %d: %d", i, rec.Code)
+		}
+	}
 	bs.set(order[0].name, func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(400 * time.Millisecond)
+		time.Sleep(200 * time.Millisecond)
 		fmt.Fprint(w, "slow primary")
 	})
-	bs.set(order[1].name, respondText(http.StatusOK, "fast hedge"))
 
-	start := time.Now()
 	rec := doGet(rt, target)
-	if rec.Code != http.StatusOK || rec.Body.String() != "fast hedge" {
-		t.Fatalf("hedged response: %d %q", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusOK || rec.Body.String() != "slow primary" {
+		t.Fatalf("slow primary response: %d %q", rec.Code, rec.Body.String())
 	}
-	if d := time.Since(start); d > 300*time.Millisecond {
-		t.Fatalf("hedge did not cut latency: %v", d)
+	if n := backupHits.Load(); n != 0 {
+		t.Fatalf("backup worker received %d requests, want 0", n)
 	}
-	hedges, failovers := rt.met.hedges.Value(), rt.met.failovers.Value()
-	if hedges != 1 || failovers != 1 {
-		t.Fatalf("hedges=%d failovers=%d, want 1/1", hedges, failovers)
+	if failovers := rt.met.failovers.Value(); failovers != 0 {
+		t.Fatalf("failovers = %d, want 0", failovers)
+	}
+}
+
+// TestCancelledRequestNoRetry: a client that leaves mid-attempt launches
+// no retry, and the worker it was waiting on is not blamed for it.
+func TestCancelledRequestNoRetry(t *testing.T) {
+	bs, addrs := fakeFleet(t, 2)
+	rt := newTestRouter(t, Config{Workers: addrs})
+
+	const target = "/v1/datasets/demo/report?stages=summary"
+	order := orderFor(rt, http.MethodGet, target)
+	arrived := make(chan struct{})
+	bs.set(order[0].name, func(w http.ResponseWriter, r *http.Request) {
+		close(arrived)
+		<-r.Context().Done()
+	})
+	var backupHits atomic.Int32
+	bs.set(order[1].name, countingHandler(&backupHits))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		rt.ServeHTTP(httptest.NewRecorder(), req)
+		close(done)
+	}()
+	<-arrived
+	cancel()
+	<-done
+
+	if n := backupHits.Load(); n != 0 {
+		t.Fatalf("backup worker received %d requests, want 0", n)
+	}
+	if retries := rt.met.retries.Value(); retries != 0 {
+		t.Fatalf("retries = %d, want 0", retries)
+	}
+	if info := order[0].info(); info.Failures != 0 {
+		t.Fatalf("primary failures = %d after a client cancel, want 0", info.Failures)
 	}
 }
 

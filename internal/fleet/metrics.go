@@ -12,7 +12,7 @@ import (
 // metrics.go is the router's exposition, rendered from the shared
 // obs.Registry like internal/serve: per-worker availability and breaker
 // gauges plus fleet-wide counters for every robustness mechanism —
-// retries, hedges, failovers, ejections, degraded serves — so an
+// retries, failovers, ejections, degraded serves — so an
 // operator watching a chaos drill can see exactly which layer absorbed
 // each fault. Every metric name from the pre-registry emitter is
 // preserved; per-worker gauge rows are rebuilt from a live workerInfo
@@ -30,7 +30,6 @@ type fleetMetrics struct {
 	latency  *obs.Histogram
 
 	retries      *obs.Counter // sequential failover attempts after a failure
-	hedges       *obs.Counter // speculative attempts launched by the latency trigger
 	failovers    *obs.Counter // responses ultimately served by a non-primary worker
 	degraded     *obs.Counter // last-known-good bodies served with a Warning header
 	shed         *obs.Counter // 503s with no worker and no last-known-good body
@@ -58,7 +57,6 @@ func newFleetMetrics(now time.Time) *fleetMetrics {
 		"Routed request latency.", obs.DefaultLatencyBuckets)
 
 	m.retries = reg.Counter("eliterouter_retries_total", "Failover attempts launched after a failed attempt.")
-	m.hedges = reg.Counter("eliterouter_hedges_total", "Speculative (hedged) attempts launched by the latency trigger.")
 	m.failovers = reg.Counter("eliterouter_failovers_total", "Responses served by a worker other than the rendezvous primary.")
 	reg.CounterFunc("eliterouter_breaker_trips_total", "Per-worker circuit breaker open transitions.",
 		m.brTrips.Load)

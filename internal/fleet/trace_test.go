@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"elites/internal/obs"
 )
@@ -13,9 +12,9 @@ import (
 // trace_test.go pins the router half of the tracing contract: every
 // proxied request opens one router.request root span, each attempt is a
 // child carrying the worker name, the traceparent header injected
-// upstream puts both workers' serve spans in the same trace, retries and
-// hedges surface as events/sibling spans, and the registry-rendered
-// /metrics stays valid exposition. Run under -race by CI.
+// upstream puts both workers' serve spans in the same trace, retries
+// surface as events, and the registry-rendered /metrics stays valid
+// exposition. Run under -race by CI.
 
 func newTraceTracer(seed uint64) *obs.Tracer {
 	return obs.NewTracer(obs.TracerConfig{Name: "router", Seed: seed})
@@ -100,61 +99,6 @@ func TestTraceRetryOneTraceID(t *testing.T) {
 	}
 }
 
-// TestTraceHedgeSiblingSpans: a hedged read produces two sibling
-// router.attempt spans under one root, the speculative one marked
-// hedge=true, with a hedge event on the root.
-func TestTraceHedgeSiblingSpans(t *testing.T) {
-	bs, addrs := fakeFleet(t, 2)
-	tr := newTraceTracer(9)
-	rt := newTestRouter(t, Config{Workers: addrs, HedgeAfter: 10 * time.Millisecond, Tracer: tr})
-
-	const target = "/v1/datasets/demo/report?stages=summary"
-	order := orderFor(rt, http.MethodGet, target)
-	release := make(chan struct{})
-	bs.set(order[0].name, func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		w.Write([]byte("slow primary"))
-	})
-	bs.set(order[1].name, respondText(http.StatusOK, "fast hedge"))
-	defer close(release)
-
-	rec := doGet(rt, target)
-	if rec.Code != http.StatusOK || rec.Body.String() != "fast hedge" {
-		t.Fatalf("hedged response: %d %q", rec.Code, rec.Body.String())
-	}
-
-	// The root span ends when the handler returns; the hedged attempt's
-	// span is recorded before its result is delivered, so both are in the
-	// ring now (the abandoned primary attempt may still be parked).
-	var rootID, trace string
-	for _, rec := range tr.Spans() {
-		if rec.Name == "router.request" {
-			rootID, trace = rec.Span, rec.Trace
-		}
-	}
-	if rootID == "" {
-		t.Fatal("no router.request span recorded")
-	}
-	hedged := 0
-	for _, rec := range tr.TraceSpans(trace) {
-		if rec.Name != "router.attempt" {
-			continue
-		}
-		if rec.Parent != rootID {
-			t.Fatalf("attempt span parent = %s, want root %s", rec.Parent, rootID)
-		}
-		if rec.Attrs["hedge"] == "true" {
-			hedged++
-			if rec.Attrs["worker"] != order[1].name {
-				t.Fatalf("hedged attempt ran on %s, want %s", rec.Attrs["worker"], order[1].name)
-			}
-		}
-	}
-	if hedged != 1 {
-		t.Fatalf("hedge=true attempt spans = %d, want 1", hedged)
-	}
-}
-
 // TestFleetMetricsExpositionValid: the router's registry-rendered
 // /metrics passes the strict validator and keeps every pre-existing
 // metric name (scripts/fleetload.sh and CI grep these).
@@ -182,7 +126,6 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 		"eliterouter_requests_total",
 		"eliterouter_request_duration_seconds_bucket",
 		"eliterouter_retries_total",
-		"eliterouter_hedges_total",
 		"eliterouter_failovers_total",
 		"eliterouter_breaker_trips_total",
 		"eliterouter_degraded_total",

@@ -15,7 +15,7 @@ import (
 // "net:<worker host:port>" before touching the wire, so a chaos spec like
 // "net:127.0.0.1:9001=drop:times=3,net:*=slow:delay=5ms:p=0.2" produces
 // deterministic connection drops, added latency and 5xx bursts — the
-// failure menu the retry/hedge/breaker machinery exists to absorb —
+// failure menu the retry/breaker machinery exists to absorb —
 // without a flaky network or iptables.
 
 // faultTransport wraps a base RoundTripper with injected network faults.
@@ -55,8 +55,9 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // upstreamResponse is one fully-read worker response: the attempt loop
-// buffers bodies so hedged losers can be discarded and winners can be
-// written (and possibly stored as last-known-good) atomically.
+// buffers bodies so a failed attempt's answer can be discarded for a
+// retry and the served one written (and possibly stored as
+// last-known-good) whole.
 type upstreamResponse struct {
 	status int
 	header http.Header
@@ -85,7 +86,7 @@ func readResponse(resp *http.Response) (*upstreamResponse, error) {
 }
 
 // bodyReader returns a fresh reader over the buffered request body for one
-// attempt (every retry and hedge re-sends the same bytes).
+// attempt (every retry re-sends the same bytes).
 func bodyReader(body []byte) io.ReadCloser {
 	if len(body) == 0 {
 		return http.NoBody

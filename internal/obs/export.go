@@ -48,33 +48,33 @@ func (s *Span) Traceparent() string {
 }
 
 // ParseTraceparent decodes a W3C Trace Context traceparent header value:
-// a hex version, the 32-hex trace id, the 16-hex parent span id and hex
-// flags, '-'-separated. The reserved version ff is rejected, version 00
-// has exactly those four fields, and a later version may append more,
-// which are ignored. All-zero ids are rejected per the spec.
+// a lower-case hex version, the 32-hex trace id, the 16-hex parent span
+// id and hex flags, '-'-separated. The reserved version ff is rejected,
+// version 00 has exactly those four fields, and a later version may
+// append more, which are ignored. Upper-case hex and all-zero ids are
+// rejected per the spec.
 func ParseTraceparent(v string) (trace TraceID, parent SpanID, ok bool) {
 	parts := strings.Split(strings.TrimSpace(v), "-")
 	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
 		return TraceID{}, SpanID{}, false
 	}
 	var version, flags [1]byte
-	if _, err := hex.Decode(version[:], []byte(parts[0])); err != nil || version[0] == 0xff ||
-		version[0] == 0 && len(parts) != 4 {
-		return TraceID{}, SpanID{}, false
-	}
-	if _, err := hex.Decode(flags[:], []byte(parts[3])); err != nil {
-		return TraceID{}, SpanID{}, false
-	}
-	if _, err := hex.Decode(trace[:], []byte(parts[1])); err != nil {
-		return TraceID{}, SpanID{}, false
-	}
-	if _, err := hex.Decode(parent[:], []byte(parts[2])); err != nil {
-		return TraceID{}, SpanID{}, false
-	}
-	if trace.IsZero() || parent.IsZero() {
+	if !decodeLowerHex(version[:], parts[0]) || version[0] == 0xff ||
+		version[0] == 0 && len(parts) != 4 ||
+		!decodeLowerHex(flags[:], parts[3]) ||
+		!decodeLowerHex(trace[:], parts[1]) ||
+		!decodeLowerHex(parent[:], parts[2]) ||
+		trace.IsZero() || parent.IsZero() {
 		return TraceID{}, SpanID{}, false
 	}
 	return trace, parent, true
+}
+
+// decodeLowerHex decodes s into dst, accepting only the lower-case hex
+// digits W3C Trace Context allows.
+func decodeLowerHex(dst []byte, s string) bool {
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil && !strings.ContainsAny(s, "ABCDEF")
 }
 
 // InjectHeader sets h's traceparent header from sp; no-op for nil sp.

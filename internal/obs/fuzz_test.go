@@ -1,11 +1,15 @@
 package obs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseTraceparent feeds ParseTraceparent arbitrary header values, as
 // any client can send. The invariants: it never panics, it never accepts
-// an all-zero id, and every accepted value re-renders through Traceparent
-// and parses back to the same ids. A value accepted under a later version
+// an all-zero id or an upper-case version, trace id, parent id or flags
+// field, and every accepted value re-renders through Traceparent and
+// parses back to the same ids. A value accepted under a later version
 // re-renders under "00" with its extra fields dropped. Seeds live in
 // testdata/fuzz/FuzzParseTraceparent.
 func FuzzParseTraceparent(f *testing.F) {
@@ -19,6 +23,11 @@ func FuzzParseTraceparent(f *testing.F) {
 		}
 		if trace.IsZero() || parent.IsZero() {
 			t.Fatalf("accepted %q with a zero id", v)
+		}
+		for _, field := range strings.Split(strings.TrimSpace(v), "-")[:4] {
+			if field != strings.ToLower(field) {
+				t.Fatalf("accepted %q with upper-case field %q", v, field)
+			}
 		}
 		re := (&Span{trace: trace, id: parent}).Traceparent()
 		trace2, parent2, ok2 := ParseTraceparent(re)

@@ -49,6 +49,10 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        false, // non-hex version
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        false, // reserved version
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz":        false, // non-hex flags
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        false, // upper-case version
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01":        false, // upper-case trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01":        false, // upper-case parent id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A":        false, // upper-case flags
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future": false, // version 00 has four fields
 		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":        true,  // a later version
 		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future": true,  // may add fields

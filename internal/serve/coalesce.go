@@ -57,7 +57,10 @@ func newFlight() *flight {
 // that receives a cancellation error from a run its own context did not
 // cause (it piled onto a call whose waiters all left) retries on a fresh
 // call rather than failing spuriously.
-func (f *flight) Do(ctx context.Context, key string, fn func(context.Context, *progress) (runOutcome, error)) (out runOutcome, joined bool, err error) {
+//
+// watch, when non-nil, is handed the progress of every run this caller
+// waits on, whether it started that run or joined another caller's.
+func (f *flight) Do(ctx context.Context, key string, fn func(context.Context, *progress) (runOutcome, error), watch func(*progress)) (out runOutcome, joined bool, err error) {
 	for {
 		f.mu.Lock()
 		c, ok := f.calls[key]
@@ -81,6 +84,9 @@ func (f *flight) Do(ctx context.Context, key string, fn func(context.Context, *p
 		c.waiters++
 		leaderTrace := c.traceID
 		f.mu.Unlock()
+		if watch != nil {
+			watch(c.prog)
+		}
 
 		if ok {
 			// Joined another request's run: record the causality on this
@@ -111,13 +117,4 @@ func (f *flight) Do(ctx context.Context, key string, fn func(context.Context, *p
 			return runOutcome{}, ok, ctx.Err()
 		}
 	}
-}
-
-// peek returns the in-flight call for key, if any — the job layer uses it
-// to surface live progress.
-func (f *flight) peek(key string) (*call, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.calls[key]
-	return c, ok
 }

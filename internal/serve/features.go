@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -127,7 +128,7 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 		}
 		d.setFeatures(rep.Features)
 		return runOutcome{}, nil
-	})
+	}, nil)
 	if joined {
 		s.met.coalesced.Inc()
 	}
@@ -196,6 +197,12 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	// Reading on to the end rejects trailing data, and a body over
+	// maxBatchBody even when its first value ends below the limit.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON object")
 		return
 	}
 	if len(req.Ranks) == 0 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elites/internal/cache"
@@ -51,30 +52,21 @@ type job struct {
 
 	done chan struct{} // closed when body/err are final
 
-	mu   sync.Mutex
-	prog *progress // the run's live progress sink, once known
-	out  runOutcome
-	err  error
+	// prog is the progress of the run the job waits on, whether the job
+	// started that run or joined another request's; nil until attached.
+	prog atomic.Pointer[progress]
+
+	mu  sync.Mutex
+	out runOutcome
+	err error
 }
 
-// setProgress records the run's progress sink (called from inside the
-// coalescer's fn, so only when this job's goroutine started the run).
-func (j *job) setProgress(p *progress) {
-	j.mu.Lock()
-	j.prog = p
-	j.mu.Unlock()
-}
-
-// progressSnapshot returns the stages completed so far, or nil when this
-// job piggybacked on a run it did not start.
+// progressSnapshot returns the stages the job's run has completed so far.
 func (j *job) progressSnapshot() []core.StageTiming {
-	j.mu.Lock()
-	p := j.prog
-	j.mu.Unlock()
-	if p == nil {
-		return nil
+	if p := j.prog.Load(); p != nil {
+		return p.snapshot()
 	}
-	return p.snapshot()
+	return nil
 }
 
 func (j *job) finish(out runOutcome, err error) {
@@ -149,7 +141,7 @@ func (t *jobTable) getOrCreate(key, datasetID, format string, now time.Time) (*j
 	}
 	j := &job{
 		ID: id, Dataset: datasetID, Key: key, Format: format,
-		Created: now, done: make(chan struct{}), prog: newProgress(),
+		Created: now, done: make(chan struct{}),
 	}
 	t.byID[id] = j
 	t.order = append(t.order, id)

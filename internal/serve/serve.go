@@ -777,7 +777,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.handleReportAsync(w, r, d, key, format, run)
 		return
 	}
-	out, joined, err := s.flight.Do(r.Context(), key, run)
+	out, joined, err := s.flight.Do(r.Context(), key, run, nil)
 	if joined {
 		s.met.coalesced.Inc()
 	}
@@ -805,11 +805,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 	}
 	if created {
 		go func() {
-			out, joined, err := s.flight.Do(context.Background(), key,
-				func(ctx context.Context, prog *progress) (runOutcome, error) {
-					j.setProgress(prog)
-					return run(ctx, prog)
-				})
+			out, joined, err := s.flight.Do(context.Background(), key, run, j.prog.Store)
 			if joined {
 				s.met.coalesced.Inc()
 			}
@@ -889,7 +885,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 			return runOutcome{}, merr
 		}
 		return runOutcome{body: append(b, '\n'), degraded: rerr != nil}, nil
-	})
+	}, nil)
 	if joined {
 		s.met.coalesced.Inc()
 	}
@@ -1002,15 +998,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			st.ResultURL = "/v1/jobs/" + j.ID + "/result"
 		}
 	}
-	timings := j.progressSnapshot()
-	if len(timings) == 0 {
-		// The job may have joined a run another request started; surface
-		// that run's progress instead.
-		if c, live := s.flight.peek(j.Key); live {
-			timings = c.prog.snapshot()
-		}
-	}
-	for _, tm := range timings {
+	for _, tm := range j.progressSnapshot() {
 		st.Stages = append(st.Stages, stageState{
 			Name:       tm.Name,
 			DurationMS: float64(tm.Duration.Microseconds()) / 1000,

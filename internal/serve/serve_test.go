@@ -18,6 +18,7 @@ import (
 
 	"elites/internal/cache"
 	"elites/internal/core"
+	"elites/internal/faults"
 	"elites/internal/timeseries"
 	"elites/internal/twitter"
 )
@@ -29,7 +30,7 @@ var (
 	fixActivity *timeseries.DailySeries
 )
 
-func testFixtures(t *testing.T) (*twitter.Dataset, *timeseries.DailySeries) {
+func testFixtures(t testing.TB) (*twitter.Dataset, *timeseries.DailySeries) {
 	t.Helper()
 	fixOnce.Do(func() {
 		p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(400))
@@ -56,7 +57,7 @@ func fastServeOptions() core.Options {
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	ds, activity := testFixtures(t)
 	s := New(cfg)
@@ -288,6 +289,14 @@ func TestStageEndpoint(t *testing.T) {
 	}
 }
 
+// peek returns the in-flight call for key, if any.
+func (f *flight) peek(key string) (*call, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.calls[key]
+	return c, ok
+}
+
 // TestFlightCoalescesIdenticalRequests is the core coalescing contract:
 // 8 concurrent Do calls on one key run fn exactly once and every caller
 // receives byte-identical bodies. The fn blocks until all 8 have joined,
@@ -311,7 +320,7 @@ func TestFlightCoalescesIdenticalRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, joined, err := f.Do(context.Background(), "k", fn)
+			out, joined, err := f.Do(context.Background(), "k", fn, nil)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
@@ -371,7 +380,7 @@ func TestFlightCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := f.Do(ctx, "k", fn)
+		_, _, err := f.Do(ctx, "k", fn, nil)
 		errc <- err
 	}()
 	<-started
@@ -391,7 +400,7 @@ func TestFlightCancellation(t *testing.T) {
 	fn2 := func(ctx context.Context, _ *progress) (runOutcome, error) {
 		return runOutcome{body: []byte("fresh")}, nil
 	}
-	out, _, err := f.Do(context.Background(), "k", fn2)
+	out, _, err := f.Do(context.Background(), "k", fn2, nil)
 	if err != nil || string(out.body) != "fresh" {
 		t.Fatalf("fresh run after cancellation: %q %v", out.body, err)
 	}
@@ -522,6 +531,90 @@ func TestAsyncJobModel(t *testing.T) {
 	}
 	if !bytes.Equal(result, direct) {
 		t.Fatal("job result differs from synchronous body")
+	}
+}
+
+// TestAsyncJobJoinedRunKeepsProgress: a POST job that joins the run a
+// GET of the same identity started reports that run's stages once done,
+// not only while the run is live.
+func TestAsyncJobJoinedRunKeepsProgress(t *testing.T) {
+	opts := fastServeOptions()
+	inj, err := faults.Parse("stage:degree=slow:delay=300ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Faults = inj
+	s := newTestServer(t, Config{Options: opts, AsyncAfter: time.Millisecond})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	getDone := make(chan struct{})
+	go func() {
+		defer close(getDone)
+		resp, err := ts.Client().Get(ts.URL + "/v1/datasets/demo/report")
+		if err != nil {
+			t.Errorf("GET: %v", err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET: %d", resp.StatusCode)
+		}
+	}()
+	defer func() { <-getDone }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.flight.mu.Lock()
+		inFlight := len(s.flight.calls)
+		s.flight.mu.Unlock()
+		if inFlight == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the GET's run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/datasets/demo/report", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST during the GET's run: %d %s", resp.StatusCode, body)
+	}
+	var accepted struct {
+		StatusURL string `json:"status_url"`
+	}
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	var st jobStatus
+	deadline = time.Now().Add(60 * time.Second)
+	for st.State != "done" {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+		code, sb := get(t, ts, accepted.StatusURL)
+		if code != http.StatusOK {
+			t.Fatalf("job status: %d %s", code, sb)
+		}
+		if err := json.Unmarshal(sb, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "failed" {
+			t.Fatalf("job failed: %s", st.Error)
+		}
+	}
+	if joined := s.met.coalesced.Value(); joined != 1 {
+		t.Fatalf("coalesced = %d, want the job to have joined the GET's run", joined)
+	}
+	if st.StagesDone == 0 {
+		t.Fatal("finished job that joined a run reports no completed stages")
 	}
 }
 

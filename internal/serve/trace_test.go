@@ -161,7 +161,7 @@ func TestCoalescedJoinerLinksLeader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.Do(obs.ContextWithSpan(context.Background(), leader), "k", fn)
+		f.Do(obs.ContextWithSpan(context.Background(), leader), "k", fn, nil)
 	}()
 	// Wait for the leader's call to be registered, then join.
 	deadline := time.Now().Add(5 * time.Second)
@@ -178,7 +178,7 @@ func TestCoalescedJoinerLinksLeader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, joined, _ = f.Do(obs.ContextWithSpan(context.Background(), joiner), "k", fn)
+		_, joined, _ = f.Do(obs.ContextWithSpan(context.Background(), joiner), "k", fn, nil)
 	}()
 	// Wait for the joiner to register, then let the run finish. The link
 	// is recorded before Do blocks on the run, so after wg.Wait() it is

@@ -39,7 +39,7 @@ wait_healthz() {
 
 echo "== chaos test matrix (-race) =="
 go test -race -count=1 \
-  -run 'Chaos|Fault|Breaker|Panic|Retry|Degraded|Hedge|Probe|Scatter|Rendezvous|Drain' \
+  -run 'Chaos|Fault|Breaker|Panic|Retry|Degraded|Probe|Scatter|Rendezvous|Drain' \
   ./internal/faults/ ./internal/pipeline/ ./internal/cache/ \
   ./internal/serve/ ./internal/twitter/ ./internal/fleet/
 

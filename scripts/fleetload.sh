@@ -5,7 +5,7 @@
 # report identities of one dataset, and reports what the fleet's
 # robustness machinery did with them: status-code mix, latency
 # percentiles (p50/p95/p99), degraded serves, and the deltas of the
-# router's retry / hedge / failover / shed counters over the run.
+# router's retry / failover / shed counters over the run.
 #
 # Usage:
 #   sh scripts/fleetload.sh [url] [n] [dataset]
@@ -34,7 +34,6 @@ scrape() {
 curl -sf "$URL/healthz" >/dev/null || { echo "router at $URL is not answering /healthz"; exit 1; }
 
 R0=$(scrape eliterouter_retries_total)
-H0=$(scrape eliterouter_hedges_total)
 F0=$(scrape eliterouter_failovers_total)
 D0=$(scrape eliterouter_degraded_total)
 S0=$(scrape eliterouter_shed_total)
@@ -76,7 +75,6 @@ sort -g "$TMP/lat" | awk -v n="$N" '
   }'
 
 R1=$(scrape eliterouter_retries_total)
-H1=$(scrape eliterouter_hedges_total)
 F1=$(scrape eliterouter_failovers_total)
 D1=$(scrape eliterouter_degraded_total)
 S1=$(scrape eliterouter_shed_total)
@@ -84,7 +82,6 @@ UP=$(scrape eliterouter_workers_available)
 
 echo "-- fleet machinery (deltas over this run) --"
 echo "  retries   $((R1 - R0))"
-echo "  hedges    $((H1 - H0))"
 echo "  failovers $((F1 - F0))"
 echo "  degraded  $((D1 - D0))   (responses with X-Elites-Degraded seen here: $degraded)"
 echo "  shed      $((S1 - S0))"
