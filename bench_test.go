@@ -20,6 +20,7 @@ import (
 
 	"elites/internal/centrality"
 	"elites/internal/core"
+	"elites/internal/features"
 	"elites/internal/gen"
 	"elites/internal/graph"
 	"elites/internal/mathx"
@@ -461,12 +462,19 @@ func BenchmarkBootstrapParallel(b *testing.B) {
 
 // --- §IV-C conjecture validation (paper future work) ---------------------------------------------------
 
+// BenchmarkCoreReciprocityConjecture times the pipeline's mutualcore stage
+// on its own (k-cores, core/periphery reciprocity, rich-club curve).
 func BenchmarkCoreReciprocityConjecture(b *testing.B) {
 	_, ds, _, _ := fixtures(b)
+	c := core.NewCharacterizer(core.Options{Stages: []string{core.StageMutualCore}})
 	var mca *core.MutualCoreAnalysis
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mca = core.AnalyzeMutualCore(ds.Graph)
+		rep, err := c.Run(ds, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mca = rep.MutualCore
 	}
 	b.StopTimer()
 	fmt.Printf("[§IV-C conjecture] core reciprocity=%.3f vs periphery=%.3f (k>=%d, %d core nodes) holds=%v\n",
@@ -480,33 +488,6 @@ func BenchmarkCoreReciprocityConjecture(b *testing.B) {
 	}
 }
 
-// --- §V KPSS confirmation ----------------------------------------------------------------------------
-
-func BenchmarkKPSSConfirmation(b *testing.B) {
-	_, _, activity, _ := fixtures(b)
-	var res *timeseries.KPSSResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = timeseries.KPSS(activity.Values, timeseries.RegConstantTrend, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// On this series ADF rejects the unit root while KPSS rejects strict
-	// trend-stationarity — the classic both-reject signature of a series
-	// with structural breaks, i.e. exactly the two §V change-points.
-	fmt.Printf("[§V KPSS] stat=%.3f crit5=%.3f trend-stationary-null survives=%v "+
-		"(ADF+KPSS both rejecting = break signature, consistent with the PELT change-points)\n",
-		res.Statistic, res.Crit5, res.StationaryAt5())
-	dec, err := timeseries.Decompose(activity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("[§V decomposition] weekly seasonal strength=%.3f\n", dec.SeasonalStrength)
-}
-
 // --- Ablations ---------------------------------------------------------------------------------------
 
 // BenchmarkAblationBetweennessSampling: how many Brandes sources until the
@@ -514,14 +495,14 @@ func BenchmarkKPSSConfirmation(b *testing.B) {
 func BenchmarkAblationBetweennessSampling(b *testing.B) {
 	_, ds, _, _ := fixtures(b)
 	refRng := mathx.NewRNG(31)
-	ref := centrality.ApproxBetweenness(ds.Graph, 1024, refRng)
+	ref := centrality.ApproxBetweennessWorkers(ds.Graph, 1024, refRng, 0)
 	for _, k := range []int{32, 128, 512} {
 		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
 			rng := mathx.NewRNG(uint64(37 + k))
 			var approx []float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				approx = centrality.ApproxBetweenness(ds.Graph, k, rng)
+				approx = centrality.ApproxBetweennessWorkers(ds.Graph, k, rng, 0)
 			}
 			b.StopTimer()
 			rho, _ := stats.Spearman(approx, ref)
@@ -638,12 +619,12 @@ func BenchmarkAblationReciprocityDial(b *testing.B) {
 // chunk order), so this measures pure sharding gain.
 func BenchmarkFeatureMatrix(b *testing.B) {
 	_, ds, _, _ := fixtures(b)
-	DefaultScorer() // train once outside the timed region
+	features.DefaultScorer() // train once outside the timed region
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ComputeFeatures(ds, FeatureOptions{
+				features.Compute(ds, nil, features.Options{
 					BetweennessSources: 128, Seed: 23, Parallelism: workers,
 				})
 			}

@@ -63,8 +63,13 @@ import (
 	"strconv"
 	"strings"
 
-	"elites"
+	"elites/internal/centrality"
+	"elites/internal/core"
+	"elites/internal/features"
+	"elites/internal/obs"
 	"elites/internal/plot"
+	"elites/internal/store"
+	"elites/internal/timeseries"
 	"elites/internal/twitter"
 )
 
@@ -76,7 +81,7 @@ func main() {
 		fast       = flag.Bool("fast", false, "skip eigenvalues, betweenness and bootstraps")
 		figdir     = flag.String("figdir", "", "directory to write the paper's figures as SVG")
 		parallel   = flag.Int("parallel", 0, "max concurrent analysis stages (0 = all cores, 1 = one stage at a time)")
-		stagesF    = flag.String("stages", "", "comma-separated stage subset, e.g. summary,degree (available: "+strings.Join(elites.StageNames(), ",")+")")
+		stagesF    = flag.String("stages", "", "comma-separated stage subset, e.g. summary,degree (available: "+strings.Join(core.StageNames(), ",")+")")
 		timings    = flag.Bool("timings", false, "print a per-stage wall-clock table after the report")
 		cacheDir   = flag.String("cache", "", "directory for the per-stage result cache (warm re-runs skip the heavy stages)")
 		noCache    = flag.Bool("no-cache", false, "bypass the result cache even when -cache is set")
@@ -126,45 +131,45 @@ func main() {
 }
 
 func run(data string, n int, seed uint64, fast bool, figdir string, parallel int, stagesF string, timings bool, cacheDir string, cacheMem int64, featuresF, logFormat, traceOut string) error {
-	logger, err := elites.NewObsLogger(logFormat, os.Stderr)
+	logger, err := obs.NewLogger(logFormat, os.Stderr)
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
 	// Tracing is opt-in for the CLI: without -trace-out there is no tracer,
 	// no span ids are drawn from the RNG, and all output stays byte-stable.
-	var tracer *elites.Tracer
+	var tracer *obs.Tracer
 	if traceOut != "" {
 		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("-trace-out: %w", err)
 		}
 		defer f.Close()
-		tracer = elites.NewTracer(elites.TracerConfig{Name: "eliteanalyze", Seed: seed, Sink: f})
+		tracer = obs.NewTracer(obs.TracerConfig{Name: "eliteanalyze", Seed: seed, Sink: f})
 	}
 	var (
-		ds       *elites.Dataset
-		activity *elites.DailySeries
+		ds       *twitter.Dataset
+		activity *timeseries.DailySeries
 	)
 	if data != "" {
 		var err error
-		ds, activity, _, err = elites.LoadDataset(data)
+		ds, activity, _, err = store.LoadDataset(data)
 		if err != nil {
 			return err
 		}
 	} else {
-		cfg := elites.DefaultPlatformConfig(n)
+		cfg := twitter.DefaultPlatformConfig(n)
 		cfg.Seed = seed
-		p, err := elites.NewPlatform(cfg)
+		p, err := twitter.NewPlatform(cfg)
 		if err != nil {
 			return err
 		}
-		ds, err = elites.DatasetFromPlatform(p)
+		ds, err = twitter.DatasetFromPlatform(p)
 		if err != nil {
 			return err
 		}
 		activity = p.ActivitySeries(p.EnglishNodes())
 	}
-	opts := elites.Options{
+	opts := core.Options{
 		Seed: seed, Parallelism: parallel, Timings: timings,
 		CacheDir: cacheDir, CacheMemBytes: cacheMem,
 	}
@@ -182,11 +187,11 @@ func run(data string, n int, seed uint64, fast bool, figdir string, parallel int
 		}
 	}
 	ctx := context.Background()
-	var root *elites.Span
+	var root *obs.Span
 	traceID := ""
 	if tracer != nil {
 		root = tracer.Root("analyze")
-		ctx = elites.ContextWithSpan(ctx, root)
+		ctx = obs.ContextWithSpan(ctx, root)
 		traceID = root.TraceID().String()
 	}
 	if featuresF != "" {
@@ -194,7 +199,7 @@ func run(data string, n int, seed uint64, fast bool, figdir string, parallel int
 		root.End()
 		return err
 	}
-	rep, err := elites.NewCharacterizer(opts).RunContext(ctx, ds, activity)
+	rep, err := core.NewCharacterizer(opts).RunContext(ctx, ds, activity)
 	root.End()
 	if err != nil {
 		return err
@@ -220,7 +225,7 @@ func run(data string, n int, seed uint64, fast bool, figdir string, parallel int
 // print the requested ranks' rows as a users:batch-shaped JSON body. The
 // output is byte-identical to eliteserve's users:batch response for the
 // same dataset, seed and ranks — the CI serve smoke cmp's the two.
-func runFeatures(ctx context.Context, ds *elites.Dataset, activity *elites.DailySeries, opts elites.Options, ranksF string) error {
+func runFeatures(ctx context.Context, ds *twitter.Dataset, activity *timeseries.DailySeries, opts core.Options, ranksF string) error {
 	var ranks []int
 	for _, s := range strings.Split(ranksF, ",") {
 		if s = strings.TrimSpace(s); s == "" {
@@ -235,22 +240,22 @@ func runFeatures(ctx context.Context, ds *elites.Dataset, activity *elites.Daily
 	if len(ranks) == 0 {
 		return fmt.Errorf("-features: no ranks given")
 	}
-	byRank := elites.RankByOutDegree(ds.Graph)
+	byRank := features.RankByOutDegree(ds.Graph)
 	for _, r := range ranks {
 		if r > len(byRank) {
 			return fmt.Errorf("-features: rank %d out of range (dataset has %d users)", r, len(byRank))
 		}
 	}
-	opts.Stages = []string{elites.StageFeatures}
-	rep, err := elites.NewCharacterizer(opts).RunContext(ctx, ds, activity)
+	opts.Stages = []string{core.StageFeatures}
+	rep, err := core.NewCharacterizer(opts).RunContext(ctx, ds, activity)
 	if err != nil {
 		return err
 	}
 	m := rep.Features
-	view := elites.UsersBatchView{Users: make([]elites.UserFeaturesView, len(ranks))}
+	view := core.UsersBatchView{Users: make([]core.UserFeaturesView, len(ranks))}
 	for i, r := range ranks {
 		node := int(byRank[r-1])
-		view.Users[i] = elites.NewUserFeaturesView(r, node, m.Row(node), m.ProbsRow(node), m.ClassOf(node))
+		view.Users[i] = core.NewUserFeaturesView(r, node, m.Row(node), m.ProbsRow(node), m.ClassOf(node))
 	}
 	b, err := json.MarshalIndent(view, "", "  ")
 	if err != nil {
@@ -264,7 +269,7 @@ func runFeatures(ctx context.Context, ds *elites.Dataset, activity *elites.Daily
 // reportCache prints the run's cache hit/miss summary, if the cache was on.
 // It goes to stderr, so stdout stays byte-comparable between cold and warm
 // runs (the CI smoke test relies on this).
-func reportCache(c *elites.CacheReport) {
+func reportCache(c *core.CacheReport) {
 	if c == nil {
 		return
 	}
@@ -278,7 +283,7 @@ func reportCache(c *elites.CacheReport) {
 // whenever a stage sharded its inner loop across workers. When tracing is
 // active (-trace-out) the table ends with the run's trace id, so the table
 // can be correlated with the span tree in the JSONL sink.
-func renderTimings(w io.Writer, timings []elites.StageTiming, traceID string) {
+func renderTimings(w io.Writer, timings []core.StageTiming, traceID string) {
 	if len(timings) == 0 {
 		return
 	}
@@ -300,7 +305,7 @@ func renderTimings(w io.Writer, timings []elites.StageTiming, traceID string) {
 }
 
 // writeFigures renders every paper figure as an SVG file.
-func writeFigures(dir string, ds *elites.Dataset, rep *elites.Report, activity *elites.DailySeries) error {
+func writeFigures(dir string, ds *twitter.Dataset, rep *core.Report, activity *timeseries.DailySeries) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -316,7 +321,7 @@ func writeFigures(dir string, ds *elites.Dataset, rep *elites.Report, activity *
 		return f.Close()
 	}
 	// Figure 1 panels.
-	for i, m := range []elites.Metric{
+	for i, m := range []twitter.Metric{
 		twitter.MetricFriends, twitter.MetricFollowers,
 		twitter.MetricListed, twitter.MetricStatuses,
 	} {
@@ -356,7 +361,7 @@ func writeFigures(dir string, ds *elites.Dataset, rep *elites.Report, activity *
 	// retain).
 	followers := ds.MetricValues(twitter.MetricFollowers)
 	listed := ds.MetricValues(twitter.MetricListed)
-	pr, err := elites.PageRank(ds.Graph, nil)
+	pr, err := centrality.PageRank(ds.Graph, nil)
 	if err == nil {
 		for _, p := range rep.Centrality {
 			if p.Label == "follower count vs pagerank" {

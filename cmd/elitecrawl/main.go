@@ -16,7 +16,8 @@ import (
 	"os"
 	"time"
 
-	"elites"
+	"elites/internal/store"
+	"elites/internal/twitter"
 )
 
 func main() {
@@ -33,15 +34,15 @@ func main() {
 }
 
 func run(n int, seed uint64, out string) error {
-	cfg := elites.DefaultPlatformConfig(n)
+	cfg := twitter.DefaultPlatformConfig(n)
 	cfg.Seed = seed
-	p, err := elites.NewPlatform(cfg)
+	p, err := twitter.NewPlatform(cfg)
 	if err != nil {
 		return err
 	}
-	api := elites.NewAPI(p)
+	api := twitter.NewAPI(p)
 	wall := time.Now()
-	ds, err := elites.Crawl(api)
+	ds, err := twitter.Crawl(api)
 	if err != nil {
 		return err
 	}
@@ -55,8 +56,8 @@ func run(n int, seed uint64, out string) error {
 	fmt.Printf("  simulated crawl duration:     %v\n", ds.SimulatedTime.Round(time.Minute))
 	if out != "" {
 		activity := p.ActivitySeries(p.EnglishNodes())
-		meta := elites.StoreMeta{CreatedAt: time.Now().UTC(), Tool: "elitecrawl", Seed: seed}
-		if err := elites.SaveDataset(out, ds, activity, meta); err != nil {
+		meta := store.Meta{CreatedAt: time.Now().UTC(), Tool: "elitecrawl", Seed: seed}
+		if err := store.SaveDataset(out, ds, activity, meta); err != nil {
 			return err
 		}
 		fmt.Printf("dataset written to %s\n", out)

@@ -14,7 +14,9 @@ import (
 	"os"
 	"time"
 
-	"elites"
+	"elites/internal/gen"
+	"elites/internal/store"
+	"elites/internal/twitter"
 )
 
 func main() {
@@ -32,24 +34,24 @@ func main() {
 }
 
 func run(n int, seed uint64, out, kind string) error {
-	cfg := elites.DefaultPlatformConfig(n)
+	cfg := twitter.DefaultPlatformConfig(n)
 	cfg.Seed = seed
 	switch kind {
 	case "verified":
 		// default GraphConfig
 	case "twitter":
-		g := elites.TwitterDefaults(n)
+		g := gen.TwitterDefaults(n)
 		g.Seed = seed
 		cfg.GraphConfig = g
 	default:
 		return fmt.Errorf("unknown -kind %q (want verified or twitter)", kind)
 	}
 	start := time.Now()
-	p, err := elites.NewPlatform(cfg)
+	p, err := twitter.NewPlatform(cfg)
 	if err != nil {
 		return err
 	}
-	ds, err := elites.DatasetFromPlatform(p)
+	ds, err := twitter.DatasetFromPlatform(p)
 	if err != nil {
 		return err
 	}
@@ -57,12 +59,12 @@ func run(n int, seed uint64, out, kind string) error {
 	fmt.Printf("generated %d verified users (%d english), %d edges in %v\n",
 		p.NumVerified(), ds.Graph.NumNodes(), ds.Graph.NumEdges(),
 		time.Since(start).Round(time.Millisecond))
-	meta := elites.StoreMeta{
+	meta := store.Meta{
 		CreatedAt: time.Now().UTC(),
 		Tool:      "elitegen -kind " + kind,
 		Seed:      seed,
 	}
-	if err := elites.SaveDataset(out, ds, activity, meta); err != nil {
+	if err := store.SaveDataset(out, ds, activity, meta); err != nil {
 		return err
 	}
 	fmt.Printf("dataset written to %s\n", out)

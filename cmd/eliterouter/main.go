@@ -52,7 +52,9 @@ import (
 	"syscall"
 	"time"
 
-	"elites"
+	"elites/internal/faults"
+	"elites/internal/fleet"
+	"elites/internal/obs"
 )
 
 // workerFlag collects repeatable -worker flags.
@@ -95,11 +97,11 @@ func main() {
 func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries int,
 	reqTimeout time.Duration, faultSpec string, faultSeed, seed uint64,
 	logFormat, traceOut string, slowReq time.Duration, workers []string) error {
-	logger, err := elites.NewObsLogger(logFormat, os.Stderr)
+	logger, err := obs.NewLogger(logFormat, os.Stderr)
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
-	tcfg := elites.TracerConfig{Name: "eliterouter:" + addr, Seed: seed}
+	tcfg := obs.TracerConfig{Name: "eliterouter:" + addr, Seed: seed}
 	if traceOut != "" {
 		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -108,7 +110,7 @@ func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries
 		defer f.Close()
 		tcfg.Sink = f
 	}
-	cfg := elites.RouterConfig{
+	cfg := fleet.Config{
 		Workers:        workers,
 		ProbeInterval:  probeInterval,
 		EjectAfter:     ejectAfter,
@@ -116,7 +118,7 @@ func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries
 		RequestTimeout: reqTimeout,
 		CacheDir:       cacheDir,
 		Seed:           seed,
-		Tracer:         elites.NewTracer(tcfg),
+		Tracer:         obs.NewTracer(tcfg),
 		Logger:         logger,
 		SlowRequest:    slowReq,
 	}
@@ -124,14 +126,14 @@ func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries
 		faultSpec = os.Getenv("ELITES_FAULTS")
 	}
 	if faultSpec != "" {
-		inj, err := elites.ParseFaults(faultSpec, faultSeed)
+		inj, err := faults.Parse(faultSpec, faultSeed)
 		if err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
 		cfg.Faults = inj
 		fmt.Fprintf(os.Stderr, "eliterouter: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
 	}
-	router, err := elites.NewRouter(cfg)
+	router, err := fleet.New(cfg)
 	if err != nil {
 		return err
 	}

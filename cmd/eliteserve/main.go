@@ -60,7 +60,10 @@ import (
 	"syscall"
 	"time"
 
-	"elites"
+	"elites/internal/core"
+	"elites/internal/faults"
+	"elites/internal/obs"
+	"elites/internal/serve"
 )
 
 // listFlag collects repeatable -data / -gen flags.
@@ -121,11 +124,11 @@ func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cac
 	maxConc, maxQueue int, asyncAfter time.Duration, bodyCache int64, drainWait time.Duration,
 	stageRetries int, faultSpec string, faultSeed uint64,
 	logFormat, traceOut string, slowReq time.Duration, dataFlags, genFlags []string) error {
-	logger, err := elites.NewObsLogger(logFormat, os.Stderr)
+	logger, err := obs.NewLogger(logFormat, os.Stderr)
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
-	tcfg := elites.TracerConfig{Name: "eliteserve:" + addr, Seed: seed}
+	tcfg := obs.TracerConfig{Name: "eliteserve:" + addr, Seed: seed}
 	if traceOut != "" {
 		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -134,7 +137,7 @@ func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cac
 		defer f.Close()
 		tcfg.Sink = f
 	}
-	opts := elites.Options{
+	opts := core.Options{
 		Seed: seed, Parallelism: parallel,
 		CacheDir: cacheDir, CacheMemBytes: cacheMem,
 		StageRetries: stageRetries,
@@ -149,20 +152,20 @@ func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cac
 		faultSpec = os.Getenv("ELITES_FAULTS")
 	}
 	if faultSpec != "" {
-		inj, err := elites.ParseFaults(faultSpec, faultSeed)
+		inj, err := faults.Parse(faultSpec, faultSeed)
 		if err != nil {
 			return fmt.Errorf("-faults: %w", err)
 		}
 		opts.Faults = inj
 		fmt.Fprintf(os.Stderr, "eliteserve: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
 	}
-	srv := elites.NewServer(elites.ServerConfig{
+	srv := serve.New(serve.Config{
 		Options:        opts,
 		MaxConcurrent:  maxConc,
 		MaxQueue:       maxQueue,
 		AsyncAfter:     asyncAfter,
 		BodyCacheBytes: bodyCache,
-		Tracer:         elites.NewTracer(tcfg),
+		Tracer:         obs.NewTracer(tcfg),
 		Logger:         logger,
 		SlowRequest:    slowReq,
 	})

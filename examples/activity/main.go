@@ -10,16 +10,17 @@ import (
 	"fmt"
 	"log"
 
-	"elites"
+	"elites/internal/timeseries"
+	"elites/internal/twitter"
 )
 
 func main() {
 	// The canonical instance (the §V verdicts are properties of one
 	// 366-point realization; this configuration is the one the test
 	// suite pins down, and README describes the analysis it feeds).
-	cfg := elites.DefaultPlatformConfig(3000)
+	cfg := twitter.DefaultPlatformConfig(3000)
 	cfg.Seed = 42
-	platform, err := elites.NewPlatform(cfg)
+	platform, err := twitter.NewPlatform(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func main() {
 
 	// Portmanteau tests (paper: max p ≈ 3.8e-38 — decisive rejection of
 	// "no autocorrelation" at every horizon).
-	lb, err := elites.LjungBox(series.Values, 185)
+	lb, err := timeseries.LjungBox(series.Values, 185)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bp, err := elites.BoxPierce(series.Values, 185)
+	bp, err := timeseries.BoxPierce(series.Values, 185)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 	fmt.Printf("Box–Pierce max p over 185 horizons: %.3g\n", maxBP)
 
 	// Stationarity (paper: −3.86 vs critical −3.42).
-	adf, err := elites.ADF(series.Values, elites.RegConstantTrend, -1)
+	adf, err := timeseries.ADF(series.Values, timeseries.RegConstantTrend, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 
 	// Change-points via the paper's penalty-cooling protocol.
 	fmt.Println("\nPELT penalty sweep (index → date, stability):")
-	for i, c := range elites.PenaltySweep(series.Values, 10, 400, 12, 7, 6) {
+	for i, c := range timeseries.PenaltySweep(series.Values, 10, 400, 12, 7, 6) {
 		if i >= 5 {
 			break
 		}

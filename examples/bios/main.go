@@ -9,16 +9,16 @@ import (
 	"fmt"
 	"log"
 
-	"elites"
 	"elites/internal/text"
+	"elites/internal/twitter"
 )
 
 func main() {
-	platform, err := elites.NewPlatform(elites.DefaultPlatformConfig(10000))
+	platform, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(10000))
 	if err != nil {
 		log.Fatal(err)
 	}
-	dataset, err := elites.DatasetFromPlatform(platform)
+	dataset, err := twitter.DatasetFromPlatform(platform)
 	if err != nil {
 		log.Fatal(err)
 	}

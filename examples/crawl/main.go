@@ -11,20 +11,20 @@ import (
 	"log"
 	"time"
 
-	"elites"
+	"elites/internal/twitter"
 )
 
 func main() {
-	cfg := elites.DefaultPlatformConfig(2500)
+	cfg := twitter.DefaultPlatformConfig(2500)
 	cfg.Seed = 7
-	platform, err := elites.NewPlatform(cfg)
+	platform, err := twitter.NewPlatform(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	api := elites.NewAPI(platform)
+	api := twitter.NewAPI(platform)
 
 	wall := time.Now()
-	dataset, err := elites.Crawl(api)
+	dataset, err := twitter.Crawl(api)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 		dataset.SimulatedTime.Round(time.Minute), time.Since(wall).Round(time.Millisecond))
 
 	// The crawler's output must equal the platform's ground truth.
-	truth, err := elites.DatasetFromPlatform(platform)
+	truth, err := twitter.DatasetFromPlatform(platform)
 	if err != nil {
 		log.Fatal(err)
 	}

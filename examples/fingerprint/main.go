@@ -12,40 +12,43 @@ import (
 	"log"
 	"os"
 
-	"elites"
+	"elites/internal/core"
+	"elites/internal/gen"
+	"elites/internal/graph"
+	"elites/internal/mathx"
 )
 
 func main() {
 	const n = 8000
-	verified, err := elites.GenerateVerified(n, 1)
+	verified, err := gen.Verified(n, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	generic, err := elites.GenerateTwitter(n, 2)
+	generic, err := gen.Twitter(n, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	rng := elites.NewRNG(7)
+	rng := mathx.NewRNG(7)
 	fmt.Printf("measuring fingerprints of two %d-node networks...\n\n", n)
-	fpVerified := elites.ComputeFingerprint(verified.Graph, 25, rng)
-	fpGeneric := elites.ComputeFingerprint(generic.Graph, 25, rng)
+	fpVerified := core.ComputeFingerprint(verified.Graph, 25, rng)
+	fpGeneric := core.ComputeFingerprint(generic.Graph, 25, rng)
 
-	elites.CompareFingerprints(os.Stdout,
+	core.CompareFingerprints(os.Stdout,
 		[2]string{"verified-like", "generic"},
-		[2]elites.Fingerprint{fpVerified, fpGeneric})
+		[2]core.Fingerprint{fpVerified, fpGeneric})
 
 	fmt.Println()
 	// Classic baselines, scored against the verified signature.
 	for _, b := range []struct {
 		name string
-		g    *elites.Digraph
+		g    *graph.Digraph
 	}{
-		{"erdos-renyi", elites.ErdosRenyi(n, 0.004, 3)},
-		{"barabasi-albert", elites.BarabasiAlbert(n, 16, 0.25, 4)},
-		{"watts-strogatz", elites.WattsStrogatz(n, 16, 0.1, 5)},
+		{"erdos-renyi", gen.ErdosRenyi(n, 0.004, 3)},
+		{"barabasi-albert", gen.BarabasiAlbert(n, 16, 0.25, 4)},
+		{"watts-strogatz", gen.WattsStrogatz(n, 16, 0.1, 5)},
 	} {
-		fp := elites.ComputeFingerprint(b.g, 0, rng)
+		fp := core.ComputeFingerprint(b.g, 0, rng)
 		fmt.Printf("verified-likeness of %-16s %.3f\n", b.name+":", fp.VerifiedLikeness())
 	}
 }

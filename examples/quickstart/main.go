@@ -9,22 +9,24 @@ import (
 	"log"
 	"os"
 
-	"elites"
+	"elites/internal/core"
+	"elites/internal/graph"
+	"elites/internal/twitter"
 )
 
 func main() {
 	// A platform with 3,000 verified users (the paper's real network has
 	// 231,246; everything here is scale-calibrated).
-	cfg := elites.DefaultPlatformConfig(3000)
+	cfg := twitter.DefaultPlatformConfig(3000)
 	cfg.Seed = 42
-	platform, err := elites.NewPlatform(cfg)
+	platform, err := twitter.NewPlatform(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The dataset is the English verified sub-graph with aligned profiles
 	// — the artifact the paper's analyses consume.
-	dataset, err := elites.DatasetFromPlatform(platform)
+	dataset, err := twitter.DatasetFromPlatform(platform)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,14 +34,14 @@ func main() {
 		dataset.Graph.NumNodes(), dataset.Graph.NumEdges())
 
 	// One-liners from the analysis toolkit.
-	fmt.Printf("reciprocity:    %.3f  (paper: 0.337)\n", elites.Reciprocity(dataset.Graph))
-	fmt.Printf("clustering:     %.3f  (paper: 0.158)\n", elites.AverageLocalClustering(dataset.Graph))
-	fmt.Printf("assortativity:  %+.3f (paper: -0.04)\n", elites.DegreeAssortativity(dataset.Graph))
+	fmt.Printf("reciprocity:    %.3f  (paper: 0.337)\n", graph.Reciprocity(dataset.Graph))
+	fmt.Printf("clustering:     %.3f  (paper: 0.158)\n", graph.AverageLocalClustering(dataset.Graph))
+	fmt.Printf("assortativity:  %+.3f (paper: -0.04)\n", graph.DegreeAssortativity(dataset.Graph))
 
 	// The full battery: §III summary through §V activity analysis.
 	activity := platform.ActivitySeries(platform.EnglishNodes())
-	opts := elites.Options{SkipBootstrap: true, Seed: 1} // keep the demo quick
-	report, err := elites.NewCharacterizer(opts).Run(dataset, activity)
+	opts := core.Options{SkipBootstrap: true, Seed: 1} // keep the demo quick
+	report, err := core.NewCharacterizer(opts).Run(dataset, activity)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,13 +13,13 @@ import (
 	"log"
 	"sort"
 
-	"elites"
 	"elites/internal/centrality"
+	"elites/internal/gen"
 	"elites/internal/graph"
 )
 
 func main() {
-	res, err := elites.GenerateVerified(6000, 11)
+	res, err := gen.Verified(6000, 11)
 	if err != nil {
 		log.Fatal(err)
 	}

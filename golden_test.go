@@ -8,6 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"elites/internal/core"
+	"elites/internal/serve"
+	"elites/internal/twitter"
 )
 
 // reportGolden pins the bytes of three outputs for the instance
@@ -31,31 +35,31 @@ func TestReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full battery at n=2000")
 	}
-	cfg := DefaultPlatformConfig(2000)
+	cfg := twitter.DefaultPlatformConfig(2000)
 	cfg.Seed = 7
-	p, err := NewPlatform(cfg)
+	p, err := twitter.NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := DatasetFromPlatform(p)
+	ds, err := twitter.DatasetFromPlatform(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	activity := p.ActivitySeries(p.EnglishNodes())
-	opts := Options{Seed: 7}
+	opts := core.Options{Seed: 7}
 
-	rep, err := NewCharacterizer(opts).Run(ds, activity)
+	rep, err := core.NewCharacterizer(opts).Run(ds, activity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var text bytes.Buffer
 	rep.Render(&text)
 
-	srv := NewServer(ServerConfig{Options: opts})
+	srv := serve.New(serve.Config{Options: opts})
 	if err := srv.RegisterDataset("golden", ds, activity, "test"); err != nil {
 		t.Fatal(err)
 	}
-	serve := func(method, path, body string) []byte {
+	fetch := func(method, path, body string) []byte {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
@@ -66,8 +70,8 @@ func TestReportGolden(t *testing.T) {
 	}
 	got := map[string][]byte{
 		"text":  text.Bytes(),
-		"json":  serve(http.MethodGet, "/v1/datasets/golden/report", ""),
-		"batch": serve(http.MethodPost, "/v1/datasets/golden/users:batch", `{"ranks":[1,2,3]}`),
+		"json":  fetch(http.MethodGet, "/v1/datasets/golden/report", ""),
+		"batch": fetch(http.MethodPost, "/v1/datasets/golden/users:batch", `{"ranks":[1,2,3]}`),
 	}
 	for _, name := range []string{"text", "json", "batch"} {
 		sum := sha256.Sum256(got[name])

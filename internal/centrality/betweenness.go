@@ -330,16 +330,12 @@ func (w *betweennessWorkspace) accumulate(g *graph.Digraph, s int, bc []float64)
 	}
 }
 
-// Betweenness computes exact betweenness centrality for all nodes with
-// Brandes' algorithm, parallelized over sources on the shared worker pool.
-// Directed; scores are raw dependency sums (no normalization), matching
-// networkx's betweenness_centrality(normalized=False).
-func Betweenness(g *graph.Digraph) []float64 {
-	return BetweennessWorkers(g, 0)
-}
-
-// BetweennessWorkers is Betweenness with an explicit worker budget
-// (<= 0 means GOMAXPROCS). Results are bit-identical at every budget.
+// BetweennessWorkers computes exact betweenness centrality for all nodes
+// with Brandes' algorithm, parallelized over sources on the shared worker
+// pool with the given worker budget (<= 0 means GOMAXPROCS). Directed;
+// scores are raw dependency sums (no normalization), matching networkx's
+// betweenness_centrality(normalized=False). Results are bit-identical at
+// every budget.
 func BetweennessWorkers(g *graph.Digraph, workers int) []float64 {
 	n := g.NumNodes()
 	sources := make([]int, n)
@@ -349,23 +345,17 @@ func BetweennessWorkers(g *graph.Digraph, workers int) []float64 {
 	return betweennessFrom(g, sources, 1, workers)
 }
 
-// ApproxBetweenness estimates betweenness from k uniformly sampled sources,
-// scaled by n/k so that values are comparable to the exact ones (Brandes &
-// Pich source sampling). Sampling error concentrates on low-betweenness
-// nodes; the paper's Figure 5 uses ranks of high-betweenness nodes, which
-// stabilize quickly (see BenchmarkAblationBetweennessSampling). Note that
-// rng is used only as a key for derived streams and is never advanced:
-// calling twice with the same generator samples the same source set. For an
-// independent resample, pass a different generator (or Split).
-func ApproxBetweenness(g *graph.Digraph, k int, rng *mathx.RNG) []float64 {
-	return ApproxBetweennessWorkers(g, k, rng, 0)
-}
-
-// ApproxBetweennessWorkers is ApproxBetweenness with an explicit worker
-// budget (<= 0 means GOMAXPROCS). Each sampling draw comes from its own
-// stream derived from rng (which is not advanced), so the sampled source set
-// is a pure function of the rng state and k — independent of scheduling,
-// worker count, and any other use of rng.
+// ApproxBetweennessWorkers estimates betweenness from k uniformly sampled
+// sources, scaled by n/k so that values are comparable to the exact ones
+// (Brandes & Pich source sampling), with the given worker budget (<= 0
+// means GOMAXPROCS). Sampling error concentrates on low-betweenness nodes;
+// the paper's Figure 5 uses ranks of high-betweenness nodes, which
+// stabilize quickly (see BenchmarkAblationBetweennessSampling). Each
+// sampling draw comes from its own stream derived from rng, which is never
+// advanced: the sampled source set is a pure function of the rng state and
+// k — independent of scheduling, worker count, and any other use of rng —
+// so calling twice with the same generator samples the same source set.
+// For an independent resample, pass a different generator (or Split).
 func ApproxBetweennessWorkers(g *graph.Digraph, k int, rng *mathx.RNG, workers int) []float64 {
 	n := g.NumNodes()
 	if k >= n {

@@ -175,7 +175,7 @@ func bruteBetweenness(g *graph.Digraph) []float64 {
 
 func TestBetweennessPathGraph(t *testing.T) {
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	bc := Betweenness(g)
+	bc := BetweennessWorkers(g, 0)
 	want := []float64{0, 3, 4, 3, 0}
 	for i, w := range want {
 		if math.Abs(bc[i]-w) > 1e-9 {
@@ -189,7 +189,7 @@ func TestBetweennessAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + rng.Intn(15)
 		g := randomDigraph(rng, n, 0.15)
-		got := Betweenness(g)
+		got := BetweennessWorkers(g, 0)
 		want := bruteBetweenness(g)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-7 {
@@ -202,8 +202,8 @@ func TestBetweennessAgainstBruteForce(t *testing.T) {
 func TestApproxBetweennessConverges(t *testing.T) {
 	rng := mathx.NewRNG(4)
 	g := randomDigraph(rng, 120, 0.04)
-	exact := Betweenness(g)
-	approx := ApproxBetweenness(g, 60, rng)
+	exact := BetweennessWorkers(g, 0)
+	approx := ApproxBetweennessWorkers(g, 60, rng, 0)
 	// Rank correlation of top nodes: the top exact node should be in the
 	// approx top 5.
 	topExact := argMaxF(exact)
@@ -217,7 +217,7 @@ func TestApproxBetweennessConverges(t *testing.T) {
 		t.Fatalf("top exact node ranked %d in approximation", rank)
 	}
 	// Full sampling equals exact.
-	full := ApproxBetweenness(g, g.NumNodes(), rng)
+	full := ApproxBetweennessWorkers(g, g.NumNodes(), rng, 0)
 	for v := range exact {
 		if math.Abs(full[v]-exact[v]) > 1e-9 {
 			t.Fatal("k>=n sampling should be exact")

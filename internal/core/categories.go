@@ -40,15 +40,8 @@ type CategoryAnalysis struct {
 	Stats []CategoryStat
 }
 
-// AnalyzeCategories computes the per-category table for a dataset.
-func AnalyzeCategories(ds *twitter.Dataset) (*CategoryAnalysis, error) {
-	if ds == nil || ds.Graph == nil || len(ds.Profiles) == 0 {
-		return nil, ErrNoData
-	}
-	return analyzeCategories(ds, features.NewShared(ds.Graph, features.Options{}))
-}
-
-// analyzeCategories is AnalyzeCategories reading PageRank from sh.
+// analyzeCategories computes the per-category table for a dataset,
+// reading PageRank from sh.
 func analyzeCategories(ds *twitter.Dataset, sh *features.Shared) (*CategoryAnalysis, error) {
 	g := ds.Graph
 	pr, err := sh.PageRank()
@@ -160,12 +153,8 @@ type MutualCoreAnalysis struct {
 	MutualEdgeShare float64
 }
 
-// AnalyzeMutualCore validates the §IV-C conjecture on a graph.
-func AnalyzeMutualCore(g *graph.Digraph) *MutualCoreAnalysis {
-	return analyzeMutualCore(g, features.NewShared(g, features.Options{}).Cores())
-}
-
-// analyzeMutualCore is AnalyzeMutualCore over g's core decomposition.
+// analyzeMutualCore validates the §IV-C conjecture on g, given its core
+// decomposition.
 func analyzeMutualCore(g *graph.Digraph, cores *graph.KCoreResult) *MutualCoreAnalysis {
 	k := cores.MaxCore / 2
 	if k < 1 {

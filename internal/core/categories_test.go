@@ -4,13 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"elites/internal/features"
 	"elites/internal/gen"
 	"elites/internal/twitter"
 )
 
 func TestAnalyzeCategories(t *testing.T) {
 	_, ds := testPlatform(t)
-	ca, err := AnalyzeCategories(ds)
+	ca, err := analyzeCategories(ds, features.NewShared(ds.Graph, features.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +61,6 @@ func TestAnalyzeCategories(t *testing.T) {
 	}
 }
 
-func TestAnalyzeCategoriesErrors(t *testing.T) {
-	if _, err := AnalyzeCategories(nil); err != ErrNoData {
-		t.Fatal("nil dataset should error")
-	}
-	if _, err := AnalyzeCategories(&twitter.Dataset{}); err != ErrNoData {
-		t.Fatal("empty dataset should error")
-	}
-}
-
 func TestMutualCoreConjectureOnVerified(t *testing.T) {
 	// The §IV-C conjecture must hold on the calibrated verified network:
 	// the dense core reciprocates more than the periphery.
@@ -76,7 +68,7 @@ func TestMutualCoreConjectureOnVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mca := AnalyzeMutualCore(res.Graph)
+	mca := analyzeMutualCore(res.Graph, features.NewShared(res.Graph, features.Options{}).Cores())
 	if !mca.ConjectureHolds() {
 		t.Fatalf("§IV-C conjecture fails: core %.3f vs periphery %.3f",
 			mca.CoreReciprocity, mca.PeripheryReciprocity)

@@ -272,7 +272,7 @@ func computeWith(ds *twitter.Dataset, sh *Shared, opts Options, sc *Scorer) *Mat
 	m.Degeneracy = cores.MaxCore
 	m.CoreK = cores.MaxCore / 2
 	if m.CoreK < 1 {
-		m.CoreK = 1 // AnalyzeMutualCore's clamp, kept in lockstep
+		m.CoreK = 1 // core's mutual-core clamp, kept in lockstep
 	}
 	clus := sh.Clustering()
 

@@ -568,52 +568,3 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) *graph.Digraph {
 	}
 	return b.Build()
 }
-
-// ConfigurationModel generates a directed graph with (approximately) the
-// given out- and in-degree sequences by random stub matching; parallel stubs
-// collapse and self-loops drop, so heavy-tailed sequences lose a small
-// fraction of edges. The sequences must have equal sums.
-func ConfigurationModel(outDeg, inDeg []int, seed uint64) (*graph.Digraph, error) {
-	if len(outDeg) != len(inDeg) {
-		return nil, ErrConfig
-	}
-	var so, si int
-	for _, d := range outDeg {
-		if d < 0 {
-			return nil, ErrConfig
-		}
-		so += d
-	}
-	for _, d := range inDeg {
-		if d < 0 {
-			return nil, ErrConfig
-		}
-		si += d
-	}
-	if so != si {
-		return nil, ErrConfig
-	}
-	rng := mathx.NewRNG(seed)
-	n := len(outDeg)
-	outStubs := make([]int32, 0, so)
-	inStubs := make([]int32, 0, si)
-	for v := 0; v < n; v++ {
-		for i := 0; i < outDeg[v]; i++ {
-			outStubs = append(outStubs, int32(v))
-		}
-		for i := 0; i < inDeg[v]; i++ {
-			inStubs = append(inStubs, int32(v))
-		}
-	}
-	rng.Shuffle(len(inStubs), func(i, j int) {
-		inStubs[i], inStubs[j] = inStubs[j], inStubs[i]
-	})
-	b := graph.NewBuilder(n)
-	for i, u := range outStubs {
-		v := inStubs[i]
-		if u != v {
-			b.AddEdge(int(u), int(v))
-		}
-	}
-	return b.Build(), nil
-}

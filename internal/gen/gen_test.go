@@ -277,25 +277,3 @@ func TestWattsStrogatz(t *testing.T) {
 		t.Fatalf("rewiring should shorten paths: %v vs %v", d2, d0)
 	}
 }
-
-func TestConfigurationModel(t *testing.T) {
-	out := []int{3, 2, 1, 0, 2}
-	in := []int{1, 1, 2, 3, 1}
-	g, err := ConfigurationModel(out, in, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stub collapse loses some edges but most survive.
-	if g.NumEdges() < 6 || g.NumEdges() > 8 {
-		t.Fatalf("edges = %d, want 6..8", g.NumEdges())
-	}
-	if _, err := ConfigurationModel([]int{1}, []int{2}, 1); err == nil {
-		t.Fatal("unequal sums should error")
-	}
-	if _, err := ConfigurationModel([]int{-1}, []int{-1}, 1); err == nil {
-		t.Fatal("negative degrees should error")
-	}
-	if _, err := ConfigurationModel([]int{1, 2}, []int{3}, 1); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-}

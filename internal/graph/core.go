@@ -163,21 +163,6 @@ func logSpacedInts(lo, hi, points int) []int {
 	return out
 }
 
-// MutualSubgraph returns the sub-graph keeping only reciprocated edges
-// (u→v and v→u both present) — the "mutual core" whose relative size the
-// §IV-C conjecture is about.
-func MutualSubgraph(g *Digraph) *Digraph {
-	b := NewBuilder(g.NumNodes())
-	g.Edges(func(u, v int) bool {
-		if u < v && g.HasEdge(v, u) {
-			b.AddEdge(u, v)
-			b.AddEdge(v, u)
-		}
-		return true
-	})
-	return b.Build()
-}
-
 // CoreReciprocity reports reciprocity restricted to edges whose endpoints
 // both have core number >= k, versus edges with at least one endpoint below
 // k — the direct §IV-C validation: if the conjecture holds, core edges

@@ -239,23 +239,6 @@ func TestRichClubMatchesSetReference(t *testing.T) {
 	}
 }
 
-func TestMutualSubgraph(t *testing.T) {
-	g := FromEdges(4, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}})
-	m := MutualSubgraph(g)
-	if m.NumEdges() != 4 { // (0,1) and (2,3) pairs
-		t.Fatalf("mutual edges = %d, want 4", m.NumEdges())
-	}
-	if !m.HasEdge(0, 1) || !m.HasEdge(1, 0) || !m.HasEdge(2, 3) || !m.HasEdge(3, 2) {
-		t.Fatal("mutual pairs missing")
-	}
-	if m.HasEdge(1, 2) {
-		t.Fatal("one-way edge survived")
-	}
-	if r := Reciprocity(m); r != 1 {
-		t.Fatalf("mutual subgraph reciprocity = %v, want 1", r)
-	}
-}
-
 func TestCoreReciprocityConjecture(t *testing.T) {
 	// On the calibrated verified-like generator, the §IV-C conjecture
 	// should hold: high-core edges reciprocate more than periphery edges.

@@ -189,15 +189,11 @@ func bfsDirOptInto(g *Digraph, src int, dist []int32, sc *bfsScratch) {
 	sc.cur, sc.next = cur, next // retain grown capacity for the next source
 }
 
-// ExactDistances runs a full all-pairs BFS (n BFS traversals, parallelized
-// on the shared worker pool) and returns the exact distance distribution.
-// Suitable up to a few tens of thousands of nodes.
-func ExactDistances(g *Digraph) *DistanceDistribution {
-	return ExactDistancesWorkers(g, 0)
-}
-
-// ExactDistancesWorkers is ExactDistances with an explicit worker budget
-// (<= 0 means GOMAXPROCS); every budget yields identical counts.
+// ExactDistancesWorkers runs a full all-pairs BFS (n BFS traversals,
+// parallelized on the shared worker pool with the given worker budget,
+// <= 0 meaning GOMAXPROCS) and returns the exact distance distribution;
+// every budget yields identical counts. Suitable up to a few tens of
+// thousands of nodes.
 func ExactDistancesWorkers(g *Digraph, workers int) *DistanceDistribution {
 	n := g.NumNodes()
 	sources := make([]int, n)

@@ -30,7 +30,7 @@ func TestExactDistancesCycle(t *testing.T) {
 	// Directed 4-cycle: each ordered pair reachable; distances 1,2,3 from
 	// each node.
 	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	dd := ExactDistances(g)
+	dd := ExactDistancesWorkers(g, 0)
 	if dd.Pairs != 12 {
 		t.Fatalf("pairs = %v, want 12", dd.Pairs)
 	}
@@ -61,7 +61,7 @@ func TestDistanceDistributionPercentiles(t *testing.T) {
 func TestSampledApproximatesExact(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	g := randomDigraph(rng, 300, 0.02)
-	exact := ExactDistances(g)
+	exact := ExactDistancesWorkers(g, 0)
 	sampled := SampledDistances(g, 150, rng)
 	if !sampled.Sampled {
 		t.Fatal("should be flagged sampled")
@@ -106,7 +106,7 @@ func TestDegreesWithinK(t *testing.T) {
 func TestMeanMatchesBruteForce(t *testing.T) {
 	rng := mathx.NewRNG(9)
 	g := randomDigraph(rng, 60, 0.05)
-	dd := ExactDistances(g)
+	dd := ExactDistancesWorkers(g, 0)
 	// Brute force with per-source BFS.
 	var sum, cnt float64
 	for u := 0; u < g.NumNodes(); u++ {

@@ -159,10 +159,7 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := s.reportKey(d, []string{core.StageFeatures}, fmt.Sprintf("user-features:%d", rank))
-	if body, ok := s.bodies.get(key); ok {
-		s.met.bodyHits.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}
 	node := int(byRank[rank-1])
@@ -233,10 +230,7 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 		sb.WriteString(strconv.Itoa(rank))
 	}
 	key := s.reportKey(d, []string{core.StageFeatures}, "users-batch:"+sb.String())
-	if body, ok := s.bodies.get(key); ok {
-		s.met.bodyHits.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}
 	src, err := s.featureRows(r.Context(), d, nodes)

@@ -738,6 +738,23 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.info())
 }
 
+// serveMemo writes the body memoized under key and reports true, or
+// reports false when the memo holds none. Either way the request span's
+// body_cache attribute records the hit or the miss.
+func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, key, ctype string) bool {
+	span := obs.SpanFromContext(r.Context())
+	body, ok := s.bodies.get(key)
+	if !ok {
+		span.SetAttr("body_cache", "miss")
+		return false
+	}
+	s.met.bodyHits.Inc()
+	span.SetAttr("body_cache", "hit")
+	w.Header().Set("Content-Type", ctype)
+	w.Write(body)
+	return true
+}
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.dataset(r.PathValue("id"))
 	if !ok {
@@ -758,15 +775,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := s.reportKey(d, stages, format)
-	reqSpan := obs.SpanFromContext(r.Context())
-	if body, ok := s.bodies.get(key); ok {
-		s.met.bodyHits.Inc()
-		reqSpan.SetAttr("body_cache", "hit")
-		w.Header().Set("Content-Type", contentType(format))
-		w.Write(body)
+	if s.serveMemo(w, r, key, contentType(format)) {
 		return
 	}
-	reqSpan.SetAttr("body_cache", "miss")
+	reqSpan := obs.SpanFromContext(r.Context())
 	run := func(ctx context.Context, prog *progress) (runOutcome, error) {
 		// The coalescer hands fn a detached context; re-attach the leader
 		// request's span so the pipeline spans land in its trace.
@@ -856,15 +868,10 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	// The requested stage is part of the identity: the body names it, even
 	// when two stages would share a run subset.
 	key := s.reportKey(d, runStages, "stage:"+stage)
-	reqSpan := obs.SpanFromContext(r.Context())
-	if body, ok := s.bodies.get(key); ok {
-		s.met.bodyHits.Inc()
-		reqSpan.SetAttr("body_cache", "hit")
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}
-	reqSpan.SetAttr("body_cache", "miss")
+	reqSpan := obs.SpanFromContext(r.Context())
 	out, joined, err := s.flight.Do(r.Context(), key, func(ctx context.Context, prog *progress) (runOutcome, error) {
 		rep, rerr := s.runBattery(obs.ContextWithSpan(ctx, reqSpan), d, runStages, prog)
 		if rerr != nil && !degradable(ctx, rep, rerr) {

@@ -102,6 +102,34 @@ func TestTraceContinuesFromHeader(t *testing.T) {
 			t.Fatal("warm request ran the pipeline")
 		}
 	}
+
+	// A per-user feature request records the body memo the same way: the
+	// first users:batch misses, its repeat hits.
+	for _, want := range []string{"miss", "hit"} {
+		root := remote.Root("router.request")
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/datasets/demo/users:batch",
+			strings.NewReader(`{"ranks":[1,2]}`))
+		obs.InjectHeader(req.Header, root)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reading to EOF orders this after the server span has ended.
+		io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("users:batch: %d", resp.StatusCode)
+		}
+		got := "<no serve.users_batch span>"
+		for _, rec := range tr.TraceSpans(root.TraceID().String()) {
+			if rec.Name == "serve.users_batch" {
+				got = rec.Attrs["body_cache"]
+			}
+		}
+		if got != want {
+			t.Fatalf("users:batch body_cache = %q, want %s", got, want)
+		}
+	}
 }
 
 // TestDebugTracesEndpoint: the handler is routed and span counts cover

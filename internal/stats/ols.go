@@ -110,25 +110,3 @@ func OLS(x *linalg.Matrix, y []float64) (*OLSResult, error) {
 		XtXInv:    inv,
 	}, nil
 }
-
-// DesignWithIntercept assembles a design matrix [1 | cols...] from column
-// vectors of equal length.
-func DesignWithIntercept(cols ...[]float64) (*linalg.Matrix, error) {
-	if len(cols) == 0 {
-		return nil, ErrEmpty
-	}
-	n := len(cols[0])
-	for _, c := range cols {
-		if len(c) != n {
-			return nil, ErrMismatch
-		}
-	}
-	m := linalg.NewMatrix(n, len(cols)+1)
-	for i := 0; i < n; i++ {
-		m.Set(i, 0, 1)
-		for j, c := range cols {
-			m.Set(i, j+1, c[i])
-		}
-	}
-	return m, nil
-}

@@ -252,3 +252,32 @@ func TestLoadDatasetProfileCountMismatch(t *testing.T) {
 		t.Fatal("mismatched profile count should fail to load")
 	}
 }
+
+// TestCrawledDatasetRoundTrip saves what the §III crawl produces, with the
+// platform's activity series, and loads back the same dataset: the flow
+// elitecrawl writes and eliteanalyze -data reads.
+func TestCrawledDatasetRoundTrip(t *testing.T) {
+	p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := twitter.Crawl(twitter.NewAPI(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	activity := p.ActivitySeries(p.EnglishNodes())
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := SaveDataset(dir, ds, activity, Meta{Tool: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	got, act, meta, err := LoadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if DatasetDigest(got, act) != DatasetDigest(ds, activity) {
+		t.Fatal("loaded dataset differs from the crawled one")
+	}
+	if meta.Tool != "test" || meta.Edges != ds.Graph.NumEdges() {
+		t.Fatalf("meta mismatch: %+v", meta)
+	}
+}
