@@ -27,8 +27,6 @@ var deadExportAllowed = map[string]string{
 	"linalg.MulT":                          "linalg TestCholeskyReconstruction checks NewCholesky",
 	"spectral.LaplacianOperator.MaxDegree": "spectral TestLaplacianEigenvaluesNonNegative bounds λ_max",
 	"spectral.TopEigenvaluesPower":         "root BenchmarkAblationEigensolvers, the power-iteration baseline",
-	"stats.Summarize":                      "root BenchmarkFigure1Distributions prints the paper comparison",
-	"text.Counter.AddText":                 "root benchNGrams feeds the bio n-gram benchmarks",
 	"timeseries.BICPenalty":                "root BenchmarkAblationChangepointAlgos",
 	"timeseries.BinarySegmentation":        "root BenchmarkAblationChangepointAlgos, the PELT baseline",
 	"timeseries.DailySeries.IndexOf":       "twitter TestActivityChangepoints locates planted dates",

@@ -369,6 +369,50 @@ func TestDecoderStickyErrors(t *testing.T) {
 	}
 }
 
+// TestDecoderFloat64sInto: the in-place read returns the bits Float64s
+// returns, and a length that disagrees with dst or a truncated run is
+// corruption that leaves dst untouched.
+func TestDecoderFloat64sInto(t *testing.T) {
+	var e Encoder
+	e.Float64s([]float64{1.5, math.NaN(), math.Inf(-1)})
+	full := e.Bytes()
+
+	dst := make([]float64, 3)
+	d := NewDecoder(full)
+	d.Float64sInto(dst)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	want := NewDecoder(full).Float64s()
+	for i := range want {
+		if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("dst[%d] = %v, Float64s gave %v", i, dst[i], want[i])
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		n    int
+	}{
+		{"short dst", full, 2},
+		{"long dst", full, 4},
+		{"truncated run", full[:len(full)-1], 3},
+	} {
+		dst := []float64{7, 7, 7, 7}[:tc.n]
+		d := NewDecoder(tc.data)
+		d.Float64sInto(dst)
+		if d.Err() == nil {
+			t.Fatalf("%s: decoded cleanly", tc.name)
+		}
+		for i, v := range dst {
+			if v != 7 {
+				t.Fatalf("%s: dst[%d] = %v written on a failed read", tc.name, i, v)
+			}
+		}
+	}
+}
+
 func TestGetMissesOnAbsentDir(t *testing.T) {
 	c := newTestCache(filepath.Join(t.TempDir(), "never-created"))
 	for i := 0; i < 3; i++ {

@@ -200,8 +200,36 @@ func (d *Decoder) Float64s() []float64 {
 		return nil
 	}
 	out := make([]float64, l)
-	for i := range out {
-		out[i] = d.Float64()
-	}
+	d.float64s(out)
 	return out
+}
+
+// Float64sInto reads a length-prefixed float slice straight into dst. The
+// encoded length must equal len(dst); any other length, or a payload too
+// short to hold it, is corruption and leaves dst untouched.
+func (d *Decoder) Float64sInto(dst []float64) {
+	l := d.Uvarint()
+	if d.err != nil {
+		return
+	}
+	if l != uint64(len(dst)) {
+		d.fail()
+		return
+	}
+	d.float64s(dst)
+}
+
+// float64s fills dst with the next len(dst) raw IEEE-754 words — the one
+// decode loop behind Float64s and Float64sInto. It writes nothing unless
+// the whole run is present.
+func (d *Decoder) float64s(dst []float64) {
+	if uint64(len(d.buf)-d.off)/8 < uint64(len(dst)) {
+		d.fail()
+		return
+	}
+	b := d.buf[d.off : d.off+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	d.off += len(b)
 }

@@ -53,43 +53,75 @@ func encodeShard(m *Matrix, lo, count int) []byte {
 	return e.Bytes()
 }
 
-// decodeShard parses one shard body into a fresh Rows fragment. Every
-// violation — wrong header echo, misaligned range, short or oversized
+// shardSpan returns the first row and the row count of shard i of an
+// n-row matrix.
+func shardSpan(i, n int) (lo, count int) {
+	lo = i * ShardRows
+	return lo, min(n-lo, ShardRows)
+}
+
+// window returns the Rows view of rows [lo, lo+count) of r's storage; the
+// view aliases r, so decoding into it fills r in place.
+func (r *Rows) window(lo, count int) Rows {
+	i := lo - r.Lo
+	return Rows{
+		Lo:    lo,
+		Data:  r.Data[i*NumFeatures : (i+count)*NumFeatures],
+		Probs: r.Probs[i*NumClasses : (i+count)*NumClasses],
+		Class: r.Class[i : i+count],
+	}
+}
+
+// decodeShardInto parses one shard body straight into dst, the window of
+// rows the body must cover: its header has to echo dst.Lo and dst.Count().
+// Every violation — wrong header echo, misaligned range, short or oversized
 // payload, out-of-range class, trailing bytes — returns cache.ErrCorrupt so
-// callers treat the entry as a miss; it never panics and never returns a
-// partially-filled fragment.
-func decodeShard(data []byte, wantLo, wantCount int) (*Rows, error) {
+// callers treat the entry as a miss. It never panics and never writes
+// outside dst; on error dst may be partly written.
+func decodeShardInto(data []byte, dst Rows) error {
 	d := cache.NewDecoder(data)
 	nf := d.Uvarint()
 	nc := d.Uvarint()
 	lo := d.Uvarint()
 	count := d.Uvarint()
 	if d.Err() != nil || nf != NumFeatures || nc != NumClasses {
-		return nil, cache.ErrCorrupt
+		return cache.ErrCorrupt
 	}
-	if lo != uint64(wantLo) || count != uint64(wantCount) ||
+	if lo != uint64(dst.Lo) || count != uint64(dst.Count()) ||
 		count == 0 || count > ShardRows || lo%ShardRows != 0 {
-		return nil, cache.ErrCorrupt
+		return cache.ErrCorrupt
 	}
-	data64 := d.Float64s()
-	probs := d.Float64s()
-	if d.Err() != nil ||
-		len(data64) != int(count)*NumFeatures ||
-		len(probs) != int(count)*NumClasses {
-		return nil, cache.ErrCorrupt
+	d.Float64sInto(dst.Data)
+	d.Float64sInto(dst.Probs)
+	if d.Err() != nil {
+		return cache.ErrCorrupt
 	}
-	class := make([]uint8, count)
-	for i := range class {
+	for i := range dst.Class {
 		c := d.Uvarint()
 		if d.Err() != nil || c >= NumClasses {
-			return nil, cache.ErrCorrupt
+			return cache.ErrCorrupt
 		}
-		class[i] = uint8(c)
+		dst.Class[i] = uint8(c)
 	}
 	if d.Finish() != nil {
-		return nil, cache.ErrCorrupt
+		return cache.ErrCorrupt
 	}
-	return &Rows{Lo: int(lo), Data: data64, Probs: probs, Class: class}, nil
+	return nil
+}
+
+// decodeShard parses one shard body covering rows [lo, lo+count) into a
+// fresh Rows fragment, or returns cache.ErrCorrupt and no fragment.
+func decodeShard(data []byte, lo, count int) (*Rows, error) {
+	r := &Rows{
+		Lo:    lo,
+		Data:  make([]float64, count*NumFeatures),
+		Probs: make([]float64, count*NumClasses),
+		Class: make([]uint8, count),
+	}
+	if err := decodeShardInto(data, *r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // EncodeManifest appends the matrix's scalar summary to a cache encoder —
@@ -173,42 +205,33 @@ type Store struct {
 // recompute, never correctness.
 func (s Store) Put(m *Matrix) {
 	for i := 0; i < NumShards(m.N); i++ {
-		lo := i * ShardRows
-		count := m.N - lo
-		if count > ShardRows {
-			count = ShardRows
-		}
+		lo, count := shardSpan(i, m.N)
 		s.Cache.Put(shardKey(s.Dataset, s.Options, i), encodeShard(m, lo, count))
 	}
 }
 
-// Load hydrates m's row storage from the store. It fills fresh buffers and
-// swaps them in only after every shard decoded cleanly, so a missing or
-// corrupt shard returns an error with m untouched — the pipeline then
-// treats the whole stage as a miss and recomputes.
+// Load hydrates m's row storage, as DecodeManifest allocates it, by
+// decoding every shard in place into m.Data, m.Probs and m.Class. It
+// fetches all shards before writing any, so a missing entry — or a torn or
+// corrupted one, which the cache's checksum turns into a miss — returns an
+// error with m untouched. A shard that passes the checksum yet fails to
+// decode (a codec bug, not disk damage) returns an error with m's rows
+// partly written. Either way the caller drops m and the pipeline treats
+// the whole stage as a miss and recomputes.
 func (s Store) Load(m *Matrix) error {
-	data := make([]float64, m.N*NumFeatures)
-	probs := make([]float64, m.N*NumClasses)
-	class := make([]uint8, m.N)
-	for i := 0; i < NumShards(m.N); i++ {
-		lo := i * ShardRows
-		count := m.N - lo
-		if count > ShardRows {
-			count = ShardRows
-		}
+	bodies := make([][]byte, NumShards(m.N))
+	for i := range bodies {
 		body, ok := s.Cache.Get(shardKey(s.Dataset, s.Options, i))
 		if !ok {
 			return fmt.Errorf("features: shard %d missing", i)
 		}
-		r, err := decodeShard(body, lo, count)
-		if err != nil {
+		bodies[i] = body
+	}
+	for i, body := range bodies {
+		if err := decodeShardInto(body, m.window(shardSpan(i, m.N))); err != nil {
 			return fmt.Errorf("features: shard %d: %w", i, err)
 		}
-		copy(data[lo*NumFeatures:], r.Data)
-		copy(probs[lo*NumClasses:], r.Probs)
-		copy(class[lo:], r.Class)
 	}
-	m.Data, m.Probs, m.Class = data, probs, class
 	return nil
 }
 
@@ -216,13 +239,9 @@ func (s Store) Load(m *Matrix) error {
 // [i·ShardRows, …) of an n-row matrix. ok is false on a miss or corrupt
 // entry — the serving layer then falls back to running the pipeline stage.
 func (s Store) LoadShard(i, n int) (*Rows, bool) {
-	lo := i * ShardRows
-	if lo >= n {
+	lo, count := shardSpan(i, n)
+	if count <= 0 {
 		return nil, false
-	}
-	count := n - lo
-	if count > ShardRows {
-		count = ShardRows
 	}
 	body, ok := s.Cache.Get(shardKey(s.Dataset, s.Options, i))
 	if !ok {

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"testing"
 )
 
@@ -8,7 +9,10 @@ import (
 // contract under test is the cache-miss discipline: a corrupted entry must
 // decode to an error (which the Store treats as a silent miss and the
 // pipeline as a recompute), never a panic, and never a partially-populated
-// Rows fragment whose range disagrees with what the caller asked for.
+// Rows fragment whose range disagrees with what the caller asked for. The
+// in-place decoder Store.Load hydrates through gets the same input inside a
+// larger matrix: it must agree with the fragment decoder and never write
+// outside its shard's rows.
 func FuzzFeatureShardDecode(f *testing.F) {
 	// Seed the corpus with a real encoded shard plus the classic mutations;
 	// the checked-in files under testdata/fuzz pin the same shapes.
@@ -30,6 +34,7 @@ func FuzzFeatureShardDecode(f *testing.F) {
 			wantCount = 1 + (wantCount&0x7FFFFFFF)%ShardRows
 		}
 		for _, lo := range []int{0, ShardRows} {
+			checkInPlaceDecode(t, data, lo, wantCount)
 			r, err := decodeShard(data, lo, wantCount)
 			if err != nil {
 				if r != nil {
@@ -58,4 +63,60 @@ func FuzzFeatureShardDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkInPlaceDecode runs decodeShardInto on the window of rows [lo,
+// lo+wantCount) with guard rows on both sides, as Store.Load decodes a shard
+// inside the whole matrix. It must accept exactly what decodeShard accepts,
+// fill the window with the same bits, and leave every guard row as it was.
+func checkInPlaceDecode(t *testing.T, data []byte, lo, wantCount int) {
+	const guard = 2
+	const poison = 0x7ff8dead // a NaN payload no encoder writes
+	m := &Rows{
+		Lo:    lo - guard,
+		Data:  make([]float64, (wantCount+2*guard)*NumFeatures),
+		Probs: make([]float64, (wantCount+2*guard)*NumClasses),
+		Class: make([]uint8, wantCount+2*guard),
+	}
+	inWindow := func(row int) bool { return row >= guard && row < guard+wantCount }
+	for row := range m.Class {
+		if inWindow(row) {
+			continue
+		}
+		for j := row * NumFeatures; j < (row+1)*NumFeatures; j++ {
+			m.Data[j] = math.Float64frombits(poison)
+		}
+		for j := row * NumClasses; j < (row+1)*NumClasses; j++ {
+			m.Probs[j] = math.Float64frombits(poison)
+		}
+		m.Class[row] = 0xEE
+	}
+	err := decodeShardInto(data, m.window(lo, wantCount))
+	want, wantErr := decodeShard(data, lo, wantCount)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("in-place decode err=%v, fragment decode err=%v", err, wantErr)
+	}
+	for i, v := range m.Data {
+		if row := i / NumFeatures; !inWindow(row) && math.Float64bits(v) != poison {
+			t.Fatalf("guard row %d Data written", row)
+		} else if inWindow(row) && err == nil &&
+			math.Float64bits(v) != math.Float64bits(want.Data[i-guard*NumFeatures]) {
+			t.Fatalf("Data[%d] differs from fragment decode", i)
+		}
+	}
+	for i, v := range m.Probs {
+		if row := i / NumClasses; !inWindow(row) && math.Float64bits(v) != poison {
+			t.Fatalf("guard row %d Probs written", row)
+		} else if inWindow(row) && err == nil &&
+			math.Float64bits(v) != math.Float64bits(want.Probs[i-guard*NumClasses]) {
+			t.Fatalf("Probs[%d] differs from fragment decode", i)
+		}
+	}
+	for row, c := range m.Class {
+		if !inWindow(row) && c != 0xEE {
+			t.Fatalf("guard row %d Class written", row)
+		} else if inWindow(row) && err == nil && c != want.Class[row-guard] {
+			t.Fatalf("Class[%d] differs from fragment decode", row)
+		}
+	}
 }

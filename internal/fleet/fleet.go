@@ -433,7 +433,9 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 	}
 	if r.Method == http.MethodGet && res.resp.status == http.StatusOK &&
 		cacheable && res.resp.header.Get("Warning") == "" {
-		rt.lkg.put(key, res.resp.header.Get("Content-Type"), res.resp.body)
+		if rt.lkg.put(key, res.resp.header.Get("Content-Type"), res.resp.body) {
+			rt.met.lkgWrites.Inc()
+		}
 	}
 	res.resp.copyHeaders(w.Header())
 	w.Header().Set("X-Elites-Worker", res.w.name)

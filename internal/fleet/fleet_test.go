@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -446,6 +448,92 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 	rec2 := doGet(rt, target)
 	if rec2.Code != http.StatusOK || rec2.Body.String() != clean {
 		t.Fatalf("second degraded read: %d %q", rec2.Code, rec2.Body.String())
+	}
+}
+
+// TestLastKnownGoodStoredOnce: the body for an identity is fixed, so a
+// repeated clean GET finds its bytes already stored and writes nothing — no
+// temp file, no rename — even from a fresh router whose memory tier is
+// cold. A body that did change is written, and it is what the degrade path
+// serves next.
+func TestLastKnownGoodStoredOnce(t *testing.T) {
+	bs, addrs := fakeFleet(t, 1)
+	dir := t.TempDir()
+	cfg := Config{Workers: addrs, CacheDir: dir}
+	rt := newTestRouter(t, cfg)
+
+	const target = "/v1/datasets/demo/report?stages=summary"
+	serveJSON := func(body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, body)
+		}
+	}
+	get := func(rt *Router, want string) {
+		t.Helper()
+		if rec := doGet(rt, target); rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("GET: %d %q, want 200 %q", rec.Code, rec.Body.String(), want)
+		}
+	}
+	key, _, _, _ := rt.identityKey(httptest.NewRequest(http.MethodGet, target, nil))
+	entry := filepath.Join(dir, rt.lkg.key(key)+".bin")
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(entry)
+		if err != nil {
+			t.Fatalf("last-known-good entry: %v", err)
+		}
+		return fi
+	}
+	checkNoTemp := func() {
+		t.Helper()
+		if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) != 0 {
+			t.Fatalf("temp files left behind: %v", tmp)
+		}
+	}
+
+	first := `{"summary":{"nodes":400}}`
+	bs.set(addrs[0], serveJSON(first))
+	get(rt, first)
+	written := stat()
+	get(rt, first)
+	if n := rt.met.lkgWrites.Value(); n != 1 {
+		t.Fatalf("two identical GETs wrote %d entries, want 1", n)
+	}
+	if !os.SameFile(written, stat()) {
+		t.Fatal("identical body rewritten: the entry was replaced by a rename")
+	}
+	checkNoTemp()
+
+	// A fresh router over the same directory with the memory tier dropped —
+	// a restart — still finds the stored bytes on disk.
+	cache.Release(dir)
+	rt2 := newTestRouter(t, cfg)
+	get(rt2, first)
+	if n := rt2.met.lkgWrites.Value(); n != 0 {
+		t.Fatalf("restarted router rewrote a stored body: %d writes", n)
+	}
+	if !os.SameFile(written, stat()) {
+		t.Fatal("restarted router replaced the stored entry")
+	}
+	checkNoTemp()
+
+	// The body for the identity changes: it is written and becomes the
+	// last-known-good body.
+	second := `{"summary":{"nodes":401}}`
+	bs.set(addrs[0], serveJSON(second))
+	get(rt2, second)
+	if n := rt2.met.lkgWrites.Value(); n != 1 {
+		t.Fatalf("changed body: %d writes, want 1", n)
+	}
+	if os.SameFile(written, stat()) {
+		t.Fatal("changed body was not written")
+	}
+	bs.set(addrs[0], respondText(http.StatusInternalServerError, "dead"))
+	rec := doGet(rt2, target)
+	if rec.Code != http.StatusOK || rec.Body.String() != second ||
+		rec.Header().Get("X-Elites-Degraded") != "true" {
+		t.Fatalf("degraded GET: %d %q %v, want the changed body", rec.Code, rec.Body.String(), rec.Header())
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -9,8 +10,9 @@ import (
 
 // lkg.go is the router's graceful-degradation floor: the last-known-good
 // body store. Every clean (non-degraded) 200 the router proxies for a
-// GET under /v1/datasets is recorded against its identity key in the
-// shared result-cache directory — the same content-addressed store the
+// GET under /v1/datasets is recorded against its identity key — written
+// only when the stored bytes differ, so a warm GET reads and never writes —
+// in the shared result-cache directory: the same content-addressed store the
 // workers hydrate stages from, so the bodies survive router restarts and
 // are visible to every router sharing the directory. When every replica
 // for an identity is down or the retry budget is exhausted, the router
@@ -41,15 +43,26 @@ func (s *lkgStore) key(identity uint64) string {
 	return fmt.Sprintf("routerlkg-%016x", identity)
 }
 
-// put records a clean body and its content type for identity.
-func (s *lkgStore) put(identity uint64, contentType string, body []byte) {
+// put records a clean body and its content type for identity, and reports
+// whether it wrote. The determinism contract fixes the body for an
+// identity, so the entry is almost always stored already: put reads it back
+// (memory tier, else a checksum-verified disk read) and writes only when
+// the stored bytes differ from the new ones. It compares bytes rather than
+// testing for existence so that a body which did change — a new codec, a
+// different worker build — still replaces the old one, and the store keeps
+// meaning "the last clean response".
+func (s *lkgStore) put(identity uint64, contentType string, body []byte) (wrote bool) {
 	if s.c == nil {
-		return
+		return false
+	}
+	if ct, old, ok := s.get(identity); ok && ct == contentType && bytes.Equal(old, body) {
+		return false
 	}
 	buf := binary.AppendUvarint(nil, uint64(len(contentType)))
 	buf = append(buf, contentType...)
 	buf = append(buf, body...)
 	s.c.Put(s.key(identity), buf)
+	return true
 }
 
 // get returns the last-known-good body for identity, if one was recorded.

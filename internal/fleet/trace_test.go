@@ -105,9 +105,10 @@ func TestTraceRetryOneTraceID(t *testing.T) {
 func TestFleetMetricsExpositionValid(t *testing.T) {
 	bs, addrs := fakeFleet(t, 2)
 	tr := newTraceTracer(9)
-	rt := newTestRouter(t, Config{Workers: addrs, Tracer: tr})
+	rt := newTestRouter(t, Config{Workers: addrs, Tracer: tr, CacheDir: t.TempDir()})
 	bs.set(addrs[0], respondText(http.StatusOK, "ok"))
 	bs.set(addrs[1], respondText(http.StatusOK, "ok"))
+	doGet(rt, "/v1/datasets/demo/report?stages=summary")
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
 
 	rec := doGet(rt, "/metrics")
@@ -130,6 +131,7 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 		"eliterouter_breaker_trips_total",
 		"eliterouter_degraded_total",
 		"eliterouter_shed_total",
+		"eliterouter_lkg_writes_total",
 		"eliterouter_probe_failures_total",
 		"eliterouter_ejections_total",
 		"eliterouter_readmissions_total",
@@ -137,6 +139,10 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Fatalf("/metrics missing pre-existing metric %q:\n%s", name, body)
 		}
+	}
+	// Two identical clean GETs store their body once.
+	if !strings.Contains(body, "\neliterouter_lkg_writes_total 1\n") {
+		t.Fatalf("want one last-known-good write for two identical GETs:\n%s", body)
 	}
 	// fleetload.sh parses worker_up lines as exactly 'name{...} 0|1'.
 	if !strings.Contains(body, `eliterouter_worker_up{worker="`+addrs[0]+`"} 1`) &&

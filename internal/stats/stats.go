@@ -1,5 +1,5 @@
 // Package stats provides the descriptive and regression statistics behind
-// the paper's figures: summary statistics, linear and logarithmic histograms
+// the paper's figures: quantiles, linear and logarithmic histograms
 // (Figure 1), complementary CDFs (Figure 2), Pearson and Spearman
 // correlations, ordinary least squares (the building block of the ADF test),
 // and a penalized B-spline "GAM-style" smoother with GCV-chosen smoothing
@@ -19,59 +19,6 @@ var ErrEmpty = errors.New("stats: empty sample")
 
 // ErrMismatch indicates paired samples of different lengths.
 var ErrMismatch = errors.New("stats: length mismatch")
-
-// Summary holds the usual descriptive statistics of a sample.
-type Summary struct {
-	N                  int
-	Mean, Var, Std     float64
-	Min, Max           float64
-	Median, Q1, Q3     float64
-	Skewness, Kurtosis float64 // kurtosis is excess kurtosis
-}
-
-// Summarize computes a Summary. Variance is the unbiased (n−1) estimator.
-func Summarize(xs []float64) (Summary, error) {
-	n := len(xs)
-	if n == 0 {
-		return Summary{}, ErrEmpty
-	}
-	var s Summary
-	s.N = n
-	s.Min, s.Max = xs[0], xs[0]
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(n)
-	var m2, m3, m4 float64
-	for _, x := range xs {
-		d := x - s.Mean
-		m2 += d * d
-		m3 += d * d * d
-		m4 += d * d * d * d
-	}
-	if n > 1 {
-		s.Var = m2 / float64(n-1)
-		s.Std = math.Sqrt(s.Var)
-	}
-	if m2 > 0 {
-		popVar := m2 / float64(n)
-		s.Skewness = (m3 / float64(n)) / math.Pow(popVar, 1.5)
-		s.Kurtosis = (m4/float64(n))/(popVar*popVar) - 3
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Quantile(sorted, 0.5)
-	s.Q1 = Quantile(sorted, 0.25)
-	s.Q3 = Quantile(sorted, 0.75)
-	return s, nil
-}
 
 // Quantile returns the p-quantile (linear interpolation, type-7) of an
 // ascending-sorted sample.

@@ -8,46 +8,6 @@ import (
 	"elites/internal/mathx"
 )
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("summary = %+v", s)
-	}
-	// Unbiased variance of this classic sample is 32/7.
-	if math.Abs(s.Var-32.0/7) > 1e-12 {
-		t.Fatalf("Var = %v, want %v", s.Var, 32.0/7)
-	}
-	if math.Abs(s.Median-4.5) > 1e-12 {
-		t.Fatalf("Median = %v", s.Median)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatal("empty should error")
-	}
-}
-
-func TestSummarizeSkewness(t *testing.T) {
-	rng := mathx.NewRNG(1)
-	sym := make([]float64, 50000)
-	for i := range sym {
-		sym[i] = rng.Normal()
-	}
-	s, _ := Summarize(sym)
-	if math.Abs(s.Skewness) > 0.05 || math.Abs(s.Kurtosis) > 0.1 {
-		t.Fatalf("normal sample skew=%v kurt=%v", s.Skewness, s.Kurtosis)
-	}
-	heavy := make([]float64, 50000)
-	for i := range heavy {
-		heavy[i] = rng.LogNormal(0, 1)
-	}
-	hs, _ := Summarize(heavy)
-	if hs.Skewness < 1 {
-		t.Fatalf("lognormal should be right-skewed, got %v", hs.Skewness)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{

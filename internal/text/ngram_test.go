@@ -58,8 +58,8 @@ func TestTokenizePunctuationSplit(t *testing.T) {
 
 func TestCounterBigrams(t *testing.T) {
 	c := NewCounter(2)
-	c.AddText("official twitter account")
-	c.AddText("official twitter page")
+	c.Add(Tokenize("official twitter account"))
+	c.Add(Tokenize("official twitter page"))
 	if c.Count("official", "twitter") != 2 {
 		t.Fatalf("count = %d", c.Count("official", "twitter"))
 	}
@@ -73,7 +73,7 @@ func TestCounterBigrams(t *testing.T) {
 
 func TestCounterShortDocs(t *testing.T) {
 	c := NewCounter(3)
-	c.AddText("too short")
+	c.Add(Tokenize("too short"))
 	if len(c.counts) != 0 {
 		t.Fatal("short docs should contribute nothing")
 	}
@@ -82,9 +82,9 @@ func TestCounterShortDocs(t *testing.T) {
 func TestTopFiltersStopwordMajority(t *testing.T) {
 	c := NewCounter(3)
 	for i := 0; i < 10; i++ {
-		c.AddText("editor in chief")    // 1/3 stopwords: keep
-		c.AddText("one of the best")    // "of the" inside: the trigrams
-		c.AddText("to be or not to be") // heavy stopwords: drop
+		c.Add(Tokenize("editor in chief"))    // 1/3 stopwords: keep
+		c.Add(Tokenize("one of the best"))    // "of the" inside: the trigrams
+		c.Add(Tokenize("to be or not to be")) // heavy stopwords: drop
 	}
 	top := c.Top(10)
 	phrases := map[string]int{}
@@ -104,7 +104,7 @@ func TestTopFiltersStopwordMajority(t *testing.T) {
 
 func TestTopOrderingDeterministic(t *testing.T) {
 	c := NewCounter(1)
-	c.AddText("alpha beta beta gamma gamma")
+	c.Add(Tokenize("alpha beta beta gamma gamma"))
 	top := c.Top(3)
 	if len(top) != 3 {
 		t.Fatalf("top = %v", top)
@@ -121,7 +121,7 @@ func TestTopOrderingDeterministic(t *testing.T) {
 func TestTopDropsSingleRuneTokens(t *testing.T) {
 	c := NewCounter(1)
 	for i := 0; i < 5; i++ {
-		c.AddText("x factor")
+		c.Add(Tokenize("x factor"))
 	}
 	for _, g := range c.Top(10) {
 		if g.Phrase() == "X" {
