@@ -2,7 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -110,6 +112,65 @@ func TestCorruptedEntriesAreMisses(t *testing.T) {
 	}
 	if _, res := c.readFile(other); res == diskOK {
 		t.Error("entry with mismatched key echo served as a hit")
+	}
+}
+
+// TestChecksumXXH64Vectors pins the payload checksum to the published
+// XXH64 (seed 0) vectors; the last input is longer than one 32-byte stripe.
+func TestChecksumXXH64Vectors(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xef46db3751d8e999},
+		{"abc", 0x44bc2cf5ad770999},
+		{"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1},
+	} {
+		if got := checksum([]byte(tc.in)); got != tc.want {
+			t.Errorf("checksum(%q) = %016x, want %016x", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestOldVersionFrameIsCleanMiss: a format-version-1 frame (FNV-64a
+// trailer) left by an older build reads as a clean miss — no I/O error, no
+// breaker trip — and the next Put replaces it with a frame that hits.
+func TestOldVersionFrameIsCleanMiss(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCache(dir)
+	key := Key{Stage: "deg", Version: 1, Dataset: 42, Options: 7}.String()
+	payload := []byte("payload-bytes-here")
+
+	old := []byte(diskMagic)
+	old = binary.AppendUvarint(old, 1)
+	old = binary.AppendUvarint(old, uint64(len(key)))
+	old = append(old, key...)
+	old = binary.AppendUvarint(old, uint64(len(payload)))
+	old = append(old, payload...)
+	h := fnv.New64a()
+	h.Write(payload)
+	old = binary.LittleEndian.AppendUint64(old, h.Sum64())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(key), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, ok := c.Get(key); ok {
+		t.Fatal("version-1 frame served as a hit")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.IOErrors != 0 || st.BreakerOpen || st.BreakerTrips != 0 {
+		t.Fatalf("version-1 frame must be a clean miss, stats = %+v", st)
+	}
+	c.Put(key, payload)
+	c.DropMemory()
+	got, ok := c.Get(key)
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after Put = %q, %v; want the payload from disk", got, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.IOErrors != 0 {
+		t.Fatalf("stats after rewrite = %+v", st)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // Codec for cached pipeline stages (internal/cache). A Fit round-trips
 // completely — including the sorted data and fit options that back
 // GoodnessOfFit and CompareAll — so a fit hydrated from the result cache is
-// indistinguishable from a freshly computed one. Derived unexported state
-// (the suffix log-sums) is deliberately not encoded: it is a pure function of the encoded fields and is
-// recomputed by DecodeFitFrom, keeping cache entries minimal.
+// indistinguishable from a freshly computed one. The suffix log-sums are
+// neither encoded nor rebuilt on decode: they are a pure function of the
+// sorted data, and tailLogSum recomputes the one sum a comparison needs.
 
 // ErrDecode reports a malformed Fit or VuongResult payload.
 var ErrDecode = errors.New("powerlaw: malformed encoded fit")
@@ -57,7 +57,6 @@ func DecodeFitFrom(d *cache.Decoder) (*Fit, error) {
 	if d.Err() != nil {
 		return nil, ErrDecode
 	}
-	f.initDerived()
 	return f, nil
 }
 

@@ -128,9 +128,11 @@ func (f *Fit) tailStart() int { return sort.SearchFloat64s(f.sorted, f.Xmin) }
 // comparisons share one tail instead of re-materializing it per use.
 func (f *Fit) tailView() []float64 { return f.sorted[f.tailStart():] }
 
-// tailLogSum returns Σ ln x over sorted[i:] from the precomputed suffix
-// sums (recomputing on the fly only for fits built before the suffix pass
-// existed, e.g. hand-constructed test values).
+// tailLogSum returns Σ ln x over sorted[i:]. A fitted value reads the
+// kernel's suffix sums; a fit decoded from the result cache carries none
+// and takes the fallback on purpose: one O(tail) pass per Vuong
+// alternative, summed in the same descending order, so the bits are
+// identical and a decode pays for no table.
 func (f *Fit) tailLogSum(i int) float64 {
 	if f.logSuf != nil {
 		return f.logSuf[i]
@@ -140,18 +142,6 @@ func (f *Fit) tailLogSum(i int) float64 {
 		s += math.Log(f.sorted[j])
 	}
 	return s
-}
-
-// initDerived fills the unexported derived state (suffix log-sums) that
-// EncodeTo deliberately does not persist: it is a pure function of the
-// encoded fields, so hydrating a fit from the result cache recomputes it
-// instead of storing redundant bytes.
-func (f *Fit) initDerived() {
-	n := len(f.sorted)
-	f.logSuf = make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		f.logSuf[i] = f.logSuf[i+1] + math.Log(f.sorted[i])
-	}
 }
 
 // FitDiscrete fits a discrete power law to integer-valued data (degrees,

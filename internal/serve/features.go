@@ -153,7 +153,7 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "rank must be a positive integer, got %q", r.PathValue("rank"))
 		return
 	}
-	byRank, _, _ := d.ranking()
+	byRank := d.ranking()
 	if rank > len(byRank) {
 		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", rank, len(byRank))
 		return
@@ -210,7 +210,7 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "too many ranks (%d > %d)", len(req.Ranks), maxBatchRanks)
 		return
 	}
-	byRank, _, _ := d.ranking()
+	byRank := d.ranking()
 	nodes := make([]int, len(req.Ranks))
 	for i, rank := range req.Ranks {
 		if rank < 1 || rank > len(byRank) {

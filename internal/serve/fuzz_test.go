@@ -50,7 +50,7 @@ func FuzzParseStages(f *testing.F) {
 func FuzzUsersBatch(f *testing.F) {
 	s := newTestServer(f, Config{Options: fastServeOptions()})
 	d, _ := s.dataset("demo")
-	byRank, _, _ := d.ranking()
+	byRank := d.ranking()
 	post := func(body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,

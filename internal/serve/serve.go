@@ -100,8 +100,8 @@ type Config struct {
 	SlowRequest time.Duration
 }
 
-// dataset is one registered dataset plus its memoized identity and
-// per-user degree ranking.
+// dataset is one registered dataset plus its memoized identity,
+// per-user degree ranking and in-degree table.
 type dataset struct {
 	ID       string
 	Source   string
@@ -111,8 +111,8 @@ type dataset struct {
 
 	rankOnce sync.Once
 	byRank   []int32 // node ids, rank 1 first (out-degree desc, node asc)
-	outDeg   []int
-	inDeg    []int
+	inOnce   sync.Once
+	inDeg    []int // read only by /users/{rank}, so built on its first call
 
 	// featMu guards the per-dataset feature memos: the full matrix (set
 	// after a pipeline run computed it) and individually decoded shards
@@ -343,14 +343,16 @@ func (s *Server) dataset(id string) (*dataset, bool) {
 // ranking memoizes the out-degree ranking used by the per-user endpoints
 // (features.RankByOutDegree is the single definition of the order, shared
 // with eliteanalyze -features so batch bodies compare byte-for-byte).
-func (d *dataset) ranking() ([]int32, []int, []int) {
-	d.rankOnce.Do(func() {
-		g := d.ds.Graph
-		d.outDeg = g.OutDegrees()
-		d.inDeg = g.InDegrees()
-		d.byRank = features.RankByOutDegree(g)
-	})
-	return d.byRank, d.outDeg, d.inDeg
+func (d *dataset) ranking() []int32 {
+	d.rankOnce.Do(func() { d.byRank = features.RankByOutDegree(d.ds.Graph) })
+	return d.byRank
+}
+
+// inDegrees memoizes the in-degree table, an O(edges) pass that only the
+// /users/{rank} endpoint reads.
+func (d *dataset) inDegrees() []int {
+	d.inOnce.Do(func() { d.inDeg = d.ds.Graph.InDegrees() })
+	return d.inDeg
 }
 
 // --- request plumbing --------------------------------------------------------
@@ -943,7 +945,7 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "rank must be a positive integer, got %q", r.PathValue("rank"))
 		return
 	}
-	byRank, outDeg, inDeg := d.ranking()
+	byRank := d.ranking()
 	if rank > len(byRank) {
 		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", rank, len(byRank))
 		return
@@ -951,7 +953,7 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 	node := int(byRank[rank-1])
 	v := userView{
 		Rank: rank, Node: node,
-		OutDegree: outDeg[node], InDegree: inDeg[node],
+		OutDegree: d.ds.Graph.OutDegree(node), InDegree: d.inDegrees()[node],
 	}
 	if node < len(d.ds.Profiles) {
 		p := d.ds.Profiles[node]

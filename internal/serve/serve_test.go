@@ -136,6 +136,30 @@ func TestUserEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
+	// Both degrees of the first, second and last rank match the graph's
+	// own degree tables for the node the body names. The three requests
+	// race on the dataset's first ranking and in-degree builds.
+	outDeg, inDeg := ds.Graph.OutDegrees(), ds.Graph.InDegrees()
+	var wg sync.WaitGroup
+	for _, rank := range []int{1, 2, ds.Graph.NumNodes()} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/datasets/demo/users/%d", rank), nil))
+			var u userView
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &u) != nil {
+				t.Errorf("user %d: %d %s", rank, rec.Code, rec.Body)
+				return
+			}
+			if u.Rank != rank || u.OutDegree != outDeg[u.Node] || u.InDegree != inDeg[u.Node] {
+				t.Errorf("rank %d: body %+v, want out_degree %d in_degree %d for node %d",
+					rank, u, outDeg[u.Node], inDeg[u.Node], u.Node)
+			}
+		}()
+	}
+	wg.Wait()
+
 	code, body := get(t, ts, "/v1/datasets/demo/users/1")
 	if code != http.StatusOK {
 		t.Fatalf("user 1: %d %s", code, body)
@@ -144,7 +168,6 @@ func TestUserEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &v); err != nil {
 		t.Fatal(err)
 	}
-	outDeg := ds.Graph.OutDegrees()
 	maxDeg := 0
 	for _, d := range outDeg {
 		if d > maxDeg {
