@@ -1,9 +1,9 @@
 // Command eliterouter fronts a fleet of eliteserve workers with a
-// fault-tolerant coordinator. It rendezvous-hashes each request's cache
-// identity (dataset digest, stage subset, format) onto a stable worker
-// order — so one replica owns each identity, its single-flight coalescing
-// works fleet-wide, and a worker leaving never remaps identities between
-// the survivors — and climbs a degradation ladder as failures accumulate:
+// fault-tolerant coordinator. It rendezvous-hashes each request (dataset
+// id, path, stage subset, format) onto a stable worker order — so one
+// replica owns each identity, its single-flight coalescing works
+// fleet-wide, and a worker leaving never remaps identities between the
+// survivors — and climbs a degradation ladder as failures accumulate:
 // budgeted retries with equal-jitter exponential backoff onto the next
 // worker in hash order, per-worker circuit breakers, health-probe ejection
 // with probationary re-admission, and finally last-known-good cached

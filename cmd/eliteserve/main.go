@@ -6,7 +6,7 @@
 // Endpoints (see docs/ARCHITECTURE.md "The serving layer" and the README
 // endpoints table):
 //
-//	GET  /healthz                              liveness + dataset count (503 while draining)
+//	GET  /healthz                              liveness, dataset count, identities (503 while draining)
 //	GET  /readyz                               readiness (503 while draining)
 //	POST /v1/admin/drain                       stop admitting new pipeline work
 //	GET  /metrics                              Prometheus text metrics

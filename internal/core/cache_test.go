@@ -474,6 +474,12 @@ type optionFlip struct {
 	moves []string
 }
 
+// noEffectFields are the Options fields declared to change no result: they
+// enter no stage key and leave ResultDigest unchanged. Every other field
+// shapes a result and must move ResultDigest.
+var noEffectFields = []string{"Parallelism", "Stages", "Timings", "CacheDir",
+	"CacheMemBytes", "StageObserver", "StageRetries", "Faults"}
+
 // optionFlips classifies every core.Options field. Booleans and the stage
 // selection toggle, so a flip moves any baseline.
 func optionFlips(t *testing.T) map[string]optionFlip {
@@ -545,6 +551,44 @@ var graphStageNames = slices.DeleteFunc(slices.Clone(cachedStageNames),
 // the 14 cached stages, split three ways, each from a baseline that runs
 // its stages.
 
+// TestResultDigestCoversOptions runs the optionFlips table over
+// ResultDigest from the defaults spelled out, where every stage but the
+// opt-in features runs: each result-shaping flip moves the digest and each
+// no-effect field leaves it. The zero Options share the defaults' digest,
+// so -seed 1 and the default seed key one body, and the feature shard keys
+// apply the same defaults.
+func TestResultDigestCoversOptions(t *testing.T) {
+	base := Options{}.withDefaults()
+	want := ResultDigest(base)
+	if got := ResultDigest(Options{}); got != want {
+		t.Fatalf("ResultDigest(Options{}) = %x, defaults spelled out give %x", got, want)
+	}
+	if ResultDigest(Options{Seed: 1}) != want {
+		t.Fatal("Seed 1 and the default seed have different digests")
+	}
+	flips := optionFlips(t)
+	for name, f := range flips {
+		o := base
+		f.flip(&o)
+		moved := ResultDigest(o) != want
+		if shapes := !contains(noEffectFields, name); moved != shapes {
+			t.Errorf("%s: ResultDigest moved=%v, want %v", name, moved, shapes)
+		}
+	}
+
+	shardKey := func(o Options) uint64 { return FeatureStore(nil, 1, o).Options }
+	if shardKey(Options{}) != shardKey(base) {
+		t.Fatal("feature shard keys: the zero Options and the defaults differ")
+	}
+	if shardKey(Options{Seed: 2}) == shardKey(Options{}) ||
+		shardKey(Options{BetweennessSources: 64}) == shardKey(Options{}) {
+		t.Fatal("feature shard keys ignore Seed or BetweennessSources")
+	}
+	if shardKey(Options{Parallelism: 8}) != shardKey(Options{}) {
+		t.Fatal("Parallelism entered the feature shard keys")
+	}
+}
+
 func TestStageCacheKeysCoverOptions(t *testing.T) {
 	// The baseline runs every default stage at Parallelism 4, so stages
 	// sharing features.Shared overlap.
@@ -573,9 +617,11 @@ func TestFeatureStageCacheKeyCoversOptions(t *testing.T) {
 // (bootstraps skipped, then edited by setup), then flips each core.Options
 // field in turn. Of the checked stages, one the flip claims to move must
 // miss; every other one that runs must hit, and the flipped options, run
-// without a cache, must compute the primed output bit for bit. An option
-// that shapes a stage but is left out of its digest fails here, and so does
-// a new option or cached stage until optionFlips classifies it.
+// without a cache, must compute the primed output bit for bit. A flip that
+// moves a stage key must move ResultDigest too, and a no-effect field must
+// leave it. An option that shapes a stage but is left out of its digest
+// fails here, and so does a new option or cached stage until optionFlips
+// classifies it.
 func checkStageKeysCoverOptions(t *testing.T, setup func(*Options), checked []string) {
 	t.Helper()
 	// A platform smaller than testPlatform's: each flip runs two batteries.
@@ -628,6 +674,10 @@ func checkStageKeysCoverOptions(t *testing.T, setup func(*Options), checked []st
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		digestMoved := ResultDigest(o) != ResultDigest(base)
+		if digestMoved && contains(noEffectFields, name) {
+			t.Errorf("%s is declared to have no effect but moves ResultDigest", name)
+		}
 		if rep.Cache != nil && rep.Cache.Dir == dir {
 			for _, st := range checked {
 				hit, miss := contains(rep.Cache.Hits, st), contains(rep.Cache.Misses, st)
@@ -636,6 +686,9 @@ func checkStageKeysCoverOptions(t *testing.T, setup func(*Options), checked []st
 				}
 				if want := contains(f.moves, st); miss != want {
 					t.Errorf("%s: %s missed=%v, want %v", name, st, miss, want)
+				}
+				if miss && !digestMoved {
+					t.Errorf("%s moves the %s key but not ResultDigest", name, st)
 				}
 			}
 		}

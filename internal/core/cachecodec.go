@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"elites/internal/cache"
+	"elites/internal/features"
 	"elites/internal/graph"
 	"elites/internal/powerlaw"
 	"elites/internal/stats"
@@ -13,44 +15,134 @@ import (
 )
 
 // Binary codecs for the cached pipeline stages (store-style: varints, raw
-// float bits, length prefixes). Each cached stage owns one codec version
-// constant — bump it whenever the encoding *or the stage's computation*
-// changes, so stale entries from older builds become unreachable instead of
-// wrong. Decoders inherit the cache.Decoder sticky-error discipline: any
-// malformed payload surfaces as one error, which the scheduler treats as a
-// miss and recomputes.
-const (
-	distancesCodecVersion  = 1
-	centralityCodecVersion = 1
+// float bits, length prefixes). Decoders inherit the cache.Decoder
+// sticky-error discipline: any malformed payload surfaces as one error,
+// which the scheduler treats as a miss and recomputes.
+
+// stageKey declares what, besides the dataset digest, shapes one cached
+// stage's output: its codec version (bump it whenever the encoding *or the
+// computation* changes, so stale entries become unreachable instead of
+// wrong), the option words of its cache key (read from defaulted Options;
+// nil: none), and whether the options leave it out of the battery (nil:
+// never; the dataset may still lack its inputs).
+type stageKey struct {
+	version int
+	words   func(o Options) []uint64
+	off     func(o Options) bool
+}
+
+// stageKeys is the one declaration of which inputs shape a result. The
+// stage cache keys (RunDigested), the feature shard keys (FeatureStore) and
+// ResultDigest are all built from it, so no other package keeps a list of
+// result-shaping options. Every field of Options must either appear here or
+// be declared to have no effect (the optionFlips table in cache_test.go).
+var stageKeys = map[string]stageKey{
+	// components, summary, reciprocity and histograms have no shaping
+	// option: the graph, every profile count and TotalVerified are in the
+	// dataset digest.
+	StageComponents:  {version: 1},
+	StageSummary:     {version: 1},
+	StageReciprocity: {version: 1},
+	StageHistograms:  {version: 1},
+	// basic and mutualcore are pure functions of the graph (Seed
+	// deliberately stays out), so one entry serves every run over the
+	// same dataset.
+	StageBasic:      {version: 1},
+	StageMutualCore: {version: 1, off: func(o Options) bool { return o.SkipCategories }},
 	// degree and eigen are at v2: the PR 4 power-law kernel changed the
 	// fit's numerics (suffix-sum tail statistics, ladder-evaluated zeta,
 	// warm-started Brent) and the bootstrap's denominator accounting
 	// (dropped replicates are excluded), plus Fit grew derived unexported
 	// state — v1 entries carry pre-kernel values and must not be served.
-	degreeCodecVersion = 2
+	StageDegree: {version: 2, words: func(o Options) []uint64 {
+		return []uint64{o.Seed, uint64(o.BootstrapReps), boolWord(o.SkipBootstrap)}
+	}},
 	// eigen is at v3: partial reorthogonalization in the Lanczos solver
 	// moves the eigenvalues (by ~1e-14 relative where converged), so v2
 	// entries hold another solver's bits.
-	eigenCodecVersion = 3
-	// basic and mutualcore joined the cache in PR 4 (the ROADMAP's
-	// mid-weight leftovers): both are pure functions of the graph with no
-	// shaping options, so their options digest is the empty hash.
-	basicCodecVersion      = 1
-	mutualCoreCodecVersion = 1
-	// Of bios, categories and activity only bios has a shaping option
-	// (TopNGrams); categories reads unseeded PageRanks and activity reads
-	// only the series, both covered by the dataset digest.
-	biosCodecVersion       = 1
-	categoriesCodecVersion = 1
-	activityCodecVersion   = 1
-	// components, summary, reciprocity and histograms have no shaping
-	// option: the graph, every profile count and TotalVerified are in the
-	// dataset digest.
-	componentsCodecVersion  = 1
-	summaryCodecVersion     = 1
-	reciprocityCodecVersion = 1
-	histogramsCodecVersion  = 1
-)
+	StageEigen: {version: 3, words: func(o Options) []uint64 {
+		return []uint64{o.Seed, uint64(o.EigenK), uint64(o.EigenIters),
+			uint64(o.BootstrapReps), boolWord(o.SkipBootstrap)}
+	}, off: func(o Options) bool { return o.SkipEigen }},
+	StageDistances: {version: 1, words: func(o Options) []uint64 { return []uint64{o.Seed, uint64(o.DistanceSources)} }},
+	// Of bios, categories and activity only bios has a shaping option;
+	// categories reads unseeded PageRanks and activity reads only the
+	// series, both covered by the dataset digest.
+	StageBios:       {version: 1, words: func(o Options) []uint64 { return []uint64{uint64(o.TopNGrams)} }},
+	StageCategories: {version: 1, off: func(o Options) bool { return o.SkipCategories }},
+	StageActivity:   {version: 1},
+	StageCentrality: {version: 1, words: func(o Options) []uint64 {
+		return []uint64{o.Seed, uint64(o.BetweennessSources), boolWord(o.SkipBetweenness)}
+	}},
+	// The matrix is what featureOptions hands the features package, so
+	// its words are read from that mapping; they also key every row shard.
+	StageFeatures: {version: features.ManifestCodecVersion, words: func(o Options) []uint64 {
+		f := featureOptions(o)
+		return []uint64{f.Seed, uint64(f.BetweennessSources)}
+	}, off: func(o Options) bool {
+		return !o.Features && !slices.Contains(o.Stages, StageFeatures)
+	}},
+}
+
+// runs reports whether the options put stage in the battery.
+func (o Options) runs(stage string) bool {
+	off := stageKeys[stage].off
+	return off == nil || !off(o)
+}
+
+// stageDigest is the options half of stage's cache key. o must have its
+// defaults applied.
+func (o Options) stageDigest(stage string) uint64 {
+	var words []uint64
+	if f := stageKeys[stage].words; f != nil {
+		words = f(o)
+	}
+	return cache.HashWords(words...)
+}
+
+// ResultDigest is the options half of a response's identity. For each
+// stage the options put in the battery, in canonical order, it folds the
+// stage's name, codec version and cache-key digest from stageKeys. It
+// applies the defaults first, so the zero Options and the defaults spelled
+// out share one digest. Stages is left out: a caller that restricts the
+// stages names the subset in its own key. Fields that cannot change a
+// result (Parallelism, Timings, the cache and observer settings,
+// StageRetries, Faults) never enter it.
+func ResultDigest(o Options) uint64 {
+	o = o.withDefaults()
+	o.Stages = nil
+	h := cache.NewHasher()
+	for _, name := range StageNames() {
+		if !o.runs(name) {
+			continue
+		}
+		h.String(name)
+		h.Word(uint64(stageKeys[name].version))
+		h.Word(o.stageDigest(name))
+	}
+	return h.Sum()
+}
+
+// featureOptions is the one mapping from core options to the feature
+// matrix's.
+func featureOptions(o Options) features.Options {
+	o = o.withDefaults()
+	return features.Options{BetweennessSources: o.BetweennessSources, Seed: o.Seed, Parallelism: o.Parallelism}
+}
+
+// FeatureStore is the feature row-shard store for a dataset digest under
+// options o: the shards a run with o writes are the ones it reads.
+func FeatureStore(c *cache.Cache, dataset uint64, o Options) features.Store {
+	return features.Store{Cache: c, Dataset: dataset, Options: o.withDefaults().stageDigest(StageFeatures)}
+}
+
+// boolWord folds a flag into an options digest.
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // makeLen returns what a cache.Decoder.Len result describes: nil, or an
 // empty slice with room for n elements.

@@ -352,10 +352,10 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 	base := mathx.NewRNG(c.opts.Seed)
 	rep := &Report{}
 
-	// Result cache: key each expensive stage by the dataset digest and a
-	// digest of exactly the options that shape its output. withCache is
-	// the identity when the cache is off, so the stage graph below reads
-	// the same either way.
+	// Result cache: key each expensive stage by the dataset digest, its
+	// codec version and a digest of exactly the options that shape its
+	// output, all read from stageKeys. withCache is the identity when the
+	// cache is off, so the stage graph below reads the same either way.
 	var rcache *cache.Cache
 	if c.cacheEnabled() {
 		if cc, err := cache.New(c.opts.CacheDir); err == nil {
@@ -365,13 +365,13 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			}
 		}
 	}
-	withCache := func(st pipeline.Stage, version int, optsDigest uint64, b binding) pipeline.Stage {
+	withCache := func(st pipeline.Stage, b binding) pipeline.Stage {
 		if rcache == nil {
 			return st
 		}
 		st.CacheKey = cache.Key{
-			Stage: st.Name, Version: version,
-			Dataset: digest, Options: optsDigest,
+			Stage: st.Name, Version: stageKeys[st.Name].version,
+			Dataset: digest, Options: c.opts.stageDigest(st.Name),
 		}.String()
 		st.Encode = func() ([]byte, error) {
 			var e cache.Encoder
@@ -395,11 +395,7 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 
 	// Graph-wide quantities several stages read, computed at most once per
 	// run and only when a stage that misses the cache asks (see Shared).
-	fopts := features.Options{
-		BetweennessSources: c.opts.BetweennessSources,
-		Seed:               c.opts.Seed,
-		Parallelism:        c.opts.Parallelism,
-	}
+	fopts := featureOptions(c.opts)
 	sh := features.NewShared(g, fopts)
 
 	// The SCC decomposition feeds components and basic, computed at most
@@ -411,33 +407,21 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 		withCache(pipeline.Stage{Name: StageComponents, Run: func() error {
 			comps = countComponents(g, scc())
 			return nil
-		}}, componentsCodecVersion,
-			// components, summary, reciprocity and histograms read only the
-			// graph and the profiles, all in the dataset digest: no option
-			// shapes them.
-			cache.HashWords(),
-			bind(&comps, encodeComponentsTo, decodeComponentsFrom)),
+		}}, bind(&comps, encodeComponentsTo, decodeComponentsFrom)),
 		withCache(pipeline.Stage{Name: StageSummary, Deps: []string{StageComponents}, Run: func() error {
 			c.summarize(rep, ds, comps)
 			return nil
-		}}, summaryCodecVersion, cache.HashWords(),
-			bind(&rep.Summary, encodeSummaryTo, decodeSummaryFrom)),
+		}}, bind(&rep.Summary, encodeSummaryTo, decodeSummaryFrom)),
 		// basic reads the SCC labels, not the cached counts; the dependency
 		// on components only orders the cold schedule.
 		withCache(pipeline.Stage{Name: StageBasic, Deps: []string{StageComponents}, Run: func() error {
 			c.basic(rep, g, scc(), sh)
 			return nil
-		}}, basicCodecVersion,
-			// No option shapes this stage's output (and Seed deliberately
-			// stays out of the digest), so one entry serves every run over
-			// the same dataset.
-			cache.HashWords(),
-			bind(&rep.Basic, encodeBasicTo, decodeBasicFrom)),
+		}}, bind(&rep.Basic, encodeBasicTo, decodeBasicFrom)),
 		withCache(pipeline.Stage{Name: StageDegree, Run: func() error {
 			c.degreeAnalysis(rep, g, sh, base.Derive(StageDegree))
 			return nil
-		}}, degreeCodecVersion,
-			cache.HashWords(c.opts.Seed, uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
+		}},
 			// Two report fields, so the binding is written out.
 			binding{
 				enc: func(e *cache.Encoder) { encodeDegreeTo(e, rep.DegreeSeries, rep.Degree) },
@@ -450,91 +434,70 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 				},
 			}),
 	}
-	if !c.opts.SkipEigen {
+	if c.opts.runs(StageEigen) {
 		stages = append(stages, withCache(pipeline.Stage{Name: StageEigen, Run: func() error {
 			c.eigenAnalysis(rep, g, base.Derive(StageEigen))
 			return nil
-		}}, eigenCodecVersion,
-			cache.HashWords(c.opts.Seed, uint64(c.opts.EigenK), uint64(c.opts.EigenIters),
-				uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
-			bind(&rep.Eigen, encodePowerLawTo, decodePowerLawFrom)))
+		}}, bind(&rep.Eigen, encodePowerLawTo, decodePowerLawFrom)))
 	}
 	stages = append(stages,
 		withCache(pipeline.Stage{Name: StageReciprocity, Run: func() error {
 			rep.Reciprocity = graph.Reciprocity(g)
 			return nil
-		}}, reciprocityCodecVersion, cache.HashWords(),
-			bind(&rep.Reciprocity, (*cache.Encoder).Float64, func(d *cache.Decoder) (float64, error) {
-				r := d.Float64()
-				return r, d.Err()
-			})),
+		}}, bind(&rep.Reciprocity, (*cache.Encoder).Float64, func(d *cache.Decoder) (float64, error) {
+			r := d.Float64()
+			return r, d.Err()
+		})),
 		withCache(pipeline.Stage{Name: StageDistances, Run: func() error {
 			rep.Distances = graph.SampledDistancesWorkers(g, c.opts.DistanceSources,
 				base.Derive(StageDistances), c.opts.Parallelism)
 			return nil
-		}}, distancesCodecVersion,
-			cache.HashWords(c.opts.Seed, uint64(c.opts.DistanceSources)),
-			bind(&rep.Distances, encodeDistancesTo, decodeDistancesFrom)),
+		}}, bind(&rep.Distances, encodeDistancesTo, decodeDistancesFrom)),
 	)
 	if len(ds.Profiles) > 0 {
 		stages = append(stages,
 			withCache(pipeline.Stage{Name: StageBios, Run: func() error {
 				c.bioAnalysis(rep, ds)
 				return nil
-			}}, biosCodecVersion,
-				cache.HashWords(uint64(c.opts.TopNGrams)),
-				bind(&rep.Bios, encodeBiosTo, decodeBiosFrom)),
+			}}, bind(&rep.Bios, encodeBiosTo, decodeBiosFrom)),
 			withCache(pipeline.Stage{Name: StageHistograms, Run: func() error {
 				c.metricHistograms(rep, ds)
 				return nil
-			}}, histogramsCodecVersion, cache.HashWords(),
-				bind(&rep.MetricHists, encodeHistogramsTo, decodeHistogramsFrom)),
+			}}, bind(&rep.MetricHists, encodeHistogramsTo, decodeHistogramsFrom)),
 			withCache(pipeline.Stage{Name: StageCentrality, Run: func() error {
 				c.centralityAnalysis(rep, ds, sh)
 				return nil
-			}}, centralityCodecVersion,
-				cache.HashWords(c.opts.Seed, uint64(c.opts.BetweennessSources), boolWord(c.opts.SkipBetweenness)),
-				bind(&rep.Centrality, encodeCentralityTo, decodeCentralityFrom)),
+			}}, bind(&rep.Centrality, encodeCentralityTo, decodeCentralityFrom)),
 		)
-		if !c.opts.SkipCategories {
+		if c.opts.runs(StageCategories) {
 			stages = append(stages, withCache(pipeline.Stage{Name: StageCategories, Run: func() error {
 				// A failed table is recorded (and cached) as nil.
 				rep.Categories, _ = analyzeCategories(ds, sh)
 				return nil
-			}}, categoriesCodecVersion,
-				// PageRank and the topic-sensitive PageRanks are unseeded,
-				// and every profile field the table reads is in the dataset
-				// digest: no option shapes it.
-				cache.HashWords(),
-				bind(&rep.Categories, encodeCategoriesTo, decodeCategoriesFrom)))
+			}}, bind(&rep.Categories, encodeCategoriesTo, decodeCategoriesFrom)))
 		}
 	}
-	if !c.opts.SkipCategories {
+	if c.opts.runs(StageMutualCore) {
 		stages = append(stages, withCache(pipeline.Stage{Name: StageMutualCore, Run: func() error {
 			rep.MutualCore = analyzeMutualCore(g, sh.Cores())
 			return nil
-		}}, mutualCoreCodecVersion,
-			cache.HashWords(), // deterministic over the graph; no options
-			bind(&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom)))
+		}}, bind(&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom)))
 	}
 	if activity != nil {
 		stages = append(stages, withCache(pipeline.Stage{Name: StageActivity, Run: func() error {
 			c.activityAnalysis(rep, activity)
 			return nil
-		}}, activityCodecVersion,
-			cache.HashWords(), // a function of the series alone, which the dataset digest covers
-			bind(&rep.Activity, encodeActivityTo, func(d *cache.Decoder) (*ActivityAnalysis, error) {
-				return decodeActivityFrom(d, activity)
-			})))
+		}}, bind(&rep.Activity, encodeActivityTo, func(d *cache.Decoder) (*ActivityAnalysis, error) {
+			return decodeActivityFrom(d, activity)
+		})))
 	}
-	if c.opts.Features || stageRequested(c.opts.Stages, StageFeatures) {
-		fdigest := features.OptionsDigest(fopts)
-		// Row payloads are cached as per-shard entries (features.Store)
+	if c.opts.runs(StageFeatures) {
+		// Row payloads are cached as per-shard entries (FeatureStore)
 		// keyed on the same (dataset, options) identity; the stage body is
 		// just the manifest. A missing or corrupt shard fails Decode, so
 		// the scheduler treats the whole stage as a miss and recomputes —
 		// the matrix is never partially hydrated.
-		fstore := features.Store{Cache: rcache, Dataset: digest, Options: fdigest}
+		fstore := FeatureStore(rcache, digest, c.opts)
 		stages = append(stages, withCache(pipeline.Stage{Name: StageFeatures, Run: func() error {
 			m, err := features.Compute(ds, sh, fopts)
 			if err != nil {
@@ -542,7 +505,7 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 			}
 			rep.Features = m
 			return nil
-		}}, features.ManifestCodecVersion, fdigest,
+		}},
 			// The manifest plus its row shards, so the binding is written out.
 			binding{
 				enc: func(e *cache.Encoder) {
@@ -695,24 +658,6 @@ func bind[T any](dst *T, enc func(*cache.Encoder, T), dec func(*cache.Decoder) (
 			return func() { *dst = v }, nil
 		},
 	}
-}
-
-// boolWord folds a flag into an options digest.
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// stageRequested reports whether a stage selection names stage explicitly.
-func stageRequested(requested []string, stage string) bool {
-	for _, name := range requested {
-		if name == stage {
-			return true
-		}
-	}
-	return false
 }
 
 // filterStageSelection validates a user stage selection against the full

@@ -13,7 +13,7 @@ import (
 const ShardRows = 4096
 
 // shardCodecVersion versions the per-shard binary layout below and what its
-// columns mean under an unchanged OptionsDigest (2: betweenness_pct reads
+// columns mean under an unchanged options digest (2: betweenness_pct reads
 // the battery's shared centrality sample).
 const shardCodecVersion = 2
 
@@ -189,14 +189,15 @@ func DecodeManifest(d *cache.Decoder, wantN int) (*Matrix, error) {
 }
 
 // Store reads and writes a matrix's row shards through a cache instance,
-// keyed by the (dataset digest, feature-options digest) identity that core
-// and the serving layer share.
+// keyed by the (dataset digest, feature-options digest) identity that
+// core.FeatureStore states for both the pipeline and the serving layer.
 type Store struct {
 	// Cache is the backing cache (shared per directory).
 	Cache *cache.Cache
 	// Dataset is the store.DatasetDigest half of every shard key.
 	Dataset uint64
-	// Options is the OptionsDigest half of every shard key.
+	// Options is the options half of every shard key (core.FeatureStore
+	// derives it).
 	Options uint64
 }
 

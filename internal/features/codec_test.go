@@ -229,23 +229,3 @@ func TestStoreLoadCorruptShardIsMissNotPartial(t *testing.T) {
 		}
 	}
 }
-
-func TestOptionsDigestDefaultsAgree(t *testing.T) {
-	// The zero options and their explicit defaults must digest identically:
-	// core passes defaulted values, serve passes raw config values.
-	raw := OptionsDigest(Options{})
-	explicit := OptionsDigest(Options{BetweennessSources: 256, Seed: 1})
-	if raw != explicit {
-		t.Fatalf("digest mismatch: zero %x vs explicit defaults %x", raw, explicit)
-	}
-	if OptionsDigest(Options{Seed: 2}) == raw {
-		t.Fatal("seed not folded into digest")
-	}
-	if OptionsDigest(Options{BetweennessSources: 64}) == raw {
-		t.Fatal("betweenness sources not folded into digest")
-	}
-	// Parallelism must NOT enter the digest (determinism contract).
-	if OptionsDigest(Options{Parallelism: 8}) != raw {
-		t.Fatal("parallelism leaked into digest")
-	}
-}

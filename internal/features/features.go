@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"elites/internal/cache"
 	"elites/internal/centrality"
 	"elites/internal/graph"
 	"elites/internal/mathx"
@@ -91,7 +90,7 @@ type Options struct {
 	Seed uint64
 	// Parallelism is the worker budget for the sharded row fill and the
 	// betweenness sources (<= 0 means GOMAXPROCS). It never changes the
-	// result and never enters OptionsDigest.
+	// result and never enters a shard key (core.FeatureStore).
 	Parallelism int
 }
 
@@ -103,14 +102,6 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	return o
-}
-
-// OptionsDigest folds the result-shaping options into the features half of
-// a cache key. core and the serving layer must agree on this digest for a
-// server to find the shards a pipeline run stored.
-func OptionsDigest(o Options) uint64 {
-	o = o.withDefaults()
-	return cache.HashWords(o.Seed, uint64(o.BetweennessSources))
 }
 
 // Shared is one run's memo of the graph-wide quantities that the battery's

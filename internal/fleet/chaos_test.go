@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,6 +249,108 @@ func TestChaosWorkerDrainFailover(t *testing.T) {
 			t.Fatalf("post-drain request %d served by %q, want %q", i, got, addrB)
 		}
 	}
+}
+
+// restartableWorker is one worker address whose eliteserve process can be
+// replaced — a restart with other options over the same cache dir — and
+// whose dataset requests can be made to fail while /healthz stays up.
+type restartableWorker struct {
+	srv  atomic.Pointer[serve.Server]
+	fail atomic.Bool
+}
+
+func (rw *restartableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if rw.fail.Load() && r.URL.Path != "/healthz" {
+		http.Error(w, "worker failing", http.StatusInternalServerError)
+		return
+	}
+	rw.srv.Load().ServeHTTP(w, r)
+}
+
+// start replaces the worker with a fresh eliteserve at seed over cacheDir.
+func (rw *restartableWorker) start(t *testing.T, cacheDir string, seed uint64) {
+	t.Helper()
+	s := serve.New(serve.Config{Options: core.Options{
+		DistanceSources: 20, BetweennessSources: 8, EigenK: 8, BootstrapReps: 3,
+		Seed: seed, CacheDir: cacheDir,
+	}})
+	if err := s.RegisterGenerated("demo", "verified", 300, 11); err != nil {
+		t.Fatal(err)
+	}
+	rw.srv.Store(s)
+}
+
+// TestLastKnownGoodFollowsWorkerIdentity runs real workers over one cache
+// dir. A last-known-good body is stored under the identity the worker
+// stated and read only under the identity the router learned from
+// /healthz, so (a) a worker restarted with another seed is never answered
+// with the old seed's body, and (b) a body a fresh router stored before
+// its first probe is the one it serves once the probe has run.
+func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full pipelines; skipped in -short")
+	}
+	// distances samples its BFS sources by seed, so its body names the run.
+	const target = "/v1/datasets/demo/report?stages=distances"
+	ctx := context.Background()
+	setup := func(t *testing.T) (*restartableWorker, string, string) {
+		dir := t.TempDir()
+		rw := &restartableWorker{}
+		rw.start(t, dir, 42)
+		ts := httptest.NewServer(rw)
+		t.Cleanup(ts.Close)
+		return rw, strings.TrimPrefix(ts.URL, "http://"), dir
+	}
+
+	t.Run("restart with another seed", func(t *testing.T) {
+		rw, addr, dir := setup(t)
+		rt := newTestRouter(t, Config{Workers: []string{addr}, CacheDir: dir})
+		rt.ProbeNow(ctx)
+		rec := doGet(rt, target)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seed 42 GET: %d", rec.Code)
+		}
+		seed42 := rec.Body.Bytes()
+
+		rw.start(t, dir, 43)
+		direct := httptest.NewRecorder()
+		rw.ServeHTTP(direct, httptest.NewRequest(http.MethodGet, target, nil))
+		if direct.Code != http.StatusOK || bytes.Equal(direct.Body.Bytes(), seed42) {
+			t.Fatalf("setup: the seed 43 body must differ from the seed 42 body (status %d)", direct.Code)
+		}
+		rt.ProbeNow(ctx)
+		rw.fail.Store(true)
+		rec = doGet(rt, target)
+		if bytes.Equal(rec.Body.Bytes(), seed42) {
+			t.Fatal("router answered a seed 43 worker with the seed 42 body")
+		}
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("every attempt failing with no body for the seed 43 identity: %d, want 503", rec.Code)
+		}
+	})
+
+	t.Run("fresh router before its first probe", func(t *testing.T) {
+		rw, addr, dir := setup(t)
+		rt := newTestRouter(t, Config{Workers: []string{addr}, CacheDir: dir})
+		rec := doGet(rt, target)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("clean GET: %d", rec.Code)
+		}
+		clean, identity := rec.Body.Bytes(), rec.Header().Get("X-Elites-Identity")
+		if identity == "" {
+			t.Fatal("the router did not pass on the worker's X-Elites-Identity")
+		}
+		rt.ProbeNow(ctx)
+		rw.fail.Store(true)
+		rec = doGet(rt, target)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Degraded") != "true" ||
+			!bytes.Equal(rec.Body.Bytes(), clean) {
+			t.Fatalf("degraded GET: %d %v, want the clean body from last-known-good", rec.Code, rec.Header())
+		}
+		if got := rec.Header().Get("X-Elites-Identity"); got != identity {
+			t.Fatalf("degraded GET names identity %q, want %q", got, identity)
+		}
+	})
 }
 
 func directGet(t *testing.T, url string) []byte {

@@ -1,11 +1,13 @@
 // Package fleet is the coordination layer that turns a set of eliteserve
 // replicas into one fault-tolerant characterization service. The router
-// rendezvous-hashes each request's cache identity — the same (dataset
-// digest, options digest, stage subset, format) tuple the workers key
-// their coalescer and result cache on — onto a stable worker order, so
-// repeated requests for one identity land on one replica and its
-// single-flight coalescing works fleet-wide, while a worker leaving never
-// remaps identities between the survivors.
+// rendezvous-hashes each request — dataset id, path, stage subset and
+// format — onto a stable worker order, so repeated requests for one
+// identity land on one replica and its single-flight coalescing works
+// fleet-wide, while a worker leaving never remaps identities between the
+// survivors. Which run a body came from is the workers' to say: each
+// dataset response names its identity (dataset digest and core result
+// digest) in X-Elites-Identity, and /healthz lists them; the router keys
+// last-known-good bodies by that identity, never by its own guess.
 //
 // Around that placement sits a degradation ladder, crossed one rung at a
 // time as failures accumulate:
@@ -21,8 +23,8 @@
 //     any failure sends it straight back down.
 //  4. Degrade: when every attempt fails — all replicas down or the budget
 //     exhausted — the router serves the last-known-good body for the
-//     identity from the shared cache directory, verbatim, with a Warning
-//     header, rather than a 502.
+//     identity it learned from the workers' /healthz, from the shared cache
+//     directory, verbatim, with a Warning header, rather than a 502.
 //
 // At most one attempt is in flight per request: every body is a fixed
 // function of its identity, so a speculative second attempt could only
@@ -146,8 +148,8 @@ type Router struct {
 	backoff    *faults.Jitter
 	retryAfter *faults.Jitter
 
-	digestMu sync.RWMutex
-	digests  map[string]uint64 // dataset id -> digest, learned from workers
+	identityMu sync.RWMutex
+	identities map[string]string // dataset id -> identity, learned from /healthz
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -192,7 +194,7 @@ func New(cfg Config) (*Router, error) {
 		client:     &http.Client{Transport: transport},
 		backoff:    faults.NewJitter(cfg.Seed, "fleet/backoff"),
 		retryAfter: faults.NewJitter(cfg.Seed, "fleet/retry-after"),
-		digests:    map[string]uint64{},
+		identities: map[string]string{},
 		probeStop:  make(chan struct{}),
 		probeDone:  make(chan struct{}),
 	}
@@ -261,64 +263,71 @@ func (rt *Router) handleWorkers(w http.ResponseWriter) {
 
 // --- identity routing --------------------------------------------------------
 
-// identityKey maps a request to its rendezvous key and route class.
-// Dataset requests hash the dataset's content digest (learned from the
-// workers' own listings, so the key matches the workers' cache identity)
-// plus the path and the result-shaping query parameters; job requests
-// hash the job id, which is itself content-addressed by the workers.
-// retryOn404 marks the jobs scatter: a 404 is retried on the next worker
-// (the job may have been created there before a topology change) without
-// feeding the failure machinery.
-func (rt *Router) identityKey(r *http.Request) (key uint64, class string, retryOn404, cacheable bool) {
+// route is how the router handles one request.
+type route struct {
+	key        uint64 // rendezvous key
+	class      string // metrics label
+	dataset    string // the {id} of a /v1/datasets/{id}… request
+	retryOn404 bool   // the jobs scatter (see routeOf)
+	cacheable  bool   // a GET whose clean 200 is kept as last-known-good
+}
+
+// routeOf maps a request to its route. Dataset requests hash the
+// dataset id plus the path and the result-shaping query parameters, so
+// placement is fixed before any probe; job requests hash the job id,
+// which is itself content-addressed by the workers. retryOn404 marks the
+// jobs scatter: a 404 is retried on the next worker (the job may have been
+// created there before a topology change) without feeding the failure
+// machinery.
+func routeOf(r *http.Request) route {
 	p := r.URL.Path
-	h := cache.NewHasher()
-	h.String("fleet/identity")
+	get := r.Method == http.MethodGet
 	switch {
 	case strings.HasPrefix(p, "/v1/jobs/"):
-		id := strings.TrimPrefix(p, "/v1/jobs/")
-		if i := strings.IndexByte(id, '/'); i >= 0 {
-			id = id[:i]
-		}
-		h.String("job")
-		h.String(id)
-		return h.Sum(), "jobs", true, false
+		id, _, _ := strings.Cut(strings.TrimPrefix(p, "/v1/jobs/"), "/")
+		return route{key: hashKey("job", id), class: "jobs", retryOn404: true}
 	case strings.HasPrefix(p, "/v1/datasets/"):
-		id := strings.TrimPrefix(p, "/v1/datasets/")
-		if i := strings.IndexByte(id, '/'); i >= 0 {
-			id = id[:i]
-		}
-		q := r.URL.Query()
-		h.String("dataset")
-		h.Word(rt.datasetDigest(id))
-		h.String(p)
-		h.String(q.Get("stages"))
-		h.String(q.Get("format"))
-		return h.Sum(), "datasets", false, r.Method == http.MethodGet
+		id, _, _ := strings.Cut(strings.TrimPrefix(p, "/v1/datasets/"), "/")
+		return route{key: requestKey("dataset-id", id, r), class: "datasets", dataset: id, cacheable: get}
 	case p == "/v1/datasets":
-		h.String("listing")
-		return h.Sum(), "datasets", false, r.Method == http.MethodGet
+		return route{key: hashKey("listing"), class: "datasets", cacheable: get}
 	default:
-		h.String("path")
-		h.String(p)
-		h.String(r.URL.RawQuery)
-		return h.Sum(), "other", false, false
+		return route{key: hashKey("path", p, r.URL.RawQuery), class: "other"}
 	}
 }
 
-// datasetDigest returns the learned content digest for a dataset id, or a
-// stable hash of the id before any worker has reported one. Both sides of
-// the fallback are deterministic, so routing is stable either way.
-func (rt *Router) datasetDigest(id string) uint64 {
-	rt.digestMu.RLock()
-	d, ok := rt.digests[id]
-	rt.digestMu.RUnlock()
-	if ok {
-		return d
-	}
+// hashKey digests a key kind and its parts.
+func hashKey(parts ...string) uint64 {
 	h := cache.NewHasher()
-	h.String("fleet/dataset-id")
-	h.String(id)
+	h.String("fleet/identity")
+	for _, s := range parts {
+		h.String(s)
+	}
 	return h.Sum()
+}
+
+// requestKey digests one half — a dataset id or a stated identity — with
+// the request's path, stage subset and format.
+func requestKey(kind, half string, r *http.Request) uint64 {
+	q := r.URL.Query()
+	return hashKey(kind, half, r.URL.Path, q.Get("stages"), q.Get("format"))
+}
+
+// lkgKey is the last-known-good key of a request, if it has one. A
+// dataset body is stored under the identity its worker stated and read
+// under the identity learned from /healthz, so the router serves a body
+// only for the run that produced it: with no identity there is no key.
+// The dataset listing names no options and keeps its rendezvous key.
+func lkgKey(rq route, r *http.Request, identity string) (uint64, bool) {
+	switch {
+	case !rq.cacheable:
+		return 0, false
+	case rq.dataset == "":
+		return rq.key, true
+	case identity == "":
+		return 0, false
+	}
+	return requestKey("identity", identity, r), true
 }
 
 // --- proxying ----------------------------------------------------------------
@@ -395,7 +404,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 // proxyRouted is the routing body: identity, attempts, degradation. It
 // returns the route class for the metrics series.
 func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
-	key, class, retryOn404, cacheable := rt.identityKey(r)
+	rq := routeOf(r)
 
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
@@ -403,15 +412,15 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 		body, err = io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
-			return class
+			return rq.class
 		}
 		if len(body) > maxRequestBody {
 			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body too large"})
-			return class
+			return rq.class
 		}
 	}
 
-	order := rendezvousOrder(rt.workers, key)
+	order := rendezvousOrder(rt.workers, rq.key)
 	candidates := make([]*worker, 0, len(order))
 	for _, wk := range order {
 		if wk.selectable() {
@@ -422,18 +431,18 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 
-	res := rt.runAttempts(ctx, r, candidates, body, retryOn404)
+	res := rt.runAttempts(ctx, r, candidates, body, rq.retryOn404)
 	if res == nil {
-		rt.degrade(w, r, key, cacheable)
-		return class
+		rt.degrade(w, r, rq)
+		return rq.class
 	}
 
 	if res.idx > 0 {
 		rt.met.failovers.Inc()
 	}
-	if r.Method == http.MethodGet && res.resp.status == http.StatusOK &&
-		cacheable && res.resp.header.Get("Warning") == "" {
-		if rt.lkg.put(key, res.resp.header.Get("Content-Type"), res.resp.body) {
+	if res.resp.status == http.StatusOK && res.resp.header.Get("Warning") == "" {
+		if k, ok := lkgKey(rq, r, res.resp.header.Get("X-Elites-Identity")); ok &&
+			rt.lkg.put(k, res.resp.header.Get("Content-Type"), res.resp.body) {
 			rt.met.lkgWrites.Inc()
 		}
 	}
@@ -441,7 +450,7 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 	w.Header().Set("X-Elites-Worker", res.w.name)
 	w.WriteHeader(res.resp.status)
 	w.Write(res.resp.body)
-	return class
+	return rq.class
 }
 
 // runAttempts walks the candidate list one attempt at a time: a failed
@@ -583,15 +592,22 @@ func (rt *Router) backoffSleep(ctx context.Context, retry int) bool {
 // --- degradation -------------------------------------------------------------
 
 // degrade is the bottom of the ladder: every attempt failed. GETs with a
-// last-known-good body serve those exact bytes (byte-identical to the
-// last healthy response for this identity) with a Warning header;
+// last-known-good body for the identity learned from /healthz serve those
+// exact bytes (byte-identical to the last healthy response for this
+// identity, whose X-Elites-Identity they repeat) with a Warning header;
 // everything else sheds with 503 + jittered Retry-After.
-func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, key uint64, cacheable bool) {
+func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, rq route) {
 	sp := obs.SpanFromContext(r.Context())
-	if r.Method == http.MethodGet && cacheable {
-		if ct, body, ok := rt.lkg.get(key); ok {
+	rt.identityMu.RLock()
+	identity := rt.identities[rq.dataset]
+	rt.identityMu.RUnlock()
+	if k, ok := lkgKey(rq, r, identity); ok {
+		if ct, body, ok := rt.lkg.get(k); ok {
 			if ct != "" {
 				w.Header().Set("Content-Type", ct)
+			}
+			if identity != "" {
+				w.Header().Set("X-Elites-Identity", identity)
 			}
 			w.Header().Set("Warning", `199 eliterouter "degraded: serving last-known-good cached response"`)
 			w.Header().Set("X-Elites-Degraded", "true")

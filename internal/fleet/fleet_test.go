@@ -85,9 +85,25 @@ func respondText(code int, body string) http.HandlerFunc {
 
 // orderFor returns the router's rendezvous order for a request path.
 func orderFor(rt *Router, method, target string) []*worker {
-	req := httptest.NewRequest(method, target, nil)
-	key, _, _, _ := rt.identityKey(req)
-	return rendezvousOrder(rt.workers, key)
+	return rendezvousOrder(rt.workers, routeOf(httptest.NewRequest(method, target, nil)).key)
+}
+
+// testIdentity is the dataset identity the fake workers below state.
+const testIdentity = "00000000000000ff-0000000000000001"
+
+// identified answers /healthz with the "demo" identity a worker states,
+// and every other path with a JSON body stamped with that identity, as
+// eliteserve does.
+func identified(identity, body string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprintf(w, `{"status":"ok","identities":{"demo":%q}}`, identity)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Elites-Identity", identity)
+		fmt.Fprint(w, body)
+	}
 }
 
 func doGet(rt *Router, target string) *httptest.ResponseRecorder {
@@ -149,34 +165,58 @@ func TestRendezvousStability(t *testing.T) {
 	}
 }
 
-// TestIdentityKeySeparation: the stage subset, format and dataset digest
-// are all part of the routed identity, matching the workers' cache keys.
+// TestIdentityKeySeparation: placement hashes the dataset id with the
+// path, stage subset and format, so it is fixed before any probe. The
+// last-known-good key hashes the identity the worker stated in place of
+// the id, so a result digest that changes (another seed, a codec bump)
+// moves it, and a body with no stated identity has no key at all.
 func TestIdentityKeySeparation(t *testing.T) {
-	_, addrs := fakeFleet(t, 2)
-	rt := newTestRouter(t, Config{Workers: addrs})
+	get := func(target string) *http.Request { return httptest.NewRequest(http.MethodGet, target, nil) }
+	const target = "/v1/datasets/demo/report?stages=summary"
+	base := routeOf(get(target)).key
+	if routeOf(get(target)).key != base {
+		t.Fatal("rendezvous key not deterministic")
+	}
+	for _, other := range []string{
+		"/v1/datasets/demo/report?stages=summary,degree",
+		"/v1/datasets/demo/report?stages=summary&format=text",
+		"/v1/datasets/other/report?stages=summary",
+	} {
+		if routeOf(get(other)).key == base {
+			t.Fatalf("%s shares the rendezvous key of %s", other, target)
+		}
+	}
 
-	keyOf := func(target string) uint64 {
-		k, _, _, _ := rt.identityKey(httptest.NewRequest(http.MethodGet, target, nil))
+	lkg := func(target, identity string) uint64 {
+		t.Helper()
+		k, ok := lkgKey(routeOf(get(target)), get(target), identity)
+		if !ok {
+			t.Fatalf("%s under %q has no last-known-good key", target, identity)
+		}
 		return k
 	}
-	base := keyOf("/v1/datasets/demo/report?stages=summary")
-	if keyOf("/v1/datasets/demo/report?stages=summary") != base {
-		t.Fatal("identity key not deterministic")
+	stated := lkg(target, testIdentity)
+	if lkg(target, testIdentity) != stated {
+		t.Fatal("last-known-good key not deterministic")
 	}
-	if keyOf("/v1/datasets/demo/report?stages=summary,degree") == base {
-		t.Fatal("stage subset does not separate identities")
+	if lkg(target, "00000000000000ff-0000000000000002") == stated {
+		t.Fatal("result digest does not separate last-known-good keys")
 	}
-	if keyOf("/v1/datasets/demo/report?stages=summary&format=text") == base {
-		t.Fatal("format does not separate identities")
+	if lkg("/v1/datasets/demo/report?stages=summary,degree", testIdentity) == stated ||
+		lkg("/v1/datasets/demo/report?stages=summary&format=text", testIdentity) == stated {
+		t.Fatal("stage subset or format does not separate last-known-good keys")
 	}
-
-	// Learning a digest moves the dataset's identities (now keyed by
-	// content, like the workers' own cache).
-	rt.digestMu.Lock()
-	rt.digests["demo"] = 0xfeed
-	rt.digestMu.Unlock()
-	if keyOf("/v1/datasets/demo/report?stages=summary") == base {
-		t.Fatal("learned digest did not change the identity key")
+	if _, ok := lkgKey(routeOf(get(target)), get(target), ""); ok {
+		t.Fatal("a body with no identity has a last-known-good key")
+	}
+	post := httptest.NewRequest(http.MethodPost, target, nil)
+	if _, ok := lkgKey(routeOf(post), post, testIdentity); ok {
+		t.Fatal("a POST has a last-known-good key")
+	}
+	// The listing names no options: it keeps its rendezvous key.
+	listing := get("/v1/datasets")
+	if k, ok := lkgKey(routeOf(listing), listing, ""); !ok || k != routeOf(listing).key {
+		t.Fatal("the dataset listing lost its last-known-good key")
 	}
 }
 
@@ -410,11 +450,9 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 	const target = "/v1/datasets/demo/report?stages=summary"
 	clean := `{"summary":{"nodes":400}}`
 	for _, a := range addrs {
-		bs.set(a, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, clean)
-		})
+		bs.set(a, identified(testIdentity, clean))
 	}
+	rt.ProbeNow(context.Background())
 	if rec := doGet(rt, target); rec.Code != http.StatusOK {
 		t.Fatalf("warm request: %d", rec.Code)
 	}
@@ -452,10 +490,11 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 }
 
 // TestLastKnownGoodStoredOnce: the body for an identity is fixed, so a
-// repeated clean GET finds its bytes already stored and writes nothing — no
-// temp file, no rename — even from a fresh router whose memory tier is
-// cold. A body that did change is written, and it is what the degrade path
-// serves next.
+// repeated clean GET finds its bytes already stored under the identity the
+// worker stated and writes nothing — no temp file, no rename — even from a
+// fresh router whose memory tier is cold and which has not probed yet. A
+// body that did change is written, and it is what the degrade path serves
+// next, once a probe has taught the router the identity.
 func TestLastKnownGoodStoredOnce(t *testing.T) {
 	bs, addrs := fakeFleet(t, 1)
 	dir := t.TempDir()
@@ -463,19 +502,14 @@ func TestLastKnownGoodStoredOnce(t *testing.T) {
 	rt := newTestRouter(t, cfg)
 
 	const target = "/v1/datasets/demo/report?stages=summary"
-	serveJSON := func(body string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, body)
-		}
-	}
 	get := func(rt *Router, want string) {
 		t.Helper()
 		if rec := doGet(rt, target); rec.Code != http.StatusOK || rec.Body.String() != want {
 			t.Fatalf("GET: %d %q, want 200 %q", rec.Code, rec.Body.String(), want)
 		}
 	}
-	key, _, _, _ := rt.identityKey(httptest.NewRequest(http.MethodGet, target, nil))
+	req := httptest.NewRequest(http.MethodGet, target, nil)
+	key, _ := lkgKey(routeOf(req), req, testIdentity)
 	entry := filepath.Join(dir, rt.lkg.key(key)+".bin")
 	stat := func() os.FileInfo {
 		t.Helper()
@@ -493,7 +527,7 @@ func TestLastKnownGoodStoredOnce(t *testing.T) {
 	}
 
 	first := `{"summary":{"nodes":400}}`
-	bs.set(addrs[0], serveJSON(first))
+	bs.set(addrs[0], identified(testIdentity, first))
 	get(rt, first)
 	written := stat()
 	get(rt, first)
@@ -521,7 +555,7 @@ func TestLastKnownGoodStoredOnce(t *testing.T) {
 	// The body for the identity changes: it is written and becomes the
 	// last-known-good body.
 	second := `{"summary":{"nodes":401}}`
-	bs.set(addrs[0], serveJSON(second))
+	bs.set(addrs[0], identified(testIdentity, second))
 	get(rt2, second)
 	if n := rt2.met.lkgWrites.Value(); n != 1 {
 		t.Fatalf("changed body: %d writes, want 1", n)
@@ -529,6 +563,7 @@ func TestLastKnownGoodStoredOnce(t *testing.T) {
 	if os.SameFile(written, stat()) {
 		t.Fatal("changed body was not written")
 	}
+	rt2.ProbeNow(context.Background())
 	bs.set(addrs[0], respondText(http.StatusInternalServerError, "dead"))
 	rec := doGet(rt2, target)
 	if rec.Code != http.StatusOK || rec.Body.String() != second ||
@@ -582,12 +617,10 @@ func (h *healthToggle) handler(w http.ResponseWriter, r *http.Request) {
 	h.mu.Unlock()
 	switch {
 	case r.URL.Path == "/healthz" && ok:
-		fmt.Fprint(w, `{"status":"ok"}`)
+		fmt.Fprintf(w, `{"status":"ok","identities":{"demo":%q}}`, testIdentity)
 	case r.URL.Path == "/healthz":
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprint(w, `{"status":"draining"}`)
-	case r.URL.Path == "/v1/datasets":
-		fmt.Fprint(w, `{"datasets":[{"id":"demo","digest":"00000000000000ff"}]}`)
 	default:
 		w.WriteHeader(http.StatusOK)
 	}
@@ -618,8 +651,11 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	ctx := context.Background()
 
 	rt.ProbeNow(ctx)
-	if d := rt.datasetDigest("demo"); d != 0xff {
-		t.Fatalf("digest learning: got %#x, want 0xff", d)
+	rt.identityMu.RLock()
+	learned := rt.identities["demo"]
+	rt.identityMu.RUnlock()
+	if learned != testIdentity {
+		t.Fatalf("identity learning: got %q, want %q", learned, testIdentity)
 	}
 
 	// Worker 2 turns unhealthy (e.g. draining): three probe failures eject.
@@ -660,6 +696,30 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	}
 	if !strings.Contains(doGet(rt, "/metrics").Body.String(), "eliterouter_readmissions_total 1") {
 		t.Fatal("readmission not counted")
+	}
+}
+
+// TestProbeReadsBoundedHealthBody: the status code alone decides health,
+// and identities are learned only from a /healthz body that decodes within
+// maxHealthBody bytes.
+func TestProbeReadsBoundedHealthBody(t *testing.T) {
+	bs, addrs := fakeFleet(t, 1)
+	rt := newTestRouter(t, Config{Workers: addrs, EjectAfter: 1})
+	pad := strings.Repeat("x", maxHealthBody)
+	bs.set(addrs[0], func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"identities":{"demo":%q},"pad":%q}`, testIdentity, pad)
+	})
+	rt.ProbeNow(context.Background())
+	if !rt.workers[0].available() {
+		t.Fatal("a 200 with an over-limit body ejected the worker")
+	}
+	if len(rt.identities) != 0 {
+		t.Fatalf("learned %v from an over-limit body", rt.identities)
+	}
+	bs.set(addrs[0], identified(testIdentity, ""))
+	rt.ProbeNow(context.Background())
+	if rt.identities["demo"] != testIdentity {
+		t.Fatalf("learned %v from a body within the limit", rt.identities)
 	}
 }
 

@@ -3,8 +3,8 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -20,10 +20,14 @@ import (
 // is ejected the same way: drain + ejection is the fleet's graceful
 // removal path.
 //
-// Healthy probes double as the dataset-digest learning channel: the first
-// clean probe after (re)admission fetches the worker's /v1/datasets
-// listing and records each dataset's content digest, so the router's
-// identity keys match the workers' own cache identities.
+// Healthy probes double as the identity learning channel: a worker's
+// /healthz lists each dataset's identity (dataset digest and result
+// digest), and the router reads last-known-good bodies only under the
+// identities it learned this way.
+
+// maxHealthBody bounds the /healthz body a probe reads. A longer body still
+// counts as healthy on a 200, but teaches no identities.
+const maxHealthBody = 64 << 10
 
 // probeLoop runs until Close; probeDone closes on exit.
 func (rt *Router) probeLoop() {
@@ -67,16 +71,14 @@ func (rt *Router) probeWorker(ctx context.Context, wk *worker) {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	ok := rt.probeOnce(pctx, wk, "/healthz") == http.StatusOK
+	status, identities := rt.probeOnce(pctx, wk)
+	ok := status == http.StatusOK
 	if !ok {
 		rt.met.probeFails.Inc()
 	}
 	ejected, readmitted := wk.noteProbe(ok, rt.cfg.EjectAfter, rt.cfg.ProbationProbes)
 	if ejected {
 		rt.met.ejections.Inc()
-		wk.mu.Lock()
-		wk.sawDigests = false
-		wk.mu.Unlock()
 		if lg := rt.cfg.Logger; lg != nil {
 			lg.Warn("worker ejected", "worker", wk.name)
 		}
@@ -88,68 +90,33 @@ func (rt *Router) probeWorker(ctx context.Context, wk *worker) {
 		}
 	}
 	if ok {
-		wk.mu.Lock()
-		saw := wk.sawDigests
-		wk.sawDigests = true
-		wk.mu.Unlock()
-		if !saw {
-			rt.learnDigests(pctx, wk)
+		rt.identityMu.Lock()
+		for id, identity := range identities {
+			rt.identities[id] = identity
 		}
+		rt.identityMu.Unlock()
 	}
 }
 
-// probeOnce GETs one worker path through the (fault-injected) transport
-// and returns the status code, or 0 on a transport failure.
-func (rt *Router) probeOnce(ctx context.Context, wk *worker, path string) int {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.url.String()+path, nil)
+// probeOnce GETs the worker's /healthz through the (fault-injected)
+// transport and returns the status code (0 on a transport failure) and the
+// dataset identities the body lists. It reads at most maxHealthBody bytes.
+func (rt *Router) probeOnce(ctx context.Context, wk *worker) (status int, identities map[string]string) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.url.String()+"/healthz", nil)
 	if err != nil {
-		return 0
+		return 0, nil
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return 0
+		return 0, nil
 	}
 	defer resp.Body.Close()
-	// Drain a bounded amount so the connection can be reused.
-	buf := make([]byte, 4096)
-	for {
-		if _, err := resp.Body.Read(buf); err != nil {
-			break
-		}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxHealthBody+1))
+	var health struct {
+		Identities map[string]string `json:"identities"`
 	}
-	return resp.StatusCode
-}
-
-// learnDigests fetches the worker's dataset listing and records each
-// dataset's content digest for identity routing. Failures are silent —
-// routing falls back to hashing the dataset id, which is still stable.
-func (rt *Router) learnDigests(ctx context.Context, wk *worker) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.url.String()+"/v1/datasets", nil)
-	if err != nil {
-		return
+	if err != nil || len(raw) > maxHealthBody || json.Unmarshal(raw, &health) != nil {
+		return resp.StatusCode, nil
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var listing struct {
-		Datasets []struct {
-			ID     string `json:"id"`
-			Digest string `json:"digest"`
-		} `json:"datasets"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
-		return
-	}
-	rt.digestMu.Lock()
-	for _, d := range listing.Datasets {
-		if v, err := strconv.ParseUint(d.Digest, 16, 64); err == nil {
-			rt.digests[d.ID] = v
-		}
-	}
-	rt.digestMu.Unlock()
+	return resp.StatusCode, health.Identities
 }

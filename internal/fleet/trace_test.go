@@ -106,8 +106,9 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 	bs, addrs := fakeFleet(t, 2)
 	tr := newTraceTracer(9)
 	rt := newTestRouter(t, Config{Workers: addrs, Tracer: tr, CacheDir: t.TempDir()})
-	bs.set(addrs[0], respondText(http.StatusOK, "ok"))
-	bs.set(addrs[1], respondText(http.StatusOK, "ok"))
+	// The workers state an identity: a body without one is not stored.
+	bs.set(addrs[0], identified(testIdentity, "ok"))
+	bs.set(addrs[1], identified(testIdentity, "ok"))
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
 

@@ -67,7 +67,7 @@ type upstreamResponse struct {
 // copyHeaders transplants the response headers a client needs from a
 // buffered upstream response (Content-Length is recomputed by the writer).
 func (u *upstreamResponse) copyHeaders(dst http.Header) {
-	for _, k := range []string{"Content-Type", "Warning", "Retry-After"} {
+	for _, k := range []string{"Content-Type", "Warning", "Retry-After", "X-Elites-Identity"} {
 		if v := u.header.Get(k); v != "" {
 			dst.Set(k, v)
 		}

@@ -55,7 +55,6 @@ type worker struct {
 	state      workerState
 	probeFails int // consecutive failed probes
 	probeOKs   int // consecutive clean probes while in probation
-	sawDigests bool
 
 	br       faults.Breaker
 	requests uint64 // proxied attempts sent to this worker

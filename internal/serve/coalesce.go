@@ -9,9 +9,8 @@ import (
 )
 
 // coalesce.go is the server's single-flight layer: N identical concurrent
-// requests — same (dataset digest, options digest) identity the result
-// cache keys on — trigger exactly one pipeline run and share its encoded
-// body. Unlike a plain singleflight, each in-flight run owns a context
+// requests — same reportKey identity — trigger exactly one pipeline run
+// and share its encoded body. Unlike a plain singleflight, each in-flight run owns a context
 // that is cancelled only when its last remaining waiter abandons, so a
 // popular run survives individual disconnects but a run nobody is waiting
 // for stops burning workers at the next stage boundary.

@@ -83,7 +83,7 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 	// falls through to a full run, which repopulates every shard at once.
 	if s.shards != nil {
 		n := d.ds.Graph.NumNodes()
-		st := features.Store{Cache: s.shards, Dataset: d.digest, Options: s.featDigest}
+		st := core.FeatureStore(s.shards, d.digest, s.cfg.Options)
 		got := map[int]*features.Rows{}
 		ok := true
 		d.featMu.Lock()
@@ -118,8 +118,8 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 	// request joins this run). The fn memoizes the matrix on the dataset
 	// before returning, so joiners — and this caller — read it back from
 	// the memo afterwards.
-	key := s.reportKey(d, []string{core.StageFeatures}, "features-run")
-	_, joined, err := s.flight.Do(ctx, key, func(ctx context.Context, prog *progress) (runOutcome, error) {
+	key := reportKey(d, []string{core.StageFeatures}, "features-run")
+	_, err := s.coalesce(ctx, key, func(ctx context.Context, prog *progress) (runOutcome, error) {
 		rep, rerr := s.runBattery(ctx, d, []string{core.StageFeatures}, prog)
 		if rerr != nil {
 			// No degraded tier here: a feature response is the matrix, so a
@@ -129,9 +129,6 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 		d.setFeatures(rep.Features)
 		return runOutcome{}, nil
 	}, nil)
-	if joined {
-		s.met.coalesced.Inc()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -143,9 +140,8 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 }
 
 func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	rank, err := strconv.Atoi(r.PathValue("rank"))
@@ -158,7 +154,7 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", rank, len(byRank))
 		return
 	}
-	key := s.reportKey(d, []string{core.StageFeatures}, fmt.Sprintf("user-features:%d", rank))
+	key := reportKey(d, []string{core.StageFeatures}, fmt.Sprintf("user-features:%d", rank))
 	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}
@@ -185,9 +181,8 @@ type batchRequest struct {
 }
 
 func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	var req batchRequest
@@ -229,7 +224,7 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sb.WriteString(strconv.Itoa(rank))
 	}
-	key := s.reportKey(d, []string{core.StageFeatures}, "users-batch:"+sb.String())
+	key := reportKey(d, []string{core.StageFeatures}, "users-batch:"+sb.String())
 	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}

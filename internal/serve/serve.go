@@ -7,9 +7,10 @@
 // The serving path is built for heavy identical traffic over a small set
 // of datasets:
 //
-//   - a single-flight coalescer keyed on the same (dataset digest, options
-//     digest) identity as the result cache, so N identical concurrent
-//     requests trigger exactly one pipeline run (coalesce.go);
+//   - a single-flight coalescer keyed on the request's identity — the
+//     dataset digest and core.ResultDigest of the server's options, plus
+//     the stage subset and format — so N identical concurrent requests
+//     trigger exactly one pipeline run (coalesce.go);
 //   - a bounded admission queue that sheds overload with 429 instead of
 //     accumulating goroutines (admission.go);
 //   - request-context cancellation threaded down to the pipeline
@@ -25,6 +26,11 @@
 // /users/{rank}/features or users:batch request decodes one shard instead
 // of running the pipeline — even in a fresh server process sharing the
 // cache directory.
+//
+// Every /v1/datasets/{id}/… response carries that identity in the
+// X-Elites-Identity header ("<dataset digest>-<result digest>", 16 hex
+// digits each), and /healthz lists each dataset's identity, so a fleet
+// router keys what it stores by the run that produced it.
 //
 // Endpoints: GET /healthz, GET /metrics, GET /v1/datasets,
 // GET /v1/datasets/{id}, GET|POST /v1/datasets/{id}/report,
@@ -100,7 +106,7 @@ type Config struct {
 	SlowRequest time.Duration
 }
 
-// dataset is one registered dataset plus its memoized identity,
+// dataset is one registered dataset plus its identity, and its memoized
 // per-user degree ranking and in-degree table.
 type dataset struct {
 	ID       string
@@ -108,6 +114,9 @@ type dataset struct {
 	ds       *twitter.Dataset
 	activity *timeseries.DailySeries
 	digest   uint64
+	// identity is the X-Elites-Identity value: the dataset digest and the
+	// server's result digest.
+	identity string
 
 	rankOnce sync.Once
 	byRank   []int32 // node ids, rank 1 first (out-degree desc, node asc)
@@ -132,14 +141,11 @@ type Server struct {
 	jobs       *jobTable
 	bodies     *bodyCache
 	met        *metrics
-	optsDigest uint64
+	optsDigest uint64 // core.ResultDigest(cfg.Options)
 
 	// shards is the result-cache instance feature shards are read from
-	// (nil when the server runs cache-less); featDigest is the
-	// features.OptionsDigest half of every shard key, fixed at
-	// construction like optsDigest.
-	shards     *cache.Cache
-	featDigest uint64
+	// (nil when the server runs cache-less).
+	shards *cache.Cache
 
 	// draining flips once (Drain or POST /v1/admin/drain) and never back:
 	// new pipeline work is refused with 503 while in-flight requests and
@@ -177,11 +183,7 @@ func New(cfg Config) *Server {
 		jobs:       newJobTable(cfg.JobsKept),
 		bodies:     newBodyCache(cfg.BodyCacheBytes),
 		met:        newMetrics(time.Now()),
-		optsDigest: optionsDigest(cfg.Options),
-		featDigest: features.OptionsDigest(features.Options{
-			BetweennessSources: cfg.Options.BetweennessSources,
-			Seed:               cfg.Options.Seed,
-		}),
+		optsDigest: core.ResultDigest(cfg.Options),
 		retryAfter: faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
 		datasets:   map[string]*dataset{},
 	}
@@ -213,31 +215,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// optionsDigest folds every result-shaping option into the server's half
-// of the request identity (worker budgets and observability knobs stay
-// out, per the determinism contract).
-func optionsDigest(o core.Options) uint64 {
-	h := cache.NewHasher()
-	for _, v := range []uint64{
-		uint64(o.DistanceSources), uint64(o.BetweennessSources),
-		uint64(o.EigenK), uint64(o.EigenIters), uint64(o.BootstrapReps),
-		uint64(o.TopNGrams), o.Seed,
-		boolWord(o.SkipEigen), boolWord(o.SkipBetweenness),
-		boolWord(o.SkipBootstrap), boolWord(o.SkipCategories),
-		boolWord(o.Features),
-	} {
-		h.Word(v)
-	}
-	return h.Sum()
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // --- dataset registration ----------------------------------------------------
 
 func validID(id string) bool {
@@ -258,10 +235,10 @@ func validID(id string) bool {
 
 // RegisterDataset registers an in-memory dataset under id. The dataset's
 // content digest (store.DatasetDigest) is computed once here, and only
-// here: the body memo, the feature shards and every pipeline run over the
-// dataset (core.Characterizer.RunDigested) key off this one value, so a
-// request never re-hashes the dataset. The dataset must not change after
-// registration.
+// here: the identity, the body memo, the feature shards and every pipeline
+// run over the dataset (core.Characterizer.RunDigested) key off this one
+// value, so a request never re-hashes the dataset. The dataset must not
+// change after registration.
 func (s *Server) RegisterDataset(id string, ds *twitter.Dataset, activity *timeseries.DailySeries, source string) error {
 	if !validID(id) {
 		return fmt.Errorf("serve: invalid dataset id %q", id)
@@ -273,6 +250,7 @@ func (s *Server) RegisterDataset(id string, ds *twitter.Dataset, activity *times
 		ID: id, Source: source, ds: ds, activity: activity,
 		digest: store.DatasetDigest(ds, activity),
 	}
+	d.identity = fmt.Sprintf("%016x-%016x", d.digest, s.optsDigest)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.datasets[id]; dup {
@@ -338,6 +316,18 @@ func (s *Server) dataset(id string) (*dataset, bool) {
 	defer s.mu.Unlock()
 	d, ok := s.datasets[id]
 	return d, ok
+}
+
+// lookup resolves a /v1/datasets/{id}… request's dataset and stamps the
+// response with its identity, or answers 404.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*dataset, bool) {
+	d, ok := s.dataset(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
+		return nil, false
+	}
+	w.Header().Set("X-Elites-Identity", d.identity)
+	return d, true
 }
 
 // ranking memoizes the out-degree ranking used by the per-user endpoints
@@ -472,10 +462,24 @@ func parseStages(raw string) ([]string, error) {
 	return out, nil
 }
 
-// reportKey is the coalescer/cache identity of one request class.
-func (s *Server) reportKey(d *dataset, stages []string, format string) string {
-	return fmt.Sprintf("%016x-%016x|stages=%s|format=%s",
-		d.digest, s.optsDigest, strings.Join(stages, ","), format)
+// reportKey is the coalescer, body-memo and job identity of one request
+// class: the dataset's identity plus the stage subset and format.
+func reportKey(d *dataset, stages []string, format string) string {
+	return d.identity + "|stages=" + strings.Join(stages, ",") + "|format=" + format
+}
+
+// coalesce runs fn through the coalescer under key, counts a request that
+// joined another's run, and memoizes a clean body under key. A run that
+// produces no body (the tier-3 features run) memoizes nothing.
+func (s *Server) coalesce(ctx context.Context, key string, fn func(context.Context, *progress) (runOutcome, error), watch func(*progress)) (runOutcome, error) {
+	out, joined, err := s.flight.Do(ctx, key, fn, watch)
+	if joined {
+		s.met.coalesced.Inc()
+	}
+	if err == nil && !out.degraded && out.body != nil {
+		s.bodies.put(key, out.body)
+	}
+	return out, err
 }
 
 // --- draining ----------------------------------------------------------------
@@ -664,9 +668,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	identities := map[string]string{}
+	for _, id := range s.DatasetIDs() {
+		d, _ := s.dataset(id)
+		identities[id] = d.identity
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"datasets": len(s.DatasetIDs()),
+		"status":     "ok",
+		"datasets":   len(identities),
+		"identities": identities,
 	})
 }
 
@@ -732,9 +742,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, d.info())
@@ -758,9 +767,8 @@ func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, key, ctype st
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	stages, err := parseStages(r.URL.Query().Get("stages"))
@@ -776,7 +784,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown format %q (want json or text)", format)
 		return
 	}
-	key := s.reportKey(d, stages, format)
+	key := reportKey(d, stages, format)
 	if s.serveMemo(w, r, key, contentType(format)) {
 		return
 	}
@@ -791,16 +799,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.handleReportAsync(w, r, d, key, format, run)
 		return
 	}
-	out, joined, err := s.flight.Do(r.Context(), key, run, nil)
-	if joined {
-		s.met.coalesced.Inc()
-	}
+	out, err := s.coalesce(r.Context(), key, run, nil)
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
-	}
-	if !out.degraded {
-		s.bodies.put(key, out.body)
 	}
 	s.writeOutcome(w, format, out)
 }
@@ -819,14 +821,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 	}
 	if created {
 		go func() {
-			out, joined, err := s.flight.Do(context.Background(), key, run, j.prog.Store)
-			if joined {
-				s.met.coalesced.Inc()
-			}
-			if err == nil && !out.degraded {
-				s.bodies.put(key, out.body)
-			}
-			j.finish(out, err)
+			j.finish(s.coalesce(context.Background(), key, run, j.prog.Store))
 		}()
 	}
 	budget := time.NewTimer(s.cfg.AsyncAfter)
@@ -852,9 +847,8 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 }
 
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	stage := r.PathValue("stage")
@@ -869,12 +863,12 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	runStages := core.ViewStages(stage)
 	// The requested stage is part of the identity: the body names it, even
 	// when two stages would share a run subset.
-	key := s.reportKey(d, runStages, "stage:"+stage)
+	key := reportKey(d, runStages, "stage:"+stage)
 	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}
 	reqSpan := obs.SpanFromContext(r.Context())
-	out, joined, err := s.flight.Do(r.Context(), key, func(ctx context.Context, prog *progress) (runOutcome, error) {
+	out, err := s.coalesce(r.Context(), key, func(ctx context.Context, prog *progress) (runOutcome, error) {
 		rep, rerr := s.runBattery(obs.ContextWithSpan(ctx, reqSpan), d, runStages, prog)
 		if rerr != nil && !degradable(ctx, rep, rerr) {
 			return runOutcome{}, rerr
@@ -895,15 +889,9 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		}
 		return runOutcome{body: append(b, '\n'), degraded: rerr != nil}, nil
 	}, nil)
-	if joined {
-		s.met.coalesced.Inc()
-	}
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
-	}
-	if !out.degraded {
-		s.bodies.put(key, out.body)
 	}
 	s.writeOutcome(w, "json", out)
 }
@@ -935,9 +923,8 @@ type userProfileView struct {
 }
 
 func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	rank, err := strconv.Atoi(r.PathValue("rank"))

@@ -19,6 +19,7 @@ import (
 	"elites/internal/cache"
 	"elites/internal/core"
 	"elites/internal/faults"
+	"elites/internal/store"
 	"elites/internal/timeseries"
 	"elites/internal/twitter"
 )
@@ -125,6 +126,41 @@ func TestBasicEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/v1/jobs/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", code)
+	}
+}
+
+// TestIdentityHeader: every /v1/datasets/{id}… response names the run that
+// produced it — the dataset digest and core.ResultDigest of the server's
+// options — and /healthz lists the same identity, which is what a fleet
+// router keys last-known-good bodies by.
+func TestIdentityHeader(t *testing.T) {
+	ds, activity := testFixtures(t)
+	opts := fastServeOptions()
+	ts := httptest.NewServer(newTestServer(t, Config{Options: opts}))
+	defer ts.Close()
+	want := fmt.Sprintf("%016x-%016x", store.DatasetDigest(ds, activity), core.ResultDigest(opts))
+
+	_, body := get(t, ts, "/healthz")
+	var health struct {
+		Identities map[string]string `json:"identities"`
+	}
+	if err := json.Unmarshal(body, &health); err != nil || health.Identities["demo"] != want {
+		t.Fatalf("healthz identities %v (err %v), want demo=%s", health.Identities, err, want)
+	}
+	for _, path := range []string{
+		"/v1/datasets/demo",
+		"/v1/datasets/demo/report?stages=summary",
+		"/v1/datasets/demo/stages/summary",
+		"/v1/datasets/demo/users/1",
+	} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Elites-Identity"); resp.StatusCode != http.StatusOK || got != want {
+			t.Fatalf("%s: %d X-Elites-Identity %q, want %q", path, resp.StatusCode, got, want)
+		}
 	}
 }
 
