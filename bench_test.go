@@ -160,7 +160,7 @@ func BenchmarkFigure2OutDegreePowerLaw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		fit, err = powerlaw.FitDiscrete(ds.Graph.OutDegrees(), nil)
+		fit, err = powerlaw.FitDiscrete(ds.Graph.OutDegrees())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func BenchmarkEigenvaluePowerLaw(b *testing.B) {
 			b.Fatal(err)
 		}
 		nEv = len(evs)
-		fit, err = powerlaw.FitContinuous(evs, nil)
+		fit, err = powerlaw.FitContinuous(evs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,7 +445,7 @@ func BenchmarkBetweennessParallel(b *testing.B) {
 // exceedance counts), so this too measures pure scheduling gain.
 func BenchmarkBootstrapParallel(b *testing.B) {
 	_, ds, _, _ := fixtures(b)
-	fit, err := powerlaw.FitDiscrete(ds.Graph.OutDegrees(), nil)
+	fit, err := powerlaw.FitDiscrete(ds.Graph.OutDegrees())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -560,26 +560,6 @@ func BenchmarkAblationChangepointAlgos(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(cps)), "changepoints")
 	})
-}
-
-// BenchmarkAblationXminScan: CSN fit stability versus xmin-scan granularity.
-func BenchmarkAblationXminScan(b *testing.B) {
-	_, ds, _, _ := fixtures(b)
-	deg := ds.Graph.OutDegrees()
-	for _, cands := range []int{25, 100, 400} {
-		b.Run(fmt.Sprintf("candidates=%d", cands), func(b *testing.B) {
-			var fit *powerlaw.Fit
-			for i := 0; i < b.N; i++ {
-				var err error
-				fit, err = powerlaw.FitDiscrete(deg, &powerlaw.Options{MaxXminCandidates: cands})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(fit.Alpha, "alpha")
-			b.ReportMetric(fit.Xmin, "xmin")
-		})
-	}
 }
 
 // BenchmarkAblationReciprocityDial: the generator's mutual-fraction dial φ

@@ -361,24 +361,22 @@ func writeFigures(dir string, ds *twitter.Dataset, rep *core.Report, activity *t
 	// retain).
 	followers := ds.MetricValues(twitter.MetricFollowers)
 	listed := ds.MetricValues(twitter.MetricListed)
-	pr, err := centrality.PageRank(ds.Graph, nil)
-	if err == nil {
-		for _, p := range rep.Centrality {
-			if p.Label == "follower count vs pagerank" {
-				if err := save("figure5d.svg", func(f *os.File) error {
-					return plot.ScatterSpline(f, pr, followers, p.Curve,
-						"Figure 5(d): follower count vs PageRank", "pagerank", "followers")
-				}); err != nil {
-					return err
-				}
+	pr := centrality.PageRank(ds.Graph)
+	for _, p := range rep.Centrality {
+		if p.Label == "follower count vs pagerank" {
+			if err := save("figure5d.svg", func(f *os.File) error {
+				return plot.ScatterSpline(f, pr, followers, p.Curve,
+					"Figure 5(d): follower count vs PageRank", "pagerank", "followers")
+			}); err != nil {
+				return err
 			}
-			if p.Label == "list memberships vs pagerank" {
-				if err := save("figure5c.svg", func(f *os.File) error {
-					return plot.ScatterSpline(f, pr, listed, p.Curve,
-						"Figure 5(c): list memberships vs PageRank", "pagerank", "list memberships")
-				}); err != nil {
-					return err
-				}
+		}
+		if p.Label == "list memberships vs pagerank" {
+			if err := save("figure5c.svg", func(f *os.File) error {
+				return plot.ScatterSpline(f, pr, listed, p.Curve,
+					"Figure 5(c): list memberships vs PageRank", "pagerank", "list memberships")
+			}); err != nil {
+				return err
 			}
 		}
 	}

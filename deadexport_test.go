@@ -32,24 +32,19 @@ var deadExportAllowed = map[string]string{
 	"timeseries.DailySeries.IndexOf":       "twitter TestActivityChangepoints locates planted dates",
 }
 
-// TestNoDeadExports fails when an exported function, method, type or var
-// declared in any non-main package of this module (the root package
-// included) is referenced by no non-test Go file of this module or of
-// perfbench. Such code is reached only by its own tests, so
-// it costs readers and reviewers without changing any output: delete it,
-// or allowlist it above when a test needs it as an oracle.
-//
-// The scan is syntactic. Package-level names match through their import
-// (or by bare name inside their own package, outside their own
-// declaration). Methods match by name alone: any selector or interface
-// method of that name anywhere counts, which errs toward "used".
-func TestNoDeadExports(t *testing.T) {
+// goFile is one parsed non-test Go file and the import path of its
+// package.
+type goFile struct {
+	pkg string
+	f   *ast.File
+}
+
+// moduleFiles parses every non-test Go file of this module and of
+// perfbench, skipping testdata and dot directories.
+func moduleFiles(t *testing.T) []goFile {
+	t.Helper()
 	fset := token.NewFileSet()
-	type file struct {
-		pkg string // import path of the file's package
-		f   *ast.File
-	}
-	var files []file
+	var files []goFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -71,12 +66,28 @@ func TestNoDeadExports(t *testing.T) {
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir
 		}
-		files = append(files, file{pkg, f})
+		files = append(files, goFile{pkg, f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+// TestNoDeadExports fails when an exported function, method, type or var
+// declared in any non-main package of this module (the root package
+// included) is referenced by no non-test Go file of this module or of
+// perfbench. Such code is reached only by its own tests, so
+// it costs readers and reviewers without changing any output: delete it,
+// or allowlist it above when a test needs it as an oracle.
+//
+// The scan is syntactic. Package-level names match through their import
+// (or by bare name inside their own package, outside their own
+// declaration). Methods match by name alone: any selector or interface
+// method of that name anywhere counts, which errs toward "used".
+func TestNoDeadExports(t *testing.T) {
+	files := moduleFiles(t)
 
 	// Declarations: "pkg.Name" for package-level names, "pkg.Recv.Name"
 	// for methods.
@@ -123,15 +134,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	used := map[string]bool{} // "pkg.Name"
 	for _, fl := range files {
-		imports := map[string]string{}
-		for _, im := range fl.f.Imports {
-			path, _ := strconv.Unquote(im.Path.Value)
-			name := path[strings.LastIndex(path, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = path
-		}
+		imports := fileImports(fl.f)
 		for _, d := range fl.f.Decls {
 			// Identifiers that declare or select are not references to a
 			// package-level name; nor are a function's calls to itself or
@@ -238,4 +241,219 @@ func recvName(fd *ast.FuncDecl) string {
 			return ""
 		}
 	}
+}
+
+// unsetOptionAllowed lists the exported *Options/*Config structs, or single
+// fields of one, that stay settable although no program outside the
+// declaring package sets them, with the reason.
+var unsetOptionAllowed = map[string]string{
+	"gen.Config":                      "a preset bundle: VerifiedDefaults and TwitterDefaults set different values inside gen",
+	"twitter.PlatformConfig.Verified": "DefaultPlatformConfig sets it from the n every program passes",
+}
+
+// TestNoUnsetOptions fails when an exported field of an exported struct
+// whose name ends in Options or Config is set by no non-test file outside
+// its declaring package (cmd, examples and perfbench included). A value
+// that no program varies is a constant: fold it into the package.
+//
+// The scan is syntactic. A set is a composite-literal key or an assignment
+// to a selector. It names the field of a type where the code writes that
+// type: a typed literal, or a selector rooted at a variable declared with
+// a type or bound to a typed literal, followed through struct field types.
+// Any other set matches every field of that name, as the method scan of
+// TestNoDeadExports does, which errs toward "set".
+func TestNoUnsetOptions(t *testing.T) {
+	files := moduleFiles(t)
+
+	// fieldTypes maps "pkg.Type" to each field's type, where the code
+	// writes it as a package-level name.
+	fieldTypes := map[string]map[string]string{}
+	type field struct{ typ, name string } // typ is "pkg.Type"
+	var options []field
+	for _, fl := range files {
+		imports := fileImports(fl.f)
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			typ := fl.pkg + "." + ts.Name.Name
+			option := ts.Name.IsExported() && fl.f.Name.Name != "main" &&
+				(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config"))
+			fieldTypes[typ] = map[string]string{}
+			for _, f := range st.Fields.List {
+				for _, id := range f.Names {
+					fieldTypes[typ][id.Name] = typeName(f.Type, fl.pkg, imports)
+					if option && id.IsExported() {
+						options = append(options, field{typ, id.Name})
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	setBy := map[string]map[string]bool{} // "pkg.Type.Field" or "Field" → setting packages
+	note := func(typ, name, pkg string) {
+		key := name
+		if typ != "" {
+			key = typ + "." + name
+		}
+		if setBy[key] == nil {
+			setBy[key] = map[string]bool{}
+		}
+		setBy[key][pkg] = true
+	}
+	for _, fl := range files {
+		imports := fileImports(fl.f)
+		for _, d := range fl.f.Decls {
+			// Variables of a written type, by name within one declaration;
+			// a name bound to two types resolves to none.
+			vars := map[string]string{}
+			bind := func(id *ast.Ident, typ string) {
+				if old, ok := vars[id.Name]; ok && old != typ {
+					typ = ""
+				}
+				vars[id.Name] = typ
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Field:
+					for _, id := range n.Names {
+						bind(id, typeName(n.Type, fl.pkg, imports))
+					}
+				case *ast.ValueSpec:
+					for i, id := range n.Names {
+						typ := typeName(n.Type, fl.pkg, imports)
+						if n.Type == nil && i < len(n.Values) {
+							typ = literalType(n.Values[i], fl.pkg, imports)
+						}
+						bind(id, typ)
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && n.Tok == token.DEFINE && len(n.Rhs) == len(n.Lhs) {
+							bind(id, literalType(n.Rhs[i], fl.pkg, imports))
+						}
+					}
+				}
+				return true
+			})
+			var resolve func(x ast.Expr) string
+			resolve = func(x ast.Expr) string {
+				switch x := x.(type) {
+				case *ast.Ident:
+					return vars[x.Name]
+				case *ast.ParenExpr:
+					return resolve(x.X)
+				case *ast.StarExpr:
+					return resolve(x.X)
+				case *ast.SelectorExpr:
+					if typ := resolve(x.X); typ != "" {
+						return fieldTypes[typ][x.Sel.Name]
+					}
+				}
+				return ""
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := ""
+					if n.Type != nil {
+						typ = typeName(n.Type, fl.pkg, imports)
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								note(typ, id.Name, fl.pkg)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							note(resolve(sel.X), sel.Sel.Name, fl.pkg)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	seen := map[string]bool{}
+	for _, f := range options {
+		pkg, typ, _ := strings.Cut(strings.TrimPrefix(f.typ, "elites/"), ".")
+		short := strings.TrimPrefix(pkg, "internal/") + "." + typ
+		seen[short], seen[short+"."+f.name] = true, true
+		if unsetOptionAllowed[short] != "" || unsetOptionAllowed[short+"."+f.name] != "" {
+			continue
+		}
+		outside := false
+		for _, key := range []string{f.typ + "." + f.name, f.name} {
+			for setter := range setBy[key] {
+				outside = outside || setter != "elites/"+pkg
+			}
+		}
+		if !outside {
+			unset = append(unset, short+"."+f.name)
+		}
+	}
+	for key := range unsetOptionAllowed {
+		if !seen[key] {
+			t.Errorf("allowlisted %s is not an exported options struct or field", key)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("%s: no program outside its package sets it", key)
+	}
+}
+
+// fileImports maps each import's local name to its path.
+func fileImports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		path, _ := strconv.Unquote(im.Path.Value)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = path
+	}
+	return imports
+}
+
+// typeName is "pkg.Type" for a type expression naming a package-level
+// type, through one pointer, and "" for any other.
+func typeName(x ast.Expr, pkg string, imports map[string]string) string {
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	switch x := x.(type) {
+	case *ast.Ident:
+		return pkg + "." + x.Name
+	case *ast.SelectorExpr:
+		if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+			return imports[id.Name] + "." + x.Sel.Name
+		}
+	}
+	return ""
+}
+
+// literalType is the type of a typed composite literal or its address,
+// "" for any other expression.
+func literalType(x ast.Expr, pkg string, imports map[string]string) string {
+	if u, ok := x.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		x = u.X
+	}
+	if lit, ok := x.(*ast.CompositeLit); ok && lit.Type != nil {
+		return typeName(lit.Type, pkg, imports)
+	}
+	return ""
 }

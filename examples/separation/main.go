@@ -68,7 +68,7 @@ func main() {
 	}
 	// Walk from the core over reversed edges: "who is followed-close to
 	// the celebrities".
-	ppr, err := centrality.PersonalizedPageRank(g.Reverse(), seeds, nil)
+	ppr, err := centrality.PersonalizedPageRank(g.Reverse(), seeds)
 	if err != nil {
 		log.Fatal(err)
 	}

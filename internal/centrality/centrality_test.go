@@ -24,10 +24,7 @@ func randomDigraph(rng *mathx.RNG, n int, p float64) *graph.Digraph {
 
 func TestPageRankUniformOnCycle(t *testing.T) {
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	pr, err := PageRank(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := PageRank(g)
 	for _, v := range pr {
 		if math.Abs(v-0.2) > 1e-9 {
 			t.Fatalf("cycle PageRank not uniform: %v", pr)
@@ -40,10 +37,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 	f := func(seed uint32) bool {
 		n := 2 + rng.Intn(40)
 		g := randomDigraph(rng, n, 0.1)
-		pr, err := PageRank(g, nil)
-		if err != nil {
-			return false
-		}
+		pr := PageRank(g)
 		sum := 0.0
 		for _, v := range pr {
 			if v < 0 {
@@ -62,10 +56,7 @@ func TestPageRankStarAnalytic(t *testing.T) {
 	// Three leaves point at a dangling center. Hand-solved fixed point
 	// with damping 0.85: leaf = 0.152672..., center = 0.541985...
 	g := graph.FromEdges(4, [][2]int{{0, 3}, {1, 3}, {2, 3}})
-	pr, err := PageRank(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := PageRank(g)
 	wantLeaf := 0.15267175572519084
 	wantCenter := 0.5419847328244275
 	for i := 0; i < 3; i++ {
@@ -78,17 +69,9 @@ func TestPageRankStarAnalytic(t *testing.T) {
 	}
 }
 
-func TestPageRankDamping(t *testing.T) {
-	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	if _, err := PageRank(g, &PageRankOptions{Damping: 1.5}); err == nil {
-		t.Fatal("bad damping should error")
-	}
-}
-
 func TestPageRankEmpty(t *testing.T) {
-	pr, err := PageRank(graph.NewBuilder(0).Build(), nil)
-	if err != nil || pr != nil {
-		t.Fatalf("empty graph: %v %v", pr, err)
+	if pr := PageRank(graph.NewBuilder(0).Build()); pr != nil {
+		t.Fatalf("empty graph: %v", pr)
 	}
 }
 
@@ -98,7 +81,7 @@ func TestPersonalizedPageRankConcentratesOnSeeds(t *testing.T) {
 		{0, 1}, {1, 2}, {2, 0},
 		{3, 4}, {4, 5}, {5, 3},
 	})
-	pr, err := PersonalizedPageRank(g, []int{0}, nil)
+	pr, err := PersonalizedPageRank(g, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +93,10 @@ func TestPersonalizedPageRankConcentratesOnSeeds(t *testing.T) {
 	if math.Abs(sumA-1) > 1e-6 {
 		t.Fatalf("mass = %v, want 1", sumA)
 	}
-	if _, err := PersonalizedPageRank(g, nil, nil); err == nil {
+	if _, err := PersonalizedPageRank(g, nil); err == nil {
 		t.Fatal("empty seeds should error")
 	}
-	if _, err := PersonalizedPageRank(g, []int{99}, nil); err == nil {
+	if _, err := PersonalizedPageRank(g, []int{99}); err == nil {
 		t.Fatal("bad seed should error")
 	}
 }

@@ -17,44 +17,26 @@ import (
 // ErrBadParam flags out-of-range algorithm parameters.
 var ErrBadParam = errors.New("centrality: bad parameter")
 
-// PageRankOptions configures the power iteration.
-type PageRankOptions struct {
-	// Damping is the teleportation damping factor; 0.85 if zero.
-	Damping float64
-	// Tol is the L1 convergence tolerance; 1e-10 if zero.
-	Tol float64
-	// MaxIter bounds the iteration count; 200 if zero.
-	MaxIter int
-}
-
-func (o *PageRankOptions) defaults() PageRankOptions {
-	out := PageRankOptions{Damping: 0.85, Tol: 1e-10, MaxIter: 200}
-	if o == nil {
-		return out
-	}
-	if o.Damping != 0 {
-		out.Damping = o.Damping
-	}
-	if o.Tol != 0 {
-		out.Tol = o.Tol
-	}
-	if o.MaxIter != 0 {
-		out.MaxIter = o.MaxIter
-	}
-	return out
-}
+// The power iteration's settings, the paper's: damping 0.85, an L1
+// tolerance of 1e-10 and at most 200 iterations. The floats are typed so
+// that 1-damping is the float64 subtraction (0.15000000000000002), not the
+// exact constant 0.15 rounded once.
+const (
+	damping float64 = 0.85
+	tol     float64 = 1e-10
+	maxIter         = 200
+)
 
 // PageRank computes the PageRank vector of g. The returned scores sum to 1.
 // Dangling nodes (zero out-degree — the paper's celebrity sinks) donate their
 // rank uniformly, the standard strongly-preferential handling.
-func PageRank(g *graph.Digraph, opts *PageRankOptions) ([]float64, error) {
-	o := opts.defaults()
-	if o.Damping <= 0 || o.Damping >= 1 {
-		return nil, ErrBadParam
-	}
+func PageRank(g *graph.Digraph) []float64 { return pageRank(g, maxIter) }
+
+// pageRank is PageRank stopped after at most iterCap iterations.
+func pageRank(g *graph.Digraph, iterCap int) []float64 {
 	n := g.NumNodes()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	// Each node pulls rank from its in-neighbors (the cached in-CSR). A
 	// node's share rank[u]/outdeg[u] is divided once per iteration, not
@@ -68,12 +50,12 @@ func PageRank(g *graph.Digraph, opts *PageRankOptions) ([]float64, error) {
 		rank[i] = 1 / float64(n)
 	}
 	dangling := danglingNodes(outDeg)
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < iterCap; iter++ {
 		danglingMass := 0.0
 		for _, u := range dangling {
 			danglingMass += rank[u]
 		}
-		base := (1-o.Damping)/float64(n) + o.Damping*danglingMass/float64(n)
+		base := (1-damping)/float64(n) + damping*danglingMass/float64(n)
 		for u, d := range outDeg {
 			if d > 0 {
 				share[u] = rank[u] / float64(d)
@@ -84,18 +66,18 @@ func PageRank(g *graph.Digraph, opts *PageRankOptions) ([]float64, error) {
 			for _, u := range inAdj[inOff[v]:inOff[v+1]] {
 				s += share[u]
 			}
-			next[v] = base + o.Damping*s
+			next[v] = base + damping*s
 		}
 		delta := 0.0
 		for i := range rank {
 			delta += math.Abs(next[i] - rank[i])
 		}
 		rank, next = next, rank
-		if delta < o.Tol {
+		if delta < tol {
 			break
 		}
 	}
-	return rank, nil
+	return rank
 }
 
 // danglingNodes lists, in id order, the nodes with no out-edges.
@@ -113,8 +95,7 @@ func danglingNodes(outDeg []int) []int {
 // the given seed set (uniform over seeds; a seed listed twice gets twice
 // the weight). Used by the crawl example to rank proximity to the verified
 // core.
-func PersonalizedPageRank(g *graph.Digraph, seeds []int, opts *PageRankOptions) ([]float64, error) {
-	o := opts.defaults()
+func PersonalizedPageRank(g *graph.Digraph, seeds []int) ([]float64, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, nil
@@ -127,7 +108,7 @@ func PersonalizedPageRank(g *graph.Digraph, seeds []int, opts *PageRankOptions) 
 			return nil, graph.ErrNodeRange
 		}
 	}
-	return personalizedRanks(g, [][]int{seeds}, o)[0], nil
+	return personalizedRanks(g, [][]int{seeds}, maxIter)[0], nil
 }
 
 // lanes is the number of teleport vectors one pass of personalizedRanks
@@ -138,8 +119,8 @@ const lanes = 4
 type laneVec = [lanes]float64
 
 // personalizedRanks runs the personalized power iteration once per seed
-// set (each non-empty, every seed in range) and returns one rank vector per
-// set. Sets are taken lanes at a time into n×lanes slabs, so one sweep over
+// set (each non-empty, every seed in range), stopping each after at most
+// iterCap iterations, and returns one rank vector per set. Sets are taken lanes at a time into n×lanes slabs, so one sweep over
 // the in-edges feeds all of a block's sums from one contiguous load per
 // in-neighbor; a short last block pads with empty lanes, which stay zero.
 //
@@ -150,7 +131,7 @@ type laneVec = [lanes]float64
 // accumulators, and a lane's result is copied out after the iteration on
 // which it converged (where the one-vector loop returns); later sweeps of
 // its block still carry the lane, but nothing reads it again.
-func personalizedRanks(g *graph.Digraph, seedSets [][]int, o PageRankOptions) [][]float64 {
+func personalizedRanks(g *graph.Digraph, seedSets [][]int, iterCap int) [][]float64 {
 	n := g.NumNodes()
 	inOff, inAdj := g.InCSR()
 	outDeg := g.OutDegrees()
@@ -173,7 +154,7 @@ func personalizedRanks(g *graph.Digraph, seedSets [][]int, o PageRankOptions) []
 		for l := range block {
 			live |= 1 << l
 		}
-		for iter := 0; iter < o.MaxIter && live != 0; iter++ {
+		for iter := 0; iter < iterCap && live != 0; iter++ {
 			var dm laneVec
 			for _, u := range dangling {
 				for l := range dm {
@@ -189,10 +170,10 @@ func personalizedRanks(g *graph.Digraph, seedSets [][]int, o PageRankOptions) []
 					sh[3] = r[3] / fd
 				}
 			}
-			delta := sweepLanes(inOff, inAdj, share, tele, rank, next, dm, o.Damping)
+			delta := sweepLanes(inOff, inAdj, share, tele, rank, next, dm)
 			rank, next = next, rank
 			for l := range block {
-				if live&(1<<l) != 0 && delta[l] < o.Tol {
+				if live&(1<<l) != 0 && delta[l] < tol {
 					out[lo+l] = laneOf(rank, l)
 					live &^= 1 << l
 				}
@@ -213,7 +194,7 @@ func personalizedRanks(g *graph.Digraph, seedSets [][]int, o PageRankOptions) []
 // It is a function of its own because, written inline in personalizedRanks,
 // the compiler kept the edge loop's counters on the stack and the kernel
 // ran ~1.7× slower.
-func sweepLanes(inOff []int64, inAdj []int32, share, tele, rank, next []laneVec, dm laneVec, damping float64) (delta laneVec) {
+func sweepLanes(inOff []int64, inAdj []int32, share, tele, rank, next []laneVec, dm laneVec) (delta laneVec) {
 	for v := range next {
 		var s0, s1, s2, s3 float64
 		for _, u := range inAdj[inOff[v]:inOff[v+1]] {

@@ -14,9 +14,8 @@ import (
 )
 
 // refPageRank is the global power iteration with rank[u]/outdeg[u]
-// divided on every in-edge.
-func refPageRank(g *graph.Digraph, opts *PageRankOptions) []float64 {
-	o := opts.defaults()
+// divided on every in-edge, stopped after at most iterCap iterations.
+func refPageRank(g *graph.Digraph, iterCap int) []float64 {
 	n := g.NumNodes()
 	rev := g.Reverse()
 	outDeg := g.OutDegrees()
@@ -31,25 +30,25 @@ func refPageRank(g *graph.Digraph, opts *PageRankOptions) []float64 {
 			dangling = append(dangling, u)
 		}
 	}
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < iterCap; iter++ {
 		danglingMass := 0.0
 		for _, u := range dangling {
 			danglingMass += rank[u]
 		}
-		base := (1-o.Damping)/float64(n) + o.Damping*danglingMass/float64(n)
+		base := (1-damping)/float64(n) + damping*danglingMass/float64(n)
 		for v := 0; v < n; v++ {
 			s := 0.0
 			for _, u := range rev.OutNeighbors(v) {
 				s += rank[u] / float64(outDeg[u])
 			}
-			next[v] = base + o.Damping*s
+			next[v] = base + damping*s
 		}
 		delta := 0.0
 		for i := range rank {
 			delta += math.Abs(next[i] - rank[i])
 		}
 		rank, next = next, rank
-		if delta < o.Tol {
+		if delta < tol {
 			break
 		}
 	}
@@ -58,8 +57,7 @@ func refPageRank(g *graph.Digraph, opts *PageRankOptions) []float64 {
 
 // refPersonalized is the one-seed-set personalized iteration. It also
 // reports how many iterations ran and whether the last one converged.
-func refPersonalized(g *graph.Digraph, seeds []int, opts *PageRankOptions) (rank []float64, iters int, converged bool) {
-	o := opts.defaults()
+func refPersonalized(g *graph.Digraph, seeds []int, iterCap int) (rank []float64, iters int, converged bool) {
 	n := g.NumNodes()
 	tele := make([]float64, n)
 	for _, s := range seeds {
@@ -76,7 +74,7 @@ func refPersonalized(g *graph.Digraph, seeds []int, opts *PageRankOptions) (rank
 			dangling = append(dangling, u)
 		}
 	}
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < iterCap; iter++ {
 		danglingMass := 0.0
 		for _, u := range dangling {
 			danglingMass += rank[u]
@@ -87,16 +85,16 @@ func refPersonalized(g *graph.Digraph, seeds []int, opts *PageRankOptions) (rank
 			for _, u := range rev.OutNeighbors(v) {
 				s += rank[u] / float64(outDeg[u])
 			}
-			nv := (1-o.Damping)*tele[v] + o.Damping*(s+danglingMass*tele[v])
+			nv := (1-damping)*tele[v] + damping*(s+danglingMass*tele[v])
 			delta += math.Abs(nv - rank[v])
 			next[v] = nv
 		}
 		rank, next = next, rank
-		if delta < o.Tol {
+		if delta < tol {
 			return rank, iter + 1, true
 		}
 	}
-	return rank, o.MaxIter, false
+	return rank, iterCap, false
 }
 
 // danglingDigraph is a random digraph in which about a fifth of the nodes
@@ -132,12 +130,8 @@ func TestPageRankMatchesReference(t *testing.T) {
 	rng := mathx.NewRNG(31)
 	for _, n := range []int{1, 2, 17, 250} {
 		g := danglingDigraph(rng, n, 0.05)
-		for _, opts := range []*PageRankOptions{nil, {MaxIter: 7}, {Damping: 0.6, Tol: 1e-13}} {
-			got, err := PageRank(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBits(t, "PageRank", got, refPageRank(g, opts))
+		for _, iterCap := range []int{maxIter, 7} {
+			assertBits(t, "PageRank", pageRank(g, iterCap), refPageRank(g, iterCap))
 		}
 	}
 }
@@ -145,10 +139,10 @@ func TestPageRankMatchesReference(t *testing.T) {
 // TestLaneKernelMatchesPerTopicLoop runs topic-sensitive PageRank at every
 // topic count from 1 to 9 (so full and partial 4-lane blocks), with an
 // empty topic, labels outside [0, topics) and dangling nodes, and checks
-// every row against one reference run per topic. The default options let
-// the lanes of a block converge on different iterations; a MaxIter just
-// under the slowest topic's iteration count makes that topic stop at the
-// cap while the others converge.
+// every row against one reference run per topic. The default cap lets the
+// lanes of a block converge on different iterations; a cap just under the
+// slowest topic's iteration count makes that topic stop at the cap while
+// the others converge.
 func TestLaneKernelMatchesPerTopicLoop(t *testing.T) {
 	rng := mathx.NewRNG(23)
 	const n = 300
@@ -175,16 +169,16 @@ func TestLaneKernelMatchesPerTopicLoop(t *testing.T) {
 			if len(s) == 0 {
 				continue
 			}
-			_, iters, _ := refPersonalized(g, s, nil)
+			_, iters, _ := refPersonalized(g, s, maxIter)
 			slowest, fastest = max(slowest, iters), min(fastest, iters)
 		}
 		sawSpread = sawSpread || slowest > fastest
-		optsList := []*PageRankOptions{nil}
+		caps := []int{maxIter}
 		if slowest > fastest {
-			optsList = append(optsList, &PageRankOptions{MaxIter: slowest - 1})
+			caps = append(caps, slowest-1)
 		}
-		for _, opts := range optsList {
-			tr, err := TopicSensitivePageRank(g, topicOf, topics, opts)
+		for _, iterCap := range caps {
+			tr, err := topicRanks(g, topicOf, topics, iterCap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,28 +188,28 @@ func TestLaneKernelMatchesPerTopicLoop(t *testing.T) {
 					assertBits(t, "empty topic", tr.Scores[topic], make([]float64, n))
 					continue
 				}
-				want, _, converged := refPersonalized(g, s, opts)
+				want, _, converged := refPersonalized(g, s, iterCap)
 				if !converged {
 					capped++
 				}
 				assertBits(t, "topic row", tr.Scores[topic], want)
 			}
-			sawCap = sawCap || (capped > 0 && opts != nil)
+			sawCap = sawCap || (capped > 0 && iterCap != maxIter)
 		}
 	}
 	if !sawSpread || !sawCap {
-		t.Fatalf("cases not exercised: convergence spread %v, MaxIter cap %v", sawSpread, sawCap)
+		t.Fatalf("cases not exercised: convergence spread %v, iteration cap %v", sawSpread, sawCap)
 	}
 }
 
 func TestLaneKernelPersonalizedMatchesLoop(t *testing.T) {
 	g := danglingDigraph(mathx.NewRNG(41), 120, 0.05)
 	for _, seeds := range [][]int{{0}, {3, 3, 7, 11, 3}, {119, 5, 5}} {
-		got, err := PersonalizedPageRank(g, seeds, nil)
+		got, err := PersonalizedPageRank(g, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, _ := refPersonalized(g, seeds, nil)
+		want, _, _ := refPersonalized(g, seeds, maxIter)
 		assertBits(t, "PersonalizedPageRank", got, want)
 	}
 }

@@ -19,7 +19,13 @@ type TopicRank struct {
 // TopicSensitivePageRank computes per-topic ranks. topicOf labels each node
 // with a topic in [0, topics); nodes with labels outside the range are never
 // teleported to but still accumulate rank through links.
-func TopicSensitivePageRank(g *graph.Digraph, topicOf []int, topics int, opts *PageRankOptions) (*TopicRank, error) {
+func TopicSensitivePageRank(g *graph.Digraph, topicOf []int, topics int) (*TopicRank, error) {
+	return topicRanks(g, topicOf, topics, maxIter)
+}
+
+// topicRanks is TopicSensitivePageRank with each topic's iteration stopped
+// after at most iterCap iterations.
+func topicRanks(g *graph.Digraph, topicOf []int, topics, iterCap int) (*TopicRank, error) {
 	if len(topicOf) != g.NumNodes() {
 		return nil, ErrBadParam
 	}
@@ -43,7 +49,7 @@ func TopicSensitivePageRank(g *graph.Digraph, topicOf []int, topics int, opts *P
 		}
 	}
 	tr := &TopicRank{Scores: make([][]float64, topics), Topics: topics}
-	for i, scores := range personalizedRanks(g, seedSets, opts.defaults()) {
+	for i, scores := range personalizedRanks(g, seedSets, iterCap) {
 		tr.Scores[ranked[i]] = scores
 	}
 	for t, scores := range tr.Scores {

@@ -43,7 +43,7 @@ func twoCommunityGraph(rng *mathx.RNG, size int) (*graph.Digraph, []int) {
 func TestTopicSensitivePageRankConcentrates(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	g, topics := twoCommunityGraph(rng, 150)
-	tr, err := TopicSensitivePageRank(g, topics, 2, nil)
+	tr, err := TopicSensitivePageRank(g, topics, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTopicSensitivePageRankConcentrates(t *testing.T) {
 func TestTopicRankTop(t *testing.T) {
 	rng := mathx.NewRNG(2)
 	g, topics := twoCommunityGraph(rng, 100)
-	tr, err := TopicSensitivePageRank(g, topics, 2, nil)
+	tr, err := TopicSensitivePageRank(g, topics, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestTopicRankTop(t *testing.T) {
 
 func TestTopicSensitivePageRankValidation(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int{{0, 1}})
-	if _, err := TopicSensitivePageRank(g, []int{0}, 1, nil); err != ErrBadParam {
+	if _, err := TopicSensitivePageRank(g, []int{0}, 1); err != ErrBadParam {
 		t.Fatal("label length mismatch should error")
 	}
-	if _, err := TopicSensitivePageRank(g, []int{0, 0, 0}, 0, nil); err != ErrBadParam {
+	if _, err := TopicSensitivePageRank(g, []int{0, 0, 0}, 0); err != ErrBadParam {
 		t.Fatal("zero topics should error")
 	}
 	// A topic with no members yields a zero row, not an error.
-	tr, err := TopicSensitivePageRank(g, []int{0, 0, 0}, 2, nil)
+	tr, err := TopicSensitivePageRank(g, []int{0, 0, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

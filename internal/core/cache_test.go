@@ -259,7 +259,6 @@ func TestChangedOptionsMiss(t *testing.T) {
 		{"betweenness sources", func(o *Options) { o.BetweennessSources = 41 }, []string{StageCentrality}},
 		{"bootstrap reps", func(o *Options) { o.BootstrapReps = 21 }, []string{StageDegree, StageEigen}},
 		{"eigen k", func(o *Options) { o.EigenK = 41 }, []string{StageEigen}},
-		{"top n-grams", func(o *Options) { o.TopNGrams = 7 }, []string{StageBios}},
 		{"skip bootstrap", func(o *Options) { o.SkipBootstrap = true }, []string{StageDegree, StageEigen}},
 		{"parallelism (never keyed)", func(o *Options) { o.Parallelism = 3 }, nil},
 	}
@@ -463,7 +462,7 @@ func TestCacheKeysAreStageScoped(t *testing.T) {
 }
 
 // hydratedStageNames are the report tables and §V verdicts: stages whose
-// options digest is empty or TopNGrams alone.
+// options digest no option moves.
 var hydratedStageNames = []string{StageBios, StageCategories, StageActivity}
 
 // optionFlip changes one Options field and names the cached stages whose
@@ -488,14 +487,11 @@ func optionFlips(t *testing.T) map[string]optionFlip {
 		"DistanceSources":    {func(o *Options) { o.DistanceSources = 30 }, []string{StageDistances}},
 		"BetweennessSources": {func(o *Options) { o.BetweennessSources += 8 }, []string{StageCentrality, StageFeatures}},
 		"EigenK":             {func(o *Options) { o.EigenK = 10 }, []string{StageEigen}},
-		"EigenIters":         {func(o *Options) { o.EigenIters = 50 }, []string{StageEigen}},
 		"BootstrapReps":      {func(o *Options) { o.BootstrapReps = 5 }, []string{StageDegree, StageEigen}},
-		"TopNGrams":          {func(o *Options) { o.TopNGrams = 4 }, []string{StageBios}},
 		"Seed":               {func(o *Options) { o.Seed++ }, seeded},
 		"SkipEigen":          {func(o *Options) { o.SkipEigen = !o.SkipEigen }, nil},
 		"SkipBetweenness":    {func(o *Options) { o.SkipBetweenness = !o.SkipBetweenness }, []string{StageCentrality}},
 		"SkipBootstrap":      {func(o *Options) { o.SkipBootstrap = !o.SkipBootstrap }, []string{StageDegree, StageEigen}},
-		"SkipCategories":     {func(o *Options) { o.SkipCategories = !o.SkipCategories }, nil},
 		"Parallelism":        {func(o *Options) { o.Parallelism = 1 }, nil},
 		"Stages": {func(o *Options) {
 			if o.Stages == nil {
@@ -545,6 +541,56 @@ func stagePayload(r *Report, stage string) []byte {
 // hydratedStageNames: the graph kernels and the dataset summaries.
 var graphStageNames = slices.DeleteFunc(slices.Clone(cachedStageNames),
 	func(s string) bool { return contains(hydratedStageNames, s) })
+
+// identityGolden pins the cache identity: every stage key, feature shard
+// key and response identity is built from these digests, so a change that
+// moves one orphans every cache entry and last-known-good body written
+// before it. A refactor must leave every value unchanged. A change that
+// bumps a codec or deliberately changes a key may update a value, and
+// says why in CHANGES.md.
+var identityGolden = struct {
+	result map[string]uint64 // ResultDigest by options
+	stage  map[string]uint64 // stageDigest of each default stage, Options{}
+	shard  uint64            // FeatureStore(nil, 1, Options{}).Options
+}{
+	result: map[string]uint64{
+		"zero":  0x730a14382f3e6aa1, // Options{}
+		"serve": 0x77a6a8fe3dc35dc6, // eliteserve's and eliteanalyze's defaults: Seed 42
+	},
+	stage: map[string]uint64{
+		StageComponents:  0xcbf29ce484222325, // no option words: the empty hash
+		StageSummary:     0xcbf29ce484222325,
+		StageBasic:       0xcbf29ce484222325,
+		StageDegree:      0xa36597015bee13d6,
+		StageEigen:       0xca98366b31baba5f,
+		StageReciprocity: 0xcbf29ce484222325,
+		StageDistances:   0xfe5add3257f79d5e,
+		StageBios:        0x52141c8e431cb04e,
+		StageHistograms:  0xcbf29ce484222325,
+		StageCentrality:  0x8ee25f1051c4125f,
+		StageCategories:  0xcbf29ce484222325,
+		StageMutualCore:  0xcbf29ce484222325,
+		StageActivity:    0xcbf29ce484222325,
+	},
+	shard: 0x7a2a8f7a75286778,
+}
+
+func TestIdentityGolden(t *testing.T) {
+	for name, o := range map[string]Options{"zero": {}, "serve": {Seed: 42}} {
+		if got, want := ResultDigest(o), identityGolden.result[name]; got != want {
+			t.Errorf("ResultDigest(%s) = %#016x, pinned %#016x", name, got, want)
+		}
+	}
+	o := Options{}.withDefaults()
+	for _, name := range cachedStageNames {
+		if got, want := o.stageDigest(name), identityGolden.stage[name]; got != want {
+			t.Errorf("stageDigest(%s) = %#016x, pinned %#016x", name, got, want)
+		}
+	}
+	if got, want := FeatureStore(nil, 1, Options{}).Options, identityGolden.shard; got != want {
+		t.Errorf("feature shard key = %#016x, pinned %#016x", got, want)
+	}
+}
 
 // TestStageCacheKeysCoverOptions, TestHydratedStageCacheKeysCoverOptions
 // and TestFeatureStageCacheKeyCoversOptions run the optionFlips table over

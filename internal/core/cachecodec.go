@@ -48,7 +48,7 @@ var stageKeys = map[string]stageKey{
 	// deliberately stays out), so one entry serves every run over the
 	// same dataset.
 	StageBasic:      {version: 1},
-	StageMutualCore: {version: 1, off: func(o Options) bool { return o.SkipCategories }},
+	StageMutualCore: {version: 1},
 	// degree and eigen are at v2: the PR 4 power-law kernel changed the
 	// fit's numerics (suffix-sum tail statistics, ladder-evaluated zeta,
 	// warm-started Brent) and the bootstrap's denominator accounting
@@ -61,15 +61,18 @@ var stageKeys = map[string]stageKey{
 	// moves the eigenvalues (by ~1e-14 relative where converged), so v2
 	// entries hold another solver's bits.
 	StageEigen: {version: 3, words: func(o Options) []uint64 {
-		return []uint64{o.Seed, uint64(o.EigenK), uint64(o.EigenIters),
+		// 3·EigenK is the Krylov dimension, kept where a settable step
+		// count used to be so existing keys stay valid.
+		return []uint64{o.Seed, uint64(o.EigenK), uint64(3 * o.EigenK),
 			uint64(o.BootstrapReps), boolWord(o.SkipBootstrap)}
 	}, off: func(o Options) bool { return o.SkipEigen }},
 	StageDistances: {version: 1, words: func(o Options) []uint64 { return []uint64{o.Seed, uint64(o.DistanceSources)} }},
-	// Of bios, categories and activity only bios has a shaping option;
-	// categories reads unseeded PageRanks and activity reads only the
-	// series, both covered by the dataset digest.
-	StageBios:       {version: 1, words: func(o Options) []uint64 { return []uint64{uint64(o.TopNGrams)} }},
-	StageCategories: {version: 1, off: func(o Options) bool { return o.SkipCategories }},
+	// bios, categories and activity have no shaping option: categories
+	// reads unseeded PageRanks and activity reads only the series, both
+	// covered by the dataset digest. bios keeps the table length as its
+	// word, where a settable one used to be, so existing keys stay valid.
+	StageBios:       {version: 1, words: func(Options) []uint64 { return []uint64{topNGrams} }},
+	StageCategories: {version: 1},
 	StageActivity:   {version: 1},
 	StageCentrality: {version: 1, words: func(o Options) []uint64 {
 		return []uint64{o.Seed, uint64(o.BetweennessSources), boolWord(o.SkipBetweenness)}

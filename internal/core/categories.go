@@ -44,10 +44,7 @@ type CategoryAnalysis struct {
 // reading PageRank from sh.
 func analyzeCategories(ds *twitter.Dataset, sh *features.Shared) (*CategoryAnalysis, error) {
 	g := ds.Graph
-	pr, err := sh.PageRank()
-	if err != nil {
-		return nil, err
-	}
+	pr := sh.PageRank()
 	// Topic labels = categories.
 	nTopics := 0
 	topicOf := make([]int, len(ds.Profiles))
@@ -57,7 +54,7 @@ func analyzeCategories(ds *twitter.Dataset, sh *features.Shared) (*CategoryAnaly
 			nTopics = int(p.Category) + 1
 		}
 	}
-	tr, err := centrality.TopicSensitivePageRank(g, topicOf, nTopics, nil)
+	tr, err := centrality.TopicSensitivePageRank(g, topicOf, nTopics)
 	if err != nil {
 		return nil, err
 	}

@@ -45,14 +45,11 @@ type Options struct {
 	DistanceSources int
 	// BetweennessSources is the number of Brandes sources (0 = 256).
 	BetweennessSources int
-	// EigenK is how many top Laplacian eigenvalues to fit (0 = 150).
+	// EigenK is how many top Laplacian eigenvalues to fit (0 = 150). The
+	// Lanczos Krylov dimension is 3·EigenK.
 	EigenK int
-	// EigenIters is the Lanczos Krylov dimension (0 = 3·EigenK).
-	EigenIters int
 	// BootstrapReps is the CSN goodness-of-fit replicate count (0 = 50).
 	BootstrapReps int
-	// TopNGrams is the table length for bios (0 = 15, the paper's).
-	TopNGrams int
 	// Seed drives all sampling.
 	Seed uint64
 	// SkipEigen skips the Laplacian eigenvalue analysis.
@@ -61,9 +58,6 @@ type Options struct {
 	SkipBetweenness bool
 	// SkipBootstrap skips goodness-of-fit bootstraps.
 	SkipBootstrap bool
-	// SkipCategories skips the per-archetype table and the §IV-C
-	// mutual-core validation.
-	SkipCategories bool
 	// Parallelism bounds how many analysis stages run concurrently
 	// (0 = GOMAXPROCS, 1 = one stage at a time) and is also the worker
 	// budget handed to the stages that shard their own hot loops
@@ -195,14 +189,8 @@ func (o Options) withDefaults() Options {
 	if o.EigenK == 0 {
 		o.EigenK = 150
 	}
-	if o.EigenIters == 0 {
-		o.EigenIters = 3 * o.EigenK
-	}
 	if o.BootstrapReps == 0 {
 		o.BootstrapReps = 50
-	}
-	if o.TopNGrams == 0 {
-		o.TopNGrams = 15
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -468,21 +456,17 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 				c.centralityAnalysis(rep, ds, sh)
 				return nil
 			}}, bind(&rep.Centrality, encodeCentralityTo, decodeCentralityFrom)),
-		)
-		if c.opts.runs(StageCategories) {
-			stages = append(stages, withCache(pipeline.Stage{Name: StageCategories, Run: func() error {
+			withCache(pipeline.Stage{Name: StageCategories, Run: func() error {
 				// A failed table is recorded (and cached) as nil.
 				rep.Categories, _ = analyzeCategories(ds, sh)
 				return nil
-			}}, bind(&rep.Categories, encodeCategoriesTo, decodeCategoriesFrom)))
-		}
+			}}, bind(&rep.Categories, encodeCategoriesTo, decodeCategoriesFrom)),
+		)
 	}
-	if c.opts.runs(StageMutualCore) {
-		stages = append(stages, withCache(pipeline.Stage{Name: StageMutualCore, Run: func() error {
-			rep.MutualCore = analyzeMutualCore(g, sh.Cores())
-			return nil
-		}}, bind(&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom)))
-	}
+	stages = append(stages, withCache(pipeline.Stage{Name: StageMutualCore, Run: func() error {
+		rep.MutualCore = analyzeMutualCore(g, sh.Cores())
+		return nil
+	}}, bind(&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom)))
 	if activity != nil {
 		stages = append(stages, withCache(pipeline.Stage{Name: StageActivity, Run: func() error {
 			c.activityAnalysis(rep, activity)
@@ -774,11 +758,11 @@ func (c *Characterizer) degreeAnalysis(rep *Report, g *graph.Digraph, sh *featur
 
 func (c *Characterizer) eigenAnalysis(rep *Report, g *graph.Digraph, rng *mathx.RNG) {
 	op := spectral.NewLaplacianOperator(g)
-	evs, err := spectral.TopEigenvaluesLanczos(op, c.opts.EigenK, c.opts.EigenIters, rng)
+	evs, err := spectral.TopEigenvaluesLanczos(op, c.opts.EigenK, 3*c.opts.EigenK, rng)
 	if err != nil || len(evs) == 0 {
 		return
 	}
-	fit, err := powerlaw.FitContinuous(evs, nil)
+	fit, err := powerlaw.FitContinuous(evs)
 	if err != nil {
 		return
 	}
@@ -792,6 +776,10 @@ func (c *Characterizer) eigenAnalysis(rep *Report, g *graph.Digraph, rng *mathx.
 	rep.Eigen = pa
 }
 
+// topNGrams is the length of the bio bigram and trigram tables, the
+// paper's 15; the unigram table is twice as long.
+const topNGrams = 15
+
 func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
 	uni := text.NewCounter(1)
 	big := text.NewCounter(2)
@@ -802,11 +790,10 @@ func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
 		big.Add(toks)
 		tri.Add(toks)
 	}
-	k := c.opts.TopNGrams
 	ba := &BioAnalysis{
-		TopUnigrams: uni.Top(2 * k),
-		TopBigrams:  big.Top(k),
-		TopTrigrams: tri.Top(k),
+		TopUnigrams: uni.Top(2 * topNGrams),
+		TopBigrams:  big.Top(topNGrams),
+		TopTrigrams: tri.Top(topNGrams),
 	}
 	ba.Cloud = text.BuildCloud(ba.TopUnigrams)
 	rep.Bios = ba
@@ -828,10 +815,7 @@ func (c *Characterizer) metricHistograms(rep *Report, ds *twitter.Dataset) {
 
 // centralityAnalysis builds the six Figure 5 panels.
 func (c *Characterizer) centralityAnalysis(rep *Report, ds *twitter.Dataset, sh *features.Shared) {
-	pr, err := sh.PageRank()
-	if err != nil {
-		return
-	}
+	pr := sh.PageRank()
 	followers := ds.MetricValues(twitter.MetricFollowers)
 	listed := ds.MetricValues(twitter.MetricListed)
 	statuses := ds.MetricValues(twitter.MetricStatuses)
@@ -886,7 +870,7 @@ func buildCentralityPair(label string, x, y []float64) *CentralityPair {
 		PValue:   stats.CorrelationTest(pearson, len(lx)),
 		N:        len(lx),
 	}
-	if sp, err := stats.FitSpline(lx, ly, nil); err == nil {
+	if sp, err := stats.FitSpline(lx, ly); err == nil {
 		pair.Curve = sp.Curve(25)
 	}
 	return pair

@@ -50,7 +50,7 @@ func ComputeFingerprint(g *graph.Digraph, bootstrapReps int, rng *mathx.RNG) Fin
 		sources = n
 	}
 	fp.MeanDistance = graph.SampledDistances(g, sources, rng).Mean()
-	if fit, err := powerlaw.FitDiscrete(g.OutDegrees(), nil); err == nil {
+	if fit, err := powerlaw.FitDiscrete(g.OutDegrees()); err == nil {
 		fp.PowerLawAlpha = fit.Alpha
 		if bootstrapReps > 0 {
 			fp.PowerLawGoF = fit.GoodnessOfFit(bootstrapReps, rng)

@@ -113,7 +113,7 @@ func (o Options) withDefaults() Options {
 // the name). It is a memo, not pipeline stages, as a cache-hydrated stage
 // has no vectors.
 type Shared struct {
-	PageRank    func() ([]float64, error)
+	PageRank    func() []float64
 	Cores       func() *graph.KCoreResult
 	Betweenness func() []float64
 	DegreeFit   func() (*powerlaw.Fit, error) // discrete fit of out-degrees
@@ -124,13 +124,13 @@ type Shared struct {
 func NewShared(g *graph.Digraph, opts Options) *Shared {
 	o := opts.withDefaults()
 	return &Shared{
-		PageRank: sync.OnceValues(func() ([]float64, error) { return centrality.PageRank(g, nil) }),
+		PageRank: sync.OnceValue(func() []float64 { return centrality.PageRank(g) }),
 		Cores:    sync.OnceValue(func() *graph.KCoreResult { return graph.KCores(g) }),
 		Betweenness: sync.OnceValue(func() []float64 {
 			rng := mathx.NewRNG(o.Seed).Derive("centrality")
 			return centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, o.Parallelism)
 		}),
-		DegreeFit:  sync.OnceValues(func() (*powerlaw.Fit, error) { return powerlaw.FitDiscrete(g.OutDegrees(), nil) }),
+		DegreeFit:  sync.OnceValues(func() (*powerlaw.Fit, error) { return powerlaw.FitDiscrete(g.OutDegrees()) }),
 		Clustering: sync.OnceValue(func() []float64 { return graph.LocalClusteringAll(g, o.Parallelism) }),
 	}
 }
@@ -267,12 +267,8 @@ func computeWith(ds *twitter.Dataset, sh *Shared, opts Options, sc *Scorer) *Mat
 	}
 	clus := sh.Clustering()
 
-	pr, err := sh.PageRank()
-	if err != nil || pr == nil {
-		pr = make([]float64, n)
-	}
 	bPct := percentiles(sh.Betweenness())
-	ePct := percentiles(pr)
+	ePct := percentiles(sh.PageRank())
 
 	xmin := math.NaN()
 	if fit, ferr := sh.DegreeFit(); ferr == nil {

@@ -60,8 +60,8 @@ func referenceMatrix(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 	// always at workers=1, on the battery's shared "centrality" stream.
 	rng := mathx.NewRNG(o.Seed).Derive("centrality")
 	bc := centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, 1)
-	pr, err := centrality.PageRank(g, nil)
-	if err != nil || pr == nil {
+	pr := centrality.PageRank(g)
+	if pr == nil {
 		pr = make([]float64, n)
 	}
 
@@ -83,7 +83,7 @@ func referenceMatrix(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 	}
 
 	xmin := math.NaN()
-	if fit, ferr := powerlaw.FitDiscrete(g.OutDegrees(), nil); ferr == nil {
+	if fit, ferr := powerlaw.FitDiscrete(g.OutDegrees()); ferr == nil {
 		xmin = fit.Xmin
 		m.TailXmin = xmin
 	}

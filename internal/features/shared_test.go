@@ -40,7 +40,7 @@ func TestSharedMemoisedAcrossGoroutines(t *testing.T) {
 			for k := 0; k < 5; k++ {
 				switch (i + k) % 5 {
 				case 0:
-					r.pr, _ = sh.PageRank()
+					r.pr = sh.PageRank()
 				case 1:
 					r.cores = sh.Cores()
 				case 2:
@@ -67,10 +67,7 @@ func TestSharedMemoisedAcrossGoroutines(t *testing.T) {
 		}
 	}
 
-	wantPR, err := centrality.PageRank(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantPR := centrality.PageRank(g)
 	rng := mathx.NewRNG(opts.Seed).Derive("centrality")
 	wantBC := centrality.ApproxBetweennessWorkers(g, opts.BetweennessSources, rng, 1)
 	wantClus := graph.LocalClusteringAll(g, 1)
@@ -83,7 +80,7 @@ func TestSharedMemoisedAcrossGoroutines(t *testing.T) {
 	if want := graph.KCores(g); want.MaxCore != first.cores.MaxCore {
 		t.Fatalf("degeneracy %d, want %d", first.cores.MaxCore, want.MaxCore)
 	}
-	if want, _ := powerlaw.FitDiscrete(g.OutDegrees(), nil); want.Xmin != first.fit.Xmin || want.Alpha != first.fit.Alpha {
+	if want, _ := powerlaw.FitDiscrete(g.OutDegrees()); want.Xmin != first.fit.Xmin || want.Alpha != first.fit.Alpha {
 		t.Fatalf("degree fit (%v, %v), want (%v, %v)", first.fit.Xmin, first.fit.Alpha, want.Xmin, want.Alpha)
 	}
 }

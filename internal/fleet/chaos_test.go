@@ -90,15 +90,14 @@ func TestChaosFleetLoad(t *testing.T) {
 	}
 
 	rt, err := New(Config{
-		Workers:         []string{addrA, addrB},
-		ProbeInterval:   time.Hour, // probes driven manually
-		EjectAfter:      3,
-		ProbationProbes: 3,
-		Retries:         2,
-		RequestTimeout:  60 * time.Second,
-		CacheDir:        cacheDir,
-		Faults:          inj,
-		Seed:            42,
+		Workers:        []string{addrA, addrB},
+		ProbeInterval:  time.Hour, // probes driven manually
+		EjectAfter:     3,
+		Retries:        2,
+		RequestTimeout: 60 * time.Second,
+		CacheDir:       cacheDir,
+		Faults:         inj,
+		Seed:           42,
 	})
 	if err != nil {
 		t.Fatal(err)

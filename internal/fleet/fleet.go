@@ -75,9 +75,6 @@ type Config struct {
 	// EjectAfter is how many consecutive failed probes eject an up worker
 	// (default 3).
 	EjectAfter int
-	// ProbationProbes is the clean-probe streak that promotes a
-	// readmitted worker from probation back to up (default 3).
-	ProbationProbes int
 
 	// Retries is the budget of extra sequential attempts after the first
 	// (default 2).
@@ -91,8 +88,6 @@ type Config struct {
 	// degradation to cached bodies.
 	CacheDir string
 
-	// Transport is the base RoundTripper (default http.DefaultTransport).
-	Transport http.RoundTripper
 	// Faults, when non-nil, injects network faults ("net:<host:port>"
 	// points) into every probe and proxied attempt.
 	Faults *faults.Injector
@@ -118,9 +113,6 @@ func (c *Config) setDefaults() {
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
-	if c.ProbationProbes <= 0 {
-		c.ProbationProbes = 3
-	}
 	if c.Retries < 0 {
 		c.Retries = 0
 	} else if c.Retries == 0 {
@@ -128,9 +120,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.Transport == nil {
-		c.Transport = http.DefaultTransport
 	}
 }
 
@@ -181,9 +170,9 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	transport := cfg.Transport
+	transport := http.DefaultTransport
 	if cfg.Faults != nil {
-		transport = &faultTransport{base: cfg.Transport, inj: cfg.Faults}
+		transport = &faultTransport{base: http.DefaultTransport, inj: cfg.Faults}
 	}
 	rt := &Router{
 		cfg:        cfg,

@@ -227,32 +227,32 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const eject, probation = 3, 3
+	const eject = 3
 
 	// up -> down takes eject consecutive failures.
 	for i := 0; i < eject-1; i++ {
-		if ejected, _ := w.noteProbe(false, eject, probation); ejected {
+		if ejected, _ := w.noteProbe(false, eject); ejected {
 			t.Fatalf("ejected after only %d failures", i+1)
 		}
 	}
-	if ejected, _ := w.noteProbe(false, eject, probation); !ejected || w.available() {
+	if ejected, _ := w.noteProbe(false, eject); !ejected || w.available() {
 		t.Fatal("not ejected at the threshold")
 	}
 
 	// down -> probation on the first healthy probe; traffic flows again.
-	if _, readmitted := w.noteProbe(true, eject, probation); !readmitted || !w.available() {
+	if _, readmitted := w.noteProbe(true, eject); !readmitted || !w.available() {
 		t.Fatal("healthy probe did not readmit to probation")
 	}
 
 	// Any failure during probation goes straight back down.
-	if ejected, _ := w.noteProbe(false, eject, probation); !ejected || w.available() {
+	if ejected, _ := w.noteProbe(false, eject); !ejected || w.available() {
 		t.Fatal("probation failure did not re-eject")
 	}
 
 	// Full recovery: readmit, then a clean streak promotes to up.
-	w.noteProbe(true, eject, probation)
-	w.noteProbe(true, eject, probation)
-	w.noteProbe(true, eject, probation)
+	w.noteProbe(true, eject)
+	w.noteProbe(true, eject)
+	w.noteProbe(true, eject)
 	w.mu.Lock()
 	st := w.state
 	w.mu.Unlock()
@@ -261,10 +261,10 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 	}
 
 	// A request failure during probation also re-ejects.
-	w.noteProbe(false, eject, probation)
-	w.noteProbe(false, eject, probation)
-	w.noteProbe(false, eject, probation)
-	w.noteProbe(true, eject, probation) // probation again
+	w.noteProbe(false, eject)
+	w.noteProbe(false, eject)
+	w.noteProbe(false, eject)
+	w.noteProbe(true, eject) // probation again
 	w.noteRequestFailure()
 	if w.available() {
 		t.Fatal("request failure during probation did not re-eject")
@@ -647,7 +647,7 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	ht.set(a1, true)
 	ht.set(a2, true)
 
-	rt := newTestRouter(t, Config{Workers: []string{a1, a2}, EjectAfter: 3, ProbationProbes: 3})
+	rt := newTestRouter(t, Config{Workers: []string{a1, a2}, EjectAfter: 3})
 	ctx := context.Background()
 
 	rt.ProbeNow(ctx)
@@ -735,7 +735,7 @@ func TestDownWorkerReceivesNoTraffic(t *testing.T) {
 	bs.set(order[1].name, respondText(http.StatusOK, "backup"))
 
 	// Mark the primary down directly (the prober's job).
-	order[0].noteProbe(false, 1, 3)
+	order[0].noteProbe(false, 1)
 	if order[0].available() {
 		t.Fatal("setup: primary should be down")
 	}

@@ -76,7 +76,7 @@ func (rt *Router) probeWorker(ctx context.Context, wk *worker) {
 	if !ok {
 		rt.met.probeFails.Inc()
 	}
-	ejected, readmitted := wk.noteProbe(ok, rt.cfg.EjectAfter, rt.cfg.ProbationProbes)
+	ejected, readmitted := wk.noteProbe(ok, rt.cfg.EjectAfter)
 	if ejected {
 		rt.met.ejections.Inc()
 		if lg := rt.cfg.Logger; lg != nil {

@@ -148,11 +148,14 @@ func (w *worker) noteRequestFailure() (tripped bool) {
 	return w.br.Failure()
 }
 
+// probationProbes is the clean-probe streak that promotes a readmitted
+// worker from probation back to up.
+const probationProbes = 3
+
 // noteProbe feeds one health-probe outcome through the state machine.
-// ejectAfter is the consecutive-failure ejection threshold, probation the
-// clean-probe streak that promotes probation → up. It reports state
-// transitions for the metrics (ejected, readmitted to probation).
-func (w *worker) noteProbe(ok bool, ejectAfter, probation int) (ejected, readmitted bool) {
+// ejectAfter is the consecutive-failure ejection threshold. It reports
+// state transitions for the metrics (ejected, readmitted to probation).
+func (w *worker) noteProbe(ok bool, ejectAfter int) (ejected, readmitted bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if ok {
@@ -164,7 +167,7 @@ func (w *worker) noteProbe(ok bool, ejectAfter, probation int) (ejected, readmit
 			readmitted = true
 		case stateProbation:
 			w.probeOKs++
-			if w.probeOKs >= probation {
+			if w.probeOKs >= probationProbes {
 				w.state = stateUp
 				w.probeOKs = 0
 			}

@@ -115,7 +115,7 @@ func TestVerifiedOutDegreePowerLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := powerlaw.FitDiscrete(res.Graph.OutDegrees(), nil)
+	fit, err := powerlaw.FitDiscrete(res.Graph.OutDegrees())
 	if err != nil {
 		t.Fatal(err)
 	}

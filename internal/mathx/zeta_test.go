@@ -26,7 +26,7 @@ func TestZetaLadderMatchesDirect(t *testing.T) {
 }
 
 // TestZetaLadderNonIntegerOffsets: integer-spaced but non-integer arguments
-// (FixedXmin fits at e.g. q=2.5) must ride the recurrence too.
+// (pinned-xmin fits at e.g. q=2.5) must ride the recurrence too.
 func TestZetaLadderNonIntegerOffsets(t *testing.T) {
 	l := NewZetaLadder(2.5)
 	for q := 30.5; q >= 1.5; q-- {

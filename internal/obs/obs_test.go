@@ -112,9 +112,9 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestRingWrap: the ring keeps the newest RingSize spans, oldest first.
+// TestRingWrap: the ring keeps the newest size spans, oldest first.
 func TestRingWrap(t *testing.T) {
-	tr := NewTracer(TracerConfig{Name: "svc", Seed: 1, RingSize: 4})
+	tr := newTracer(TracerConfig{Name: "svc", Seed: 1}, 4)
 	for i := 0; i < 6; i++ {
 		sp := tr.Root("op" + itoa(i))
 		sp.End()

@@ -241,8 +241,6 @@ type TracerConfig struct {
 	// deterministic per (seed, name) — the same discipline every other
 	// stochastic component uses.
 	Seed uint64
-	// RingSize bounds the finished-span ring buffer (0 means 4096).
-	RingSize int
 	// Sink, when non-nil, receives every finished span as one JSON line
 	// (the -trace-out format scripts/traceview.sh pretty-prints).
 	Sink io.Writer
@@ -263,12 +261,14 @@ type Tracer struct {
 	sink   io.Writer
 }
 
+// ringSize bounds the finished-span ring buffer.
+const ringSize = 4096
+
 // NewTracer builds a Tracer from cfg.
-func NewTracer(cfg TracerConfig) *Tracer {
-	size := cfg.RingSize
-	if size <= 0 {
-		size = 4096
-	}
+func NewTracer(cfg TracerConfig) *Tracer { return newTracer(cfg, ringSize) }
+
+// newTracer is NewTracer keeping the newest size finished spans.
+func newTracer(cfg TracerConfig, size int) *Tracer {
 	return &Tracer{
 		name: cfg.Name,
 		rng:  mathx.NewRNG(cfg.Seed).Derive("obs/ids/" + cfg.Name),

@@ -7,7 +7,7 @@ import (
 )
 
 // Codec for cached pipeline stages (internal/cache). A Fit round-trips
-// completely — including the sorted data and fit options that back
+// completely — including the sorted data and fit parameters that back
 // GoodnessOfFit and CompareAll — so a fit hydrated from the result cache is
 // indistinguishable from a freshly computed one. The suffix log-sums are
 // neither encoded nor rebuilt on decode: they are a pure function of the
@@ -27,10 +27,10 @@ func (f *Fit) EncodeTo(e *cache.Encoder) {
 	e.Float64(f.LogLik)
 	e.Float64(f.AlphaStdErr)
 	e.Float64s(f.sorted)
-	e.Int(f.opts.MaxXminCandidates)
-	e.Int(f.opts.MinTail)
-	e.Float64(f.opts.AlphaMax)
-	e.Float64(f.opts.FixedXmin)
+	e.Int(f.params.maxXminCandidates)
+	e.Int(f.params.minTail)
+	e.Float64(f.params.alphaMax)
+	e.Float64(f.params.fixedXmin)
 }
 
 // DecodeFitFrom reads what EncodeTo wrote. The decoder's sticky error state
@@ -48,11 +48,11 @@ func DecodeFitFrom(d *cache.Decoder) (*Fit, error) {
 		AlphaStdErr: d.Float64(),
 		sorted:      d.Float64s(),
 	}
-	f.opts = Options{
-		MaxXminCandidates: d.Int(),
-		MinTail:           d.Int(),
-		AlphaMax:          d.Float64(),
-		FixedXmin:         d.Float64(),
+	f.params = fitParams{
+		maxXminCandidates: d.Int(),
+		minTail:           d.Int(),
+		alphaMax:          d.Float64(),
+		fixedXmin:         d.Float64(),
 	}
 	if d.Err() != nil {
 		return nil, ErrDecode

@@ -14,7 +14,7 @@ func TestFitCodecRoundTrip(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.ParetoInt(1, 2.5)
 	}
-	fit, err := FitDiscrete(xs, nil)
+	fit, err := FitDiscrete(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFitCodecCorruption(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.ParetoInt(1, 2.5)
 	}
-	fit, err := FitDiscrete(xs, nil)
+	fit, err := FitDiscrete(xs)
 	if err != nil {
 		t.Fatal(err)
 	}

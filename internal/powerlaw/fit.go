@@ -17,14 +17,14 @@
 //
 // # The fast-path kernel and its numeric contract
 //
-// One fit scans up to MaxXminCandidates cutoffs over the sorted data; the
+// One fit scans up to 100 candidate cutoffs over the sorted data; the
 // kernel keeps that scan near-linear instead of O(candidates × tail):
 //
 //   - tail log-sums come from one precomputed suffix-sum pass — logSuf[i] =
 //     Σ_{j≥i} ln data[j], accumulated from the largest value down — so every
 //     candidate's continuous MLE and discrete Σ ln x are O(1) lookups;
 //   - the discrete MLE's Brent search brackets warm around the closed-form
-//     continuous estimate on xmin−½ (falling back to the full [1, AlphaMax]
+//     continuous estimate on xmin−½ (falling back to the full [1, αmax]
 //     range whenever the minimizer pins an interior bracket edge), and every
 //     ζ(α, xmin) evaluation goes through a mathx.ZetaCache memo;
 //   - the discrete KS statistic walks the tail's distinct values descending
@@ -58,41 +58,29 @@ import (
 )
 
 // ErrTooFewPoints indicates not enough tail data to fit (need >= 2 distinct
-// values and >= MinTail observations above xmin).
+// values and >= 10 observations above xmin).
 var ErrTooFewPoints = errors.New("powerlaw: too few data points")
 
-// Options configures fitting.
-type Options struct {
-	// MaxXminCandidates caps how many distinct values are scanned as xmin
-	// candidates (log-spaced subsample when exceeded). 0 means 100.
-	MaxXminCandidates int
-	// MinTail is the minimum number of observations that must lie at or
-	// above xmin for a candidate to be considered. 0 means 10.
-	MinTail int
-	// AlphaMax bounds the exponent search. 0 means 8.
-	AlphaMax float64
-	// FixedXmin, when > 0, skips the xmin scan and fits the tail at this
+// fitParams are the settings of one xmin scan. Every fit outside this
+// package's tests uses defaultParams; a Fit keeps its own, so bootstrap
+// replicates refit the way the observed fit was made.
+type fitParams struct {
+	// maxXminCandidates caps how many distinct values are scanned as
+	// xmin candidates (log-spaced subsample when exceeded).
+	maxXminCandidates int
+	// minTail is the minimum number of observations that must lie at or
+	// above xmin for a candidate to be considered.
+	minTail int
+	// alphaMax bounds the exponent search.
+	alphaMax float64
+	// fixedXmin, when > 0, skips the xmin scan and fits the tail at this
 	// cutoff.
-	FixedXmin float64
+	fixedXmin float64
 }
 
-func (o *Options) defaults() Options {
-	out := Options{MaxXminCandidates: 100, MinTail: 10, AlphaMax: 8}
-	if o == nil {
-		return out
-	}
-	if o.MaxXminCandidates > 0 {
-		out.MaxXminCandidates = o.MaxXminCandidates
-	}
-	if o.MinTail > 0 {
-		out.MinTail = o.MinTail
-	}
-	if o.AlphaMax > 1 {
-		out.AlphaMax = o.AlphaMax
-	}
-	out.FixedXmin = o.FixedXmin
-	return out
-}
+// defaultParams is the §IV-B setting: up to 100 xmin candidates, tails of
+// at least 10 observations, α searched up to 8.
+var defaultParams = fitParams{maxXminCandidates: 100, minTail: 10, alphaMax: 8}
 
 // Fit is a fitted power-law model p(x) ∝ x^−α for x ≥ Xmin.
 type Fit struct {
@@ -117,7 +105,7 @@ type Fit struct {
 
 	sorted []float64 // full sorted data, ascending
 	logSuf []float64 // suffix sums of ln(sorted): logSuf[i] = Σ_{j≥i} ln sorted[j]
-	opts   Options
+	params fitParams
 }
 
 // tailStart returns the index of the first observation at or above Xmin.
@@ -147,30 +135,34 @@ func (f *Fit) tailLogSum(i int) float64 {
 // FitDiscrete fits a discrete power law to integer-valued data (degrees,
 // counts). Zero and negative values are ignored (a node of degree zero
 // cannot participate in a power-law tail).
-func FitDiscrete(xs []int, opts *Options) (*Fit, error) {
+func FitDiscrete(xs []int) (*Fit, error) { return fitDiscrete(xs, defaultParams) }
+
+func fitDiscrete(xs []int, p fitParams) (*Fit, error) {
 	data := make([]float64, 0, len(xs))
 	for _, x := range xs {
 		if x > 0 {
 			data = append(data, float64(x))
 		}
 	}
-	return fit(data, true, opts.defaults())
+	return fit(data, true, p)
 }
 
 // FitContinuous fits a continuous power law to positive real data
 // (eigenvalues). Non-positive values are ignored.
-func FitContinuous(xs []float64, opts *Options) (*Fit, error) {
+func FitContinuous(xs []float64) (*Fit, error) { return fitContinuous(xs, defaultParams) }
+
+func fitContinuous(xs []float64, p fitParams) (*Fit, error) {
 	data := make([]float64, 0, len(xs))
 	for _, x := range xs {
 		if x > 0 && !math.IsNaN(x) && !math.IsInf(x, 0) {
 			data = append(data, x)
 		}
 	}
-	return fit(data, false, opts.defaults())
+	return fit(data, false, p)
 }
 
-func fit(data []float64, discrete bool, o Options) (*Fit, error) {
-	if len(data) < o.MinTail {
+func fit(data []float64, discrete bool, p fitParams) (*Fit, error) {
+	if len(data) < p.minTail {
 		return nil, ErrTooFewPoints
 	}
 	// slices.Sort (pdqsort, no interface boxing) — replicate data is
@@ -178,7 +170,7 @@ func fit(data []float64, discrete bool, o Options) (*Fit, error) {
 	slices.Sort(data)
 	var fc fitCore
 	fc.prepare(data)
-	res, err := fc.run(data, discrete, o)
+	res, err := fc.run(data, discrete, p)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +185,7 @@ func fit(data []float64, discrete bool, o Options) (*Fit, error) {
 		AlphaStdErr: (res.alpha - 1) / math.Sqrt(float64(res.nTail)),
 		sorted:      data,
 		logSuf:      fc.logSuf,
-		opts:        o,
+		params:      p,
 	}, nil
 }
 
@@ -244,13 +236,13 @@ func (fc *fitCore) prepare(data []float64) {
 
 // candidates fills fc.cand/fc.candX with the xmin candidates to scan: every
 // distinct value except the largest, log-subsampled down to the configured
-// cap; a FixedXmin short-circuits the scan.
-func (fc *fitCore) candidates(data []float64, o Options) {
+// cap; a fixed xmin short-circuits the scan.
+func (fc *fitCore) candidates(data []float64, p fitParams) {
 	fc.cand = fc.cand[:0]
 	fc.candX = fc.candX[:0]
-	if o.FixedXmin > 0 {
-		fc.cand = append(fc.cand, sort.SearchFloat64s(data, o.FixedXmin))
-		fc.candX = append(fc.candX, o.FixedXmin)
+	if p.fixedXmin > 0 {
+		fc.cand = append(fc.cand, sort.SearchFloat64s(data, p.fixedXmin))
+		fc.candX = append(fc.candX, p.fixedXmin)
 		return
 	}
 	// Never use the largest value as xmin (tail would be tiny).
@@ -265,7 +257,7 @@ func (fc *fitCore) candidates(data []float64, o Options) {
 		}
 		return fc.distinct[j-1] + 1
 	}
-	if m <= o.MaxXminCandidates {
+	if m <= p.maxXminCandidates {
 		for j := 0; j < m; j++ {
 			fc.cand = append(fc.cand, first(j))
 			fc.candX = append(fc.candX, data[fc.distinct[j]])
@@ -275,8 +267,8 @@ func (fc *fitCore) candidates(data []float64, o Options) {
 	// Log-spaced subsample over the index range preserves resolution at
 	// the small-x end where candidate density matters most.
 	last := -1
-	for k := 0; k < o.MaxXminCandidates; k++ {
-		f := float64(k) / float64(o.MaxXminCandidates-1)
+	for k := 0; k < p.maxXminCandidates; k++ {
+		f := float64(k) / float64(p.maxXminCandidates-1)
 		idx := int(math.Round(math.Pow(float64(m-1), f)))
 		if idx >= m {
 			idx = m - 1
@@ -290,20 +282,20 @@ func (fc *fitCore) candidates(data []float64, o Options) {
 }
 
 // run scans the candidates and returns the KS-minimizing fit.
-func (fc *fitCore) run(data []float64, discrete bool, o Options) (fitResult, error) {
-	fc.candidates(data, o)
+func (fc *fitCore) run(data []float64, discrete bool, p fitParams) (fitResult, error) {
+	fc.candidates(data, p)
 	n := len(data)
 	best := fitResult{ks: math.Inf(1)}
 	for c := range fc.cand {
 		i := fc.cand[c]
 		xmin := fc.candX[c]
 		nt := n - i
-		if nt < o.MinTail {
+		if nt < p.minTail {
 			continue
 		}
 		var alpha, ll float64
 		if discrete {
-			alpha, ll = fc.mleDiscrete(i, nt, xmin, o.AlphaMax)
+			alpha, ll = fc.mleDiscrete(i, nt, xmin, p.alphaMax)
 		} else {
 			alpha, ll = fc.mleContinuous(i, nt, xmin)
 		}
@@ -540,7 +532,7 @@ func (f *Fit) replicateKS(b int, rng *mathx.RNG, body []float64, pTail float64, 
 	}
 	sc.sortReplicate(data, f.Discrete)
 	sc.core.prepare(data)
-	res, err := sc.core.run(data, f.Discrete, f.opts)
+	res, err := sc.core.run(data, f.Discrete, f.params)
 	if err != nil {
 		return 0, false
 	}

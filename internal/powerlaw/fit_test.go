@@ -1,9 +1,11 @@
 package powerlaw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"elites/internal/gen"
 	"elites/internal/mathx"
 )
 
@@ -14,7 +16,7 @@ func TestContinuousRecoversAlpha(t *testing.T) {
 		for i := range data {
 			data[i] = rng.Pareto(5, alpha)
 		}
-		fit, err := FitContinuous(data, &Options{FixedXmin: 5})
+		fit, err := fitContinuous(data, pinnedXmin(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +39,7 @@ func TestDiscreteRecoversAlpha(t *testing.T) {
 		for i := range data {
 			data[i] = rng.ParetoInt(3, alpha)
 		}
-		fit, err := FitDiscrete(data, &Options{FixedXmin: 3})
+		fit, err := fitDiscrete(data, pinnedXmin(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +63,7 @@ func TestXminScanFindsCutoff(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		data = append(data, rng.Pareto(20, 2.8))
 	}
-	fit, err := FitContinuous(data, nil)
+	fit, err := FitContinuous(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +76,10 @@ func TestXminScanFindsCutoff(t *testing.T) {
 }
 
 func TestFitRejectsTinyData(t *testing.T) {
-	if _, err := FitContinuous([]float64{1, 2, 3}, nil); err != ErrTooFewPoints {
+	if _, err := FitContinuous([]float64{1, 2, 3}); err != ErrTooFewPoints {
 		t.Fatalf("want ErrTooFewPoints, got %v", err)
 	}
-	if _, err := FitDiscrete([]int{0, 0, 0}, nil); err != ErrTooFewPoints {
+	if _, err := FitDiscrete([]int{0, 0, 0}); err != ErrTooFewPoints {
 		t.Fatalf("all non-positive: want ErrTooFewPoints, got %v", err)
 	}
 }
@@ -88,7 +90,7 @@ func TestFitIgnoresNonPositive(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		data = append(data, rng.Pareto(2, 3))
 	}
-	fit, err := FitContinuous(data, &Options{FixedXmin: 2})
+	fit, err := fitContinuous(data, pinnedXmin(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestKSDistanceSmallForTrueModel(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Pareto(1, 2.5)
 	}
-	fit, err := FitContinuous(data, &Options{FixedXmin: 1})
+	fit, err := fitContinuous(data, pinnedXmin(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestGoodnessOfFitAcceptsTrueModel(t *testing.T) {
 	for i := range data {
 		data[i] = rng.ParetoInt(2, 2.6)
 	}
-	fit, err := FitDiscrete(data, &Options{MaxXminCandidates: 20})
+	fit, err := fitDiscrete(data, cappedScan(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestGoodnessOfFitRejectsLognormal(t *testing.T) {
 	for i := range data {
 		data[i] = rng.LogNormal(1.0, 0.3)
 	}
-	fit, err := FitContinuous(data, &Options{MaxXminCandidates: 25})
+	fit, err := fitContinuous(data, cappedScan(25))
 	if err != nil {
 		// A failed fit is also an acceptable rejection.
 		t.Skip("no fit at all on lognormal data")
@@ -155,7 +157,7 @@ func TestAlphaStdErr(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Pareto(1, 3)
 	}
-	fit, _ := FitContinuous(data, &Options{FixedXmin: 1})
+	fit, _ := fitContinuous(data, pinnedXmin(1))
 	want := (fit.Alpha - 1) / math.Sqrt(float64(fit.NTail))
 	if fit.AlphaStdErr != want {
 		t.Errorf("stderr = %v, want %v", fit.AlphaStdErr, want)
@@ -176,7 +178,7 @@ func TestGoodnessOfFitWorkerInvariance(t *testing.T) {
 	for i := range data {
 		data[i] = rng.ParetoInt(1, 2.4)
 	}
-	fit, err := FitDiscrete(data, &Options{MaxXminCandidates: 15})
+	fit, err := fitDiscrete(data, cappedScan(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +193,29 @@ func TestGoodnessOfFitWorkerInvariance(t *testing.T) {
 		if again := fit.GoodnessOfFitWorkers(B, base, 3); again != ref {
 			t.Fatalf("B=%d: repeat call p=%v vs %v (base generator advanced?)", B, again, ref)
 		}
+	}
+}
+
+// BenchmarkAblationXminScan: CSN fit stability versus xmin-scan granularity
+// on the out-degrees of a 20k-node verified graph.
+func BenchmarkAblationXminScan(b *testing.B) {
+	res, err := gen.Verified(20000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deg := res.Graph.OutDegrees()
+	for _, cands := range []int{25, 100, 400} {
+		b.Run(fmt.Sprintf("candidates=%d", cands), func(b *testing.B) {
+			var fit *Fit
+			for i := 0; i < b.N; i++ {
+				var err error
+				fit, err = fitDiscrete(deg, cappedScan(cands))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(fit.Alpha, "alpha")
+			b.ReportMetric(fit.Xmin, "xmin")
+		})
 	}
 }

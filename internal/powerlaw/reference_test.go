@@ -38,16 +38,30 @@ func refSumLogDesc(tail []float64) float64 {
 	return s
 }
 
-func referenceFit(input []float64, discrete bool, o Options) (refFit, bool) {
-	if len(input) < o.MinTail {
+// pinnedXmin is defaultParams with the xmin scan replaced by one cutoff.
+func pinnedXmin(xmin float64) fitParams {
+	p := defaultParams
+	p.fixedXmin = xmin
+	return p
+}
+
+// cappedScan is defaultParams scanning at most n xmin candidates.
+func cappedScan(n int) fitParams {
+	p := defaultParams
+	p.maxXminCandidates = n
+	return p
+}
+
+func referenceFit(input []float64, discrete bool, o fitParams) (refFit, bool) {
+	if len(input) < o.minTail {
 		return refFit{}, false
 	}
 	data := append([]float64(nil), input...)
 	slices.Sort(data)
 	// Candidate selection, restated naively.
 	var candidates []float64
-	if o.FixedXmin > 0 {
-		candidates = []float64{o.FixedXmin}
+	if o.fixedXmin > 0 {
+		candidates = []float64{o.fixedXmin}
 	} else {
 		var uniq []float64
 		for i, v := range data {
@@ -58,12 +72,12 @@ func referenceFit(input []float64, discrete bool, o Options) (refFit, bool) {
 		if len(uniq) > 1 {
 			uniq = uniq[:len(uniq)-1]
 		}
-		if len(uniq) <= o.MaxXminCandidates {
+		if len(uniq) <= o.maxXminCandidates {
 			candidates = uniq
 		} else {
 			last := -1
-			for k := 0; k < o.MaxXminCandidates; k++ {
-				f := float64(k) / float64(o.MaxXminCandidates-1)
+			for k := 0; k < o.maxXminCandidates; k++ {
+				f := float64(k) / float64(o.maxXminCandidates-1)
 				idx := int(math.Round(math.Pow(float64(len(uniq)-1), f)))
 				if idx >= len(uniq) {
 					idx = len(uniq) - 1
@@ -79,12 +93,12 @@ func referenceFit(input []float64, discrete bool, o Options) (refFit, bool) {
 	for _, xmin := range candidates {
 		i := sort.SearchFloat64s(data, xmin)
 		tail := data[i:]
-		if len(tail) < o.MinTail {
+		if len(tail) < o.minTail {
 			continue
 		}
 		var alpha, ll float64
 		if discrete {
-			alpha, ll = refMleDiscrete(tail, xmin, o.AlphaMax)
+			alpha, ll = refMleDiscrete(tail, xmin, o.alphaMax)
 		} else {
 			alpha, ll = refMleContinuous(tail, xmin)
 		}
@@ -218,7 +232,7 @@ func referenceBootstrap(f *Fit, B int, rng *mathx.RNG) GoFResult {
 				data[j] = body[r.Intn(len(body))]
 			}
 		}
-		rf, ok := referenceFit(data, f.Discrete, f.opts)
+		rf, ok := referenceFit(data, f.Discrete, f.params)
 		if !ok {
 			res.Dropped++
 			continue
@@ -334,12 +348,12 @@ func assertFitMatchesReference(t *testing.T, f *Fit, rf refFit) {
 
 func TestFitMatchesReferenceDiscrete(t *testing.T) {
 	cases := []struct {
-		name string
-		opts *Options
-		data []int
+		name   string
+		params fitParams
+		data   []int
 	}{
-		{"mixture full scan", nil, discreteMixture(101, 4000)},
-		{"many distinct (log subsample)", nil, func() []int {
+		{"mixture full scan", defaultParams, discreteMixture(101, 4000)},
+		{"many distinct (log subsample)", defaultParams, func() []int {
 			rng := mathx.NewRNG(102)
 			out := make([]int, 6000)
 			for i := range out {
@@ -347,12 +361,12 @@ func TestFitMatchesReferenceDiscrete(t *testing.T) {
 			}
 			return out
 		}()},
-		{"few candidates", &Options{MaxXminCandidates: 15}, discreteMixture(103, 2000)},
-		{"fixed xmin", &Options{FixedXmin: 20}, discreteMixture(104, 2000)},
+		{"few candidates", cappedScan(15), discreteMixture(103, 2000)},
+		{"fixed xmin", pinnedXmin(20), discreteMixture(104, 2000)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := FitDiscrete(tc.data, tc.opts)
+			f, err := fitDiscrete(tc.data, tc.params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +376,7 @@ func TestFitMatchesReferenceDiscrete(t *testing.T) {
 					floats = append(floats, float64(x))
 				}
 			}
-			rf, ok := referenceFit(floats, true, tc.opts.defaults())
+			rf, ok := referenceFit(floats, true, tc.params)
 			if !ok {
 				t.Fatal("reference fit failed where kernel succeeded")
 			}
@@ -373,11 +387,11 @@ func TestFitMatchesReferenceDiscrete(t *testing.T) {
 
 func TestFitMatchesReferenceContinuous(t *testing.T) {
 	data := continuousMixture(201, 5000)
-	f, err := FitContinuous(data, nil)
+	f, err := FitContinuous(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, ok := referenceFit(data, false, (*Options)(nil).defaults())
+	rf, ok := referenceFit(data, false, defaultParams)
 	if !ok {
 		t.Fatal("reference fit failed where kernel succeeded")
 	}
@@ -387,7 +401,7 @@ func TestFitMatchesReferenceContinuous(t *testing.T) {
 func TestBootstrapMatchesReference(t *testing.T) {
 	const B = 20
 	t.Run("discrete", func(t *testing.T) {
-		f, err := FitDiscrete(discreteMixture(301, 1500), nil)
+		f, err := FitDiscrete(discreteMixture(301, 1500))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +414,7 @@ func TestBootstrapMatchesReference(t *testing.T) {
 		}
 	})
 	t.Run("continuous", func(t *testing.T) {
-		f, err := FitContinuous(continuousMixture(302, 1500), nil)
+		f, err := FitContinuous(continuousMixture(302, 1500))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,11 +429,11 @@ func TestBootstrapMatchesReference(t *testing.T) {
 }
 
 func TestVuongMatchesReference(t *testing.T) {
-	fd, err := FitDiscrete(discreteMixture(401, 2500), nil)
+	fd, err := FitDiscrete(discreteMixture(401, 2500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := FitContinuous(continuousMixture(402, 2500), nil)
+	fc, err := FitContinuous(continuousMixture(402, 2500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +456,7 @@ func TestVuongMatchesReference(t *testing.T) {
 }
 
 // TestBootstrapDroppedReplicates forces degenerate replicates (a fixed xmin
-// with a tiny tail, so many resamples land under MinTail) and checks the
+// with a tiny tail, so many resamples land under the minimum tail) and checks the
 // accounting: drops are counted, excluded from the denominator, identical
 // to the reference and invariant across worker budgets.
 func TestBootstrapDroppedReplicates(t *testing.T) {
@@ -455,7 +469,9 @@ func TestBootstrapDroppedReplicates(t *testing.T) {
 			data[i] = rng.ParetoInt(50, 2.5)
 		}
 	}
-	f, err := FitDiscrete(data, &Options{FixedXmin: 50, MinTail: 5})
+	p := pinnedXmin(50)
+	p.minTail = 5
+	f, err := fitDiscrete(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,14 +523,14 @@ func TestReplicateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	t.Run("discrete", func(t *testing.T) {
-		f, err := FitDiscrete(discreteMixture(501, 1200), nil)
+		f, err := FitDiscrete(discreteMixture(501, 1200))
 		if err != nil {
 			t.Fatal(err)
 		}
 		run(t, f)
 	})
 	t.Run("continuous", func(t *testing.T) {
-		f, err := FitContinuous(continuousMixture(502, 1200), nil)
+		f, err := FitContinuous(continuousMixture(502, 1200))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ func TestVuongFavoursPowerLawOnParetoData(t *testing.T) {
 	for i := range data {
 		data[i] = rng.ParetoInt(5, 2.8)
 	}
-	fit, err := FitDiscrete(data, &Options{FixedXmin: 5})
+	fit, err := fitDiscrete(data, pinnedXmin(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestVuongFavoursLognormalOnLognormalData(t *testing.T) {
 	for i := range data {
 		data[i] = rng.LogNormal(2, 0.5)
 	}
-	fit, err := FitContinuous(data, &Options{FixedXmin: 5})
+	fit, err := fitContinuous(data, pinnedXmin(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestVuongExponentialParamRecovery(t *testing.T) {
 	for i := range data {
 		data[i] = xmin + rng.Exponential(lambda)
 	}
-	fit, err := FitContinuous(data, &Options{FixedXmin: xmin})
+	fit, err := fitContinuous(data, pinnedXmin(xmin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPoissonRequiresDiscrete(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Pareto(1, 3)
 	}
-	fit, _ := FitContinuous(data, &Options{FixedXmin: 1})
+	fit, _ := fitContinuous(data, pinnedXmin(1))
 	if _, err := fit.compareAlternative(fit.tailView(), AltPoisson); err == nil {
 		t.Fatal("poisson on continuous data should error")
 	}
@@ -108,7 +108,7 @@ func TestCompareAllReturnsResults(t *testing.T) {
 	for i := range data {
 		data[i] = rng.ParetoInt(2, 2.5)
 	}
-	fit, _ := FitDiscrete(data, &Options{FixedXmin: 2})
+	fit, _ := fitDiscrete(data, pinnedXmin(2))
 	results := fit.CompareAll()
 	if len(results) != 3 {
 		t.Fatalf("CompareAll returned %d results, want 3", len(results))

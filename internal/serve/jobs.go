@@ -96,10 +96,10 @@ type jobTable struct {
 	keep  int
 }
 
+// jobsKept bounds the finished jobs a server retains.
+const jobsKept = 64
+
 func newJobTable(keep int) *jobTable {
-	if keep < 1 {
-		keep = 64
-	}
 	return &jobTable{byID: map[string]*job{}, keep: keep}
 }
 

@@ -86,8 +86,6 @@ type Config struct {
 	// requests: a run still going after this long detaches into a job and
 	// the client gets 202 + job id. 0 serves everything synchronously.
 	AsyncAfter time.Duration
-	// JobsKept bounds retained finished jobs (0 means 64).
-	JobsKept int
 	// BodyCacheBytes caps the in-memory memo of encoded response bodies
 	// (0 means 64 MiB; < 0 disables). Bodies are constants per request
 	// identity — datasets are immutable and options fixed — so the memo
@@ -180,7 +178,7 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		flight:     newFlight(),
 		admit:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		jobs:       newJobTable(cfg.JobsKept),
+		jobs:       newJobTable(jobsKept),
 		bodies:     newBodyCache(cfg.BodyCacheBytes),
 		met:        newMetrics(time.Now()),
 		optsDigest: core.ResultDigest(cfg.Options),
@@ -1011,6 +1009,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
+	// The job's key (reportKey) opens with the identity of its run.
+	identity, _, _ := strings.Cut(j.Key, "|")
+	w.Header().Set("X-Elites-Identity", identity)
 	out, err, finished := j.result()
 	if !finished {
 		w.Header().Set("Retry-After", "1")

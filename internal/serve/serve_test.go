@@ -579,17 +579,28 @@ func TestAsyncJobModel(t *testing.T) {
 		t.Fatal("finished job reports no completed stages")
 	}
 
-	code, result := get(t, ts, accepted.ResultURL)
-	if code != http.StatusOK {
-		t.Fatalf("job result: %d", code)
+	fetch := func(path string) (body []byte, identity string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err = io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d (%v)", path, resp.StatusCode, err)
+		}
+		return body, resp.Header.Get("X-Elites-Identity")
 	}
-	// A synchronous GET now serves the same bytes (warm via cache).
-	code, direct := get(t, ts, "/v1/datasets/demo/report")
-	if code != http.StatusOK {
-		t.Fatal(code)
-	}
+	result, resultIdentity := fetch(accepted.ResultURL)
+	// A synchronous GET now serves the same bytes (warm via cache), and
+	// both name the same run.
+	direct, directIdentity := fetch("/v1/datasets/demo/report")
 	if !bytes.Equal(result, direct) {
 		t.Fatal("job result differs from synchronous body")
+	}
+	if resultIdentity != directIdentity || directIdentity == "" {
+		t.Fatalf("job result X-Elites-Identity %q, synchronous GET %q", resultIdentity, directIdentity)
 	}
 }
 

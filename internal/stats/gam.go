@@ -7,44 +7,17 @@ import (
 	"elites/internal/linalg"
 )
 
-// ErrBadSpline flags invalid smoother configuration.
+// ErrBadSpline flags input the smoother cannot fit.
 var ErrBadSpline = errors.New("stats: bad spline configuration")
 
-// SplineOptions configures the penalized B-spline smoother.
-type SplineOptions struct {
-	// Segments is the number of B-spline segments (basis size = Segments
-	// + Degree). 0 means 20.
-	Segments int
-	// Degree of the B-spline basis; 0 means cubic (3).
-	Degree int
-	// PenaltyOrder is the difference-penalty order; 0 means 2 (curvature).
-	PenaltyOrder int
-	// Lambdas is the grid scanned by GCV; nil means a log grid from 1e-4
-	// to 1e6.
-	Lambdas []float64
-}
-
-func (o *SplineOptions) defaults() SplineOptions {
-	out := SplineOptions{Segments: 20, Degree: 3, PenaltyOrder: 2}
-	if o != nil {
-		if o.Segments > 0 {
-			out.Segments = o.Segments
-		}
-		if o.Degree > 0 {
-			out.Degree = o.Degree
-		}
-		if o.PenaltyOrder > 0 {
-			out.PenaltyOrder = o.PenaltyOrder
-		}
-		out.Lambdas = o.Lambdas
-	}
-	if out.Lambdas == nil {
-		for e := -4.0; e <= 6.0; e += 0.5 {
-			out.Lambdas = append(out.Lambdas, math.Pow(10, e))
-		}
-	}
-	return out
-}
+// The smoother's settings: a cubic B-spline basis over 20 segments (fewer
+// on samples too small for it) with a second-order difference penalty on
+// curvature. GCV scans λ = 10^e for e = −4, −3.5, …, 6.
+const (
+	splineSegments = 20
+	splineDegree   = 3
+	penaltyOrder   = 2
+)
 
 // Spline is a fitted penalized regression spline (P-spline, Eilers & Marx):
 // a cubic B-spline basis with a difference penalty on adjacent coefficients,
@@ -65,13 +38,12 @@ type Spline struct {
 	covB     *linalg.Matrix // Bayesian covariance σ²·(BᵀB+λP)⁻¹
 	lo, hi   float64
 	segments int
-	degree   int
 }
 
 // FitSpline fits the smoother to (x, y). x need not be sorted; degenerate
 // inputs (fewer points than basis functions, or zero x-range) reduce the
 // basis automatically.
-func FitSpline(x, y []float64, opts *SplineOptions) (*Spline, error) {
+func FitSpline(x, y []float64) (*Spline, error) {
 	if len(x) != len(y) {
 		return nil, ErrMismatch
 	}
@@ -79,7 +51,6 @@ func FitSpline(x, y []float64, opts *SplineOptions) (*Spline, error) {
 	if n < 4 {
 		return nil, ErrEmpty
 	}
-	o := opts.defaults()
 	lo, hi := x[0], x[0]
 	for _, v := range x {
 		if v < lo {
@@ -93,22 +64,21 @@ func FitSpline(x, y []float64, opts *SplineOptions) (*Spline, error) {
 		return nil, ErrBadSpline
 	}
 	// Basis must be smaller than the sample.
-	for o.Segments+o.Degree >= n && o.Segments > 2 {
-		o.Segments--
+	segments := splineSegments
+	for segments+splineDegree >= n && segments > 2 {
+		segments--
 	}
-	nb := o.Segments + o.Degree
-	if nb < o.PenaltyOrder+1 {
-		return nil, ErrBadSpline
-	}
-	b := bsplineBasis(x, lo, hi, o.Segments, o.Degree)
-	// Difference penalty matrix P = DᵀD of the requested order.
-	d := diffMatrix(nb, o.PenaltyOrder)
+	nb := segments + splineDegree
+	b := bsplineBasis(x, lo, hi, segments, splineDegree)
+	// Difference penalty matrix P = DᵀD.
+	d := diffMatrix(nb, penaltyOrder)
 	pen := linalg.TMul(d, d)
 	btb := linalg.TMul(b, b)
 	bty := b.TMulVec(y)
 
 	var best *Spline
-	for _, lambda := range o.Lambdas {
+	for e := -4.0; e <= 6.0; e += 0.5 {
+		lambda := math.Pow(10, e)
 		a := btb.Clone()
 		a.AddScaled(lambda, pen)
 		// Tiny ridge for numerical definiteness with sparse data.
@@ -150,8 +120,7 @@ func FitSpline(x, y []float64, opts *SplineOptions) (*Spline, error) {
 				covB:     covB,
 				lo:       lo,
 				hi:       hi,
-				segments: o.Segments,
-				degree:   o.Degree,
+				segments: segments,
 			}
 		}
 	}
@@ -163,7 +132,7 @@ func FitSpline(x, y []float64, opts *SplineOptions) (*Spline, error) {
 
 // Eval returns the fitted mean at x0 (clamped into the fit range).
 func (s *Spline) Eval(x0 float64) float64 {
-	row := bsplineBasis([]float64{clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, s.degree)
+	row := bsplineBasis([]float64{clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, splineDegree)
 	v := 0.0
 	for j := 0; j < row.Cols; j++ {
 		v += row.At(0, j) * s.coef[j]
@@ -173,7 +142,7 @@ func (s *Spline) Eval(x0 float64) float64 {
 
 // SE returns the pointwise standard error of the fitted mean at x0.
 func (s *Spline) SE(x0 float64) float64 {
-	row := bsplineBasis([]float64{clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, s.degree)
+	row := bsplineBasis([]float64{clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, splineDegree)
 	b := make([]float64, row.Cols)
 	for j := range b {
 		b[j] = row.At(0, j)

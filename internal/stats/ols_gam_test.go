@@ -110,7 +110,7 @@ func TestSplineFitsLinearExactly(t *testing.T) {
 		x[i] = rng.Float64() * 10
 		y[i] = 1 + 2*x[i]
 	}
-	sp, err := FitSpline(x, y, nil)
+	sp, err := FitSpline(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSplineRecoverySine(t *testing.T) {
 		x[i] = rng.Float64() * 2 * math.Pi
 		y[i] = math.Sin(x[i]) + 0.2*rng.Normal()
 	}
-	sp, err := FitSpline(x, y, nil)
+	sp, err := FitSpline(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSplineBandsCoverTruth(t *testing.T) {
 		x[i] = rng.Float64() * 4
 		y[i] = x[i]*x[i] + rng.Normal()
 	}
-	sp, err := FitSpline(x, y, nil)
+	sp, err := FitSpline(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +180,13 @@ func TestSplineBandsCoverTruth(t *testing.T) {
 }
 
 func TestSplineErrors(t *testing.T) {
-	if _, err := FitSpline([]float64{1, 2}, []float64{1}, nil); err != ErrMismatch {
+	if _, err := FitSpline([]float64{1, 2}, []float64{1}); err != ErrMismatch {
 		t.Fatal("mismatch should error")
 	}
-	if _, err := FitSpline([]float64{1, 2, 3}, []float64{1, 2, 3}, nil); err != ErrEmpty {
+	if _, err := FitSpline([]float64{1, 2, 3}, []float64{1, 2, 3}); err != ErrEmpty {
 		t.Fatal("too few points should error")
 	}
-	if _, err := FitSpline([]float64{2, 2, 2, 2, 2}, []float64{1, 2, 3, 4, 5}, nil); err != ErrBadSpline {
+	if _, err := FitSpline([]float64{2, 2, 2, 2, 2}, []float64{1, 2, 3, 4, 5}); err != ErrBadSpline {
 		t.Fatal("zero x-range should error")
 	}
 }
@@ -201,7 +201,7 @@ func TestSplineSmallSampleShrinksBasis(t *testing.T) {
 		y[i] = 3 * x[i]
 		_ = rng
 	}
-	sp, err := FitSpline(x, y, nil)
+	sp, err := FitSpline(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func (a *API) friendList(id int64) ([]int64, error) {
 		return nil, ErrUnknownUser
 	}
 	verified := a.p.graph.OutNeighbors(v)
-	nPeriph := int(float64(len(verified)) * a.p.cfg.PeripheryFriendFactor)
+	nPeriph := int(float64(len(verified)) * peripheryFriendFactor)
 	out := make([]int64, 0, len(verified)+nPeriph)
 	for _, w := range verified {
 		out = append(out, VerifiedID(int(w)))

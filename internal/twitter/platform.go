@@ -29,13 +29,6 @@ var SnapshotDate = time.Date(2018, 7, 18, 0, 0, 0, 0, time.UTC)
 type PlatformConfig struct {
 	// Verified is the number of verified accounts (graph nodes).
 	Verified int
-	// EnglishShare is the fraction of verified profiles with Lang "en";
-	// the paper keeps 231,246 of 297,776 ≈ 77.7%.
-	EnglishShare float64
-	// PeripheryFriendFactor scales how many non-verified friends each
-	// verified user has, relative to its verified friends (the real
-	// crawl discards these; the simulated crawler must too).
-	PeripheryFriendFactor float64
 	// Seed derives all platform randomness.
 	Seed uint64
 	// GraphConfig generates the verified follow graph; zero value means
@@ -43,14 +36,19 @@ type PlatformConfig struct {
 	GraphConfig gen.Config
 }
 
+const (
+	// englishShare is the fraction of verified profiles with Lang "en";
+	// the paper keeps 231,246 of 297,776 ≈ 77.7%.
+	englishShare float64 = 0.777
+	// peripheryFriendFactor scales how many non-verified friends each
+	// verified user has, relative to its verified friends (the real
+	// crawl discards these; the simulated crawler must too).
+	peripheryFriendFactor float64 = 1.0
+)
+
 // DefaultPlatformConfig returns a platform sized to n verified users.
 func DefaultPlatformConfig(n int) PlatformConfig {
-	return PlatformConfig{
-		Verified:              n,
-		EnglishShare:          0.777,
-		PeripheryFriendFactor: 1.0,
-		Seed:                  42,
-	}
+	return PlatformConfig{Verified: n, Seed: 42}
 }
 
 // Platform is the simulated Twitter. It owns the verified follow graph, all
@@ -74,9 +72,6 @@ type Platform struct {
 func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Verified <= 0 {
 		return nil, gen.ErrConfig
-	}
-	if cfg.EnglishShare <= 0 || cfg.EnglishShare > 1 {
-		cfg.EnglishShare = 0.777
 	}
 	gcfg := cfg.GraphConfig
 	if gcfg.N == 0 {
@@ -121,7 +116,7 @@ func (p *Platform) buildProfiles(rng *mathx.RNG) {
 			}
 		}
 		lang := "en"
-		if !rng.Bool(p.cfg.EnglishShare) {
+		if !rng.Bool(englishShare) {
 			lang = nonEnglishLangs[rng.Intn(len(nonEnglishLangs))]
 		}
 		// Followers: amplify verified in-degree to platform scale with
@@ -130,7 +125,7 @@ func (p *Platform) buildProfiles(rng *mathx.RNG) {
 		followers := int64((float64(in[v]) + 2) * 120 * rng.LogNormal(0, 0.6))
 		// Friends: verified out-degree plus the periphery friends the
 		// API will expose.
-		friends := int64(float64(p.graph.OutDegree(v)) * (1 + p.cfg.PeripheryFriendFactor) * rng.LogNormal(0, 0.25))
+		friends := int64(float64(p.graph.OutDegree(v)) * (1 + peripheryFriendFactor) * rng.LogNormal(0, 0.25))
 		// Listed: sub-linear in followers (robust influence predictor,
 		// §IV-F).
 		listed := int64(0.7 * math.Pow(float64(followers), 0.75) * rng.LogNormal(0, 0.4))
