@@ -32,7 +32,10 @@
 // Identical concurrent requests coalesce onto one pipeline run; -cache
 // makes warm requests hydrate from the content-addressed result cache (the
 // same directory eliteanalyze -cache uses, so reports are byte-identical
-// between the two); -async-after bounds how long a cold POST holds the
+// between the two). Every clean encoded body is stored there too, so a
+// restarted server, or another one sharing the directory, answers a
+// request answered before with one checksum-verified read and no pipeline
+// run; without -cache the bodies are kept in memory only. -async-after bounds how long a cold POST holds the
 // connection before detaching into a job; the admission queue sheds
 // overload with 429. On SIGINT/SIGTERM the server drains gracefully: new
 // pipeline work is refused with 503 + jittered Retry-After, in-flight
@@ -91,7 +94,6 @@ func main() {
 		maxConc    = flag.Int("max-concurrent", 2, "pipeline runs executing at once")
 		maxQueue   = flag.Int("max-queue", 8, "runs waiting for a slot before requests are shed with 429 (-1 = no queue)")
 		asyncAfter = flag.Duration("async-after", 30*time.Second, "latency budget before a cold POST detaches into a job (0 = always synchronous)")
-		bodyCache  = flag.Int64("body-cache", 0, "encoded-response-body memo cap in bytes (0 = default 64 MiB, -1 = disable)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests and async jobs before abandoning them")
 
 		// Robustness knobs. -faults is a chaos-testing hook: it injects
@@ -112,7 +114,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*addr, *seed, *fast, *parallel, *cacheDir, *cacheMem,
-		*maxConc, *maxQueue, *asyncAfter, *bodyCache, *drainWait,
+		*maxConc, *maxQueue, *asyncAfter, *drainWait,
 		*stageRetries, *faultSpec, *faultSeed,
 		*logFormat, *traceOut, *slowReq, dataFlags, genFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "eliteserve:", err)
@@ -121,7 +123,7 @@ func main() {
 }
 
 func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cacheMem int64,
-	maxConc, maxQueue int, asyncAfter time.Duration, bodyCache int64, drainWait time.Duration,
+	maxConc, maxQueue int, asyncAfter time.Duration, drainWait time.Duration,
 	stageRetries int, faultSpec string, faultSeed uint64,
 	logFormat, traceOut string, slowReq time.Duration, dataFlags, genFlags []string) error {
 	logger, err := obs.NewLogger(logFormat, os.Stderr)
@@ -160,14 +162,13 @@ func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cac
 		fmt.Fprintf(os.Stderr, "eliteserve: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
 	}
 	srv := serve.New(serve.Config{
-		Options:        opts,
-		MaxConcurrent:  maxConc,
-		MaxQueue:       maxQueue,
-		AsyncAfter:     asyncAfter,
-		BodyCacheBytes: bodyCache,
-		Tracer:         obs.NewTracer(tcfg),
-		Logger:         logger,
-		SlowRequest:    slowReq,
+		Options:       opts,
+		MaxConcurrent: maxConc,
+		MaxQueue:      maxQueue,
+		AsyncAfter:    asyncAfter,
+		Tracer:        obs.NewTracer(tcfg),
+		Logger:        logger,
+		SlowRequest:   slowReq,
 	})
 
 	for _, spec := range dataFlags {

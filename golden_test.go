@@ -31,7 +31,17 @@ var reportGolden = map[string]string{
 	"batch": "8f7d0a55c5d1b2b7b24d02a3ec002400fc2132ffb64febea65d8af87526d1e46",
 }
 
+// reportGoldenViewVersion is the core.ViewVersion the hashes above were
+// taken at. Served bodies are stored in the result cache under that
+// version, so a change to their bytes and a version bump land together:
+// update both here in the same edit.
+const reportGoldenViewVersion = 1
+
 func TestReportGolden(t *testing.T) {
+	if core.ViewVersion != reportGoldenViewVersion {
+		t.Fatalf("core.ViewVersion is %d, the golden hashes were taken at %d: re-take them and record the new version",
+			core.ViewVersion, reportGoldenViewVersion)
+	}
 	if testing.Short() {
 		t.Skip("full battery at n=2000")
 	}

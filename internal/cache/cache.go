@@ -309,6 +309,15 @@ func New(dir string) (*Cache, error) {
 	return c, nil
 }
 
+// NewMemory returns a cache with the memory tier only, capped at maxBytes
+// (<= 0 means DefaultMemBytes). Nothing touches a disk, and the instance is
+// private to its caller: New never returns it.
+func NewMemory(maxBytes int64) *Cache {
+	c := &Cache{mem: map[string]*list.Element{}, lru: list.New()}
+	c.SetMaxBytes(maxBytes)
+	return c
+}
+
 // SetFaults installs (or, with nil, removes) a fault-injection hook consulted
 // before every disk operation ("read", "write", "store"). A non-nil error
 // from the hook is treated exactly like a real I/O failure at that point —
@@ -341,7 +350,7 @@ func Release(dir string) {
 	}
 }
 
-// Dir returns the cache's on-disk root.
+// Dir returns the cache's on-disk root ("" for a NewMemory cache).
 func (c *Cache) Dir() string { return c.dir }
 
 // SetMaxBytes resizes the in-memory tier's capacity (n <= 0 restores
@@ -373,7 +382,7 @@ func (c *Cache) Get(key string) (data []byte, ok bool) {
 		c.mu.Unlock()
 		return data, true
 	}
-	allowed := c.br.Allow()
+	allowed := c.dir != "" && c.br.Allow()
 	c.mu.Unlock()
 
 	res := diskMiss
@@ -401,7 +410,7 @@ func (c *Cache) Get(key string) (data []byte, ok bool) {
 func (c *Cache) Put(key string, data []byte) {
 	c.mu.Lock()
 	c.insert(key, data)
-	allowed := c.br.Allow()
+	allowed := c.dir != "" && c.br.Allow()
 	c.mu.Unlock()
 	if !allowed {
 		return

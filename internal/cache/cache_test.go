@@ -46,6 +46,29 @@ func TestRoundTripMemoryAndDisk(t *testing.T) {
 	}
 }
 
+// TestNewMemory: a memory-only cache serves what it holds, misses on what
+// it evicted (there is no disk to fall back on) and is private to its
+// caller.
+func TestNewMemory(t *testing.T) {
+	c := NewMemory(64)
+	big := bytes.Repeat([]byte{7}, 30)
+	c.Put("a", big)
+	c.Put("b", big)
+	c.Put("c", big) // evicts a
+	if got, ok := c.Get("c"); !ok || !bytes.Equal(got, big) {
+		t.Fatalf("Get(c) = %v, %v", got, ok)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("evicted entry of a memory-only cache must miss")
+	}
+	if s := c.Stats(); s.Evictions != 1 || s.MaxBytes != 64 || s.IOErrors != 0 {
+		t.Fatalf("Stats = %+v, want one eviction under the 64-byte cap", s)
+	}
+	if c.Dir() != "" || NewMemory(0) == c {
+		t.Fatal("memory-only caches must have no dir and not be shared")
+	}
+}
+
 func TestNewSharesInstancePerDir(t *testing.T) {
 	dir := t.TempDir()
 	a := newTestCache(dir)

@@ -27,6 +27,14 @@ import (
 //     compared byte-for-byte. Timings and cache traffic are deliberately
 //     excluded — they vary run to run while the analysis results do not.
 
+// ViewVersion versions the encoded response bodies built from a Report:
+// NewReportView, Render, StageView, the user views, the serving layer's
+// stage wrapper and its JSON indentation. No stage codec version covers
+// these encoders, so a body stored in the result cache is keyed by this
+// version too (internal/serve); bump it with any change to the bytes they
+// produce. TestReportGolden records the version its hashes were taken at.
+const ViewVersion = 1
+
 // JSONFloat is a float64 that marshals NaN and ±Inf as null instead of
 // failing the whole encode.
 type JSONFloat float64

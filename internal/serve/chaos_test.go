@@ -21,14 +21,12 @@ import (
 // after the fault clears is byte-identical to a never-faulted body.
 
 // chaosConfig builds a server config with its own cache dir and the given
-// fault spec. The body memo is disabled so every request actually runs the
-// battery (the fault schedule is per-run, and memoized bodies would mask
-// later rule firings).
+// fault spec.
 func chaosConfig(t *testing.T, spec string) Config {
 	t.Helper()
 	opts := fastServeOptions()
 	opts.CacheDir = t.TempDir()
-	cfg := Config{Options: opts, BodyCacheBytes: -1}
+	cfg := Config{Options: opts}
 	if spec != "" {
 		inj, err := faults.Parse(spec, 1)
 		if err != nil {
@@ -37,6 +35,16 @@ func chaosConfig(t *testing.T, spec string) Config {
 		cfg.Options.Faults = inj
 	}
 	return cfg
+}
+
+// newChaosServer builds a test server over cfg with body memoization off,
+// so every request actually runs the battery: the fault schedule is
+// per-run, and stored bodies would mask later rule firings.
+func newChaosServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s := newTestServer(t, cfg)
+	s.noMemo = true
+	return s
 }
 
 // chaosResp is one captured response.
@@ -94,7 +102,7 @@ var (
 func referenceBody(t *testing.T) []byte {
 	t.Helper()
 	chaosRefOnce.Do(func() {
-		s := newTestServer(t, chaosConfig(t, ""))
+		s := newChaosServer(t, chaosConfig(t, ""))
 		ts := httptest.NewServer(s)
 		defer ts.Close()
 		r := chaosDo(t, ts, http.MethodGet, "/v1/datasets/demo/report")
@@ -179,7 +187,7 @@ func TestChaosMatrix(t *testing.T) {
 				if path == "async" {
 					cfg.AsyncAfter = time.Nanosecond
 				}
-				s := newTestServer(t, cfg)
+				s := newChaosServer(t, cfg)
 				ts := httptest.NewServer(s)
 				defer ts.Close()
 
@@ -301,7 +309,7 @@ func pollJobResult(t *testing.T, ts *httptest.Server, jobID string) chaosResp {
 func TestChaosPanicThroughCoalescerWithWaiters(t *testing.T) {
 	ref := referenceBody(t)
 	const report = "/v1/datasets/demo/report"
-	s := newTestServer(t, chaosConfig(t, "stage:centrality=panic"))
+	s := newChaosServer(t, chaosConfig(t, "stage:centrality=panic"))
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -369,7 +377,7 @@ func TestChaosStageRetryAbsorbsTransientFault(t *testing.T) {
 	ref := referenceBody(t)
 	cfg := chaosConfig(t, "stage:degree=error")
 	cfg.Options.StageRetries = 2
-	s := newTestServer(t, cfg)
+	s := newChaosServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	assertClean(t, chaosDo(t, ts, http.MethodGet, "/v1/datasets/demo/report"), ref)
@@ -381,7 +389,7 @@ func TestChaosStageRetryAbsorbsTransientFault(t *testing.T) {
 // TestChaosMetricsExposition: a degraded run surfaces in /metrics as
 // eliteserve_degraded_total.
 func TestChaosMetricsExposition(t *testing.T) {
-	s := newTestServer(t, chaosConfig(t, "stage:degree=error"))
+	s := newChaosServer(t, chaosConfig(t, "stage:degree=error"))
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	r := chaosDo(t, ts, http.MethodGet, "/v1/datasets/demo/report")

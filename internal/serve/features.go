@@ -25,8 +25,9 @@ import (
 //  3. a pipeline run restricted to the features stage, coalesced through
 //     the same single-flight machinery as report requests.
 //
-// Encoded bodies additionally memoize in bodyCache, so repeat requests are
-// a map lookup.
+// Encoded bodies additionally memoize in the server's cache (serveMemo), so
+// a repeat request, in this process or in a fresh one over the same cache
+// directory, is one cache read.
 
 // maxBatchRanks bounds one users:batch request.
 const maxBatchRanks = 1024
@@ -81,9 +82,9 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 	// Tier 2: decode only the shards this request touches, memoizing each
 	// per dataset. All-or-nothing per request — a single missing shard
 	// falls through to a full run, which repopulates every shard at once.
-	if s.shards != nil {
+	if s.cache.Dir() != "" {
 		n := d.ds.Graph.NumNodes()
-		st := core.FeatureStore(s.shards, d.digest, s.cfg.Options)
+		st := core.FeatureStore(s.cache, d.digest, s.cfg.Options)
 		got := map[int]*features.Rows{}
 		ok := true
 		d.featMu.Lock()
@@ -170,7 +171,7 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encoding failure")
 		return
 	}
-	s.bodies.put(key, body)
+	s.memoize(key, body)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
 }
@@ -243,7 +244,7 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encoding failure")
 		return
 	}
-	s.bodies.put(key, body)
+	s.memoize(key, body)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
 }

@@ -76,8 +76,8 @@ func TestUserFeaturesEndpoint(t *testing.T) {
 
 // TestUsersBatchGoldenBytes pins the batch body byte-identical across a cold
 // run, a warm repeat, and a second server instance sharing the cache
-// directory — and asserts the second instance answered from precomputed
-// shards without a single pipeline run.
+// directory — and asserts the second instance answered without a single
+// pipeline run, from the stored body and then from precomputed shards.
 func TestUsersBatchGoldenBytes(t *testing.T) {
 	ds, activity := testFixtures(t)
 	dir := t.TempDir()
@@ -120,16 +120,18 @@ func TestUsersBatchGoldenBytes(t *testing.T) {
 	if runs := srvB.met.runs.Value(); runs != 0 {
 		t.Fatalf("second instance ran the pipeline %d times", runs)
 	}
-	if hits := srvB.met.shardHits.Value(); hits == 0 {
-		t.Fatal("second instance did not count a shard hit")
-	}
 
-	// The single-user endpoint rides the same shards.
+	// The single-user endpoint rides the same shards. Server A never
+	// served this request, so no stored body answers it: the shard tier
+	// does.
 	if code, _ := get(t, tsB, "/v1/datasets/demo/users/2/features"); code != http.StatusOK {
 		t.Fatalf("single-user over shards: %d", code)
 	}
 	if runs := srvB.met.runs.Value(); runs != 0 {
 		t.Fatal("single-user request over shards ran the pipeline")
+	}
+	if hits := srvB.met.shardHits.Value(); hits == 0 {
+		t.Fatal("second instance did not count a shard hit")
 	}
 }
 

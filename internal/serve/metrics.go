@@ -29,7 +29,7 @@ type metrics struct {
 	shed          *obs.Counter // requests rejected 429 by admission
 	cancelled     *obs.Counter // runs abandoned via context
 	jobsQueued    *obs.Counter // 202 responses handed out
-	bodyHits      *obs.Counter // requests served straight from the encoded-body memo
+	bodyHits      *obs.Counter // requests served from a stored encoded body (either cache tier)
 	degraded      *obs.Counter // degraded (partial-report) responses served
 	drainRejected *obs.Counter // pipeline work refused 503 while draining
 	shardHits     *obs.Counter // feature requests answered from precomputed shards
@@ -53,7 +53,7 @@ func newMetrics(now time.Time) *metrics {
 	m.shed = reg.Counter("eliteserve_shed_requests_total", "Requests rejected with 429 by the admission queue.")
 	m.cancelled = reg.Counter("eliteserve_cancelled_runs_total", "Runs cancelled because every waiter abandoned.")
 	m.jobsQueued = reg.Counter("eliteserve_jobs_queued_total", "Async job (202) responses issued.")
-	m.bodyHits = reg.Counter("eliteserve_body_cache_hits_total", "Requests served straight from the encoded-body memo, no pipeline run.")
+	m.bodyHits = reg.Counter("eliteserve_body_cache_hits_total", "Requests served from a stored encoded body, memory or disk tier, no pipeline run.")
 	m.degraded = reg.Counter("eliteserve_degraded_total", "Degraded (partial-report) responses served after stage failures.")
 	m.drainRejected = reg.Counter("eliteserve_draining_rejected_total", "Pipeline work refused with 503 while the server was draining.")
 	m.shardHits = reg.Counter("eliteserve_feature_shard_hits_total", "Per-user feature requests served from precomputed shards, no pipeline run.")

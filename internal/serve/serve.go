@@ -21,6 +21,13 @@
 //   - Prometheus-style /metrics with request, run, and stage-cache
 //     accounting (metrics.go).
 //
+// Every clean encoded body is stored in the result cache under its request
+// key and core.ViewVersion, so a request answered once — by this process
+// or by any other sharing the cache directory — is served again with one
+// checksum-verified read: no pipeline run, no stage decode, no encoding.
+// A server with no cache directory keeps its bodies in a memory-only
+// cache.
+//
 // Per-user feature traffic (features.go) adds one more tier: feature rows
 // are stored as fixed-width shards in the result cache, so a warm
 // /users/{rank}/features or users:batch request decodes one shard instead
@@ -86,11 +93,6 @@ type Config struct {
 	// requests: a run still going after this long detaches into a job and
 	// the client gets 202 + job id. 0 serves everything synchronously.
 	AsyncAfter time.Duration
-	// BodyCacheBytes caps the in-memory memo of encoded response bodies
-	// (0 means 64 MiB; < 0 disables). Bodies are constants per request
-	// identity — datasets are immutable and options fixed — so the memo
-	// needs no invalidation and makes warm traffic O(memory read).
-	BodyCacheBytes int64
 	// Tracer, when non-nil, records a span tree per request (continuing
 	// any incoming traceparent) and serves it at GET /debug/traces.
 	// Tracing never touches cache keys or response bytes.
@@ -129,6 +131,10 @@ type dataset struct {
 	shardMem map[int]*features.Rows
 }
 
+// memoryBodyBytes caps the memory-only body cache of a server with no
+// cache directory.
+const memoryBodyBytes = 64 << 20
+
 // Server is the HTTP serving layer. Construct with New, register datasets,
 // then mount it anywhere an http.Handler goes.
 type Server struct {
@@ -137,13 +143,20 @@ type Server struct {
 	flight     *flight
 	admit      *admission
 	jobs       *jobTable
-	bodies     *bodyCache
 	met        *metrics
 	optsDigest uint64 // core.ResultDigest(cfg.Options)
 
-	// shards is the result-cache instance feature shards are read from
-	// (nil when the server runs cache-less).
-	shards *cache.Cache
+	// cache holds every clean encoded body (see bodyKey) and, with a cache
+	// dir, the stage entries and feature shards the pipeline writes: the
+	// result cache over Options.CacheDir, shared with every process over
+	// that directory, or a memory-only cache when there is none.
+	cache *cache.Cache
+	// viewVersion is core.ViewVersion, folded into every body key; tests
+	// set another to stand in for a build whose encoders changed.
+	viewVersion int
+	// noMemo turns body memoization off, so that every request runs the
+	// pipeline (the chaos tests, whose fault schedules count stage reads).
+	noMemo bool
 
 	// draining flips once (Drain or POST /v1/admin/drain) and never back:
 	// new pipeline work is refused with 503 while in-flight requests and
@@ -170,25 +183,28 @@ func New(cfg Config) *Server {
 	case cfg.MaxQueue < 0:
 		cfg.MaxQueue = 0
 	}
-	if cfg.BodyCacheBytes == 0 {
-		cfg.BodyCacheBytes = 64 << 20
-	}
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		flight:     newFlight(),
-		admit:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		jobs:       newJobTable(jobsKept),
-		bodies:     newBodyCache(cfg.BodyCacheBytes),
-		met:        newMetrics(time.Now()),
-		optsDigest: core.ResultDigest(cfg.Options),
-		retryAfter: faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
-		datasets:   map[string]*dataset{},
+		cfg:         cfg,
+		mux:         http.NewServeMux(),
+		flight:      newFlight(),
+		admit:       newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		jobs:        newJobTable(jobsKept),
+		met:         newMetrics(time.Now()),
+		optsDigest:  core.ResultDigest(cfg.Options),
+		viewVersion: core.ViewVersion,
+		retryAfter:  faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
+		datasets:    map[string]*dataset{},
 	}
 	if cfg.Options.CacheDir != "" {
 		if cc, err := cache.New(cfg.Options.CacheDir); err == nil {
-			s.shards = cc
+			s.cache = cc
+			if cfg.Options.CacheMemBytes > 0 {
+				cc.SetMaxBytes(cfg.Options.CacheMemBytes)
+			}
 		}
+	}
+	if s.cache == nil {
+		s.cache = cache.NewMemory(memoryBodyBytes)
 	}
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /readyz", "readyz", s.handleReadyz)
@@ -233,7 +249,7 @@ func validID(id string) bool {
 
 // RegisterDataset registers an in-memory dataset under id. The dataset's
 // content digest (store.DatasetDigest) is computed once here, and only
-// here: the identity, the body memo, the feature shards and every pipeline
+// here: the identity, the body keys, the feature shards and every pipeline
 // run over the dataset (core.Characterizer.RunDigested) key off this one
 // value, so a request never re-hashes the dataset. The dataset must not
 // change after registration.
@@ -460,22 +476,44 @@ func parseStages(raw string) ([]string, error) {
 	return out, nil
 }
 
-// reportKey is the coalescer, body-memo and job identity of one request
-// class: the dataset's identity plus the stage subset and format.
+// reportKey is the coalescer, body and job identity of one request class:
+// the dataset's identity plus the stage subset and format. A body that
+// names its dataset id adds the id to the format (handleStage).
 func reportKey(d *dataset, stages []string, format string) string {
 	return d.identity + "|stages=" + strings.Join(stages, ",") + "|format=" + format
 }
 
-// coalesce runs fn through the coalescer under key, counts a request that
-// joined another's run, and memoizes a clean body under key. A run that
-// produces no body (the tier-3 features run) memoizes nothing.
+// bodyKey is the result-cache entry name of the body served under request
+// key key. It hashes key with the view version: a build whose encoders
+// changed bumps core.ViewVersion and never reads an older build's bytes
+// from a shared directory.
+func (s *Server) bodyKey(key string) string {
+	h := cache.NewHasher()
+	h.String(key)
+	return fmt.Sprintf("body-v%d-%016x", s.viewVersion, h.Sum())
+}
+
+// memoize stores a clean body under request key key.
+func (s *Server) memoize(key string, body []byte) {
+	if !s.noMemo {
+		s.cache.Put(s.bodyKey(key), body)
+	}
+}
+
+// coalesce runs fn through the coalescer under key and counts a request
+// that joined another's run. The run memoizes its body under key when the
+// body is clean, once for all its waiters; a degraded body, or a run that
+// produces none (the tier-3 features run), memoizes nothing.
 func (s *Server) coalesce(ctx context.Context, key string, fn func(context.Context, *progress) (runOutcome, error), watch func(*progress)) (runOutcome, error) {
-	out, joined, err := s.flight.Do(ctx, key, fn, watch)
+	out, joined, err := s.flight.Do(ctx, key, func(ctx context.Context, prog *progress) (runOutcome, error) {
+		out, err := fn(ctx, prog)
+		if err == nil && !out.degraded && out.body != nil {
+			s.memoize(key, out.body)
+		}
+		return out, err
+	}, watch)
 	if joined {
 		s.met.coalesced.Inc()
-	}
-	if err == nil && !out.degraded && out.body != nil {
-		s.bodies.put(key, out.body)
 	}
 	return out, err
 }
@@ -747,12 +785,17 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.info())
 }
 
-// serveMemo writes the body memoized under key and reports true, or
-// reports false when the memo holds none. Either way the request span's
-// body_cache attribute records the hit or the miss.
+// serveMemo writes the body memoized under request key key and reports
+// true, or reports false when the cache holds none (a corrupt entry or a
+// disk fault is a miss too). Either way the request span's body_cache
+// attribute records the hit or the miss.
 func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, key, ctype string) bool {
 	span := obs.SpanFromContext(r.Context())
-	body, ok := s.bodies.get(key)
+	var body []byte
+	ok := false
+	if !s.noMemo {
+		body, ok = s.cache.Get(s.bodyKey(key))
+	}
 	if !ok {
 		span.SetAttr("body_cache", "miss")
 		return false
@@ -859,9 +902,10 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	// The run must include every stage the view draws from (components'
 	// servable projection is the summary table).
 	runStages := core.ViewStages(stage)
-	// The requested stage is part of the identity: the body names it, even
-	// when two stages would share a run subset.
-	key := reportKey(d, runStages, "stage:"+stage)
+	// The requested stage and the dataset id are part of the key: the body
+	// names both, even when two stages share a run subset or two ids share
+	// one dataset.
+	key := reportKey(d, runStages, "stage:"+stage+"|id="+d.ID)
 	if s.serveMemo(w, r, key, "application/json") {
 		return
 	}

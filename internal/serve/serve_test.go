@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -345,6 +347,127 @@ func TestStageEndpoint(t *testing.T) {
 	}
 	if resp.Stage != "summary" || resp.Result.Nodes != ds.Graph.NumNodes() {
 		t.Fatalf("stage fragment: %+v", resp)
+	}
+}
+
+// TestStageBodyNamesRequestedDataset: one dataset registered as both a and
+// b has one identity, but each id's stage body names that id — in the
+// server that stored the body and in a fresh one over the same cache dir.
+func TestStageBodyNamesRequestedDataset(t *testing.T) {
+	ds, activity := testFixtures(t)
+	opts := fastServeOptions()
+	opts.CacheDir = t.TempDir()
+	for _, order := range [][]string{{"a", "b"}, {"b", "a"}} {
+		cache.Release(opts.CacheDir)
+		s := New(Config{Options: opts})
+		for _, id := range []string{"a", "b"} {
+			if err := s.RegisterDataset(id, ds, activity, "test"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(s)
+		for _, id := range order {
+			code, body := get(t, ts, "/v1/datasets/"+id+"/stages/summary")
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %s", id, code, body)
+			}
+			var resp struct {
+				Dataset string `json:"dataset"`
+			}
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Dataset != id {
+				t.Errorf("GET /v1/datasets/%s/stages/summary names dataset %q", id, resp.Dataset)
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestRestartOverPrimedDir: a fresh server over a cache dir another server
+// filled answers every request that server answered with the same bytes
+// from stored bodies alone: no pipeline run, no stage read. A corrupt body
+// entry, and a build with another view version, each cost one miss and
+// then serve the same bytes again.
+func TestRestartOverPrimedDir(t *testing.T) {
+	ds, activity := testFixtures(t)
+	dir := t.TempDir()
+	opts := fastServeOptions()
+	opts.CacheDir = dir
+	requests := []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/datasets/demo/report", ""},
+		{http.MethodGet, "/v1/datasets/demo/report?format=text", ""},
+		{http.MethodGet, "/v1/datasets/demo/stages/reciprocity", ""},
+		{http.MethodGet, "/v1/datasets/demo/users/1/features", ""},
+		{http.MethodPost, "/v1/datasets/demo/users:batch", `{"ranks":[1,2,3]}`},
+	}
+	// restart drops the process's memory tier and starts a server over
+	// dir, as a new worker process would.
+	restart := func() *Server {
+		cache.Release(dir)
+		s := New(Config{Options: opts})
+		if err := s.RegisterDataset("demo", ds, activity, "test"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	serveAll := func(s *Server) [][]byte {
+		t.Helper()
+		out := make([][]byte, len(requests))
+		for i, rq := range requests {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(rq.method, rq.path, strings.NewReader(rq.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", rq.method, rq.path, rec.Code, rec.Body)
+			}
+			out[i] = rec.Body.Bytes()
+		}
+		return out
+	}
+	same := func(label string, got, want [][]byte) {
+		t.Helper()
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: %s %s body differs from the first server's", label, requests[i].method, requests[i].path)
+			}
+		}
+	}
+	want := serveAll(restart())
+
+	b := restart()
+	same("restart", serveAll(b), want)
+	if runs, hits, bodies := b.met.runs.Value(), b.met.cacheHits.Value(), b.met.bodyHits.Value(); runs != 0 || hits != 0 || bodies != uint64(len(requests)) {
+		t.Fatalf("restart: runs=%d stage cache hits=%d body hits=%d, want 0, 0, %d", runs, hits, bodies, len(requests))
+	}
+
+	// Corrupt the stored JSON report body: one miss, which re-runs over the
+	// stage entries and stores the body again.
+	d, _ := b.dataset("demo")
+	path := filepath.Join(dir, b.bodyKey(reportKey(d, nil, "json"))+".bin")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-9] ^= 0xff // last payload byte: the checksum no longer matches
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := restart()
+	same("corrupt entry", serveAll(c), want)
+	same("corrupt entry, again", serveAll(c), want)
+	if runs, bodies := c.met.runs.Value(), c.met.bodyHits.Value(); runs != 1 || bodies != uint64(2*len(requests)-1) {
+		t.Fatalf("corrupt entry: runs=%d body hits=%d, want 1 and %d", runs, bodies, 2*len(requests)-1)
+	}
+
+	// Another view version names other entries: every request misses
+	// once, and the bodies come out the same.
+	v := restart()
+	v.viewVersion = core.ViewVersion + 1
+	same("new view version", serveAll(v), want)
+	same("new view version, again", serveAll(v), want)
+	if bodies := v.met.bodyHits.Value(); bodies != uint64(len(requests)) {
+		t.Fatalf("new view version: body hits=%d, want %d (one miss per request)", bodies, len(requests))
 	}
 }
 
@@ -837,33 +960,6 @@ func TestJobTableKeyCollisionRefused(t *testing.T) {
 	j.finish(runOutcome{}, nil)
 	if _, created, err := tbl.getOrCreate("key-a", "d", "json", time.Now()); err != nil || !created {
 		t.Fatalf("finished colliding job should be replaced: created=%v err=%v", created, err)
-	}
-}
-
-// TestBodyCache: constant bodies memoize per key, LRU-evict under the byte
-// cap, and a non-positive cap disables the memo.
-func TestBodyCache(t *testing.T) {
-	bc := newBodyCache(200)
-	bc.put("a", bytes.Repeat([]byte{1}, 90))
-	bc.put("b", bytes.Repeat([]byte{2}, 90))
-	if _, ok := bc.get("a"); !ok {
-		t.Fatal("a should be resident")
-	}
-	bc.put("c", bytes.Repeat([]byte{3}, 90)) // evicts b (a was refreshed)
-	if _, ok := bc.get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, ok := bc.get("a"); !ok {
-		t.Fatal("refreshed entry evicted")
-	}
-	bc.put("huge", bytes.Repeat([]byte{4}, 500)) // over cap: not stored
-	if _, ok := bc.get("huge"); ok {
-		t.Fatal("oversized body must not be stored")
-	}
-	off := newBodyCache(-1)
-	off.put("k", []byte("v"))
-	if _, ok := off.get("k"); ok {
-		t.Fatal("disabled memo must always miss")
 	}
 }
 
