@@ -6,9 +6,9 @@
 // survivors — and climbs a degradation ladder as failures accumulate:
 // budgeted retries with equal-jitter exponential backoff onto the next
 // worker in hash order, per-worker circuit breakers, health-probe ejection
-// with probationary re-admission, and finally last-known-good cached
-// bodies served with a Warning header instead of a 502 when every replica
-// is down.
+// with probationary re-admission, and finally the workers' stored bodies
+// served with a Warning header instead of a 502 when every replica is
+// down.
 //
 // Endpoints (see docs/ARCHITECTURE.md "The fleet"):
 //
@@ -35,9 +35,11 @@
 //	    -cache /tmp/elites-cache
 //	curl localhost:8080/v1/datasets/demo/report?stages=summary
 //
-// Sharing -cache with the workers is what arms degraded serving: the
-// router records last-known-good bodies there and serves them verbatim
-// when the fleet is unreachable. The -faults flag (or $ELITES_FAULTS)
+// -cache must be the workers' cache directory: the router answers a warm
+// GET from the body entry a worker stored there, with no hop, and serves
+// the same entry verbatim when the fleet is unreachable. Any other
+// directory holds no body, so every request is proxied and the degraded
+// floor is gone. The -faults flag (or $ELITES_FAULTS)
 // injects deterministic network faults — "net:127.0.0.1:9001=drop:times=3",
 // latency, 5xx bursts — into probes and proxied attempts for chaos drills.
 package main
@@ -71,7 +73,7 @@ func main() {
 	var workers workerFlag
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		cacheDir      = flag.String("cache", "", "shared result-cache directory (arms last-known-good degraded serving)")
+		cacheDir      = flag.String("cache", "", "the workers' result-cache directory; warm GETs and degraded serving read their stored bodies there, so any other directory leaves both with nothing")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe cadence")
 		ejectAfter    = flag.Int("eject-after", 3, "consecutive failed probes before a worker is ejected")
 		retries       = flag.Int("retries", 2, "extra attempts on other workers after a failed attempt")

@@ -544,7 +544,7 @@ var graphStageNames = slices.DeleteFunc(slices.Clone(cachedStageNames),
 
 // identityGolden pins the cache identity: every stage key, feature shard
 // key and response identity is built from these digests, so a change that
-// moves one orphans every cache entry and last-known-good body written
+// moves one orphans every cache entry and stored response body written
 // before it. A refactor must leave every value unchanged. A change that
 // bumps a codec or deliberately changes a key may update a value, and
 // says why in CHANGES.md.

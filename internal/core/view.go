@@ -1,10 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 
+	"elites/internal/cache"
 	"elites/internal/features"
 	"elites/internal/graph"
 	"elites/internal/pipeline"
@@ -31,9 +36,116 @@ import (
 // NewReportView, Render, StageView, the user views, the serving layer's
 // stage wrapper and its JSON indentation. No stage codec version covers
 // these encoders, so a body stored in the result cache is keyed by this
-// version too (internal/serve); bump it with any change to the bytes they
+// version too (Body.Entry); bump it with any change to the bytes they
 // produce. TestReportGolden records the version its hashes were taken at.
 const ViewVersion = 1
+
+// Body is one dataset request whose clean response body is stored in the
+// result cache: the request parsed, and the entry its body is kept under.
+// eliteserve names the entries it writes with it and eliterouter the
+// entries it reads, so both meet on one file per body.
+type Body struct {
+	// Key is the request class — identity, the run's stage subset and the
+	// view — and the coalescer and job key of the request too.
+	Key string
+	// Entry is the result-cache entry name: the view version and a digest
+	// of Key, so a build whose encoders changed never reads an older
+	// build's bytes from a shared directory.
+	Entry       string
+	ContentType string
+	Stages      []string // the run's stage subset; nil runs the default battery
+	Format      string   // a report's format: json or text
+	Stage       string   // a /stages/{stage} body's stage
+	Rank        int      // a /users/{rank}/features body's rank
+}
+
+// NewBody names the body of the request class (identity, stages, view). A
+// "text" view is plain text and every other view JSON.
+func NewBody(identity string, stages []string, view string) Body {
+	key := identity + "|stages=" + strings.Join(stages, ",") + "|format=" + view
+	ctype := "application/json"
+	if view == "text" {
+		ctype = "text/plain; charset=utf-8"
+	}
+	return Body{Key: key, Entry: bodyEntry(ViewVersion, key), ContentType: ctype, Stages: stages}
+}
+
+// bodyEntry is the entry name of the body under key at a view version.
+func bodyEntry(version int, key string) string {
+	h := cache.NewHasher()
+	h.String(key)
+	return fmt.Sprintf("body-v%d-%016x", version, h.Sum())
+}
+
+// ReportBody names the body of GET /v1/datasets/{id}/report with query
+// keys stages and format. The error is eliteserve's 400 message.
+func ReportBody(identity string, query url.Values) (Body, error) {
+	stages, err := ParseStages(query.Get("stages"))
+	if err != nil {
+		return Body{}, err
+	}
+	format := cmp.Or(query.Get("format"), "json")
+	if format != "json" && format != "text" {
+		return Body{}, fmt.Errorf("unknown format %q (want json or text)", format)
+	}
+	b := NewBody(identity, stages, format)
+	b.Format = format
+	return b, nil
+}
+
+// StageBody names the body of GET /v1/datasets/{id}/stages/{stage}.
+func StageBody(identity, id, stage string) (Body, error) {
+	if !slices.Contains(StageNames(), stage) {
+		return Body{}, fmt.Errorf("unknown stage %q (known: %s)", stage, strings.Join(StageNames(), ","))
+	}
+	// The stage and the dataset id enter the key: the body names both,
+	// even when two stages share a run subset or two ids one dataset.
+	b := NewBody(identity, ViewStages(stage), "stage:"+stage+"|id="+id)
+	b.Stage = stage
+	return b, nil
+}
+
+// UserFeaturesBody names the body of GET
+// /v1/datasets/{id}/users/{rank}/features, rank as the path spells it.
+func UserFeaturesBody(identity, rank string) (Body, error) {
+	r, err := strconv.Atoi(rank)
+	if err != nil || r < 1 {
+		return Body{}, fmt.Errorf("rank must be a positive integer, got %q", rank)
+	}
+	b := NewBody(identity, []string{StageFeatures}, fmt.Sprintf("user-features:%d", r))
+	b.Rank = r
+	return b, nil
+}
+
+// ParseStages validates and canonicalizes a ?stages= selection: names
+// must be known, and the result is deduplicated in canonical order so
+// every spelling of one subset shares one run and one body.
+func ParseStages(raw string) ([]string, error) {
+	if raw == "" {
+		return nil, nil
+	}
+	want := map[string]bool{}
+	for _, s := range strings.Split(raw, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		if !slices.Contains(StageNames(), s) {
+			return nil, fmt.Errorf("unknown stage %q (known: %s)", s, strings.Join(StageNames(), ","))
+		}
+		want[s] = true
+	}
+	if len(want) == 0 {
+		return nil, nil
+	}
+	var out []string
+	for _, name := range StageNames() {
+		if want[name] {
+			out = append(out, name)
+		}
+	}
+	return out, nil
+}
 
 // JSONFloat is a float64 that marshals NaN and ±Inf as null instead of
 // failing the whole encode.

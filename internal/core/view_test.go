@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -184,5 +186,78 @@ func TestViewStages(t *testing.T) {
 	}
 	if got := ViewStages(StageDegree); len(got) != 1 || got[0] != StageDegree {
 		t.Fatalf("ViewStages(degree) = %v", got)
+	}
+}
+
+// TestBodyEntryNames pins the body entry names: a directory primed by an
+// earlier build stays warm only while every name is unchanged. Every
+// spelling of one request names one entry, the view version and the
+// identity each name another, and the content type follows the format.
+func TestBodyEntryNames(t *testing.T) {
+	const identity = "00000000000000ff-0000000000000001"
+	report := func(query string) (Body, error) {
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ReportBody(identity, q)
+	}
+	stage := func(s string) (Body, error) { return StageBody(identity, "demo", s) }
+	user := func(rank string) (Body, error) { return UserFeaturesBody(identity, rank) }
+	for _, c := range []struct {
+		req          string
+		b            func(string) (Body, error)
+		arg          string
+		entry, ctype string
+	}{
+		{"report", report, "", "body-v1-1f71373678bd3333", "application/json"},
+		{"report", report, "format=json", "body-v1-1f71373678bd3333", "application/json"},
+		{"report", report, "stages=degree,summary", "body-v1-95789eba3cd8eeb4", "application/json"},
+		{"report", report, "stages=summary,+degree,summary", "body-v1-95789eba3cd8eeb4", "application/json"},
+		{"report", report, "format=text", "body-v1-e72efc3c1a1514ae", "text/plain; charset=utf-8"},
+		{"stage", stage, "components", "body-v1-858547fd1efca881", "application/json"},
+		{"user features", user, "7", "body-v1-e04534b2cfcd0364", "application/json"},
+		{"user features", user, "007", "body-v1-e04534b2cfcd0364", "application/json"},
+	} {
+		b, err := c.b(c.arg)
+		if err != nil || b.Entry != c.entry || b.ContentType != c.ctype {
+			t.Errorf("%s %q: entry %s (%s, err %v), want %s (%s)", c.req, c.arg, b.Entry, b.ContentType, err, c.entry, c.ctype)
+		}
+	}
+	if b := NewBody(identity, []string{StageFeatures}, "users-batch:1,2,3"); b.Entry != "body-v1-029d34bb2bdd48ff" {
+		t.Errorf("users:batch entry %s, want body-v1-029d34bb2bdd48ff", b.Entry)
+	}
+
+	json, _ := report("")
+	if next := bodyEntry(ViewVersion+1, json.Key); next == json.Entry || !strings.HasPrefix(next, "body-v2-") {
+		t.Errorf("view version %d names %s, version %d %s", ViewVersion+1, next, ViewVersion, json.Entry)
+	}
+	if other, _ := ReportBody("00000000000000ff-0000000000000002", nil); other.Entry == json.Entry {
+		t.Error("the result digest does not separate body entries")
+	}
+	recip, _ := stage("reciprocity")
+	if recip.Stage != "reciprocity" || strings.Join(recip.Stages, ",") != "reciprocity" {
+		t.Errorf("stage body: stage %q, stages %v", recip.Stage, recip.Stages)
+	}
+	if alias, _ := StageBody(identity, "alias", "reciprocity"); alias.Entry == recip.Entry {
+		t.Error("a stage body does not name its dataset id")
+	}
+	if b, _ := user("7"); b.Rank != 7 {
+		t.Errorf("user features body: rank %d, want 7", b.Rank)
+	}
+	for _, bad := range []struct {
+		b        func(string) (Body, error)
+		arg, msg string
+	}{
+		{report, "stages=nope", `unknown stage "nope"`},
+		{report, "format=xml", `unknown format "xml"`},
+		{stage, "summary,degree", `unknown stage "summary,degree"`},
+		{stage, "nope", `unknown stage "nope"`},
+		{user, "0", `rank must be a positive integer, got "0"`},
+		{user, "x", `rank must be a positive integer, got "x"`},
+	} {
+		if _, err := bad.b(bad.arg); err == nil || !strings.Contains(err.Error(), bad.msg) {
+			t.Errorf("%q: error %v, want one containing %q", bad.arg, err, bad.msg)
+		}
 	}
 }

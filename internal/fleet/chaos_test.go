@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,10 +22,13 @@ import (
 // two REAL serve.Servers (full pipeline, shared result cache) under
 // deterministic network faults — injected latency, connection drops and
 // 5xx bursts — with one worker killed outright mid-load. The acceptance
-// bar: a 200-request load completes with zero 5xx responses, every
-// degraded body is byte-identical to a worker's own non-degraded body for
-// the same identity, and the failover/retry/breaker counters are visible
-// in /metrics. Run under -race by the chaos CI job.
+// bar: in a 200-request load every GET of a stored body answers 200, the
+// dataset listing and info (which have no stored body, so no degraded
+// floor) answer 200 or shed with 503 and Retry-After, every body is
+// byte-identical to a worker's own non-degraded body for the same
+// identity, and the failover/retry/breaker counters are visible in
+// /metrics. Once the second worker dies too, every stored body is still
+// served, degraded. Run under -race by the chaos CI job.
 
 // newChaosWorker builds one real serving stack over a small generated
 // dataset. Both workers generate from the same seed and share cacheDir,
@@ -58,7 +62,7 @@ func TestChaosFleetLoad(t *testing.T) {
 	}
 	cacheDir := t.TempDir()
 	tsA, addrA := newChaosWorker(t, cacheDir)
-	_, addrB := newChaosWorker(t, cacheDir)
+	tsB, addrB := newChaosWorker(t, cacheDir)
 
 	// The identities under load: report classes (the coalescer/cache
 	// identity the fleet hashes on) plus cheap reads.
@@ -69,6 +73,7 @@ func TestChaosFleetLoad(t *testing.T) {
 		"/v1/datasets/demo",
 		"/v1/datasets",
 	}
+	noFloor := map[string]bool{"/v1/datasets/demo": true, "/v1/datasets": true}
 
 	// Baselines: each worker's own non-degraded body, fetched directly
 	// (no router, no faults). Also verifies the two workers agree byte
@@ -81,9 +86,13 @@ func TestChaosFleetLoad(t *testing.T) {
 
 	// Deterministic network chaos, every mechanism at once:
 	//   - worker A's connections drop for a burst mid-load,
-	//   - a fleet-wide 5xx burst later on,
+	//   - a fleet-wide 5xx burst mid-load, while both workers are up,
 	//   - probabilistic added latency throughout.
-	spec := fmt.Sprintf("net:%s=drop:times=8:after=10,net:*=5xx:times=5:after=60,net:*=slow:delay=200us:p=0.2", addrA)
+	// The reports' bodies are stored, so only the listing and dataset info
+	// reach a worker: at least 38 transport calls (the first probe round
+	// and 36 of the 90 requests) come before the kill, so the burst's
+	// calls 21-25 land while a second worker can take the retry.
+	spec := fmt.Sprintf("net:%s=drop:times=8:after=10,net:*=5xx:times=5:after=20,net:*=slow:delay=200us:p=0.2", addrA)
 	inj, err := faults.Parse(spec, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +119,7 @@ func TestChaosFleetLoad(t *testing.T) {
 
 	const load = 200
 	const killAt = 90 // worker A dies mid-load
-	degradedSeen := 0
+	degradedSeen, shedSeen := 0, 0
 	for i := 0; i < load; i++ {
 		if i == killAt {
 			tsA.Close()
@@ -129,6 +138,10 @@ func TestChaosFleetLoad(t *testing.T) {
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("request %d (%s): reading body: %v", i, target, err)
+		}
+		if noFloor[target] && resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
+			shedSeen++
+			continue
 		}
 		if resp.StatusCode >= 500 {
 			t.Fatalf("request %d (%s): %d leaked through the degradation ladder\n%s",
@@ -155,8 +168,8 @@ func TestChaosFleetLoad(t *testing.T) {
 
 	// The chaos must actually have exercised the machinery.
 	retries, failovers, shed := rt.met.retries.Value(), rt.met.failovers.Value(), rt.met.shed.Value()
-	if shed != 0 {
-		t.Fatalf("%d requests shed: the last-known-good floor has holes", shed)
+	if shed != uint64(shedSeen) {
+		t.Fatalf("%d requests shed, %d of them with a stored body: the degraded floor has holes", shed, shed-uint64(shedSeen))
 	}
 	if retries == 0 || failovers == 0 {
 		t.Fatalf("chaos did not engage the ladder: retries=%d failovers=%d", retries, failovers)
@@ -183,8 +196,27 @@ func TestChaosFleetLoad(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	t.Logf("chaos drill: %d requests, %d retries, %d failovers, %d degraded, 0 shed",
-		load, retries, failovers, degradedSeen)
+
+	// B dies too: every stored body is still served, degraded and byte
+	// for byte; the listing and dataset info shed.
+	tsB.Close()
+	for p := 0; p < 3; p++ {
+		rt.ProbeNow(context.Background())
+	}
+	for _, target := range targets {
+		rec := doGet(rt, target)
+		switch {
+		case noFloor[target]:
+			if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+				t.Fatalf("%s with no worker: %d %v, want 503 with Retry-After", target, rec.Code, rec.Header())
+			}
+		case rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Degraded") != "true" ||
+			!bytes.Equal(rec.Body.Bytes(), baseline[target]):
+			t.Fatalf("%s with no worker: %d %v, want the baseline body degraded", target, rec.Code, rec.Header())
+		}
+	}
+	t.Logf("chaos drill: %d requests, %d retries, %d failovers, %d degraded, %d shed",
+		load, retries, failovers, degradedSeen, shedSeen)
 }
 
 // TestChaosWorkerDrainFailover: draining a worker (the fleet's graceful
@@ -198,13 +230,14 @@ func TestChaosWorkerDrainFailover(t *testing.T) {
 	tsA, addrA := newChaosWorker(t, cacheDir)
 	_, addrB := newChaosWorker(t, cacheDir)
 
+	// No CacheDir: every request is proxied, so each one shows which
+	// worker served it.
 	rt, err := New(Config{
 		Workers:        []string{addrA, addrB},
 		ProbeInterval:  time.Hour,
 		EjectAfter:     3,
 		Retries:        2,
 		RequestTimeout: 60 * time.Second,
-		CacheDir:       cacheDir,
 		Seed:           42,
 	})
 	if err != nil {
@@ -280,11 +313,12 @@ func (rw *restartableWorker) start(t *testing.T, cacheDir string, seed uint64) {
 }
 
 // TestLastKnownGoodFollowsWorkerIdentity runs real workers over one cache
-// dir. A last-known-good body is stored under the identity the worker
-// stated and read only under the identity the router learned from
-// /healthz, so (a) a worker restarted with another seed is never answered
-// with the old seed's body, and (b) a body a fresh router stored before
-// its first probe is the one it serves once the probe has run.
+// dir. The router names a stored body only under the identity a worker
+// listed at its last healthy probe, so (a) a worker restarted with another
+// seed is never answered with the old seed's body, (b) a worker restarted
+// without the dataset answers 404 through the router, not the stored body,
+// and (c) a body a worker stored before the router's first probe is the
+// one it serves once the probe has run.
 func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full pipelines; skipped in -short")
@@ -292,18 +326,19 @@ func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
 	// distances samples its BFS sources by seed, so its body names the run.
 	const target = "/v1/datasets/demo/report?stages=distances"
 	ctx := context.Background()
-	setup := func(t *testing.T) (*restartableWorker, string, string) {
+	setup := func(t *testing.T) (*restartableWorker, *httptest.Server, string) {
 		dir := t.TempDir()
 		rw := &restartableWorker{}
 		rw.start(t, dir, 42)
 		ts := httptest.NewServer(rw)
 		t.Cleanup(ts.Close)
-		return rw, strings.TrimPrefix(ts.URL, "http://"), dir
+		return rw, ts, dir
 	}
+	addr := func(ts *httptest.Server) string { return strings.TrimPrefix(ts.URL, "http://") }
 
 	t.Run("restart with another seed", func(t *testing.T) {
-		rw, addr, dir := setup(t)
-		rt := newTestRouter(t, Config{Workers: []string{addr}, CacheDir: dir})
+		rw, ts, dir := setup(t)
+		rt := newTestRouter(t, Config{Workers: []string{addr(ts)}, CacheDir: dir})
 		rt.ProbeNow(ctx)
 		rec := doGet(rt, target)
 		if rec.Code != http.StatusOK {
@@ -311,12 +346,16 @@ func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
 		}
 		seed42 := rec.Body.Bytes()
 
-		rw.start(t, dir, 43)
+		// The seed 43 body, from a worker over another dir, so that no
+		// seed 43 body is stored in the router's.
+		other := &restartableWorker{}
+		other.start(t, t.TempDir(), 43)
 		direct := httptest.NewRecorder()
-		rw.ServeHTTP(direct, httptest.NewRequest(http.MethodGet, target, nil))
+		other.ServeHTTP(direct, httptest.NewRequest(http.MethodGet, target, nil))
 		if direct.Code != http.StatusOK || bytes.Equal(direct.Body.Bytes(), seed42) {
 			t.Fatalf("setup: the seed 43 body must differ from the seed 42 body (status %d)", direct.Code)
 		}
+		rw.start(t, dir, 43)
 		rt.ProbeNow(ctx)
 		rw.fail.Store(true)
 		rec = doGet(rt, target)
@@ -328,9 +367,27 @@ func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
 		}
 	})
 
+	t.Run("restart without the dataset", func(t *testing.T) {
+		rw, ts, dir := setup(t)
+		rt := newTestRouter(t, Config{Workers: []string{addr(ts)}, CacheDir: dir})
+		rt.ProbeNow(ctx)
+		if rec := doGet(rt, target); rec.Code != http.StatusOK {
+			t.Fatalf("cold GET: %d", rec.Code)
+		}
+		if rec := doGet(rt, target); rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Cache") != "hit" {
+			t.Fatalf("warm GET: %d %v, want a hit", rec.Code, rec.Header())
+		}
+		rw.srv.Store(serve.New(serve.Config{Options: core.Options{Seed: 42, CacheDir: dir}}))
+		rt.ProbeNow(ctx)
+		rec := doGet(rt, target)
+		if rec.Code != http.StatusNotFound || rec.Header().Get("X-Elites-Cache") != "" {
+			t.Fatalf("GET of a withdrawn dataset: %d %v, want the worker's 404", rec.Code, rec.Header())
+		}
+	})
+
 	t.Run("fresh router before its first probe", func(t *testing.T) {
-		rw, addr, dir := setup(t)
-		rt := newTestRouter(t, Config{Workers: []string{addr}, CacheDir: dir})
+		_, ts, dir := setup(t)
+		rt := newTestRouter(t, Config{Workers: []string{addr(ts)}, CacheDir: dir})
 		rec := doGet(rt, target)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("clean GET: %d", rec.Code)
@@ -340,16 +397,107 @@ func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
 			t.Fatal("the router did not pass on the worker's X-Elites-Identity")
 		}
 		rt.ProbeNow(ctx)
-		rw.fail.Store(true)
+		// The worker dies and is ejected: with no worker to answer, the
+		// stored body is served degraded.
+		ts.Close()
+		for i := 0; i < 3; i++ {
+			rt.ProbeNow(ctx)
+		}
 		rec = doGet(rt, target)
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Degraded") != "true" ||
 			!bytes.Equal(rec.Body.Bytes(), clean) {
-			t.Fatalf("degraded GET: %d %v, want the clean body from last-known-good", rec.Code, rec.Header())
+			t.Fatalf("degraded GET: %d %v, want the clean body degraded", rec.Code, rec.Header())
 		}
 		if got := rec.Header().Get("X-Elites-Identity"); got != identity {
 			t.Fatalf("degraded GET names identity %q, want %q", got, identity)
 		}
 	})
+}
+
+// TestRouterReadsServeBodyEntries runs one real worker and a router over
+// one cache dir. For each kind of stored body, the worker's clean GET
+// writes exactly one body entry, and it is the one the router names; a
+// router GET then returns the same bytes from it with the worker failing,
+// clean while the worker is selectable and degraded once it is ejected.
+// The dir ends with one file per body.
+func TestRouterReadsServeBodyEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full pipelines; skipped in -short")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	rw := &restartableWorker{}
+	rw.start(t, dir, 42)
+	ts := httptest.NewServer(rw)
+	defer ts.Close()
+	rt := newTestRouter(t, Config{Workers: []string{strings.TrimPrefix(ts.URL, "http://")}, CacheDir: dir})
+	rt.ProbeNow(ctx)
+
+	entries := func() map[string]bool {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "body-v*.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, n := range names {
+			set[strings.TrimSuffix(filepath.Base(n), ".bin")] = true
+		}
+		return set
+	}
+	targets := []string{
+		"/v1/datasets/demo/report?stages=degree,summary",
+		"/v1/datasets/demo/report?format=text",
+		"/v1/datasets/demo/stages/components",
+		"/v1/datasets/demo/users/007/features",
+	}
+	clean := map[string][]byte{}
+	for _, target := range targets {
+		before := entries()
+		rec := doGet(rt, target)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Cache") != "" {
+			t.Fatalf("%s: cold GET %d %v, want a proxied 200", target, rec.Code, rec.Header())
+		}
+		clean[target] = rec.Body.Bytes()
+		var wrote []string
+		for e := range entries() {
+			if !before[e] {
+				wrote = append(wrote, e)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		b, _, ok := rt.bodyFor(routeOf(req), req, rt.workers)
+		if !ok || len(wrote) != 1 || wrote[0] != b.Entry {
+			t.Fatalf("%s: the worker wrote %v, the router names %q (ok %v)", target, wrote, b.Entry, ok)
+		}
+	}
+
+	rw.fail.Store(true)
+	for _, target := range targets {
+		rec := doGet(rt, target)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Cache") != "hit" ||
+			rec.Header().Get("X-Elites-Degraded") != "" || !bytes.Equal(rec.Body.Bytes(), clean[target]) {
+			t.Fatalf("%s: warm GET %d %v, want the clean bytes as a hit", target, rec.Code, rec.Header())
+		}
+	}
+
+	ts.Close()
+	for i := 0; i < 3; i++ {
+		rt.ProbeNow(ctx)
+	}
+	for _, target := range targets {
+		rec := doGet(rt, target)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Degraded") != "true" ||
+			!bytes.Equal(rec.Body.Bytes(), clean[target]) {
+			t.Fatalf("%s: degraded GET %d %v, want the clean bytes degraded", target, rec.Code, rec.Header())
+		}
+	}
+	if n := len(entries()); n != len(targets) {
+		t.Fatalf("%d body entries for %d bodies", n, len(targets))
+	}
+	if lkg, _ := filepath.Glob(filepath.Join(dir, "routerlkg-*")); len(lkg) != 0 {
+		t.Fatalf("router copies in the cache dir: %v", lkg)
+	}
 }
 
 func directGet(t *testing.T, url string) []byte {

@@ -6,8 +6,14 @@
 // fleet-wide, while a worker leaving never remaps identities between the
 // survivors. Which run a body came from is the workers' to say: each
 // dataset response names its identity (dataset digest and core result
-// digest) in X-Elites-Identity, and /healthz lists them; the router keys
-// last-known-good bodies by that identity, never by its own guess.
+// digest) in X-Elites-Identity, and /healthz lists them.
+//
+// The workers store every clean body in their result cache under the
+// entry core names for the request and its identity. A router over the
+// same cache directory names the same entry from the identity the worker
+// a request would reach lists in /healthz, so a warm GET is answered from
+// that entry with no hop (X-Elites-Cache: hit), and a miss or a failed
+// checksum is proxied.
 //
 // Around that placement sits a degradation ladder, crossed one rung at a
 // time as failures accumulate:
@@ -22,9 +28,9 @@
 //     failed /healthz probes; it rejoins through a probation period where
 //     any failure sends it straight back down.
 //  4. Degrade: when every attempt fails — all replicas down or the budget
-//     exhausted — the router serves the last-known-good body for the
-//     identity it learned from the workers' /healthz, from the shared cache
-//     directory, verbatim, with a Warning header, rather than a 502.
+//     exhausted — the router serves the workers' stored body for the
+//     identity it learned from their /healthz, verbatim, with a Warning
+//     header, rather than a 502: a degraded body is a clean body.
 //
 // At most one attempt is in flight per request: every body is a fixed
 // function of its identity, so a speculative second attempt could only
@@ -33,7 +39,8 @@
 // Only when there is no worker and no cached body does a request shed
 // with 503 and a jittered Retry-After. Every rung is visible in
 // /metrics (eliterouter_retries_total, _failovers_total,
-// _breaker_trips_total, _degraded_total, _shed_total, _worker_up).
+// _breaker_trips_total, _degraded_total, _shed_total, _body_hits_total,
+// _worker_up).
 package fleet
 
 import (
@@ -44,11 +51,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
 
 	"elites/internal/cache"
+	"elites/internal/core"
 	"elites/internal/faults"
 	"elites/internal/obs"
 )
@@ -83,9 +92,10 @@ type Config struct {
 	// attempts (default 60s).
 	RequestTimeout time.Duration
 
-	// CacheDir is the shared result-cache directory; the router stores
-	// last-known-good bodies there for degraded serving. Empty disables
-	// degradation to cached bodies.
+	// CacheDir is the workers' result-cache directory: the router answers
+	// warm GETs and degraded ones from the bodies the workers store there.
+	// Empty, or a directory no worker writes, proxies every request and
+	// sheds when no worker answers.
 	CacheDir string
 
 	// Faults, when non-nil, injects network faults ("net:<host:port>"
@@ -130,15 +140,12 @@ type Router struct {
 	cfg       Config
 	workers   []*worker
 	met       *fleetMetrics
-	lkg       *lkgStore
+	cache     *cache.Cache // the workers' result cache; nil without CacheDir
 	transport http.RoundTripper
 	client    *http.Client
 
 	backoff    *faults.Jitter
 	retryAfter *faults.Jitter
-
-	identityMu sync.RWMutex
-	identities map[string]string // dataset id -> identity, learned from /healthz
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -166,9 +173,12 @@ func New(cfg Config) (*Router, error) {
 		seen[w.name] = true
 		workers = append(workers, w)
 	}
-	lkg, err := newLKGStore(cfg.CacheDir)
-	if err != nil {
-		return nil, err
+	var cc *cache.Cache
+	if cfg.CacheDir != "" {
+		var err error
+		if cc, err = cache.New(cfg.CacheDir); err != nil {
+			return nil, err
+		}
 	}
 	transport := http.DefaultTransport
 	if cfg.Faults != nil {
@@ -178,12 +188,11 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		workers:    workers,
 		met:        newFleetMetrics(time.Now()),
-		lkg:        lkg,
+		cache:      cc,
 		transport:  transport,
 		client:     &http.Client{Transport: transport},
 		backoff:    faults.NewJitter(cfg.Seed, "fleet/backoff"),
 		retryAfter: faults.NewJitter(cfg.Seed, "fleet/retry-after"),
-		identities: map[string]string{},
 		probeStop:  make(chan struct{}),
 		probeDone:  make(chan struct{}),
 	}
@@ -257,8 +266,8 @@ type route struct {
 	key        uint64 // rendezvous key
 	class      string // metrics label
 	dataset    string // the {id} of a /v1/datasets/{id}… request
+	rest       string // a GET's path after /v1/datasets/{id}/, which may name a stored body
 	retryOn404 bool   // the jobs scatter (see routeOf)
-	cacheable  bool   // a GET whose clean 200 is kept as last-known-good
 }
 
 // routeOf maps a request to its route. Dataset requests hash the
@@ -270,16 +279,20 @@ type route struct {
 // machinery.
 func routeOf(r *http.Request) route {
 	p := r.URL.Path
-	get := r.Method == http.MethodGet
 	switch {
 	case strings.HasPrefix(p, "/v1/jobs/"):
 		id, _, _ := strings.Cut(strings.TrimPrefix(p, "/v1/jobs/"), "/")
 		return route{key: hashKey("job", id), class: "jobs", retryOn404: true}
 	case strings.HasPrefix(p, "/v1/datasets/"):
-		id, _, _ := strings.Cut(strings.TrimPrefix(p, "/v1/datasets/"), "/")
-		return route{key: requestKey("dataset-id", id, r), class: "datasets", dataset: id, cacheable: get}
+		id, rest, _ := strings.Cut(strings.TrimPrefix(p, "/v1/datasets/"), "/")
+		q := r.URL.Query()
+		rq := route{key: hashKey("dataset-id", id, p, q.Get("stages"), q.Get("format")), class: "datasets", dataset: id}
+		if r.Method == http.MethodGet {
+			rq.rest = rest
+		}
+		return rq
 	case p == "/v1/datasets":
-		return route{key: hashKey("listing"), class: "datasets", cacheable: get}
+		return route{key: hashKey("listing"), class: "datasets"}
 	default:
 		return route{key: hashKey("path", p, r.URL.RawQuery), class: "other"}
 	}
@@ -295,35 +308,53 @@ func hashKey(parts ...string) uint64 {
 	return h.Sum()
 }
 
-// requestKey digests one half — a dataset id or a stated identity — with
-// the request's path, stage subset and format.
-func requestKey(kind, half string, r *http.Request) uint64 {
-	q := r.URL.Query()
-	return hashKey(kind, half, r.URL.Path, q.Get("stages"), q.Get("format"))
+// bodyFor names the body the workers store for a GET, under the identity
+// the first of workers that lists its dataset stated at its last healthy
+// probe. ok is false with no cache, no such worker, or a request that
+// names no stored body.
+func (rt *Router) bodyFor(rq route, r *http.Request, workers []*worker) (b core.Body, identity string, ok bool) {
+	if rt.cache == nil || rq.rest == "" {
+		return b, "", false
+	}
+	for _, wk := range workers {
+		if identity = wk.identityOf(rq.dataset); identity != "" {
+			b, ok = bodyOf(identity, rq, r.URL.Query())
+			return b, identity, ok
+		}
+	}
+	return b, "", false
 }
 
-// lkgKey is the last-known-good key of a request, if it has one. A
-// dataset body is stored under the identity its worker stated and read
-// under the identity learned from /healthz, so the router serves a body
-// only for the run that produced it: with no identity there is no key.
-// The dataset listing names no options and keeps its rendezvous key.
-func lkgKey(rq route, r *http.Request, identity string) (uint64, bool) {
-	switch {
-	case !rq.cacheable:
-		return 0, false
-	case rq.dataset == "":
-		return rq.key, true
-	case identity == "":
-		return 0, false
+// bodyOf names the body of a GET of /v1/datasets/{id}/{rest} under
+// identity, splitting rest as eliteserve's routes do. ok is false for a
+// request eliteserve answers from no stored body, or with a 400.
+func bodyOf(identity string, rq route, query url.Values) (b core.Body, ok bool) {
+	var err error
+	switch seg := strings.Split(rq.rest, "/"); {
+	case rq.rest == "report":
+		b, err = core.ReportBody(identity, query)
+	case len(seg) == 2 && seg[0] == "stages":
+		b, err = core.StageBody(identity, rq.dataset, seg[1])
+	case len(seg) == 3 && seg[0] == "users" && seg[2] == "features":
+		b, err = core.UserFeaturesBody(identity, seg[1])
+	default:
+		return b, false
 	}
-	return requestKey("identity", identity, r), true
+	return b, err == nil
+}
+
+// writeStored writes a stored body with the headers a worker sends with it.
+func writeStored(w http.ResponseWriter, b core.Body, identity string, body []byte) {
+	w.Header().Set("Content-Type", b.ContentType)
+	w.Header().Set("X-Elites-Identity", identity)
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // --- proxying ----------------------------------------------------------------
 
 // attemptResult is one worker's answer (or failure) for one attempt.
 type attemptResult struct {
-	idx  int
 	w    *worker
 	resp *upstreamResponse
 	err  error
@@ -417,23 +448,32 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 		}
 	}
 
+	// A warm GET is answered clean from the workers' stored body, under the
+	// identity the worker its first attempt would reach lists; with no
+	// worker to reach it is degraded, below.
+	if b, identity, ok := rt.bodyFor(rq, r, candidates[:min(1, len(candidates))]); ok {
+		sp := obs.SpanFromContext(r.Context())
+		if stored, hit := rt.cache.Get(b.Entry); hit {
+			sp.SetAttr("body_cache", "hit")
+			rt.met.bodyHits.Inc()
+			w.Header().Set("X-Elites-Cache", "hit")
+			writeStored(w, b, identity, stored)
+			return rq.class
+		}
+		sp.SetAttr("body_cache", "miss")
+	}
+
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 
 	res := rt.runAttempts(ctx, r, candidates, body, rq.retryOn404)
 	if res == nil {
-		rt.degrade(w, r, rq)
+		rt.degrade(w, r, rq, order)
 		return rq.class
 	}
 
-	if res.idx > 0 {
+	if res.w != order[0] {
 		rt.met.failovers.Inc()
-	}
-	if res.resp.status == http.StatusOK && res.resp.header.Get("Warning") == "" {
-		if k, ok := lkgKey(rq, r, res.resp.header.Get("X-Elites-Identity")); ok &&
-			rt.lkg.put(k, res.resp.header.Get("Content-Type"), res.resp.body) {
-			rt.met.lkgWrites.Inc()
-		}
 	}
 	res.resp.copyHeaders(w.Header())
 	w.Header().Set("X-Elites-Worker", res.w.name)
@@ -548,7 +588,7 @@ func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, r *http.Requ
 
 	req, err := http.NewRequestWithContext(ctx, r.Method, wk.url.String()+pathq, bodyReader(body))
 	if err != nil {
-		return finish(attemptResult{idx: idx, w: wk, err: err})
+		return finish(attemptResult{w: wk, err: err})
 	}
 	for _, k := range []string{"Content-Type", "Accept"} {
 		if v := r.Header.Get(k); v != "" {
@@ -558,10 +598,10 @@ func (rt *Router) attempt(ctx context.Context, wk *worker, idx int, r *http.Requ
 	obs.InjectHeader(req.Header, asp)
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return finish(attemptResult{idx: idx, w: wk, err: err})
+		return finish(attemptResult{w: wk, err: err})
 	}
 	ur, err := readResponse(resp)
-	return finish(attemptResult{idx: idx, w: wk, resp: ur, err: err})
+	return finish(attemptResult{w: wk, resp: ur, err: err})
 }
 
 // backoffSleep waits before a request's retry-th retry (0-based). The
@@ -580,28 +620,19 @@ func (rt *Router) backoffSleep(ctx context.Context, retry int) bool {
 
 // --- degradation -------------------------------------------------------------
 
-// degrade is the bottom of the ladder: every attempt failed. GETs with a
-// last-known-good body for the identity learned from /healthz serve those
-// exact bytes (byte-identical to the last healthy response for this
-// identity, whose X-Elites-Identity they repeat) with a Warning header;
-// everything else sheds with 503 + jittered Retry-After.
-func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, rq route) {
+// degrade is the bottom of the ladder: every attempt failed. A GET whose
+// body the workers stored, for the identity the first worker in order
+// that lists its dataset stated at its last healthy probe, is served
+// those exact bytes — the clean body of that identity, whose
+// X-Elites-Identity they repeat — with a Warning header; everything else
+// sheds with 503 + jittered Retry-After.
+func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, rq route, order []*worker) {
 	sp := obs.SpanFromContext(r.Context())
-	rt.identityMu.RLock()
-	identity := rt.identities[rq.dataset]
-	rt.identityMu.RUnlock()
-	if k, ok := lkgKey(rq, r, identity); ok {
-		if ct, body, ok := rt.lkg.get(k); ok {
-			if ct != "" {
-				w.Header().Set("Content-Type", ct)
-			}
-			if identity != "" {
-				w.Header().Set("X-Elites-Identity", identity)
-			}
+	if b, identity, ok := rt.bodyFor(rq, r, order); ok {
+		if body, hit := rt.cache.Get(b.Entry); hit {
 			w.Header().Set("Warning", `199 eliterouter "degraded: serving last-known-good cached response"`)
 			w.Header().Set("X-Elites-Degraded", "true")
-			w.WriteHeader(http.StatusOK)
-			w.Write(body)
+			writeStored(w, b, identity, body)
 			rt.met.degraded.Inc()
 			sp.AddEvent("degraded")
 			if lg := rt.cfg.Logger; lg != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +13,7 @@ import (
 	"time"
 
 	"elites/internal/cache"
+	"elites/internal/core"
 	"elites/internal/faults"
 )
 
@@ -91,13 +90,19 @@ func orderFor(rt *Router, method, target string) []*worker {
 // testIdentity is the dataset identity the fake workers below state.
 const testIdentity = "00000000000000ff-0000000000000001"
 
+// healthBody is the /healthz body of a worker of this build serving
+// "demo" under identity.
+func healthBody(identity string) string {
+	return fmt.Sprintf(`{"status":"ok","view_version":%d,"identities":{"demo":%q}}`, core.ViewVersion, identity)
+}
+
 // identified answers /healthz with the "demo" identity a worker states,
 // and every other path with a JSON body stamped with that identity, as
 // eliteserve does.
 func identified(identity, body string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
-			fmt.Fprintf(w, `{"status":"ok","identities":{"demo":%q}}`, identity)
+			fmt.Fprint(w, healthBody(identity))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -167,9 +172,9 @@ func TestRendezvousStability(t *testing.T) {
 
 // TestIdentityKeySeparation: placement hashes the dataset id with the
 // path, stage subset and format, so it is fixed before any probe. The
-// last-known-good key hashes the identity the worker stated in place of
-// the id, so a result digest that changes (another seed, a codec bump)
-// moves it, and a body with no stated identity has no key at all.
+// stored body is named from the identity a worker stated in place of the
+// id, so a result digest that changes (another seed, a codec bump) moves
+// it, and with no stated identity no body is named at all.
 func TestIdentityKeySeparation(t *testing.T) {
 	get := func(target string) *http.Request { return httptest.NewRequest(http.MethodGet, target, nil) }
 	const target = "/v1/datasets/demo/report?stages=summary"
@@ -187,36 +192,54 @@ func TestIdentityKeySeparation(t *testing.T) {
 		}
 	}
 
-	lkg := func(target, identity string) uint64 {
+	// The stored body is named from the identity the router learned, in
+	// place of the id: a result digest that changes names another entry.
+	// With no learned identity, and for a POST, the dataset listing or a
+	// dataset's info, there is none.
+	rt := newTestRouter(t, Config{Workers: []string{"127.0.0.1:1"}, CacheDir: t.TempDir()})
+	learn := func(identity string) { rt.workers[0].learn(map[string]string{"demo": identity}) }
+	entry := func(r *http.Request) (string, bool) {
+		b, _, ok := rt.bodyFor(routeOf(r), r, rt.workers)
+		return b.Entry, ok
+	}
+	named := func(target string) string {
 		t.Helper()
-		k, ok := lkgKey(routeOf(get(target)), get(target), identity)
+		e, ok := entry(get(target))
 		if !ok {
-			t.Fatalf("%s under %q has no last-known-good key", target, identity)
+			t.Fatalf("%s names no stored body", target)
 		}
-		return k
+		return e
 	}
-	stated := lkg(target, testIdentity)
-	if lkg(target, testIdentity) != stated {
-		t.Fatal("last-known-good key not deterministic")
+	if _, ok := entry(get(target)); ok {
+		t.Fatal("a body is named before any identity is learned")
 	}
-	if lkg(target, "00000000000000ff-0000000000000002") == stated {
-		t.Fatal("result digest does not separate last-known-good keys")
+	learn(testIdentity)
+	stated := named(target)
+	if named(target) != stated {
+		t.Fatal("body entry not deterministic")
 	}
-	if lkg("/v1/datasets/demo/report?stages=summary,degree", testIdentity) == stated ||
-		lkg("/v1/datasets/demo/report?stages=summary&format=text", testIdentity) == stated {
-		t.Fatal("stage subset or format does not separate last-known-good keys")
+	if named("/v1/datasets/demo/report?stages=summary,degree") == stated ||
+		named("/v1/datasets/demo/report?stages=summary&format=text") == stated {
+		t.Fatal("stage subset or format does not separate body entries")
 	}
-	if _, ok := lkgKey(routeOf(get(target)), get(target), ""); ok {
-		t.Fatal("a body with no identity has a last-known-good key")
+	learn("00000000000000ff-0000000000000002")
+	if named(target) == stated {
+		t.Fatal("result digest does not separate body entries")
 	}
-	post := httptest.NewRequest(http.MethodPost, target, nil)
-	if _, ok := lkgKey(routeOf(post), post, testIdentity); ok {
-		t.Fatal("a POST has a last-known-good key")
-	}
-	// The listing names no options: it keeps its rendezvous key.
-	listing := get("/v1/datasets")
-	if k, ok := lkgKey(routeOf(listing), listing, ""); !ok || k != routeOf(listing).key {
-		t.Fatal("the dataset listing lost its last-known-good key")
+	for _, r := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, target, nil),
+		get("/v1/datasets"),
+		get("/v1/datasets/demo"),
+		get("/v1/datasets/demo/users/1"),
+		get("/v1/datasets/demo/users/0/features"),
+		get("/v1/datasets/demo/stages/nope"),
+		get("/v1/datasets/demo/stages/summary/x"),
+		get("/v1/datasets/demo/report?format=xml"),
+		get("/v1/datasets/other/report"),
+	} {
+		if _, ok := entry(r); ok {
+			t.Fatalf("%s %s names a stored body", r.Method, r.URL)
+		}
 	}
 }
 
@@ -440,12 +463,32 @@ func TestCancelledRequestNoRetry(t *testing.T) {
 	}
 }
 
-// TestDegradedServesLastKnownGood: after a clean response is recorded,
-// total fleet failure serves those exact bytes with a Warning header and
-// a 200 — the acceptance bar is byte-identity, not similarity.
+// storeBody writes body where eliteserve stores the clean body of target
+// under testIdentity, as a worker that answered it would have.
+func storeBody(t *testing.T, dir, target, body string) {
+	t.Helper()
+	r := httptest.NewRequest(http.MethodGet, target, nil)
+	rq := routeOf(r)
+	b, ok := bodyOf(testIdentity, rq, r.URL.Query())
+	if !ok {
+		t.Fatalf("%s names no stored body", target)
+	}
+	c, err := cache.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(b.Entry, []byte(body))
+}
+
+// TestDegradedServesLastKnownGood: a warm GET is answered clean from the
+// workers' stored body with no hop; once the fleet is gone, the same GET
+// serves those exact bytes with a Warning header and a 200 — the
+// acceptance bar is byte-identity, not similarity — and a GET with no
+// stored body sheds.
 func TestDegradedServesLastKnownGood(t *testing.T) {
 	bs, addrs := fakeFleet(t, 2)
-	rt := newTestRouter(t, Config{Workers: addrs, CacheDir: t.TempDir()})
+	dir := t.TempDir()
+	rt := newTestRouter(t, Config{Workers: addrs, CacheDir: dir})
 
 	const target = "/v1/datasets/demo/report?stages=summary"
 	clean := `{"summary":{"nodes":400}}`
@@ -453,15 +496,28 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 		bs.set(a, identified(testIdentity, clean))
 	}
 	rt.ProbeNow(context.Background())
-	if rec := doGet(rt, target); rec.Code != http.StatusOK {
-		t.Fatalf("warm request: %d", rec.Code)
+	// The workers are fakes: store the body where eliteserve would.
+	storeBody(t, dir, target, clean)
+	rec := doGet(rt, target)
+	if rec.Code != http.StatusOK || rec.Body.String() != clean {
+		t.Fatalf("warm request: %d %q", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("X-Elites-Cache") != "hit" || rec.Header().Get("X-Elites-Worker") != "" ||
+		rec.Header().Get("X-Elites-Degraded") != "" || rec.Header().Get("X-Elites-Identity") != testIdentity {
+		t.Fatalf("warm request headers: %v", rec.Header())
+	}
+	if hits := rt.met.bodyHits.Value(); hits != 1 {
+		t.Fatalf("body hits = %d, want 1", hits)
 	}
 
-	// The fleet dies.
+	// The fleet dies, and the prober ejects it.
 	for _, a := range addrs {
 		bs.set(a, respondText(http.StatusInternalServerError, "dead"))
 	}
-	rec := doGet(rt, target)
+	for i := 0; i < 3; i++ {
+		rt.ProbeNow(context.Background())
+	}
+	rec = doGet(rt, target)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded request: %d, want 200", rec.Code)
 	}
@@ -475,100 +531,20 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("degraded Content-Type = %q", ct)
 	}
+	if rec.Header().Get("X-Elites-Cache") != "" {
+		t.Fatalf("degraded response claims a clean cache hit: %v", rec.Header())
+	}
 	degraded, shed := rt.met.degraded.Value(), rt.met.shed.Value()
 	if degraded != 1 || shed != 0 {
 		t.Fatalf("degraded=%d shed=%d, want 1/0", degraded, shed)
 	}
 
-	// A degraded body must never refresh the last-known-good store: the
-	// Warning-bearing 200 is not a clean observation. (Worker-degraded
-	// bodies carry Warning too and are likewise not recorded.)
 	rec2 := doGet(rt, target)
 	if rec2.Code != http.StatusOK || rec2.Body.String() != clean {
 		t.Fatalf("second degraded read: %d %q", rec2.Code, rec2.Body.String())
 	}
-}
-
-// TestLastKnownGoodStoredOnce: the body for an identity is fixed, so a
-// repeated clean GET finds its bytes already stored under the identity the
-// worker stated and writes nothing — no temp file, no rename — even from a
-// fresh router whose memory tier is cold and which has not probed yet. A
-// body that did change is written, and it is what the degrade path serves
-// next, once a probe has taught the router the identity.
-func TestLastKnownGoodStoredOnce(t *testing.T) {
-	bs, addrs := fakeFleet(t, 1)
-	dir := t.TempDir()
-	cfg := Config{Workers: addrs, CacheDir: dir}
-	rt := newTestRouter(t, cfg)
-
-	const target = "/v1/datasets/demo/report?stages=summary"
-	get := func(rt *Router, want string) {
-		t.Helper()
-		if rec := doGet(rt, target); rec.Code != http.StatusOK || rec.Body.String() != want {
-			t.Fatalf("GET: %d %q, want 200 %q", rec.Code, rec.Body.String(), want)
-		}
-	}
-	req := httptest.NewRequest(http.MethodGet, target, nil)
-	key, _ := lkgKey(routeOf(req), req, testIdentity)
-	entry := filepath.Join(dir, rt.lkg.key(key)+".bin")
-	stat := func() os.FileInfo {
-		t.Helper()
-		fi, err := os.Stat(entry)
-		if err != nil {
-			t.Fatalf("last-known-good entry: %v", err)
-		}
-		return fi
-	}
-	checkNoTemp := func() {
-		t.Helper()
-		if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) != 0 {
-			t.Fatalf("temp files left behind: %v", tmp)
-		}
-	}
-
-	first := `{"summary":{"nodes":400}}`
-	bs.set(addrs[0], identified(testIdentity, first))
-	get(rt, first)
-	written := stat()
-	get(rt, first)
-	if n := rt.met.lkgWrites.Value(); n != 1 {
-		t.Fatalf("two identical GETs wrote %d entries, want 1", n)
-	}
-	if !os.SameFile(written, stat()) {
-		t.Fatal("identical body rewritten: the entry was replaced by a rename")
-	}
-	checkNoTemp()
-
-	// A fresh router over the same directory with the memory tier dropped —
-	// a restart — still finds the stored bytes on disk.
-	cache.Release(dir)
-	rt2 := newTestRouter(t, cfg)
-	get(rt2, first)
-	if n := rt2.met.lkgWrites.Value(); n != 0 {
-		t.Fatalf("restarted router rewrote a stored body: %d writes", n)
-	}
-	if !os.SameFile(written, stat()) {
-		t.Fatal("restarted router replaced the stored entry")
-	}
-	checkNoTemp()
-
-	// The body for the identity changes: it is written and becomes the
-	// last-known-good body.
-	second := `{"summary":{"nodes":401}}`
-	bs.set(addrs[0], identified(testIdentity, second))
-	get(rt2, second)
-	if n := rt2.met.lkgWrites.Value(); n != 1 {
-		t.Fatalf("changed body: %d writes, want 1", n)
-	}
-	if os.SameFile(written, stat()) {
-		t.Fatal("changed body was not written")
-	}
-	rt2.ProbeNow(context.Background())
-	bs.set(addrs[0], respondText(http.StatusInternalServerError, "dead"))
-	rec := doGet(rt2, target)
-	if rec.Code != http.StatusOK || rec.Body.String() != second ||
-		rec.Header().Get("X-Elites-Degraded") != "true" {
-		t.Fatalf("degraded GET: %d %q %v, want the changed body", rec.Code, rec.Body.String(), rec.Header())
+	if rec := doGet(rt, "/v1/datasets/demo/report?stages=degree"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("degraded request with no stored body: %d, want 503", rec.Code)
 	}
 }
 
@@ -617,7 +593,7 @@ func (h *healthToggle) handler(w http.ResponseWriter, r *http.Request) {
 	h.mu.Unlock()
 	switch {
 	case r.URL.Path == "/healthz" && ok:
-		fmt.Fprintf(w, `{"status":"ok","identities":{"demo":%q}}`, testIdentity)
+		fmt.Fprint(w, healthBody(testIdentity))
 	case r.URL.Path == "/healthz":
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprint(w, `{"status":"draining"}`)
@@ -651,10 +627,7 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	ctx := context.Background()
 
 	rt.ProbeNow(ctx)
-	rt.identityMu.RLock()
-	learned := rt.identities["demo"]
-	rt.identityMu.RUnlock()
-	if learned != testIdentity {
+	if learned := rt.workers[0].identityOf("demo"); learned != testIdentity {
 		t.Fatalf("identity learning: got %q, want %q", learned, testIdentity)
 	}
 
@@ -701,26 +674,84 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 
 // TestProbeReadsBoundedHealthBody: the status code alone decides health,
 // and identities are learned only from a /healthz body that decodes within
-// maxHealthBody bytes.
+// maxHealthBody bytes and states the router's view version. Each healthy
+// probe replaces what the worker lists.
 func TestProbeReadsBoundedHealthBody(t *testing.T) {
 	bs, addrs := fakeFleet(t, 1)
 	rt := newTestRouter(t, Config{Workers: addrs, EjectAfter: 1})
+	wk := rt.workers[0]
+	probe := func(body string) string {
+		t.Helper()
+		bs.set(addrs[0], func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, body) })
+		rt.ProbeNow(context.Background())
+		if !wk.available() {
+			t.Fatalf("a 200 ejected the worker: %.80s", body)
+		}
+		return wk.identityOf("demo")
+	}
 	pad := strings.Repeat("x", maxHealthBody)
-	bs.set(addrs[0], func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"identities":{"demo":%q},"pad":%q}`, testIdentity, pad)
-	})
-	rt.ProbeNow(context.Background())
-	if !rt.workers[0].available() {
-		t.Fatal("a 200 with an over-limit body ejected the worker")
+	if got := probe(fmt.Sprintf(`{"view_version":%d,"identities":{"demo":%q},"pad":%q}`, core.ViewVersion, testIdentity, pad)); got != "" {
+		t.Fatalf("learned %q from an over-limit body", got)
 	}
-	if len(rt.identities) != 0 {
-		t.Fatalf("learned %v from an over-limit body", rt.identities)
+	if got := probe(healthBody(testIdentity)); got != testIdentity {
+		t.Fatalf("learned %q from a body within the limit", got)
 	}
-	bs.set(addrs[0], identified(testIdentity, ""))
-	rt.ProbeNow(context.Background())
-	if rt.identities["demo"] != testIdentity {
-		t.Fatalf("learned %v from a body within the limit", rt.identities)
+	if got := probe(fmt.Sprintf(`{"view_version":%d,"identities":{"demo":%q}}`, core.ViewVersion+1, testIdentity)); got != "" {
+		t.Fatalf("learned %q from a worker at another view version", got)
 	}
+	probe(healthBody(testIdentity))
+	if got := probe(fmt.Sprintf(`{"view_version":%d,"identities":{}}`, core.ViewVersion)); got != "" {
+		t.Fatalf("kept %q after a probe that no longer lists the dataset", got)
+	}
+}
+
+// TestIdentitiesUnderConcurrentProbes: probe rounds replace what each
+// worker lists while GETs read it. The workers alternate between listing
+// the dataset and not, so every GET is either the stored body as a hit
+// or the worker's own answer, never anything else. Run under -race.
+func TestIdentitiesUnderConcurrentProbes(t *testing.T) {
+	bs, addrs := fakeFleet(t, 2)
+	dir := t.TempDir()
+	rt := newTestRouter(t, Config{Workers: addrs, CacheDir: dir})
+	const target = "/v1/datasets/demo/report?stages=summary"
+	storeBody(t, dir, target, "stored")
+	var probes atomic.Int64
+	for _, a := range addrs {
+		bs.set(a, func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" {
+				fmt.Fprint(w, "proxied")
+				return
+			}
+			if probes.Add(1)%2 == 0 {
+				fmt.Fprint(w, healthBody(testIdentity))
+				return
+			}
+			fmt.Fprintf(w, `{"status":"ok","view_version":%d,"identities":{}}`, core.ViewVersion)
+		})
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			rt.ProbeNow(context.Background())
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rec := doGet(rt, target)
+				hit := rec.Header().Get("X-Elites-Cache") == "hit"
+				if body := rec.Body.String(); rec.Code != http.StatusOK || (hit && body != "stored") || (!hit && body != "proxied") {
+					t.Errorf("GET %d: %d hit=%v %q", i, rec.Code, hit, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDownWorkerReceivesNoTraffic: requests for an identity whose primary
@@ -746,6 +777,11 @@ func TestDownWorkerReceivesNoTraffic(t *testing.T) {
 	retries := rt.met.retries.Value()
 	if retries != 0 {
 		t.Fatalf("skipping a down worker burned %d retries", retries)
+	}
+	// Served by a worker other than the rendezvous primary: a failover,
+	// although the backup was the first candidate.
+	if failovers := rt.met.failovers.Value(); failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", failovers)
 	}
 	if info := order[0].info(); info.Requests != 0 {
 		t.Fatalf("down worker still saw %d requests", info.Requests)

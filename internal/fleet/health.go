@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"elites/internal/core"
 )
 
 // health.go is the router's active health model. A background prober hits
@@ -22,11 +24,15 @@ import (
 //
 // Healthy probes double as the identity learning channel: a worker's
 // /healthz lists each dataset's identity (dataset digest and result
-// digest), and the router reads last-known-good bodies only under the
-// identities it learned this way.
+// digest) and its encoders' core.ViewVersion, and each healthy probe
+// replaces what the router knows of that worker. The router names the
+// workers' stored bodies only under identities a worker listed this way,
+// at the router's own view version, so a dataset withdrawn or re-served
+// under other options stops naming the old bodies at the next probe, and
+// a build whose encoders differ from the router's names none.
 
 // maxHealthBody bounds the /healthz body a probe reads. A longer body still
-// counts as healthy on a 200, but teaches no identities.
+// counts as healthy on a 200, but lists no identities.
 const maxHealthBody = 64 << 10
 
 // probeLoop runs until Close; probeDone closes on exit.
@@ -90,17 +96,14 @@ func (rt *Router) probeWorker(ctx context.Context, wk *worker) {
 		}
 	}
 	if ok {
-		rt.identityMu.Lock()
-		for id, identity := range identities {
-			rt.identities[id] = identity
-		}
-		rt.identityMu.Unlock()
+		wk.learn(identities)
 	}
 }
 
 // probeOnce GETs the worker's /healthz through the (fault-injected)
 // transport and returns the status code (0 on a transport failure) and the
-// dataset identities the body lists. It reads at most maxHealthBody bytes.
+// dataset identities the body lists, none unless it states the router's
+// view version. It reads at most maxHealthBody bytes.
 func (rt *Router) probeOnce(ctx context.Context, wk *worker) (status int, identities map[string]string) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.url.String()+"/healthz", nil)
 	if err != nil {
@@ -113,9 +116,10 @@ func (rt *Router) probeOnce(ctx context.Context, wk *worker) (status int, identi
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxHealthBody+1))
 	var health struct {
-		Identities map[string]string `json:"identities"`
+		Identities  map[string]string `json:"identities"`
+		ViewVersion int               `json:"view_version"`
 	}
-	if err != nil || len(raw) > maxHealthBody || json.Unmarshal(raw, &health) != nil {
+	if err != nil || len(raw) > maxHealthBody || json.Unmarshal(raw, &health) != nil || health.ViewVersion != core.ViewVersion {
 		return resp.StatusCode, nil
 	}
 	return resp.StatusCode, health.Identities

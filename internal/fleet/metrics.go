@@ -12,11 +12,10 @@ import (
 // metrics.go is the router's exposition, rendered from the shared
 // obs.Registry like internal/serve: per-worker availability and breaker
 // gauges plus fleet-wide counters for every robustness mechanism —
-// retries, failovers, ejections, degraded serves, last-known-good writes —
-// so an operator watching a chaos drill can see exactly which layer
-// absorbed each fault. Every metric name from the pre-registry emitter is
-// preserved; per-worker gauge rows are rebuilt from a live workerInfo
-// snapshot on each scrape.
+// retries, failovers, ejections, degraded serves — and for the GETs
+// answered from the workers' stored bodies, so an operator watching a
+// chaos drill can see exactly which layer absorbed each fault. Per-worker
+// gauge rows are rebuilt from a live workerInfo snapshot on each scrape.
 
 type fleetMetrics struct {
 	reg *obs.Registry
@@ -31,9 +30,9 @@ type fleetMetrics struct {
 
 	retries      *obs.Counter // sequential failover attempts after a failure
 	failovers    *obs.Counter // responses ultimately served by a non-primary worker
-	degraded     *obs.Counter // last-known-good bodies served with a Warning header
-	shed         *obs.Counter // 503s with no worker and no last-known-good body
-	lkgWrites    *obs.Counter // last-known-good bodies written (new or changed)
+	degraded     *obs.Counter // stored bodies served with a Warning header
+	shed         *obs.Counter // 503s with no worker and no stored body
+	bodyHits     *obs.Counter // warm GETs answered clean from a stored body, no hop
 	probeFails   *obs.Counter // health probes that failed
 	ejections    *obs.Counter // workers ejected (up/probation -> down)
 	readmissions *obs.Counter // workers readmitted to probation
@@ -61,9 +60,9 @@ func newFleetMetrics(now time.Time) *fleetMetrics {
 	m.failovers = reg.Counter("eliterouter_failovers_total", "Responses served by a worker other than the rendezvous primary.")
 	reg.CounterFunc("eliterouter_breaker_trips_total", "Per-worker circuit breaker open transitions.",
 		m.brTrips.Load)
-	m.degraded = reg.Counter("eliterouter_degraded_total", "Last-known-good cached bodies served because every attempt failed.")
+	m.degraded = reg.Counter("eliterouter_degraded_total", "Stored bodies served with a Warning because every attempt failed.")
 	m.shed = reg.Counter("eliterouter_shed_total", "Requests shed with 503 (no worker available, no cached body).")
-	m.lkgWrites = reg.Counter("eliterouter_lkg_writes_total", "Last-known-good bodies written because the stored bytes were absent or differed.")
+	m.bodyHits = reg.Counter("eliterouter_body_hits_total", "GETs answered clean from a worker's stored body, with no hop.")
 	m.probeFails = reg.Counter("eliterouter_probe_failures_total", "Health probes that failed.")
 	m.ejections = reg.Counter("eliterouter_ejections_total", "Workers ejected by the health prober.")
 	m.readmissions = reg.Counter("eliterouter_readmissions_total", "Workers readmitted to probation after a healthy probe.")

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,17 +100,60 @@ func TestTraceRetryOneTraceID(t *testing.T) {
 	}
 }
 
+// TestWarmGetTracedAsBodyHit: the router.request span says whether the
+// workers' stored body answered the GET — body_cache=miss, with the
+// attempt that fetched it, or body_cache=hit, with no attempt at all.
+func TestWarmGetTracedAsBodyHit(t *testing.T) {
+	bs, addrs := fakeFleet(t, 1)
+	tr := newTraceTracer(9)
+	dir := t.TempDir()
+	rt := newTestRouter(t, Config{Workers: addrs, Tracer: tr, CacheDir: dir})
+	bs.set(addrs[0], identified(testIdentity, "ok"))
+	rt.ProbeNow(context.Background())
+
+	const target = "/v1/datasets/demo/report?stages=summary"
+	traced := func(want string, attempts int) {
+		t.Helper()
+		client := tr.Root("client")
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		obs.InjectHeader(req.Header, client)
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, req)
+		client.End()
+		if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
+			t.Fatalf("GET: %d %q", rec.Code, rec.Body.String())
+		}
+		got, n := "", 0
+		for _, sp := range tr.TraceSpans(client.TraceID().String()) {
+			switch sp.Name {
+			case "router.request":
+				got = sp.Attrs["body_cache"]
+			case "router.attempt":
+				n++
+			}
+		}
+		if got != want || n != attempts {
+			t.Fatalf("router.request body_cache=%q with %d attempts, want %q with %d", got, n, want, attempts)
+		}
+	}
+	traced("miss", 1)
+	storeBody(t, dir, target, "ok")
+	traced("hit", 0)
+}
+
 // TestFleetMetricsExpositionValid: the router's registry-rendered
 // /metrics passes the strict validator and keeps every pre-existing
 // metric name (scripts/fleetload.sh and CI grep these).
 func TestFleetMetricsExpositionValid(t *testing.T) {
 	bs, addrs := fakeFleet(t, 2)
 	tr := newTraceTracer(9)
-	rt := newTestRouter(t, Config{Workers: addrs, Tracer: tr, CacheDir: t.TempDir()})
-	// The workers state an identity: a body without one is not stored.
+	dir := t.TempDir()
+	rt := newTestRouter(t, Config{Workers: addrs, Tracer: tr, CacheDir: dir})
 	bs.set(addrs[0], identified(testIdentity, "ok"))
 	bs.set(addrs[1], identified(testIdentity, "ok"))
+	rt.ProbeNow(context.Background())
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
+	storeBody(t, dir, "/v1/datasets/demo/report?stages=summary", "ok")
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
 
 	rec := doGet(rt, "/metrics")
@@ -132,7 +176,7 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 		"eliterouter_breaker_trips_total",
 		"eliterouter_degraded_total",
 		"eliterouter_shed_total",
-		"eliterouter_lkg_writes_total",
+		"eliterouter_body_hits_total",
 		"eliterouter_probe_failures_total",
 		"eliterouter_ejections_total",
 		"eliterouter_readmissions_total",
@@ -141,9 +185,9 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 			t.Fatalf("/metrics missing pre-existing metric %q:\n%s", name, body)
 		}
 	}
-	// Two identical clean GETs store their body once.
-	if !strings.Contains(body, "\neliterouter_lkg_writes_total 1\n") {
-		t.Fatalf("want one last-known-good write for two identical GETs:\n%s", body)
+	// A GET before its body is stored is proxied; one after is a hit.
+	if !strings.Contains(body, "\neliterouter_body_hits_total 1\n") {
+		t.Fatalf("want one body hit for a GET before and one after the body is stored:\n%s", body)
 	}
 	// fleetload.sh parses worker_up lines as exactly 'name{...} 0|1'.
 	if !strings.Contains(body, `eliterouter_worker_up{worker="`+addrs[0]+`"} 1`) &&

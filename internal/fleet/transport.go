@@ -56,8 +56,7 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // upstreamResponse is one fully-read worker response: the attempt loop
 // buffers bodies so a failed attempt's answer can be discarded for a
-// retry and the served one written (and possibly stored as
-// last-known-good) whole.
+// retry and the served one written whole.
 type upstreamResponse struct {
 	status int
 	header http.Header

@@ -59,6 +59,8 @@ type worker struct {
 	br       faults.Breaker
 	requests uint64 // proxied attempts sent to this worker
 	failures uint64 // attempts that failed (transport error or 5xx)
+
+	identities map[string]string // dataset id -> identity, as the last healthy probe listed them
 }
 
 // newWorker parses one base URL ("http://127.0.0.1:9001").
@@ -121,6 +123,23 @@ func (w *worker) available() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.state != stateDown
+}
+
+// learn replaces the identities the worker lists with those of its latest
+// healthy probe: a dataset it no longer serves, or serves under other
+// options, stops naming the old identity's bodies.
+func (w *worker) learn(identities map[string]string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.identities = identities
+}
+
+// identityOf is the identity the worker's last healthy probe listed for a
+// dataset, "" for none.
+func (w *worker) identityOf(dataset string) string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.identities[dataset]
 }
 
 // noteRequestSuccess records a successful proxied attempt: the breaker

@@ -119,9 +119,9 @@ func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*fea
 	// request joins this run). The fn memoizes the matrix on the dataset
 	// before returning, so joiners — and this caller — read it back from
 	// the memo afterwards.
-	key := reportKey(d, []string{core.StageFeatures}, "features-run")
-	_, err := s.coalesce(ctx, key, func(ctx context.Context, prog *progress) (runOutcome, error) {
-		rep, rerr := s.runBattery(ctx, d, []string{core.StageFeatures}, prog)
+	run := core.NewBody(d.identity, []string{core.StageFeatures}, "features-run")
+	_, err := s.coalesce(ctx, run, func(ctx context.Context, prog *progress) (runOutcome, error) {
+		rep, rerr := s.runBattery(ctx, d, run.Stages, prog)
 		if rerr != nil {
 			// No degraded tier here: a feature response is the matrix, so a
 			// failed features stage has nothing partial to serve.
@@ -145,34 +145,33 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rank, err := strconv.Atoi(r.PathValue("rank"))
-	if err != nil || rank < 1 {
-		writeError(w, http.StatusBadRequest, "rank must be a positive integer, got %q", r.PathValue("rank"))
+	b, err := core.UserFeaturesBody(d.identity, r.PathValue("rank"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	byRank := d.ranking()
-	if rank > len(byRank) {
-		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", rank, len(byRank))
+	if b.Rank > len(byRank) {
+		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", b.Rank, len(byRank))
 		return
 	}
-	key := reportKey(d, []string{core.StageFeatures}, fmt.Sprintf("user-features:%d", rank))
-	if s.serveMemo(w, r, key, "application/json") {
+	if s.serveMemo(w, r, b) {
 		return
 	}
-	node := int(byRank[rank-1])
+	node := int(byRank[b.Rank-1])
 	src, err := s.featureRows(r.Context(), d, []int{node})
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
 	}
 	row, probs, class := src.row(node)
-	body, merr := encodeBody(core.NewUserFeaturesView(rank, node, row, probs, class))
+	body, merr := encodeBody(core.NewUserFeaturesView(b.Rank, node, row, probs, class))
 	if merr != nil {
 		writeError(w, http.StatusInternalServerError, "encoding failure")
 		return
 	}
-	s.memoize(key, body)
-	w.Header().Set("Content-Type", "application/json")
+	s.memoize(b, body)
+	w.Header().Set("Content-Type", b.ContentType)
 	w.Write(body)
 }
 
@@ -225,8 +224,8 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sb.WriteString(strconv.Itoa(rank))
 	}
-	key := reportKey(d, []string{core.StageFeatures}, "users-batch:"+sb.String())
-	if s.serveMemo(w, r, key, "application/json") {
+	b := core.NewBody(d.identity, []string{core.StageFeatures}, "users-batch:"+sb.String())
+	if s.serveMemo(w, r, b) {
 		return
 	}
 	src, err := s.featureRows(r.Context(), d, nodes)
@@ -244,8 +243,8 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encoding failure")
 		return
 	}
-	s.memoize(key, body)
-	w.Header().Set("Content-Type", "application/json")
+	s.memoize(b, body)
+	w.Header().Set("Content-Type", b.ContentType)
 	w.Write(body)
 }
 

@@ -12,7 +12,7 @@ import (
 	"elites/internal/core"
 )
 
-// FuzzParseStages feeds parseStages arbitrary ?stages= values, as any
+// FuzzParseStages feeds core.ParseStages arbitrary ?stages= values, as any
 // client can send. The invariants: it never panics, what it accepts is a
 // subset of core.StageNames() in canonical order without repeats, and
 // feeding the joined result back in returns the same slice, so every
@@ -20,7 +20,7 @@ import (
 // testdata/fuzz/FuzzParseStages.
 func FuzzParseStages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw string) {
-		stages, err := parseStages(raw)
+		stages, err := core.ParseStages(raw)
 		if err != nil {
 			return
 		}
@@ -32,7 +32,7 @@ func FuzzParseStages(f *testing.F) {
 			}
 			next += i + 1
 		}
-		again, err := parseStages(strings.Join(stages, ","))
+		again, err := core.ParseStages(strings.Join(stages, ","))
 		if err != nil || !slices.Equal(again, stages) {
 			t.Fatalf("%q: %v re-parses to %v (err %v)", raw, stages, again, err)
 		}

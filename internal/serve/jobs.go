@@ -44,11 +44,11 @@ func (p *progress) snapshot() []core.StageTiming {
 
 // job is one detached report run.
 type job struct {
-	ID      string
-	Dataset string
-	Key     string
-	Format  string
-	Created time.Time
+	ID          string
+	Dataset     string
+	Key         string
+	ContentType string
+	Created     time.Time
 
 	done chan struct{} // closed when body/err are final
 
@@ -116,7 +116,7 @@ func jobID(key string) string {
 // the same id but a different key is a 48-bit hash collision between two
 // request identities; getOrCreate refuses (error) rather than hand one
 // request's body to the other.
-func (t *jobTable) getOrCreate(key, datasetID, format string, now time.Time) (*job, bool, error) {
+func (t *jobTable) getOrCreate(key, datasetID, ctype string, now time.Time) (*job, bool, error) {
 	id := jobID(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -140,7 +140,7 @@ func (t *jobTable) getOrCreate(key, datasetID, format string, now time.Time) (*j
 		}
 	}
 	j := &job{
-		ID: id, Dataset: datasetID, Key: key, Format: format,
+		ID: id, Dataset: datasetID, Key: key, ContentType: ctype,
 		Created: now, done: make(chan struct{}),
 	}
 	t.byID[id] = j

@@ -36,8 +36,9 @@
 //
 // Every /v1/datasets/{id}/… response carries that identity in the
 // X-Elites-Identity header ("<dataset digest>-<result digest>", 16 hex
-// digits each), and /healthz lists each dataset's identity, so a fleet
-// router keys what it stores by the run that produced it.
+// digits each), and /healthz lists each dataset's identity and the
+// core.ViewVersion of this build's encoders, so a fleet router names the
+// stored bodies it reads by the run and the encoders that produced them.
 //
 // Endpoints: GET /healthz, GET /metrics, GET /v1/datasets,
 // GET /v1/datasets/{id}, GET|POST /v1/datasets/{id}/report,
@@ -146,14 +147,11 @@ type Server struct {
 	met        *metrics
 	optsDigest uint64 // core.ResultDigest(cfg.Options)
 
-	// cache holds every clean encoded body (see bodyKey) and, with a cache
+	// cache holds every clean encoded body (see core.Body) and, with a cache
 	// dir, the stage entries and feature shards the pipeline writes: the
 	// result cache over Options.CacheDir, shared with every process over
 	// that directory, or a memory-only cache when there is none.
 	cache *cache.Cache
-	// viewVersion is core.ViewVersion, folded into every body key; tests
-	// set another to stand in for a build whose encoders changed.
-	viewVersion int
 	// noMemo turns body memoization off, so that every request runs the
 	// pipeline (the chaos tests, whose fault schedules count stage reads).
 	noMemo bool
@@ -184,16 +182,15 @@ func New(cfg Config) *Server {
 		cfg.MaxQueue = 0
 	}
 	s := &Server{
-		cfg:         cfg,
-		mux:         http.NewServeMux(),
-		flight:      newFlight(),
-		admit:       newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		jobs:        newJobTable(jobsKept),
-		met:         newMetrics(time.Now()),
-		optsDigest:  core.ResultDigest(cfg.Options),
-		viewVersion: core.ViewVersion,
-		retryAfter:  faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
-		datasets:    map[string]*dataset{},
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		flight:     newFlight(),
+		admit:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		jobs:       newJobTable(jobsKept),
+		met:        newMetrics(time.Now()),
+		optsDigest: core.ResultDigest(cfg.Options),
+		retryAfter: faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
+		datasets:   map[string]*dataset{},
 	}
 	if cfg.Options.CacheDir != "" {
 		if cc, err := cache.New(cfg.Options.CacheDir); err == nil {
@@ -439,76 +436,22 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// parseStages validates and canonicalizes a ?stages= selection: names must
-// be known, and the result is deduplicated in canonical order so every
-// spelling of the same subset coalesces onto one run (and one cache key).
-func parseStages(raw string) ([]string, error) {
-	if raw == "" {
-		return nil, nil
-	}
-	want := map[string]bool{}
-	for _, s := range strings.Split(raw, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		known := false
-		for _, name := range core.StageNames() {
-			if s == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown stage %q (known: %s)", s, strings.Join(core.StageNames(), ","))
-		}
-		want[s] = true
-	}
-	if len(want) == 0 {
-		return nil, nil
-	}
-	var out []string
-	for _, name := range core.StageNames() {
-		if want[name] {
-			out = append(out, name)
-		}
-	}
-	return out, nil
-}
-
-// reportKey is the coalescer, body and job identity of one request class:
-// the dataset's identity plus the stage subset and format. A body that
-// names its dataset id adds the id to the format (handleStage).
-func reportKey(d *dataset, stages []string, format string) string {
-	return d.identity + "|stages=" + strings.Join(stages, ",") + "|format=" + format
-}
-
-// bodyKey is the result-cache entry name of the body served under request
-// key key. It hashes key with the view version: a build whose encoders
-// changed bumps core.ViewVersion and never reads an older build's bytes
-// from a shared directory.
-func (s *Server) bodyKey(key string) string {
-	h := cache.NewHasher()
-	h.String(key)
-	return fmt.Sprintf("body-v%d-%016x", s.viewVersion, h.Sum())
-}
-
-// memoize stores a clean body under request key key.
-func (s *Server) memoize(key string, body []byte) {
+// memoize stores a clean body as b's entry.
+func (s *Server) memoize(b core.Body, body []byte) {
 	if !s.noMemo {
-		s.cache.Put(s.bodyKey(key), body)
+		s.cache.Put(b.Entry, body)
 	}
 }
 
-// coalesce runs fn through the coalescer under key and counts a request
-// that joined another's run. The run memoizes its body under key when the
-// body is clean, once for all its waiters; a degraded body, or a run that
-// produces none (the tier-3 features run), memoizes nothing.
-func (s *Server) coalesce(ctx context.Context, key string, fn func(context.Context, *progress) (runOutcome, error), watch func(*progress)) (runOutcome, error) {
-	out, joined, err := s.flight.Do(ctx, key, func(ctx context.Context, prog *progress) (runOutcome, error) {
+// coalesce runs fn through the coalescer under b's key and counts a
+// request that joined another's run. The run memoizes its body as b's
+// entry when the body is clean, once for all its waiters; a degraded body,
+// or a run that produces none (the tier-3 features run), memoizes nothing.
+func (s *Server) coalesce(ctx context.Context, b core.Body, fn func(context.Context, *progress) (runOutcome, error), watch func(*progress)) (runOutcome, error) {
+	out, joined, err := s.flight.Do(ctx, b.Key, func(ctx context.Context, prog *progress) (runOutcome, error) {
 		out, err := fn(ctx, prog)
 		if err == nil && !out.degraded && out.body != nil {
-			s.memoize(key, out.body)
+			s.memoize(b, out.body)
 		}
 		return out, err
 	}, watch)
@@ -626,40 +569,38 @@ func writeDegradedBanner(buf *bytes.Buffer, rep *core.Report) {
 	buf.WriteByte('\n')
 }
 
-// buildReport runs the battery and encodes the full-report body. A run
-// where some stages failed but others completed encodes as a degraded
-// body: JSON grows "degraded": true plus structured stage_errors entries,
-// text gets the banner. Clean runs encode exactly as before, so a re-run
-// after a fault clears is byte-identical to a never-faulted response.
+// buildReport runs the battery and encodes the full-report body, as text
+// or else JSON (the formats core.ReportBody admits). A run where some
+// stages failed but others completed encodes as a degraded body: JSON
+// grows "degraded": true plus structured stage_errors entries, text gets
+// the banner. Clean runs encode exactly as before, so a re-run after a
+// fault clears is byte-identical to a never-faulted response.
 func (s *Server) buildReport(ctx context.Context, d *dataset, stages []string, format string, prog *progress) (runOutcome, error) {
 	rep, err := s.runBattery(ctx, d, stages, prog)
 	if err != nil && !degradable(ctx, rep, err) {
 		return runOutcome{}, err
 	}
 	degraded := err != nil
-	switch format {
-	case "text":
+	if format == "text" {
 		var buf bytes.Buffer
 		if degraded {
 			writeDegradedBanner(&buf, rep)
 		}
 		rep.Render(&buf)
 		return runOutcome{body: buf.Bytes(), degraded: degraded}, nil
-	case "json", "":
-		b, merr := json.MarshalIndent(core.NewReportView(rep), "", "  ")
-		if merr != nil {
-			return runOutcome{}, merr
-		}
-		return runOutcome{body: append(b, '\n'), degraded: degraded}, nil
 	}
-	return runOutcome{}, fmt.Errorf("serve: unknown format %q", format)
+	b, merr := json.MarshalIndent(core.NewReportView(rep), "", "  ")
+	if merr != nil {
+		return runOutcome{}, merr
+	}
+	return runOutcome{body: append(b, '\n'), degraded: degraded}, nil
 }
 
 // writeOutcome writes a run's body, marking degraded responses with a
 // Warning header and counting them, so clients and operators can tell a
 // partial report from a complete one without parsing the body.
-func (s *Server) writeOutcome(w http.ResponseWriter, format string, out runOutcome) {
-	w.Header().Set("Content-Type", contentType(format))
+func (s *Server) writeOutcome(w http.ResponseWriter, ctype string, out runOutcome) {
+	w.Header().Set("Content-Type", ctype)
 	if out.degraded {
 		w.Header().Set("Warning", `199 eliteserve "degraded: one or more stages failed"`)
 		s.met.degraded.Inc()
@@ -686,13 +627,6 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
-func contentType(format string) string {
-	if format == "text" {
-		return "text/plain; charset=utf-8"
-	}
-	return "application/json"
-}
-
 // --- handlers ----------------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -710,9 +644,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		identities[id] = d.identity
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"datasets":   len(identities),
-		"identities": identities,
+		"status":       "ok",
+		"datasets":     len(identities),
+		"identities":   identities,
+		"view_version": core.ViewVersion,
 	})
 }
 
@@ -785,16 +720,16 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.info())
 }
 
-// serveMemo writes the body memoized under request key key and reports
-// true, or reports false when the cache holds none (a corrupt entry or a
-// disk fault is a miss too). Either way the request span's body_cache
-// attribute records the hit or the miss.
-func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, key, ctype string) bool {
+// serveMemo writes b's stored body and reports true, or reports false
+// when the cache holds none (a corrupt entry or a disk fault is a miss
+// too). Either way the request span's body_cache attribute records the hit
+// or the miss.
+func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, b core.Body) bool {
 	span := obs.SpanFromContext(r.Context())
 	var body []byte
 	ok := false
 	if !s.noMemo {
-		body, ok = s.cache.Get(s.bodyKey(key))
+		body, ok = s.cache.Get(b.Entry)
 	}
 	if !ok {
 		span.SetAttr("body_cache", "miss")
@@ -802,7 +737,7 @@ func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, key, ctype st
 	}
 	s.met.bodyHits.Inc()
 	span.SetAttr("body_cache", "hit")
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", b.ContentType)
 	w.Write(body)
 	return true
 }
@@ -812,47 +747,38 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	stages, err := parseStages(r.URL.Query().Get("stages"))
+	b, err := core.ReportBody(d.identity, r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "text" {
-		writeError(w, http.StatusBadRequest, "unknown format %q (want json or text)", format)
-		return
-	}
-	key := reportKey(d, stages, format)
-	if s.serveMemo(w, r, key, contentType(format)) {
+	if s.serveMemo(w, r, b) {
 		return
 	}
 	reqSpan := obs.SpanFromContext(r.Context())
 	run := func(ctx context.Context, prog *progress) (runOutcome, error) {
 		// The coalescer hands fn a detached context; re-attach the leader
 		// request's span so the pipeline spans land in its trace.
-		return s.buildReport(obs.ContextWithSpan(ctx, reqSpan), d, stages, format, prog)
+		return s.buildReport(obs.ContextWithSpan(ctx, reqSpan), d, b.Stages, b.Format, prog)
 	}
 
 	if s.cfg.AsyncAfter > 0 && r.Method == http.MethodPost {
-		s.handleReportAsync(w, r, d, key, format, run)
+		s.handleReportAsync(w, r, d, b, run)
 		return
 	}
-	out, err := s.coalesce(r.Context(), key, run, nil)
+	out, err := s.coalesce(r.Context(), b, run, nil)
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
 	}
-	s.writeOutcome(w, format, out)
+	s.writeOutcome(w, b.ContentType, out)
 }
 
 // handleReportAsync implements the 202 job model: wait up to the latency
 // budget, then detach. The job is its own (never-cancelling) waiter, so
 // the run continues after the client disconnects.
-func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *dataset, key, format string, run func(context.Context, *progress) (runOutcome, error)) {
-	j, created, err := s.jobs.getOrCreate(key, d.ID, format, time.Now())
+func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *dataset, b core.Body, run func(context.Context, *progress) (runOutcome, error)) {
+	j, created, err := s.jobs.getOrCreate(b.Key, d.ID, b.ContentType, time.Now())
 	if err != nil {
 		// A live job under the same content-addressed id belongs to a
 		// different request identity (hash collision) — refuse rather
@@ -862,7 +788,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 	}
 	if created {
 		go func() {
-			j.finish(s.coalesce(context.Background(), key, run, j.prog.Store))
+			j.finish(s.coalesce(context.Background(), b, run, j.prog.Store))
 		}()
 	}
 	budget := time.NewTimer(s.cfg.AsyncAfter)
@@ -874,7 +800,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 			s.writeRunError(w, r, err)
 			return
 		}
-		s.writeOutcome(w, format, out)
+		s.writeOutcome(w, b.ContentType, out)
 	case <-budget.C:
 		s.met.jobsQueued.Inc()
 		writeJSON(w, http.StatusAccepted, map[string]string{
@@ -892,35 +818,28 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	stage := r.PathValue("stage")
-	stages, err := parseStages(stage)
-	if err != nil || len(stages) != 1 {
-		writeError(w, http.StatusBadRequest, "unknown stage %q (known: %s)",
-			stage, strings.Join(core.StageNames(), ","))
+	// The run covers every stage the view draws from (components'
+	// servable projection is the summary table).
+	b, err := core.StageBody(d.identity, d.ID, r.PathValue("stage"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The run must include every stage the view draws from (components'
-	// servable projection is the summary table).
-	runStages := core.ViewStages(stage)
-	// The requested stage and the dataset id are part of the key: the body
-	// names both, even when two stages share a run subset or two ids share
-	// one dataset.
-	key := reportKey(d, runStages, "stage:"+stage+"|id="+d.ID)
-	if s.serveMemo(w, r, key, "application/json") {
+	if s.serveMemo(w, r, b) {
 		return
 	}
 	reqSpan := obs.SpanFromContext(r.Context())
-	out, err := s.coalesce(r.Context(), key, func(ctx context.Context, prog *progress) (runOutcome, error) {
-		rep, rerr := s.runBattery(obs.ContextWithSpan(ctx, reqSpan), d, runStages, prog)
+	out, err := s.coalesce(r.Context(), b, func(ctx context.Context, prog *progress) (runOutcome, error) {
+		rep, rerr := s.runBattery(obs.ContextWithSpan(ctx, reqSpan), d, b.Stages, prog)
 		if rerr != nil && !degradable(ctx, rep, rerr) {
 			return runOutcome{}, rerr
 		}
-		frag, verr := core.StageView(rep, stage)
+		frag, verr := core.StageView(rep, b.Stage)
 		if verr != nil {
 			return runOutcome{}, verr
 		}
 		payload := map[string]any{
-			"dataset": d.ID, "stage": stage, "result": frag,
+			"dataset": d.ID, "stage": b.Stage, "result": frag,
 		}
 		if rerr != nil {
 			payload["degraded"] = true
@@ -935,7 +854,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, r, err)
 		return
 	}
-	s.writeOutcome(w, "json", out)
+	s.writeOutcome(w, b.ContentType, out)
 }
 
 // userView is the per-user payload: degree ranking plus the §IV
@@ -1053,7 +972,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	// The job's key (reportKey) opens with the identity of its run.
+	// The job's key (core.Body.Key) opens with the identity of its run.
 	identity, _, _ := strings.Cut(j.Key, "|")
 	w.Header().Set("X-Elites-Identity", identity)
 	out, err, finished := j.result()
@@ -1066,5 +985,5 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, r, err)
 		return
 	}
-	s.writeOutcome(w, j.Format, out)
+	s.writeOutcome(w, j.ContentType, out)
 }

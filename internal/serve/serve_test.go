@@ -133,8 +133,8 @@ func TestBasicEndpoints(t *testing.T) {
 
 // TestIdentityHeader: every /v1/datasets/{id}… response names the run that
 // produced it — the dataset digest and core.ResultDigest of the server's
-// options — and /healthz lists the same identity, which is what a fleet
-// router keys last-known-good bodies by.
+// options — and /healthz lists the same identity and the view version,
+// which is what a fleet router names the workers' stored bodies by.
 func TestIdentityHeader(t *testing.T) {
 	ds, activity := testFixtures(t)
 	opts := fastServeOptions()
@@ -144,10 +144,12 @@ func TestIdentityHeader(t *testing.T) {
 
 	_, body := get(t, ts, "/healthz")
 	var health struct {
-		Identities map[string]string `json:"identities"`
+		Identities  map[string]string `json:"identities"`
+		ViewVersion int               `json:"view_version"`
 	}
-	if err := json.Unmarshal(body, &health); err != nil || health.Identities["demo"] != want {
-		t.Fatalf("healthz identities %v (err %v), want demo=%s", health.Identities, err, want)
+	if err := json.Unmarshal(body, &health); err != nil || health.Identities["demo"] != want || health.ViewVersion != core.ViewVersion {
+		t.Fatalf("healthz identities %v, view version %d (err %v), want demo=%s, %d",
+			health.Identities, health.ViewVersion, err, want, core.ViewVersion)
 	}
 	for _, path := range []string{
 		"/v1/datasets/demo",
@@ -388,8 +390,9 @@ func TestStageBodyNamesRequestedDataset(t *testing.T) {
 // TestRestartOverPrimedDir: a fresh server over a cache dir another server
 // filled answers every request that server answered with the same bytes
 // from stored bodies alone: no pipeline run, no stage read. A corrupt body
-// entry, and a build with another view version, each cost one miss and
-// then serve the same bytes again.
+// entry, and a directory with no body entries (what a build with another
+// view version finds), each cost one miss and then serve the same bytes
+// again.
 func TestRestartOverPrimedDir(t *testing.T) {
 	ds, activity := testFixtures(t)
 	dir := t.TempDir()
@@ -444,7 +447,11 @@ func TestRestartOverPrimedDir(t *testing.T) {
 	// Corrupt the stored JSON report body: one miss, which re-runs over the
 	// stage entries and stores the body again.
 	d, _ := b.dataset("demo")
-	path := filepath.Join(dir, b.bodyKey(reportKey(d, nil, "json"))+".bin")
+	report, err := core.ReportBody(d.identity, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, report.Entry+".bin")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -460,10 +467,19 @@ func TestRestartOverPrimedDir(t *testing.T) {
 		t.Fatalf("corrupt entry: runs=%d body hits=%d, want 1 and %d", runs, bodies, 2*len(requests)-1)
 	}
 
-	// Another view version names other entries: every request misses
-	// once, and the bodies come out the same.
+	// Another view version names other entries (TestBodyEntryNames), so
+	// such a build finds no body entry: every request misses once, and the
+	// bodies come out the same.
+	entries, err := filepath.Glob(filepath.Join(dir, "body-v*.bin"))
+	if err != nil || len(entries) != len(requests) {
+		t.Fatalf("body entries %v (err %v), want one per request", entries, err)
+	}
+	for _, e := range entries {
+		if err := os.Remove(e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	v := restart()
-	v.viewVersion = core.ViewVersion + 1
 	same("new view version", serveAll(v), want)
 	same("new view version, again", serveAll(v), want)
 	if bodies := v.met.bodyHits.Value(); bodies != uint64(len(requests)) {
@@ -842,11 +858,11 @@ func TestAdmissionSheds(t *testing.T) {
 }
 
 func TestParseStagesCanonicalizes(t *testing.T) {
-	a, err := parseStages("degree,basic")
+	a, err := core.ParseStages("degree,basic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parseStages("basic, degree,basic")
+	b, err := core.ParseStages("basic, degree,basic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,10 +872,10 @@ func TestParseStagesCanonicalizes(t *testing.T) {
 	if strings.Join(a, ",") != "basic,degree" {
 		t.Fatalf("canonical order: %v", a)
 	}
-	if _, err := parseStages("nope"); err == nil {
+	if _, err := core.ParseStages("nope"); err == nil {
 		t.Fatal("unknown stage must error")
 	}
-	if got, err := parseStages(""); err != nil || got != nil {
+	if got, err := core.ParseStages(""); err != nil || got != nil {
 		t.Fatalf("empty selection: %v %v", got, err)
 	}
 }

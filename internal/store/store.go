@@ -40,6 +40,9 @@ var (
 const (
 	graphMagic   = "ELGR"
 	graphVersion = 1
+	// readAhead caps the capacity ReadGraph reserves from the header's
+	// counts before reading the rows that back them.
+	readAhead = 1 << 16
 )
 
 // WriteGraph encodes g to w: header, then per-row degree + delta-encoded
@@ -112,8 +115,13 @@ func ReadGraph(r io.Reader) (*graph.Digraph, error) {
 		return nil, fmt.Errorf("store: implausible node count %d", n64)
 	}
 	n := int(n64)
-	offsets := make([]int64, n+1)
-	adj := make([]int32, 0, m64)
+	// The header's counts are claims: both slices grow toward them with
+	// the rows and edges actually read (each at least one byte of input),
+	// so a short file that names a huge graph fails at its end instead of
+	// allocating what it names, and a whole one ends at exactly the
+	// header's capacity.
+	offsets := make([]int64, 1, min(n64, readAhead)+1)
+	adj := make([]int32, 0, min(m64, readAhead))
 	for u := 0; u < n; u++ {
 		deg, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -126,18 +134,39 @@ func ReadGraph(r io.Reader) (*graph.Digraph, error) {
 				return nil, err
 			}
 			v := prev + 1 + int64(delta)
-			if v >= int64(n) {
-				return nil, fmt.Errorf("store: node %d out of range in row %d", v, u)
+			if delta >= uint64(n) || v >= int64(n) {
+				return nil, fmt.Errorf("store: node out of range in row %d", u)
+			}
+			var room bool
+			if adj, room = growToward(adj, m64); !room {
+				return nil, fmt.Errorf("store: edge count mismatch: header %d, rows hold more", m64)
 			}
 			adj = append(adj, int32(v))
 			prev = v
 		}
-		offsets[u+1] = int64(len(adj))
+		offsets, _ = growToward(offsets, n64+1)
+		offsets = append(offsets, int64(len(adj)))
 	}
 	if uint64(len(adj)) != m64 {
 		return nil, fmt.Errorf("store: edge count mismatch: header %d, rows %d", m64, len(adj))
 	}
 	return graph.NewFromCSR(n, offsets, adj)
+}
+
+// growToward makes room in s for one more element, doubling its capacity
+// but never past limit, so that a slice grown element by element to limit
+// ends with capacity exactly limit. room is false when s is already full
+// at limit.
+func growToward[T any](s []T, limit uint64) (_ []T, room bool) {
+	if len(s) < cap(s) {
+		return s, true
+	}
+	if uint64(cap(s)) >= limit {
+		return s, false
+	}
+	grown := make([]T, len(s), min(limit, 2*uint64(cap(s))))
+	copy(grown, s)
+	return grown, true
 }
 
 // storedProfile is the JSON wire form of twitter.Profile.

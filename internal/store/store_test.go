@@ -14,6 +14,32 @@ import (
 	"elites/internal/twitter"
 )
 
+// TestReadGraphExactCapacity reads a graph larger than readAhead: the
+// arrays the graph keeps grow toward the header's counts and end at
+// exactly them, with no spare capacity held for the graph's life.
+func TestReadGraphExactCapacity(t *testing.T) {
+	const n, deg = 700, 100 // 70,000 edges > readAhead
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for i := 1; i <= deg; i++ {
+			b.AddEdge(u, (u+i)%n)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteGraph(&buf, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadGraph(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, adj := g.CSR()
+	if len(adj) != n*deg || cap(adj) != n*deg || cap(off) != n+1 {
+		t.Fatalf("adj len %d cap %d, offsets cap %d; want %d, %d, %d",
+			len(adj), cap(adj), cap(off), n*deg, n*deg, n+1)
+	}
+}
+
 func TestGraphRoundTrip(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	b := graph.NewBuilder(200)

@@ -77,7 +77,7 @@ if [ "$MODE" = fleet ]; then
   T3="/v1/datasets/demo"
   T4="/v1/datasets"
 
-  # Warm every identity once (arms last-known-good degraded serving).
+  # Warm every identity once (the workers store each body).
   for t in "$T1" "$T2" "$T3" "$T4"; do
     curl -sf "http://127.0.0.1:$PORT$t" >/dev/null
   done

@@ -88,6 +88,6 @@ echo "  shed      $((S1 - S0))"
 echo "  workers available now: $UP"
 
 if [ "$((S1 - S0))" -gt 0 ]; then
-  echo "WARNING: requests were shed — the last-known-good floor has holes" >&2
+  echo "WARNING: requests were shed — no worker answered and no stored body covered them" >&2
   exit 2
 fi
