@@ -36,7 +36,8 @@
 //	curl localhost:8080/v1/datasets/demo/report?stages=summary
 //
 // -cache must be the workers' cache directory: the router answers a warm
-// GET from the body entry a worker stored there, with no hop, and serves
+// GET or users:batch POST from the body entry a worker stored there, with
+// no hop, and serves
 // the same entry verbatim when the fleet is unreachable. Any other
 // directory holds no body, so every request is proxied and the degraded
 // floor is gone. The -faults flag (or $ELITES_FAULTS)
@@ -73,7 +74,7 @@ func main() {
 	var workers workerFlag
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		cacheDir      = flag.String("cache", "", "the workers' result-cache directory; warm GETs and degraded serving read their stored bodies there, so any other directory leaves both with nothing")
+		cacheDir      = flag.String("cache", "", "the workers' result-cache directory; warm requests and degraded serving read their stored bodies there, so any other directory leaves both with nothing")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe cadence")
 		ejectAfter    = flag.Int("eject-after", 3, "consecutive failed probes before a worker is ejected")
 		retries       = flag.Int("retries", 2, "extra attempts on other workers after a failed attempt")

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/url"
 	"slices"
 	"strconv"
@@ -115,6 +118,54 @@ func UserFeaturesBody(identity, rank string) (Body, error) {
 	b := NewBody(identity, []string{StageFeatures}, fmt.Sprintf("user-features:%d", r))
 	b.Rank = r
 	return b, nil
+}
+
+// MaxBatchBody bounds a users:batch request body in bytes, and
+// maxBatchRanks the ranks one body may name.
+const (
+	MaxBatchBody  = 1 << 20
+	maxBatchRanks = 1024
+)
+
+// batchRequest is the users:batch request body.
+type batchRequest struct {
+	Ranks []int `json:"ranks"`
+}
+
+// UsersBatchBody names the body of POST /v1/datasets/{id}/users:batch
+// from its request body data, and returns the ranks it asks for in
+// request order. data must be one JSON object of at most MaxBatchBody
+// bytes with nothing after it, naming 1 to maxBatchRanks ranks. Whether
+// each rank lies within the dataset is the caller's to check: the body is
+// a function of the ordered rank list, and one with a rank outside the
+// dataset is never stored. The error is eliteserve's 400 message.
+func UsersBatchBody(identity string, data []byte) (Body, []int, error) {
+	if len(data) > MaxBatchBody {
+		return Body{}, nil, fmt.Errorf("bad request body: over %d bytes", MaxBatchBody)
+	}
+	var req batchRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&req); err != nil {
+		return Body{}, nil, fmt.Errorf("bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Body{}, nil, errors.New("bad request body: trailing data after the JSON object")
+	}
+	if len(req.Ranks) == 0 {
+		return Body{}, nil, errors.New("ranks must be a non-empty array")
+	}
+	if len(req.Ranks) > maxBatchRanks {
+		return Body{}, nil, fmt.Errorf("too many ranks (%d > %d)", len(req.Ranks), maxBatchRanks)
+	}
+	var view strings.Builder
+	view.WriteString("users-batch:")
+	for i, rank := range req.Ranks {
+		if i > 0 {
+			view.WriteByte(',')
+		}
+		view.WriteString(strconv.Itoa(rank))
+	}
+	return NewBody(identity, []string{StageFeatures}, view.String()), req.Ranks, nil
 }
 
 // ParseStages validates and canonicalizes a ?stages= selection: names

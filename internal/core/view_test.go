@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -204,6 +205,10 @@ func TestBodyEntryNames(t *testing.T) {
 	}
 	stage := func(s string) (Body, error) { return StageBody(identity, "demo", s) }
 	user := func(rank string) (Body, error) { return UserFeaturesBody(identity, rank) }
+	batch := func(data string) (Body, error) {
+		b, _, err := UsersBatchBody(identity, []byte(data))
+		return b, err
+	}
 	for _, c := range []struct {
 		req          string
 		b            func(string) (Body, error)
@@ -218,6 +223,8 @@ func TestBodyEntryNames(t *testing.T) {
 		{"stage", stage, "components", "body-v1-858547fd1efca881", "application/json"},
 		{"user features", user, "7", "body-v1-e04534b2cfcd0364", "application/json"},
 		{"user features", user, "007", "body-v1-e04534b2cfcd0364", "application/json"},
+		{"users:batch", batch, `{"ranks":[1,2,3]}`, "body-v1-029d34bb2bdd48ff", "application/json"},
+		{"users:batch", batch, " {\"Ranks\": [1, 2,\n3], \"other\": true}\n", "body-v1-029d34bb2bdd48ff", "application/json"},
 	} {
 		b, err := c.b(c.arg)
 		if err != nil || b.Entry != c.entry || b.ContentType != c.ctype {
@@ -245,6 +252,9 @@ func TestBodyEntryNames(t *testing.T) {
 	if b, _ := user("7"); b.Rank != 7 {
 		t.Errorf("user features body: rank %d, want 7", b.Rank)
 	}
+	if _, ranks, _ := UsersBatchBody(identity, []byte(`{"ranks":[3,1,2]}`)); !slices.Equal(ranks, []int{3, 1, 2}) {
+		t.Errorf("users:batch ranks %v, want [3 1 2] in request order", ranks)
+	}
 	for _, bad := range []struct {
 		b        func(string) (Body, error)
 		arg, msg string
@@ -255,9 +265,45 @@ func TestBodyEntryNames(t *testing.T) {
 		{stage, "nope", `unknown stage "nope"`},
 		{user, "0", `rank must be a positive integer, got "0"`},
 		{user, "x", `rank must be a positive integer, got "x"`},
+		{batch, ``, "bad request body: EOF"},
+		{batch, `not json`, "bad request body: invalid character"},
+		{batch, `{"ranks":[1.5]}`, "bad request body: json: cannot unmarshal number 1.5"},
+		{batch, `{"ranks":[1]}garbage`, "trailing data after the JSON object"},
+		{batch, `{"ranks":[1]}{}`, "trailing data after the JSON object"},
+		{batch, `{}`, "ranks must be a non-empty array"},
+		{batch, `{"ranks":[]}`, "ranks must be a non-empty array"},
+		{batch, `{"ranks":[` + strings.Repeat("1,", maxBatchRanks) + `1]}`, "too many ranks (1025 > 1024)"},
+		{batch, `{"ranks":[1]}` + strings.Repeat(" ", MaxBatchBody), "bad request body: over 1048576 bytes"},
 	} {
 		if _, err := bad.b(bad.arg); err == nil || !strings.Contains(err.Error(), bad.msg) {
 			t.Errorf("%q: error %v, want one containing %q", bad.arg, err, bad.msg)
 		}
 	}
+}
+
+// FuzzUsersBatchBody feeds UsersBatchBody arbitrary users:batch request
+// bodies, as any client can send. The invariants: it never panics; what it
+// accepts is at most MaxBatchBody bytes and names 1..maxBatchRanks ranks;
+// and the ranks it returns, re-encoded, name the same key, so every
+// spelling of one rank list shares one stored body. Seeds live in
+// testdata/fuzz/FuzzUsersBatchBody.
+func FuzzUsersBatchBody(f *testing.F) {
+	const identity = "00000000000000ff-0000000000000001"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, ranks, err := UsersBatchBody(identity, data)
+		if err != nil {
+			return
+		}
+		if len(data) > MaxBatchBody || len(ranks) < 1 || len(ranks) > maxBatchRanks {
+			t.Fatalf("accepted %d bytes naming %d ranks", len(data), len(ranks))
+		}
+		again, err := json.Marshal(batchRequest{Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, ranks2, err := UsersBatchBody(identity, again)
+		if err != nil || b2.Key != b.Key || b2.Entry != b.Entry || !slices.Equal(ranks2, ranks) {
+			t.Fatalf("%q: re-encoded as %s, names %q (err %v), want %q", data, again, b2.Key, err, b.Key)
+		}
+	})
 }

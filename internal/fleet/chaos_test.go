@@ -415,11 +415,12 @@ func TestLastKnownGoodFollowsWorkerIdentity(t *testing.T) {
 }
 
 // TestRouterReadsServeBodyEntries runs one real worker and a router over
-// one cache dir. For each kind of stored body, the worker's clean GET
-// writes exactly one body entry, and it is the one the router names; a
-// router GET then returns the same bytes from it with the worker failing,
-// clean while the worker is selectable and degraded once it is ejected.
-// The dir ends with one file per body.
+// one cache dir. For each kind of stored body, the worker's clean GET (or
+// users:batch POST) writes exactly one body entry, and it is the one the
+// router names; the same request through the router then returns the
+// same bytes from it with the worker failing, clean while the worker is
+// selectable and degraded once it is ejected. The dir ends with one file
+// per body.
 func TestRouterReadsServeBodyEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full pipelines; skipped in -short")
@@ -445,39 +446,51 @@ func TestRouterReadsServeBodyEntries(t *testing.T) {
 		}
 		return set
 	}
-	targets := []string{
-		"/v1/datasets/demo/report?stages=degree,summary",
-		"/v1/datasets/demo/report?format=text",
-		"/v1/datasets/demo/stages/components",
-		"/v1/datasets/demo/users/007/features",
+	type request struct{ target, data string }
+	targets := []request{
+		{"/v1/datasets/demo/report?stages=degree,summary", ""},
+		{"/v1/datasets/demo/report?format=text", ""},
+		{"/v1/datasets/demo/stages/components", ""},
+		{"/v1/datasets/demo/users/007/features", ""},
+		{"/v1/datasets/demo/users:batch", `{"ranks":[3,1,2]}`},
 	}
-	clean := map[string][]byte{}
-	for _, target := range targets {
+	clean := map[request][]byte{}
+	for _, q := range targets {
 		before := entries()
-		rec := doGet(rt, target)
+		rec := doRequest(rt, q.target, q.data)
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Cache") != "" {
-			t.Fatalf("%s: cold GET %d %v, want a proxied 200", target, rec.Code, rec.Header())
+			t.Fatalf("%v: cold request %d %v, want a proxied 200", q, rec.Code, rec.Header())
 		}
-		clean[target] = rec.Body.Bytes()
+		clean[q] = rec.Body.Bytes()
 		var wrote []string
 		for e := range entries() {
 			if !before[e] {
 				wrote = append(wrote, e)
 			}
 		}
-		req := httptest.NewRequest(http.MethodGet, target, nil)
-		b, _, ok := rt.bodyFor(routeOf(req), req, rt.workers)
+		req := newRequest(q.target, q.data)
+		b, _, ok := rt.bodyFor(routeOf(req), req, []byte(q.data), rt.workers)
 		if !ok || len(wrote) != 1 || wrote[0] != b.Entry {
-			t.Fatalf("%s: the worker wrote %v, the router names %q (ok %v)", target, wrote, b.Entry, ok)
+			t.Fatalf("%v: the worker wrote %v, the router names %q (ok %v)", q, wrote, b.Entry, ok)
+		}
+	}
+
+	// A rank outside the dataset is never stored: the router names its
+	// entry, misses, and passes on the worker's 400.
+	before := len(entries())
+	for range 2 {
+		rec := doRequest(rt, "/v1/datasets/demo/users:batch", `{"ranks":[1,999999]}`)
+		if rec.Code != http.StatusBadRequest || rec.Header().Get("X-Elites-Cache") != "" || len(entries()) != before {
+			t.Fatalf("out-of-range batch: %d %v, want the worker's 400 and no entry", rec.Code, rec.Header())
 		}
 	}
 
 	rw.fail.Store(true)
-	for _, target := range targets {
-		rec := doGet(rt, target)
+	for _, q := range targets {
+		rec := doRequest(rt, q.target, q.data)
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Cache") != "hit" ||
-			rec.Header().Get("X-Elites-Degraded") != "" || !bytes.Equal(rec.Body.Bytes(), clean[target]) {
-			t.Fatalf("%s: warm GET %d %v, want the clean bytes as a hit", target, rec.Code, rec.Header())
+			rec.Header().Get("X-Elites-Degraded") != "" || !bytes.Equal(rec.Body.Bytes(), clean[q]) {
+			t.Fatalf("%v: warm request %d %v, want the clean bytes as a hit", q, rec.Code, rec.Header())
 		}
 	}
 
@@ -485,11 +498,11 @@ func TestRouterReadsServeBodyEntries(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rt.ProbeNow(ctx)
 	}
-	for _, target := range targets {
-		rec := doGet(rt, target)
+	for _, q := range targets {
+		rec := doRequest(rt, q.target, q.data)
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Elites-Degraded") != "true" ||
-			!bytes.Equal(rec.Body.Bytes(), clean[target]) {
-			t.Fatalf("%s: degraded GET %d %v, want the clean bytes degraded", target, rec.Code, rec.Header())
+			!bytes.Equal(rec.Body.Bytes(), clean[q]) {
+			t.Fatalf("%v: degraded request %d %v, want the clean bytes degraded", q, rec.Code, rec.Header())
 		}
 	}
 	if n := len(entries()); n != len(targets) {

@@ -11,9 +11,10 @@
 // The workers store every clean body in their result cache under the
 // entry core names for the request and its identity. A router over the
 // same cache directory names the same entry from the identity the worker
-// a request would reach lists in /healthz, so a warm GET is answered from
+// a request would reach lists in /healthz, so a warm GET, or a warm
+// users:batch POST named by its buffered request body, is answered from
 // that entry with no hop (X-Elites-Cache: hit), and a miss or a failed
-// checksum is proxied.
+// checksum is proxied. Every other POST is proxied.
 //
 // Around that placement sits a degradation ladder, crossed one rung at a
 // time as failures accumulate:
@@ -51,7 +52,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -93,7 +93,8 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// CacheDir is the workers' result-cache directory: the router answers
-	// warm GETs and degraded ones from the bodies the workers store there.
+	// warm GETs and users:batch POSTs, and degraded ones, from the bodies
+	// the workers store there.
 	// Empty, or a directory no worker writes, proxies every request and
 	// sheds when no worker answers.
 	CacheDir string
@@ -266,7 +267,7 @@ type route struct {
 	key        uint64 // rendezvous key
 	class      string // metrics label
 	dataset    string // the {id} of a /v1/datasets/{id}… request
-	rest       string // a GET's path after /v1/datasets/{id}/, which may name a stored body
+	rest       string // a GET's or POST's path after /v1/datasets/{id}/, which may name a stored body
 	retryOn404 bool   // the jobs scatter (see routeOf)
 }
 
@@ -287,7 +288,7 @@ func routeOf(r *http.Request) route {
 		id, rest, _ := strings.Cut(strings.TrimPrefix(p, "/v1/datasets/"), "/")
 		q := r.URL.Query()
 		rq := route{key: hashKey("dataset-id", id, p, q.Get("stages"), q.Get("format")), class: "datasets", dataset: id}
-		if r.Method == http.MethodGet {
+		if r.Method == http.MethodGet || r.Method == http.MethodPost {
 			rq.rest = rest
 		}
 		return rq
@@ -308,31 +309,38 @@ func hashKey(parts ...string) uint64 {
 	return h.Sum()
 }
 
-// bodyFor names the body the workers store for a GET, under the identity
-// the first of workers that lists its dataset stated at its last healthy
-// probe. ok is false with no cache, no such worker, or a request that
-// names no stored body.
-func (rt *Router) bodyFor(rq route, r *http.Request, workers []*worker) (b core.Body, identity string, ok bool) {
+// bodyFor names the body the workers store for a request with the
+// buffered request body data, under the identity the first of workers
+// that lists its dataset stated at its last healthy probe. ok is false
+// with no cache, no such worker, or a request that names no stored body.
+func (rt *Router) bodyFor(rq route, r *http.Request, data []byte, workers []*worker) (b core.Body, identity string, ok bool) {
 	if rt.cache == nil || rq.rest == "" {
 		return b, "", false
 	}
 	for _, wk := range workers {
 		if identity = wk.identityOf(rq.dataset); identity != "" {
-			b, ok = bodyOf(identity, rq, r.URL.Query())
+			b, ok = bodyOf(identity, rq, r, data)
 			return b, identity, ok
 		}
 	}
 	return b, "", false
 }
 
-// bodyOf names the body of a GET of /v1/datasets/{id}/{rest} under
-// identity, splitting rest as eliteserve's routes do. ok is false for a
-// request eliteserve answers from no stored body, or with a 400.
-func bodyOf(identity string, rq route, query url.Values) (b core.Body, ok bool) {
+// bodyOf names the body of a GET of /v1/datasets/{id}/{rest}, or of a
+// users:batch POST with request body data, under identity, splitting rest
+// as eliteserve's routes do. ok is false for a request eliteserve answers
+// from no stored body (every other POST among them), or with a 400. A
+// batch naming a rank outside the dataset is named, but never stored.
+func bodyOf(identity string, rq route, r *http.Request, data []byte) (b core.Body, ok bool) {
 	var err error
 	switch seg := strings.Split(rq.rest, "/"); {
+	case r.Method == http.MethodPost:
+		if rq.rest != "users:batch" {
+			return b, false
+		}
+		b, _, err = core.UsersBatchBody(identity, data)
 	case rq.rest == "report":
-		b, err = core.ReportBody(identity, query)
+		b, err = core.ReportBody(identity, r.URL.Query())
 	case len(seg) == 2 && seg[0] == "stages":
 		b, err = core.StageBody(identity, rq.dataset, seg[1])
 	case len(seg) == 3 && seg[0] == "users" && seg[2] == "features":
@@ -448,10 +456,10 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 		}
 	}
 
-	// A warm GET is answered clean from the workers' stored body, under the
-	// identity the worker its first attempt would reach lists; with no
-	// worker to reach it is degraded, below.
-	if b, identity, ok := rt.bodyFor(rq, r, candidates[:min(1, len(candidates))]); ok {
+	// A warm GET or users:batch POST is answered clean from the workers'
+	// stored body, under the identity the worker its first attempt would
+	// reach lists; with no worker to reach it is degraded, below.
+	if b, identity, ok := rt.bodyFor(rq, r, body, candidates[:min(1, len(candidates))]); ok {
 		sp := obs.SpanFromContext(r.Context())
 		if stored, hit := rt.cache.Get(b.Entry); hit {
 			sp.SetAttr("body_cache", "hit")
@@ -468,7 +476,7 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 
 	res := rt.runAttempts(ctx, r, candidates, body, rq.retryOn404)
 	if res == nil {
-		rt.degrade(w, r, rq, order)
+		rt.degrade(w, r, rq, body, order)
 		return rq.class
 	}
 
@@ -620,15 +628,15 @@ func (rt *Router) backoffSleep(ctx context.Context, retry int) bool {
 
 // --- degradation -------------------------------------------------------------
 
-// degrade is the bottom of the ladder: every attempt failed. A GET whose
-// body the workers stored, for the identity the first worker in order
-// that lists its dataset stated at its last healthy probe, is served
-// those exact bytes — the clean body of that identity, whose
-// X-Elites-Identity they repeat — with a Warning header; everything else
-// sheds with 503 + jittered Retry-After.
-func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, rq route, order []*worker) {
+// degrade is the bottom of the ladder: every attempt failed. A GET or
+// users:batch POST whose body the workers stored, for the identity the
+// first worker in order that lists its dataset stated at its last healthy
+// probe, is served those exact bytes — the clean body of that identity,
+// whose X-Elites-Identity they repeat — with a Warning header; everything
+// else sheds with 503 + jittered Retry-After.
+func (rt *Router) degrade(w http.ResponseWriter, r *http.Request, rq route, data []byte, order []*worker) {
 	sp := obs.SpanFromContext(r.Context())
-	if b, identity, ok := rt.bodyFor(rq, r, order); ok {
+	if b, identity, ok := rt.bodyFor(rq, r, data, order); ok {
 		if body, hit := rt.cache.Get(b.Entry); hit {
 			w.Header().Set("Warning", `199 eliterouter "degraded: serving last-known-good cached response"`)
 			w.Header().Set("X-Elites-Degraded", "true")

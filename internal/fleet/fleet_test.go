@@ -112,8 +112,22 @@ func identified(identity, body string) http.HandlerFunc {
 }
 
 func doGet(rt *Router, target string) *httptest.ResponseRecorder {
+	return doRequest(rt, target, "")
+}
+
+// newRequest builds a GET of target or, with a request body data, a POST
+// of data to target.
+func newRequest(target, data string) *http.Request {
+	if data == "" {
+		return httptest.NewRequest(http.MethodGet, target, nil)
+	}
+	return httptest.NewRequest(http.MethodPost, target, strings.NewReader(data))
+}
+
+// doRequest serves newRequest(target, data) through rt.
+func doRequest(rt *Router, target, data string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	rt.ServeHTTP(rec, newRequest(target, data))
 	return rec
 }
 
@@ -194,51 +208,70 @@ func TestIdentityKeySeparation(t *testing.T) {
 
 	// The stored body is named from the identity the router learned, in
 	// place of the id: a result digest that changes names another entry.
-	// With no learned identity, and for a POST, the dataset listing or a
-	// dataset's info, there is none.
+	// With no learned identity there is none; nor for the dataset listing,
+	// a dataset's info, or a POST other than a well-formed users:batch.
 	rt := newTestRouter(t, Config{Workers: []string{"127.0.0.1:1"}, CacheDir: t.TempDir()})
 	learn := func(identity string) { rt.workers[0].learn(map[string]string{"demo": identity}) }
-	entry := func(r *http.Request) (string, bool) {
-		b, _, ok := rt.bodyFor(routeOf(r), r, rt.workers)
+	entry := func(target, data string) (string, bool) {
+		r := newRequest(target, data)
+		b, _, ok := rt.bodyFor(routeOf(r), r, []byte(data), rt.workers)
 		return b.Entry, ok
 	}
-	named := func(target string) string {
+	named := func(target, data string) string {
 		t.Helper()
-		e, ok := entry(get(target))
+		e, ok := entry(target, data)
 		if !ok {
-			t.Fatalf("%s names no stored body", target)
+			t.Fatalf("%s %q names no stored body", target, data)
 		}
 		return e
 	}
-	if _, ok := entry(get(target)); ok {
+	const batch = "/v1/datasets/demo/users:batch"
+	if _, ok := entry(target, ""); ok {
 		t.Fatal("a body is named before any identity is learned")
 	}
+	if _, ok := entry(batch, `{"ranks":[1]}`); ok {
+		t.Fatal("a batch body is named before any identity is learned")
+	}
 	learn(testIdentity)
-	stated := named(target)
-	if named(target) != stated {
+	stated := named(target, "")
+	if named(target, "") != stated {
 		t.Fatal("body entry not deterministic")
 	}
-	if named("/v1/datasets/demo/report?stages=summary,degree") == stated ||
-		named("/v1/datasets/demo/report?stages=summary&format=text") == stated {
+	if named("/v1/datasets/demo/report?stages=summary,degree", "") == stated ||
+		named("/v1/datasets/demo/report?stages=summary&format=text", "") == stated {
 		t.Fatal("stage subset or format does not separate body entries")
 	}
+	// A batch POST names its entry from the rank list, so every spelling
+	// of one list shares it and another order does not.
+	ranks := named(batch, `{"ranks":[1,2]}`)
+	if named(batch, ` {"ranks": [1, 2]}`+"\n") != ranks || named(batch, `{"ranks":[2,1]}`) == ranks {
+		t.Fatal("a batch entry is not a function of the ordered rank list")
+	}
 	learn("00000000000000ff-0000000000000002")
-	if named(target) == stated {
+	if named(target, "") == stated || named(batch, `{"ranks":[1,2]}`) == ranks {
 		t.Fatal("result digest does not separate body entries")
 	}
-	for _, r := range []*http.Request{
-		httptest.NewRequest(http.MethodPost, target, nil),
-		get("/v1/datasets"),
-		get("/v1/datasets/demo"),
-		get("/v1/datasets/demo/users/1"),
-		get("/v1/datasets/demo/users/0/features"),
-		get("/v1/datasets/demo/stages/nope"),
-		get("/v1/datasets/demo/stages/summary/x"),
-		get("/v1/datasets/demo/report?format=xml"),
-		get("/v1/datasets/other/report"),
+	for _, r := range []struct{ method, target, data string }{
+		{http.MethodPost, target, ""},
+		{http.MethodPost, target, `{"ranks":[1]}`},
+		{http.MethodPost, "/v1/jobs/0123", ""},
+		{http.MethodPost, batch, `{"ranks":[]}`},
+		{http.MethodPost, batch, `{"ranks":[1]}garbage`},
+		{http.MethodPost, "/v1/datasets/other/users:batch", `{"ranks":[1]}`},
+		{http.MethodGet, batch, ""},
+		{http.MethodGet, "/v1/jobs/0123", ""},
+		{http.MethodGet, "/v1/datasets", ""},
+		{http.MethodGet, "/v1/datasets/demo", ""},
+		{http.MethodGet, "/v1/datasets/demo/users/1", ""},
+		{http.MethodGet, "/v1/datasets/demo/users/0/features", ""},
+		{http.MethodGet, "/v1/datasets/demo/stages/nope", ""},
+		{http.MethodGet, "/v1/datasets/demo/stages/summary/x", ""},
+		{http.MethodGet, "/v1/datasets/demo/report?format=xml", ""},
+		{http.MethodGet, "/v1/datasets/other/report", ""},
 	} {
-		if _, ok := entry(r); ok {
-			t.Fatalf("%s %s names a stored body", r.Method, r.URL)
+		req := httptest.NewRequest(r.method, r.target, strings.NewReader(r.data))
+		if b, _, ok := rt.bodyFor(routeOf(req), req, []byte(r.data), rt.workers); ok {
+			t.Fatalf("%s %s %q names stored body %s", r.method, r.target, r.data, b.Entry)
 		}
 	}
 }
@@ -463,13 +496,13 @@ func TestCancelledRequestNoRetry(t *testing.T) {
 	}
 }
 
-// storeBody writes body where eliteserve stores the clean body of target
-// under testIdentity, as a worker that answered it would have.
-func storeBody(t *testing.T, dir, target, body string) {
+// storeBody writes body where eliteserve stores the clean body of
+// newRequest(target, data) under testIdentity, as a worker that answered
+// it would have.
+func storeBody(t *testing.T, dir, target, data, body string) {
 	t.Helper()
-	r := httptest.NewRequest(http.MethodGet, target, nil)
-	rq := routeOf(r)
-	b, ok := bodyOf(testIdentity, rq, r.URL.Query())
+	r := newRequest(target, data)
+	b, ok := bodyOf(testIdentity, routeOf(r), r, []byte(data))
 	if !ok {
 		t.Fatalf("%s names no stored body", target)
 	}
@@ -497,7 +530,7 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 	}
 	rt.ProbeNow(context.Background())
 	// The workers are fakes: store the body where eliteserve would.
-	storeBody(t, dir, target, clean)
+	storeBody(t, dir, target, "", clean)
 	rec := doGet(rt, target)
 	if rec.Code != http.StatusOK || rec.Body.String() != clean {
 		t.Fatalf("warm request: %d %q", rec.Code, rec.Body.String())
@@ -714,7 +747,7 @@ func TestIdentitiesUnderConcurrentProbes(t *testing.T) {
 	dir := t.TempDir()
 	rt := newTestRouter(t, Config{Workers: addrs, CacheDir: dir})
 	const target = "/v1/datasets/demo/report?stages=summary"
-	storeBody(t, dir, target, "stored")
+	storeBody(t, dir, target, "", "stored")
 	var probes atomic.Int64
 	for _, a := range addrs {
 		bs.set(a, func(w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,7 @@ import (
 // metrics.go is the router's exposition, rendered from the shared
 // obs.Registry like internal/serve: per-worker availability and breaker
 // gauges plus fleet-wide counters for every robustness mechanism —
-// retries, failovers, ejections, degraded serves — and for the GETs
+// retries, failovers, ejections, degraded serves — and for the requests
 // answered from the workers' stored bodies, so an operator watching a
 // chaos drill can see exactly which layer absorbed each fault. Per-worker
 // gauge rows are rebuilt from a live workerInfo snapshot on each scrape.
@@ -32,7 +32,7 @@ type fleetMetrics struct {
 	failovers    *obs.Counter // responses ultimately served by a non-primary worker
 	degraded     *obs.Counter // stored bodies served with a Warning header
 	shed         *obs.Counter // 503s with no worker and no stored body
-	bodyHits     *obs.Counter // warm GETs answered clean from a stored body, no hop
+	bodyHits     *obs.Counter // warm GETs and batches answered clean from a stored body, no hop
 	probeFails   *obs.Counter // health probes that failed
 	ejections    *obs.Counter // workers ejected (up/probation -> down)
 	readmissions *obs.Counter // workers readmitted to probation
@@ -62,7 +62,7 @@ func newFleetMetrics(now time.Time) *fleetMetrics {
 		m.brTrips.Load)
 	m.degraded = reg.Counter("eliterouter_degraded_total", "Stored bodies served with a Warning because every attempt failed.")
 	m.shed = reg.Counter("eliterouter_shed_total", "Requests shed with 503 (no worker available, no cached body).")
-	m.bodyHits = reg.Counter("eliterouter_body_hits_total", "GETs answered clean from a worker's stored body, with no hop.")
+	m.bodyHits = reg.Counter("eliterouter_body_hits_total", "GETs and users:batch POSTs answered clean from a worker's stored body, with no hop.")
 	m.probeFails = reg.Counter("eliterouter_probe_failures_total", "Health probes that failed.")
 	m.ejections = reg.Counter("eliterouter_ejections_total", "Workers ejected by the health prober.")
 	m.readmissions = reg.Counter("eliterouter_readmissions_total", "Workers readmitted to probation after a healthy probe.")

@@ -101,8 +101,9 @@ func TestTraceRetryOneTraceID(t *testing.T) {
 }
 
 // TestWarmGetTracedAsBodyHit: the router.request span says whether the
-// workers' stored body answered the GET — body_cache=miss, with the
-// attempt that fetched it, or body_cache=hit, with no attempt at all.
+// workers' stored body answered a GET or a users:batch POST —
+// body_cache=miss, with the attempt that fetched it, or body_cache=hit,
+// with no attempt at all — and eliterouter_body_hits_total counts the hit.
 func TestWarmGetTracedAsBodyHit(t *testing.T) {
 	bs, addrs := fakeFleet(t, 1)
 	tr := newTraceTracer(9)
@@ -111,34 +112,41 @@ func TestWarmGetTracedAsBodyHit(t *testing.T) {
 	bs.set(addrs[0], identified(testIdentity, "ok"))
 	rt.ProbeNow(context.Background())
 
-	const target = "/v1/datasets/demo/report?stages=summary"
-	traced := func(want string, attempts int) {
-		t.Helper()
-		client := tr.Root("client")
-		req := httptest.NewRequest(http.MethodGet, target, nil)
-		obs.InjectHeader(req.Header, client)
-		rec := httptest.NewRecorder()
-		rt.ServeHTTP(rec, req)
-		client.End()
-		if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
-			t.Fatalf("GET: %d %q", rec.Code, rec.Body.String())
-		}
-		got, n := "", 0
-		for _, sp := range tr.TraceSpans(client.TraceID().String()) {
-			switch sp.Name {
-			case "router.request":
-				got = sp.Attrs["body_cache"]
-			case "router.attempt":
-				n++
+	for i, q := range []struct{ target, data string }{
+		{"/v1/datasets/demo/report?stages=summary", ""},
+		{"/v1/datasets/demo/users:batch", `{"ranks":[1,2,3]}`},
+	} {
+		traced := func(want string, attempts int) {
+			t.Helper()
+			client := tr.Root("client")
+			req := newRequest(q.target, q.data)
+			obs.InjectHeader(req.Header, client)
+			rec := httptest.NewRecorder()
+			rt.ServeHTTP(rec, req)
+			client.End()
+			if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
+				t.Fatalf("%s: %d %q", q.target, rec.Code, rec.Body.String())
+			}
+			got, n := "", 0
+			for _, sp := range tr.TraceSpans(client.TraceID().String()) {
+				switch sp.Name {
+				case "router.request":
+					got = sp.Attrs["body_cache"]
+				case "router.attempt":
+					n++
+				}
+			}
+			if got != want || n != attempts {
+				t.Fatalf("%s: router.request body_cache=%q with %d attempts, want %q with %d", q.target, got, n, want, attempts)
 			}
 		}
-		if got != want || n != attempts {
-			t.Fatalf("router.request body_cache=%q with %d attempts, want %q with %d", got, n, want, attempts)
+		traced("miss", 1)
+		storeBody(t, dir, q.target, q.data, "ok")
+		traced("hit", 0)
+		if hits := rt.met.bodyHits.Value(); hits != uint64(i+1) {
+			t.Fatalf("%s: eliterouter_body_hits_total %d, want %d", q.target, hits, i+1)
 		}
 	}
-	traced("miss", 1)
-	storeBody(t, dir, target, "ok")
-	traced("hit", 0)
 }
 
 // TestFleetMetricsExpositionValid: the router's registry-rendered
@@ -153,7 +161,7 @@ func TestFleetMetricsExpositionValid(t *testing.T) {
 	bs.set(addrs[1], identified(testIdentity, "ok"))
 	rt.ProbeNow(context.Background())
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
-	storeBody(t, dir, "/v1/datasets/demo/report?stages=summary", "ok")
+	storeBody(t, dir, "/v1/datasets/demo/report?stages=summary", "", "ok")
 	doGet(rt, "/v1/datasets/demo/report?stages=summary")
 
 	rec := doGet(rt, "/metrics")

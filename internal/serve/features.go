@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"elites/internal/core"
 	"elites/internal/features"
@@ -28,12 +26,6 @@ import (
 // Encoded bodies additionally memoize in the server's cache (serveMemo), so
 // a repeat request, in this process or in a fresh one over the same cache
 // directory, is one cache read.
-
-// maxBatchRanks bounds one users:batch request.
-const maxBatchRanks = 1024
-
-// maxBatchBody bounds the users:batch request body size in bytes.
-const maxBatchBody = 1 << 20
 
 // getFeatures returns the dataset's memoized full matrix, if any.
 func (d *dataset) getFeatures() *features.Matrix {
@@ -150,15 +142,14 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	byRank := d.ranking()
-	if b.Rank > len(byRank) {
-		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", b.Rank, len(byRank))
+	if n := d.ds.Graph.NumNodes(); b.Rank > n {
+		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", b.Rank, n)
 		return
 	}
 	if s.serveMemo(w, r, b) {
 		return
 	}
-	node := int(byRank[b.Rank-1])
+	node := int(d.ranking()[b.Rank-1])
 	src, err := s.featureRows(r.Context(), d, []int{node})
 	if err != nil {
 		s.writeRunError(w, r, err)
@@ -175,58 +166,37 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// batchRequest is the users:batch request body.
-type batchRequest struct {
-	Ranks []int `json:"ranks"`
-}
-
 func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	if err := dec.Decode(&req); err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, core.MaxBatchBody))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	// Reading on to the end rejects trailing data, and a body over
-	// maxBatchBody even when its first value ends below the limit.
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON object")
+	// The body is a function of the ordered rank list, so its entry is too
+	// (request order is preserved in the response).
+	b, ranks, err := core.UsersBatchBody(d.identity, data)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Ranks) == 0 {
-		writeError(w, http.StatusBadRequest, "ranks must be a non-empty array")
-		return
+	n := d.ds.Graph.NumNodes()
+	for _, rank := range ranks {
+		if rank < 1 || rank > n {
+			writeError(w, http.StatusBadRequest, "rank %d out of range (dataset has %d users)", rank, n)
+			return
+		}
 	}
-	if len(req.Ranks) > maxBatchRanks {
-		writeError(w, http.StatusBadRequest, "too many ranks (%d > %d)", len(req.Ranks), maxBatchRanks)
+	if s.serveMemo(w, r, b) {
 		return
 	}
 	byRank := d.ranking()
-	nodes := make([]int, len(req.Ranks))
-	for i, rank := range req.Ranks {
-		if rank < 1 || rank > len(byRank) {
-			writeError(w, http.StatusBadRequest, "rank %d out of range (dataset has %d users)", rank, len(byRank))
-			return
-		}
+	nodes := make([]int, len(ranks))
+	for i, rank := range ranks {
 		nodes[i] = int(byRank[rank-1])
-	}
-
-	// The body is a function of the ordered rank list, so the memo key is
-	// too (request order is preserved in the response).
-	var sb strings.Builder
-	for i, rank := range req.Ranks {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(rank))
-	}
-	b := core.NewBody(d.identity, []string{core.StageFeatures}, "users-batch:"+sb.String())
-	if s.serveMemo(w, r, b) {
-		return
 	}
 	src, err := s.featureRows(r.Context(), d, nodes)
 	if err != nil {
@@ -236,7 +206,7 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 	view := core.UsersBatchView{Users: make([]core.UserFeaturesView, len(nodes))}
 	for i, node := range nodes {
 		row, probs, class := src.row(node)
-		view.Users[i] = core.NewUserFeaturesView(req.Ranks[i], node, row, probs, class)
+		view.Users[i] = core.NewUserFeaturesView(ranks[i], node, row, probs, class)
 	}
 	body, merr := encodeBody(view)
 	if merr != nil {

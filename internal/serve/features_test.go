@@ -117,6 +117,10 @@ func TestUsersBatchGoldenBytes(t *testing.T) {
 	if !bytes.Equal(cold, fresh) {
 		t.Fatalf("shard-tier body diverged:\ncold: %s\nfresh: %s", cold, fresh)
 	}
+	// The stored body answers before the dataset is ranked.
+	if d, _ := srvB.dataset("demo"); d.byRank != nil {
+		t.Fatal("a stored batch body was answered only after ranking the dataset")
+	}
 	if runs := srvB.met.runs.Value(); runs != 0 {
 		t.Fatalf("second instance ran the pipeline %d times", runs)
 	}

@@ -41,16 +41,17 @@ func FuzzParseStages(f *testing.F) {
 
 // FuzzUsersBatch feeds the users:batch handler arbitrary request bodies,
 // as any client can send. The invariants: it never panics and never
-// answers 5xx; an accepted body is one JSON object naming
-// 1..maxBatchRanks ranks, each within the dataset, and the response lists
-// exactly those users in request order; a body over maxBatchBody is
-// rejected. The features matrix is computed once before fuzzing, so an
-// accepted body costs a lookup, not a pipeline run. Seeds live in
-// testdata/fuzz/FuzzUsersBatch.
+// answers 5xx; it decodes through core.UsersBatchBody, so an accepted body
+// is one the constructor names, its response is the entry stored under
+// that name and lists exactly the named users in request order, and a
+// rejected body is one the constructor rejects or one naming a rank
+// outside the dataset. The features matrix is computed once before
+// fuzzing, so an accepted body costs a lookup, not a pipeline run. Seeds
+// live in testdata/fuzz/FuzzUsersBatch.
 func FuzzUsersBatch(f *testing.F) {
 	s := newTestServer(f, Config{Options: fastServeOptions()})
 	d, _ := s.dataset("demo")
-	byRank := d.ranking()
+	n := d.ds.Graph.NumNodes()
 	post := func(body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
@@ -66,30 +67,31 @@ func FuzzUsersBatch(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("%q: %d %s", body, rec.Code, rec.Body)
 		}
+		b, ranks, err := core.UsersBatchBody(d.identity, body)
+		outside := slices.ContainsFunc(ranks, func(rank int) bool { return rank < 1 || rank > n })
 		if rec.Code != http.StatusOK {
+			if err == nil && !outside {
+				t.Fatalf("%q: rejected (%d %s), but the constructor names it with every rank in range", body, rec.Code, rec.Body)
+			}
 			return
 		}
-		if len(body) > maxBatchBody {
-			t.Fatalf("accepted a %d-byte body over the %d-byte limit", len(body), maxBatchBody)
+		if err != nil {
+			t.Fatalf("%q: accepted, but the constructor rejects it: %v", body, err)
 		}
-		var req batchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			t.Fatalf("accepted %q, which is not one JSON value: %v", body, err)
+		if outside {
+			t.Fatalf("accepted ranks %v outside 1..%d", ranks, n)
 		}
-		if len(req.Ranks) < 1 || len(req.Ranks) > maxBatchRanks {
-			t.Fatalf("accepted %d ranks, want 1..%d", len(req.Ranks), maxBatchRanks)
+		if stored, ok := s.cache.Get(b.Entry); !ok || !bytes.Equal(stored, rec.Body.Bytes()) {
+			t.Fatalf("%q: the response is not the body stored as %s (stored %v)", body, b.Entry, ok)
 		}
 		var view core.UsersBatchView
 		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
 			t.Fatalf("response: %v", err)
 		}
-		if len(view.Users) != len(req.Ranks) {
-			t.Fatalf("%d ranks answered with %d users", len(req.Ranks), len(view.Users))
+		if len(view.Users) != len(ranks) {
+			t.Fatalf("%d ranks answered with %d users", len(ranks), len(view.Users))
 		}
-		for i, rank := range req.Ranks {
-			if rank < 1 || rank > len(byRank) {
-				t.Fatalf("accepted rank %d outside 1..%d", rank, len(byRank))
-			}
+		for i, rank := range ranks {
 			if view.Users[i].Rank != rank {
 				t.Fatalf("user %d has rank %d, want %d", i, view.Users[i].Rank, rank)
 			}

@@ -225,6 +225,11 @@ func ReadProfiles(r io.Reader) ([]twitter.Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: bad created_at %q: %w", sp.CreatedAt, err)
 		}
+		// WriteProfiles writes the UTC instant, which RFC 3339 can spell
+		// only within years 0000-9999; an offset can carry it outside.
+		if y := created.UTC().Year(); y < 0 || y > 9999 {
+			return nil, fmt.Errorf("store: created_at %q is outside years 0000-9999 in UTC", sp.CreatedAt)
+		}
 		out = append(out, twitter.Profile{
 			ID: sp.ID, ScreenName: sp.ScreenName, Name: sp.Name, Bio: sp.Bio,
 			Lang: sp.Lang, Verified: sp.Verified,
