@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -218,6 +220,41 @@ func TestNoDeadExports(t *testing.T) {
 	sort.Strings(dead)
 	for _, key := range dead {
 		t.Errorf("%s: exported but referenced by no non-test file", key)
+	}
+}
+
+// TestDeadExportReasonsNameLiveTests fails when a reason in
+// deadExportAllowed names a test, benchmark or fuzz target that no test
+// file of this module or of perfbench declares any more.
+func TestDeadExportReasonsNameLiveTests(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	for key, reason := range deadExportAllowed {
+		for _, name := range named.FindAllString(reason, -1) {
+			if !declared[name] {
+				t.Errorf("deadExportAllowed[%q] names %s, which no test file declares", key, name)
+			}
+		}
 	}
 }
 

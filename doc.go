@@ -4,6 +4,7 @@
 // eliteserve, eliterouter, elitegen, elitecrawl) and the examples under
 // examples/; each imports the internal/ packages it uses. This package
 // declares nothing: it holds the module-wide tests (the report golden,
-// the dead-export scan) and the benchmarks that regenerate the paper's
-// tables and figures. docs/ARCHITECTURE.md describes the execution model.
+// the dead-export scan, and TestPaperClaims, the table of the paper's
+// findings checked against the report) and the scheduling, sharding and
+// ablation benchmarks. docs/ARCHITECTURE.md describes the execution model.
 package elites

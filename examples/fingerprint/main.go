@@ -15,7 +15,7 @@ import (
 	"elites/internal/core"
 	"elites/internal/gen"
 	"elites/internal/graph"
-	"elites/internal/mathx"
+	"elites/internal/twitter"
 )
 
 func main() {
@@ -29,17 +29,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rng := mathx.NewRNG(7)
 	fmt.Printf("measuring fingerprints of two %d-node networks...\n\n", n)
-	fpVerified := core.ComputeFingerprint(verified.Graph, 25, rng)
-	fpGeneric := core.ComputeFingerprint(generic.Graph, 25, rng)
-
+	opts := core.Options{Stages: core.FingerprintStages(), BootstrapReps: 25, DistanceSources: 150, Seed: 7}
 	core.CompareFingerprints(os.Stdout,
 		[2]string{"verified-like", "generic"},
-		[2]core.Fingerprint{fpVerified, fpGeneric})
+		[2]core.Fingerprint{fingerprint(verified.Graph, opts), fingerprint(generic.Graph, opts)})
 
 	fmt.Println()
 	// Classic baselines, scored against the verified signature.
+	opts.SkipBootstrap = true
 	for _, b := range []struct {
 		name string
 		g    *graph.Digraph
@@ -48,7 +46,16 @@ func main() {
 		{"barabasi-albert", gen.BarabasiAlbert(n, 16, 0.25, 4)},
 		{"watts-strogatz", gen.WattsStrogatz(n, 16, 0.1, 5)},
 	} {
-		fp := core.ComputeFingerprint(b.g, 0, rng)
-		fmt.Printf("verified-likeness of %-16s %.3f\n", b.name+":", fp.VerifiedLikeness())
+		fmt.Printf("verified-likeness of %-16s %.3f\n", b.name+":", fingerprint(b.g, opts).VerifiedLikeness())
 	}
+}
+
+// fingerprint runs the fingerprint stages over a bare graph and reads the
+// signature from the report.
+func fingerprint(g *graph.Digraph, opts core.Options) core.Fingerprint {
+	rep, err := core.NewCharacterizer(opts).Run(&twitter.Dataset{Graph: g}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return core.FingerprintOf(rep)
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"elites/internal/gen"
-	"elites/internal/mathx"
+	"elites/internal/graph"
 	"elites/internal/twitter"
 )
 
@@ -192,6 +192,18 @@ func TestRenderContainsSections(t *testing.T) {
 	}
 }
 
+// fingerprintReport runs the fingerprint stages over a bare graph.
+func fingerprintReport(t *testing.T, g *graph.Digraph, stages []string) *Report {
+	t.Helper()
+	rep, err := NewCharacterizer(Options{
+		Stages: stages, SkipBootstrap: true, DistanceSources: 150, Seed: 5,
+	}).Run(&twitter.Dataset{Graph: g}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestFingerprintContrast(t *testing.T) {
 	v, err := gen.Verified(5000, 3)
 	if err != nil {
@@ -201,11 +213,11 @@ func TestFingerprintContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := mathx.NewRNG(5)
-	fpV := ComputeFingerprint(v.Graph, 0, rng)
-	fpT := ComputeFingerprint(tw.Graph, 0, rng)
+	fpV := FingerprintOf(fingerprintReport(t, v.Graph, FingerprintStages()))
+	fpT := FingerprintOf(fingerprintReport(t, tw.Graph, FingerprintStages()))
 	sv := fpV.VerifiedLikeness()
 	st := fpT.VerifiedLikeness()
+	t.Logf("verified-likeness: verified %.3f, generic %.3f", sv, st)
 	if sv <= st {
 		t.Fatalf("verified-likeness must separate: verified %v vs generic %v", sv, st)
 	}
@@ -223,15 +235,24 @@ func TestFingerprintContrast(t *testing.T) {
 	}
 }
 
-func TestFingerprintEmptyGraph(t *testing.T) {
-	rng := mathx.NewRNG(1)
-	g, err := gen.ErdosRenyi(0, 0, 1), error(nil)
+// TestFingerprintOfEdgeCases: an empty graph is not verified-like, and a
+// section whose stage did not run reads as missing, not as zero.
+func TestFingerprintOfEdgeCases(t *testing.T) {
+	empty := FingerprintOf(fingerprintReport(t, gen.ErdosRenyi(0, 0, 1), FingerprintStages()))
+	if s := empty.VerifiedLikeness(); s >= 0.6 {
+		t.Fatalf("empty graph scores %v", s)
+	}
+	v, err := gen.Verified(2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := ComputeFingerprint(g, 0, rng)
-	if fp.VerifiedLikeness() > 0.6 {
-		t.Fatalf("empty graph scores %v", fp.VerifiedLikeness())
+	fp := FingerprintOf(fingerprintReport(t, v.Graph, []string{StageSummary, StageReciprocity}))
+	if !math.IsNaN(fp.PowerLawAlpha) || !math.IsNaN(fp.PowerLawGoF) || !math.IsNaN(fp.MeanDistance) {
+		t.Fatalf("sections that did not run read as %v, %v, %v; want NaN",
+			fp.PowerLawAlpha, fp.PowerLawGoF, fp.MeanDistance)
+	}
+	if fp.Reciprocity == 0 || fp.GiantSCCShare == 0 {
+		t.Fatalf("sections that ran read as zero: %+v", fp)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestSharedQuantitiesAcrossStages(t *testing.T) {
 
 // TestFeatureStageSharesClusteringWithBasic runs basic and features in one
 // pass over one features.Shared: the report's mean clustering must carry
-// graph.AverageLocalClustering's bits, and the matrix's clustering column
+// the bits of a fresh graph.LocalClusteringAll pass, and the matrix's clustering column
 // must be the per-node vector that mean averages.
 func TestFeatureStageSharesClusteringWithBasic(t *testing.T) {
 	p, ds := testPlatform(t)
@@ -218,8 +218,8 @@ func TestFeatureStageSharesClusteringWithBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := ds.Graph
-	if got, want := rep.Basic.Clustering, graph.AverageLocalClustering(g); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("basic clustering %v, AverageLocalClustering %v", got, want)
+	if got, want := rep.Basic.Clustering, graph.MeanClustering(graph.LocalClusteringAll(g, 0)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("basic clustering %v, fresh mean clustering %v", got, want)
 	}
 	if rep.Features == nil {
 		t.Fatal("feature stage did not run")

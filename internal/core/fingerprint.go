@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"elites/internal/graph"
-	"elites/internal/mathx"
-	"elites/internal/powerlaw"
 )
 
 // Fingerprint is the compact structural signature the paper's conclusion
@@ -26,35 +22,35 @@ type Fingerprint struct {
 	AttractingRate float64 // attracting components per node
 }
 
-// ComputeFingerprint measures the signature of a graph. bootstrapReps <= 0
-// skips the goodness-of-fit bootstrap (PowerLawGoF = NaN).
-func ComputeFingerprint(g *graph.Digraph, bootstrapReps int, rng *mathx.RNG) Fingerprint {
+// FingerprintStages lists the stages whose report fields FingerprintOf
+// reads; a run restricted to them (dependencies are pulled in) is enough.
+func FingerprintStages() []string {
+	return []string{StageSummary, StageBasic, StageDegree, StageReciprocity, StageDistances}
+}
+
+// FingerprintOf projects the fingerprint from a report's sections. A
+// section whose stage did not run reads as NaN (distances, degree) or
+// zero (the rest).
+func FingerprintOf(rep *Report) Fingerprint {
 	fp := Fingerprint{
-		Reciprocity:   graph.Reciprocity(g),
-		Clustering:    graph.AverageLocalClustering(g),
-		Assortativity: graph.DegreeAssortativity(g),
+		Reciprocity:   rep.Reciprocity,
+		Clustering:    rep.Basic.Clustering,
+		Assortativity: rep.Basic.Assortativity,
+		GiantSCCShare: rep.Summary.GiantSCCShare,
+		MeanDistance:  math.NaN(),
 		PowerLawAlpha: math.NaN(),
 		PowerLawGoF:   math.NaN(),
 	}
-	n := g.NumNodes()
-	if n == 0 {
-		return fp
+	if n := float64(rep.Summary.Nodes); n > 0 {
+		fp.IsolatedShare = float64(rep.Summary.Isolated) / n
+		fp.AttractingRate = float64(rep.Basic.AttractingComponents) / n
 	}
-	scc := graph.StronglyConnectedComponents(g)
-	_, giant := scc.Largest()
-	fp.GiantSCCShare = float64(giant) / float64(n)
-	fp.IsolatedShare = float64(len(graph.IsolatedNodes(g))) / float64(n)
-	fp.AttractingRate = float64(len(graph.AttractingComponents(g, scc))) / float64(n)
-	sources := 150
-	if sources > n {
-		sources = n
+	if rep.Distances != nil {
+		fp.MeanDistance = rep.Distances.Mean()
 	}
-	fp.MeanDistance = graph.SampledDistances(g, sources, rng).Mean()
-	if fit, err := powerlaw.FitDiscrete(g.OutDegrees()); err == nil {
-		fp.PowerLawAlpha = fit.Alpha
-		if bootstrapReps > 0 {
-			fp.PowerLawGoF = fit.GoodnessOfFit(bootstrapReps, rng)
-		}
+	if rep.Degree != nil {
+		fp.PowerLawAlpha = rep.Degree.Fit.Alpha
+		fp.PowerLawGoF = rep.Degree.GoFP
 	}
 	return fp
 }
@@ -75,46 +71,53 @@ func PaperVerifiedFingerprint() Fingerprint {
 	}
 }
 
-// VerifiedLikeness scores how closely a fingerprint matches the paper's
-// verified signature, in [0, 1]: the mean of per-dimension band scores
-// (1 inside the verified band, decaying linearly outside). It is the simple
-// discriminator the conclusion sketches ("evaluate the strength of an
-// unverified user's case") applied at network granularity.
-func (f Fingerprint) VerifiedLikeness() float64 {
-	type band struct {
-		v, lo, hi, slack float64
-	}
-	bands := []band{
-		{f.Reciprocity, 0.28, 0.40, 0.12},    // well above Twitter's 0.221
-		{f.Clustering, 0.08, 0.25, 0.10},     // low but present
-		{f.Assortativity, -0.12, 0.00, 0.10}, // slight dissortativity
-		{f.GiantSCCShare, 0.93, 0.995, 0.05}, // giant SCC ≈ 97%
-		{f.MeanDistance, 2.2, 3.2, 0.8},      // short paths
-		{f.PowerLawAlpha, 2.8, 3.7, 0.5},     // tail exponent ≈ 3.24
-	}
-	score := 0.0
-	count := 0.0
-	for _, b := range bands {
-		if math.IsNaN(b.v) {
-			// A missing power-law tail is itself evidence against
-			// verified-likeness.
-			count++
-			continue
-		}
-		count++
-		switch {
-		case b.v >= b.lo && b.v <= b.hi:
-			score++
-		case b.v < b.lo:
-			score += math.Max(0, 1-(b.lo-b.v)/b.slack)
-		default:
-			score += math.Max(0, 1-(b.v-b.hi)/b.slack)
-		}
-	}
-	if count == 0 {
+// Band is one dimension VerifiedLikeness scores: a fingerprint value and
+// the band the paper's verified network sits in.
+type Band struct {
+	Name          string
+	Value         float64
+	Lo, Hi, Slack float64
+}
+
+// Score is 1 inside the band and decays linearly to 0 over Slack outside
+// it. A missing (NaN) value scores 0: a missing power-law tail is itself
+// evidence against verified-likeness.
+func (b Band) Score() float64 {
+	switch {
+	case math.IsNaN(b.Value):
 		return 0
+	case b.Value < b.Lo:
+		return math.Max(0, 1-(b.Lo-b.Value)/b.Slack)
+	case b.Value > b.Hi:
+		return math.Max(0, 1-(b.Value-b.Hi)/b.Slack)
 	}
-	return score / count
+	return 1
+}
+
+// Bands returns the dimensions of f that VerifiedLikeness scores, each
+// with its verified band.
+func (f Fingerprint) Bands() []Band {
+	return []Band{
+		{"reciprocity", f.Reciprocity, 0.28, 0.40, 0.12},        // well above Twitter's 0.221
+		{"clustering", f.Clustering, 0.08, 0.25, 0.10},          // low but present
+		{"assortativity", f.Assortativity, -0.12, 0.00, 0.10},   // slight dissortativity
+		{"giant SCC share", f.GiantSCCShare, 0.93, 0.995, 0.05}, // giant SCC ≈ 97%
+		{"mean distance", f.MeanDistance, 2.2, 3.2, 0.8},        // short paths
+		{"power-law alpha", f.PowerLawAlpha, 2.8, 3.7, 0.5},     // tail exponent ≈ 3.24
+	}
+}
+
+// VerifiedLikeness scores how closely a fingerprint matches the paper's
+// verified signature, in [0, 1]: the mean of its band scores. It is the
+// simple discriminator the conclusion sketches ("evaluate the strength of
+// an unverified user's case") applied at network granularity.
+func (f Fingerprint) VerifiedLikeness() float64 {
+	bands := f.Bands()
+	score := 0.0
+	for _, b := range bands {
+		score += b.Score()
+	}
+	return score / float64(len(bands))
 }
 
 // CompareFingerprints renders a side-by-side table of two fingerprints with

@@ -82,7 +82,7 @@ func TestVerifiedIsolatedAndSinks(t *testing.T) {
 
 func TestVerifiedDissortative(t *testing.T) {
 	res := genVerifiedSmall(t)
-	r := graph.DegreeAssortativity(res.Graph)
+	r := graph.DegreeAssortativityWithIn(res.Graph, res.Graph.InDegrees())
 	// Paper: −0.04 ("slight dissortativity"); allow a small-n band but
 	// demand the sign.
 	if r > 0 || r < -0.15 {
@@ -93,7 +93,7 @@ func TestVerifiedDissortative(t *testing.T) {
 func TestVerifiedShortDistances(t *testing.T) {
 	res := genVerifiedSmall(t)
 	rng := mathx.NewRNG(3)
-	dd := graph.SampledDistances(res.Graph, 80, rng)
+	dd := graph.SampledDistancesWorkers(res.Graph, 80, rng, 0)
 	// Paper: 2.74 at n=231k. Smaller graphs are slightly tighter; accept
 	// the small-world band.
 	if dd.Mean() < 2.0 || dd.Mean() > 3.3 {
@@ -103,7 +103,7 @@ func TestVerifiedShortDistances(t *testing.T) {
 
 func TestVerifiedClusteringLowButPresent(t *testing.T) {
 	res := genVerifiedSmall(t)
-	c := graph.AverageLocalClustering(res.Graph)
+	c := graph.MeanClustering(graph.LocalClusteringAll(res.Graph, 0))
 	// Paper: 0.1583 ("low").
 	if c < 0.06 || c > 0.25 {
 		t.Fatalf("clustering = %v, want ≈0.1–0.2", c)
@@ -124,7 +124,7 @@ func TestVerifiedOutDegreePowerLaw(t *testing.T) {
 		t.Fatalf("alpha = %v, want ≈3.24", fit.Alpha)
 	}
 	rng := mathx.NewRNG(5)
-	if p := fit.GoodnessOfFit(40, rng); p <= 0.1 {
+	if p := fit.GoodnessOfFitWorkers(40, rng, 0); p <= 0.1 {
 		t.Fatalf("power-law GoF p = %v, want > 0.1", p)
 	}
 }
@@ -147,8 +147,8 @@ func TestTwitterBaselineContrast(t *testing.T) {
 		t.Fatalf("verified reciprocity (%v) must exceed generic (%v)", rv, rt)
 	}
 	rng := mathx.NewRNG(4)
-	dv := graph.SampledDistances(v.Graph, 60, rng)
-	dt := graph.SampledDistances(tw.Graph, 60, rng)
+	dv := graph.SampledDistancesWorkers(v.Graph, 60, rng, 0)
+	dt := graph.SampledDistancesWorkers(tw.Graph, 60, rng, 0)
 	if dv.Mean() >= dt.Mean() {
 		t.Fatalf("verified distances (%v) must undercut generic (%v)", dv.Mean(), dt.Mean())
 	}
@@ -270,9 +270,9 @@ func TestWattsStrogatz(t *testing.T) {
 	}
 	// With rewiring, distances shrink.
 	rng := mathx.NewRNG(8)
-	d0 := graph.SampledDistances(g, 40, rng).Mean()
+	d0 := graph.SampledDistancesWorkers(g, 40, rng, 0).Mean()
 	g2 := WattsStrogatz(300, 4, 0.2, 7)
-	d2 := graph.SampledDistances(g2, 40, rng).Mean()
+	d2 := graph.SampledDistancesWorkers(g2, 40, rng, 0).Mean()
 	if d2 >= d0 {
 		t.Fatalf("rewiring should shorten paths: %v vs %v", d2, d0)
 	}

@@ -2,19 +2,13 @@ package graph
 
 import "elites/internal/parallel"
 
-// AverageLocalClustering returns the mean local clustering coefficient over
-// all nodes, treating the graph as undirected (the convention of
-// Watts–Strogatz and of the paper's reported 0.1583). Nodes with undirected
-// degree < 2 contribute 0 but still count in the denominator, matching the
-// networkx "average over all nodes" convention.
-func AverageLocalClustering(g *Digraph) float64 {
-	return MeanClustering(LocalClusteringAll(g, 0))
-}
-
-// MeanClustering averages a LocalClusteringAll vector, so a caller that
-// already holds the vector gets AverageLocalClustering's bits without a
-// second triangle pass. It sums per metricChunk block, then across blocks:
-// the order cached basic-stage results and the goldens were computed in.
+// MeanClustering averages a LocalClusteringAll vector: the mean local
+// clustering coefficient over all nodes, treating the graph as undirected
+// (the convention of Watts–Strogatz and of the paper's reported 0.1583).
+// Nodes with undirected degree < 2 contribute 0 but still count in the
+// denominator, matching the networkx "average over all nodes" convention.
+// It sums per metricChunk block, then across blocks: the order cached
+// basic-stage results and the goldens were computed in.
 func MeanClustering(clus []float64) float64 {
 	n := len(clus)
 	if n == 0 {

@@ -205,18 +205,13 @@ func ExactDistancesWorkers(g *Digraph, workers int) *DistanceDistribution {
 	return dd
 }
 
-// SampledDistances estimates the distance distribution from k uniformly
-// sampled BFS sources; the per-source pair counts are unbiased estimates of
-// the full distribution up to the n/k scale factor, which we apply so that
-// Counts are comparable to exact runs. Kwak et al. used the same
-// source-sampling strategy for the full Twitter graph.
-func SampledDistances(g *Digraph, k int, rng *mathx.RNG) *DistanceDistribution {
-	return SampledDistancesWorkers(g, k, rng, 0)
-}
-
-// SampledDistancesWorkers is SampledDistances with an explicit worker budget
-// (<= 0 means GOMAXPROCS). The source sample depends only on rng, and the
-// sweep reduces fixed-layout integer partials in chunk order, so the
+// SampledDistancesWorkers estimates the distance distribution from k
+// uniformly sampled BFS sources; the per-source pair counts are unbiased
+// estimates of the full distribution up to the n/k scale factor, which we
+// apply so that Counts are comparable to exact runs. Kwak et al. used the
+// same source-sampling strategy for the full Twitter graph. workers <= 0
+// means GOMAXPROCS. The source sample depends only on rng, and the sweep
+// reduces fixed-layout integer partials in chunk order, so the
 // distribution is identical at every budget.
 func SampledDistancesWorkers(g *Digraph, k int, rng *mathx.RNG, workers int) *DistanceDistribution {
 	n := g.NumNodes()

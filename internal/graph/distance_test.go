@@ -62,7 +62,7 @@ func TestSampledApproximatesExact(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	g := randomDigraph(rng, 300, 0.02)
 	exact := ExactDistancesWorkers(g, 0)
-	sampled := SampledDistances(g, 150, rng)
+	sampled := SampledDistancesWorkers(g, 150, rng, 0)
 	if !sampled.Sampled {
 		t.Fatal("should be flagged sampled")
 	}
@@ -82,7 +82,7 @@ func TestSampledApproximatesExact(t *testing.T) {
 func TestSampledFallsBackToExact(t *testing.T) {
 	rng := mathx.NewRNG(6)
 	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	dd := SampledDistances(g, 10, rng)
+	dd := SampledDistancesWorkers(g, 10, rng, 0)
 	if dd.Sampled {
 		t.Fatal("k >= n should run exact")
 	}

@@ -35,17 +35,11 @@ func Reciprocity(g *Digraph) float64 {
 	return float64(mutual) / float64(m)
 }
 
-// DegreeAssortativity returns the Pearson correlation of the (out-degree of
-// source, in-degree of target) pairs over all directed edges — the
-// out-in degree assortativity of Newman. Negative values indicate
-// dissortativity; the paper measures −0.04 for the verified network, in
-// contrast to the assortative full Twitter graph.
-func DegreeAssortativity(g *Digraph) float64 {
-	return DegreeAssortativityWithIn(g, g.InDegrees())
-}
-
-// DegreeAssortativityWithIn is DegreeAssortativity with a precomputed
-// in-degree vector, saving the O(m) scan when the caller already holds one.
+// DegreeAssortativityWithIn returns the Pearson correlation of the
+// (out-degree of source, in-degree of target) pairs over all directed edges
+// — the out-in degree assortativity of Newman — given g's in-degree vector.
+// Negative values indicate dissortativity; the paper measures −0.04 for the
+// verified network, in contrast to the assortative full Twitter graph.
 func DegreeAssortativityWithIn(g *Digraph, in []int) float64 {
 	m := g.NumEdges()
 	if m == 0 {

@@ -69,7 +69,7 @@ func TestReciprocityDialExpectation(t *testing.T) {
 func TestClusteringTriangle(t *testing.T) {
 	// Undirected triangle: every node has clustering 1.
 	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	if c := AverageLocalClustering(g); math.Abs(c-1) > 1e-12 {
+	if c := MeanClustering(LocalClusteringAll(g, 0)); math.Abs(c-1) > 1e-12 {
 		t.Fatalf("triangle clustering = %v, want 1", c)
 	}
 }
@@ -77,7 +77,7 @@ func TestClusteringTriangle(t *testing.T) {
 func TestClusteringStar(t *testing.T) {
 	// Star: center has no closed triples, leaves degree 1 -> all zero.
 	g := FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	if c := AverageLocalClustering(g); c != 0 {
+	if c := MeanClustering(LocalClusteringAll(g, 0)); c != 0 {
 		t.Fatalf("star clustering = %v, want 0", c)
 	}
 }
@@ -87,7 +87,7 @@ func TestClusteringPartial(t *testing.T) {
 	// Degrees: 0:{1,2,3} c=1/3; 1:{0,2} c=1; 2:{0,1} c=1; 3:{0} c=0.
 	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
 	want := (1.0/3 + 1 + 1 + 0) / 4
-	if c := AverageLocalClustering(g); math.Abs(c-want) > 1e-12 {
+	if c := MeanClustering(LocalClusteringAll(g, 0)); math.Abs(c-want) > 1e-12 {
 		t.Fatalf("clustering = %v, want %v", c, want)
 	}
 }
@@ -109,7 +109,7 @@ func TestAssortativityDisassortativeStar(t *testing.T) {
 		{0, 1}, {0, 2}, {0, 3}, // hub 0
 		{4, 5}, // low-degree pair
 	})
-	r := DegreeAssortativity(g)
+	r := DegreeAssortativityWithIn(g, g.InDegrees())
 	if r > 0 {
 		t.Fatalf("expected non-positive assortativity, got %v", r)
 	}
@@ -119,7 +119,7 @@ func TestAssortativityBounds(t *testing.T) {
 	rng := mathx.NewRNG(3)
 	for trial := 0; trial < 20; trial++ {
 		g := randomDigraph(rng, 30, 0.1)
-		r := DegreeAssortativity(g)
+		r := DegreeAssortativityWithIn(g, g.InDegrees())
 		if math.IsNaN(r) || r < -1-1e-9 || r > 1+1e-9 {
 			t.Fatalf("assortativity out of range: %v", r)
 		}
@@ -208,10 +208,10 @@ func TestShardedMetricsMatchSequential(t *testing.T) {
 	if got := Reciprocity(g); got != wantRecip {
 		t.Fatalf("sharded reciprocity %v != sequential %v", got, wantRecip)
 	}
-	if got := AverageLocalClustering(g); got != wantClust {
+	if got := MeanClustering(LocalClusteringAll(g, 0)); got != wantClust {
 		t.Fatalf("sharded clustering %v != sequential %v", got, wantClust)
 	}
-	r1 := DegreeAssortativity(g)
+	r1 := DegreeAssortativityWithIn(g, g.InDegrees())
 	if math.Abs(r1-wantAssort) > 1e-12 {
 		t.Fatalf("sharded assortativity %v != sequential %v", r1, wantAssort)
 	}
@@ -223,10 +223,10 @@ func TestShardedMetricsMatchSequential(t *testing.T) {
 		if Reciprocity(g) != wantRecip {
 			t.Fatal("reciprocity not run-to-run stable")
 		}
-		if AverageLocalClustering(g) != AverageLocalClustering(g) {
+		if MeanClustering(LocalClusteringAll(g, 0)) != MeanClustering(LocalClusteringAll(g, 0)) {
 			t.Fatal("clustering not run-to-run stable")
 		}
-		if DegreeAssortativity(g) != r1 {
+		if DegreeAssortativityWithIn(g, g.InDegrees()) != r1 {
 			t.Fatal("assortativity not run-to-run stable")
 		}
 	}

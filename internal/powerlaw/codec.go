@@ -8,7 +8,7 @@ import (
 
 // Codec for cached pipeline stages (internal/cache). A Fit round-trips
 // completely — including the sorted data and fit parameters that back
-// GoodnessOfFit and CompareAll — so a fit hydrated from the result cache is
+// GoodnessOfFitWorkers and CompareAll — so a fit hydrated from the result cache is
 // indistinguishable from a freshly computed one. The suffix log-sums are
 // neither encoded nor rebuilt on decode: they are a pure function of the
 // sorted data, and tailLogSum recomputes the one sum a comparison needs.

@@ -43,7 +43,7 @@ func TestFitCodecRoundTrip(t *testing.T) {
 		}
 	}
 	seed := mathx.NewRNG(77)
-	if p1, p2 := fit.GoodnessOfFit(10, seed), got.GoodnessOfFit(10, seed); p1 != p2 {
+	if p1, p2 := fit.GoodnessOfFitWorkers(10, seed, 0), got.GoodnessOfFitWorkers(10, seed, 0); p1 != p2 {
 		t.Fatalf("bootstrap diverges after round trip: %v vs %v", p1, p2)
 	}
 	v1, v2 := fit.CompareAll(), got.CompareAll()

@@ -112,7 +112,7 @@ type Fit struct {
 func (f *Fit) tailStart() int { return sort.SearchFloat64s(f.sorted, f.Xmin) }
 
 // tailView returns the tail as a view into the fit's sorted data — no copy.
-// Callers must not mutate it; it is how GoodnessOfFit and the Vuong
+// Callers must not mutate it; it is how the bootstrap and the Vuong
 // comparisons share one tail instead of re-materializing it per use.
 func (f *Fit) tailView() []float64 { return f.sorted[f.tailStart():] }
 
@@ -426,27 +426,20 @@ type GoFResult struct {
 	Dropped int
 }
 
-// GoodnessOfFit estimates the bootstrap p-value of the power-law hypothesis
-// with B semiparametric replicates (Clauset et al. §4.1): each replicate
-// draws below-xmin values from the empirical body and tail values from the
-// fitted law, refits (including the xmin scan), and compares KS distances.
-// p is the fraction of replicates whose KS exceeds the observed one; p > 0.1
-// supports the power law. B = 100 gives ±0.05 resolution.
+// GoodnessOfFitWorkers estimates the bootstrap p-value of the power-law
+// hypothesis with B semiparametric replicates (Clauset et al. §4.1): each
+// replicate draws below-xmin values from the empirical body and tail values
+// from the fitted law, refits (including the xmin scan), and compares KS
+// distances. p is the fraction of replicates whose KS exceeds the observed
+// one; p > 0.1 supports the power law. B = 100 gives ±0.05 resolution.
 //
-// Replicates run concurrently on the shared worker pool; see
-// GoodnessOfFitWorkers for the determinism contract. Note that rng is used
-// only as a key for derived streams and is never advanced: calling
-// GoodnessOfFit twice with the same generator returns the same p-value.
-// For a second independent estimate, pass a different generator (or Split).
-func (f *Fit) GoodnessOfFit(B int, rng *mathx.RNG) float64 {
-	return f.Bootstrap(B, rng, 0).P
-}
-
-// GoodnessOfFitWorkers is GoodnessOfFit with an explicit worker budget
-// (<= 0 means GOMAXPROCS). Replicate b draws from its own RNG stream derived
-// from rng as "gof/b" — rng itself is never advanced — so the p-value is a
-// pure function of the fit, B and the rng state: bit-identical at every
-// worker count and schedule, and unaffected by other consumers of rng.
+// Replicates run concurrently on the shared worker pool within a budget of
+// workers (<= 0 means GOMAXPROCS). Replicate b draws from its own RNG
+// stream derived from rng as "gof/b" — rng itself is never advanced — so
+// the p-value is a pure function of the fit, B and the rng state:
+// bit-identical at every worker count and schedule, and unaffected by
+// other consumers of rng. For a second independent estimate, pass a
+// different generator (or Split).
 func (f *Fit) GoodnessOfFitWorkers(B int, rng *mathx.RNG, workers int) float64 {
 	return f.Bootstrap(B, rng, workers).P
 }

@@ -125,7 +125,7 @@ func TestGoodnessOfFitAcceptsTrueModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := fit.GoodnessOfFit(60, rng)
+	p := fit.GoodnessOfFitWorkers(60, rng, 0)
 	if p <= 0.1 {
 		t.Errorf("GoF p = %v for true power-law data, want > 0.1", p)
 	}
@@ -143,7 +143,7 @@ func TestGoodnessOfFitRejectsLognormal(t *testing.T) {
 		// A failed fit is also an acceptable rejection.
 		t.Skip("no fit at all on lognormal data")
 	}
-	p := fit.GoodnessOfFit(60, rng)
+	p := fit.GoodnessOfFitWorkers(60, rng, 0)
 	// With σ=0.3 the body is strongly curved; the scan may rescue a tiny
 	// tail, so accept either a small p or a small surviving tail.
 	if p > 0.1 && fit.NTail > len(data)/4 {
