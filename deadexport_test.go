@@ -21,6 +21,7 @@ import (
 var deadExportAllowed = map[string]string{
 	"faults.Injector.Fired":                "serve TestChaosStageRetryAbsorbsTransientFault counts injections",
 	"graph.Condensation":                   "graph TestAttractingEqualsCondensationSinks checks AttractingComponents",
+	"graph.Digraph.HasEdge":                "graph TestCoreReciprocityMatchesLookup and TestReciprocityMatchesHasEdgeCount, the per-edge reciprocity oracle",
 	"graph.FromEdges":                      "fixture builder of the graph, centrality and spectral tests",
 	"graph.LocalClustering":                "features referenceMatrix, the feature-matrix oracle",
 	"linalg.JacobiEigen":                   "spectral TestLanczosAgainstJacobi, the dense eigen oracle",

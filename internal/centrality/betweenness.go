@@ -37,8 +37,9 @@ import (
 //     predecessor-list formulation produces — and the iteration order of
 //     u within one v is immaterial (distinct delta slots).
 //   - each source chunk accumulates its sources in source order into a
-//     private partial vector; partials are folded element-wise in chunk
-//     order (parallel.BlockedSumInto), bit-identical to a serial left fold.
+//     private partial vector; each partial is added element-wise into the
+//     scores in chunk order as soon as it and every earlier chunk are done
+//     (parallel.ChunkFold), the serial left fold's order and bits.
 //
 // # Cache-conscious layout
 //
@@ -67,18 +68,13 @@ import (
 // the bits — identical whichever direction the heuristic picks
 // (TestBetweennessDirectionInvariance pins this).
 
-// maxBetweennessPartials bounds how many partial score vectors a parallel
-// Brandes run materializes. Sources are split into at most this many
-// fixed-layout chunks — a function of the source count only, never of the
-// worker count — and the per-chunk vectors are folded in chunk order, so
-// floating-point results are bit-identical at every parallelism level while
-// memory stays at O(partials · n) rather than O(sources · n).
+// maxBetweennessPartials bounds how many source chunks, and so partial
+// score vectors, a parallel Brandes run makes. Sources are split into at
+// most this many fixed-layout chunks — a function of the source count only,
+// never of the worker count — and the per-chunk vectors are folded in chunk
+// order, so floating-point results are bit-identical at every parallelism
+// level. ChunkFold keeps only O(workers) of them live at once.
 const maxBetweennessPartials = 64
-
-// betweennessReduceBlock is the column width (in float64 elements; 32 KiB)
-// of the blocked partial-vector fold. Fixed so the reduction layout is a
-// function of n only.
-const betweennessReduceBlock = 4096
 
 // bottomUpBeneficial decides the traversal direction for one BFS level:
 // top-down costs one probe per frontier out-edge (mf); bottom-up costs one
@@ -384,8 +380,8 @@ func sampleSources(n, k int, rng *mathx.RNG) []int {
 // betweennessFrom runs Brandes over the given sources, sharded into
 // fixed-layout chunks (at most maxBetweennessPartials of them) on the shared
 // worker pool. Each chunk accumulates its sources — in source order — into a
-// pooled partial vector; partials are then folded element-wise in chunk
-// order by the blocked parallel reduction, so the result is bit-identical
+// pooled partial vector, which is added element-wise into the scores in
+// chunk order and returned to the pool, so the result is bit-identical
 // whatever the worker budget or schedule.
 func betweennessFrom(g *graph.Digraph, sources []int, scale float64, workers int) []float64 {
 	n := g.NumNodes()
@@ -395,7 +391,7 @@ func betweennessFrom(g *graph.Digraph, sources []int, scale float64, workers int
 	}
 	g.InCSR() // build the transpose once, before the workers race to it
 	width := (len(sources) + maxBetweennessPartials - 1) / maxBetweennessPartials
-	partials := parallel.ChunkReduce(len(sources), width, workers, func(lo, hi int) []float64 {
+	parallel.ChunkFold(len(sources), width, workers, func(lo, hi int) []float64 {
 		ws := getWorkspace(n)
 		part := getPartial(n)
 		for _, s := range sources[lo:hi] {
@@ -403,12 +399,12 @@ func betweennessFrom(g *graph.Digraph, sources []int, scale float64, workers int
 		}
 		wsPool.Put(ws)
 		return part
+	}, func(part []float64) {
+		for i, v := range part {
+			bc[i] += v
+		}
+		partialPool.Put(&part)
 	})
-	parallel.BlockedSumInto(bc, partials, betweennessReduceBlock, workers)
-	for _, p := range partials {
-		p := p
-		partialPool.Put(&p)
-	}
 	if scale != 1 {
 		for i := range bc {
 			bc[i] *= scale

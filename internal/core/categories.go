@@ -157,7 +157,7 @@ func analyzeMutualCore(g *graph.Digraph, cores *graph.KCoreResult) *MutualCoreAn
 	if k < 1 {
 		k = 1
 	}
-	coreR, perR := graph.CoreReciprocity(g, cores, k)
+	coreR, perR, share := graph.CoreReciprocity(g, cores, k)
 	coreNodes := 0
 	for _, c := range cores.Core {
 		if c >= k {
@@ -171,7 +171,7 @@ func analyzeMutualCore(g *graph.Digraph, cores *graph.KCoreResult) *MutualCoreAn
 		CoreReciprocity:      coreR,
 		PeripheryReciprocity: perR,
 		RichClub:             graph.RichClub(g, 10),
-		MutualEdgeShare:      graph.Reciprocity(g),
+		MutualEdgeShare:      share,
 	}
 }
 

@@ -166,29 +166,44 @@ func logSpacedInts(lo, hi, points int) []int {
 // CoreReciprocity reports reciprocity restricted to edges whose endpoints
 // both have core number >= k, versus edges with at least one endpoint below
 // k — the direct §IV-C validation: if the conjecture holds, core edges
-// reciprocate far more often than periphery edges.
-func CoreReciprocity(g *Digraph, cores *KCoreResult, k int) (core, periphery float64) {
+// reciprocate far more often than periphery edges. The two classes
+// partition the edges, so their counts also give share, the reciprocity of
+// the whole graph, with the bits Reciprocity returns (0 without edges).
+func CoreReciprocity(g *Digraph, cores *KCoreResult, k int) (core, periphery, share float64) {
 	var coreMutual, coreTotal, perMutual, perTotal int64
-	g.Edges(func(u, v int) bool {
-		mutual := g.HasEdge(v, u)
-		if cores.Core[u] >= k && cores.Core[v] >= k {
-			coreTotal++
-			if mutual {
-				coreMutual++
+	// Edge u→v is reciprocated iff v is in u's in-row; both rows are
+	// sorted, so one merge walk per node finds every reciprocated edge.
+	inOff, inAdj := g.InCSR()
+	for u := 0; u < g.NumNodes(); u++ {
+		in := inAdj[inOff[u]:inOff[u+1]]
+		uCore := cores.Core[u] >= k
+		j := 0
+		for _, v := range g.OutNeighbors(u) {
+			for j < len(in) && in[j] < v {
+				j++
 			}
-		} else {
-			perTotal++
-			if mutual {
-				perMutual++
+			mutual := j < len(in) && in[j] == v
+			if uCore && cores.Core[v] >= k {
+				coreTotal++
+				if mutual {
+					coreMutual++
+				}
+			} else {
+				perTotal++
+				if mutual {
+					perMutual++
+				}
 			}
 		}
-		return true
-	})
+	}
 	if coreTotal > 0 {
 		core = float64(coreMutual) / float64(coreTotal)
 	}
 	if perTotal > 0 {
 		periphery = float64(perMutual) / float64(perTotal)
+	}
+	if total := coreTotal + perTotal; total > 0 {
+		share = float64(coreMutual+perMutual) / float64(total)
 	}
 	return
 }

@@ -266,11 +266,80 @@ func TestCoreReciprocityConjecture(t *testing.T) {
 	}
 	g := b.Build()
 	cores := KCores(g)
-	coreR, perR := CoreReciprocity(g, cores, 6)
+	coreR, perR, _ := CoreReciprocity(g, cores, 6)
 	if coreR <= perR {
 		t.Fatalf("conjecture violated in constructed case: core %v <= periphery %v", coreR, perR)
 	}
 	if coreR < 0.8 {
 		t.Fatalf("core reciprocity = %v, want high", coreR)
+	}
+}
+
+// coreReciprocityByLookup is the reference for CoreReciprocity: it tests
+// every edge's reverse with HasEdge, a binary search per edge.
+func coreReciprocityByLookup(g *Digraph, cores *KCoreResult, k int) (core, periphery float64) {
+	var coreMutual, coreTotal, perMutual, perTotal int64
+	g.Edges(func(u, v int) bool {
+		mutual := g.HasEdge(v, u)
+		if cores.Core[u] >= k && cores.Core[v] >= k {
+			coreTotal++
+			if mutual {
+				coreMutual++
+			}
+		} else {
+			perTotal++
+			if mutual {
+				perMutual++
+			}
+		}
+		return true
+	})
+	if coreTotal > 0 {
+		core = float64(coreMutual) / float64(coreTotal)
+	}
+	if perTotal > 0 {
+		periphery = float64(perMutual) / float64(perTotal)
+	}
+	return
+}
+
+// TestCoreReciprocityMatchesLookup pins the merge-walk CoreReciprocity to
+// the per-edge HasEdge reference, and its share to Reciprocity, bit for
+// bit: on random graphs of several densities (with self-loops and mutual
+// pairs), at every core threshold, and on graphs without edges.
+func TestCoreReciprocityMatchesLookup(t *testing.T) {
+	rng := mathx.NewRNG(31)
+	graphs := []*Digraph{NewBuilder(0).Build(), NewBuilder(7).Build()}
+	for _, p := range []float64{0.02, 0.1, 0.4} {
+		g := randomDigraph(rng, 120, p)
+		b := NewBuilder(g.NumNodes())
+		g.Edges(func(u, v int) bool {
+			b.AddEdge(u, v)
+			if rng.Bool(0.3) {
+				b.AddEdge(v, u)
+			}
+			return true
+		})
+		for u := 0; u < g.NumNodes(); u += 9 {
+			b.AddEdge(u, u)
+		}
+		graphs = append(graphs, g, b.Build())
+	}
+	graphs = append(graphs, chungLuDigraph(rng, 300, 12))
+	for i, g := range graphs {
+		cores := KCores(g)
+		for k := 0; k <= cores.MaxCore+1; k++ {
+			core, per, share := CoreReciprocity(g, cores, k)
+			wantCore, wantPer := coreReciprocityByLookup(g, cores, k)
+			wantShare := Reciprocity(g)
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{{"core", core, wantCore}, {"periphery", per, wantPer}, {"share", share, wantShare}} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("graph %d (%d nodes, %d edges), k=%d: %s = %v, reference %v", i, g.NumNodes(), g.NumEdges(), k, c.name, c.got, c.want)
+				}
+			}
+		}
 	}
 }

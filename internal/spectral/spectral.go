@@ -6,7 +6,10 @@
 // Krylov basis, O(n·iters) memory, but orthogonalizes against it only on
 // the steps where Simon's ω-recurrence says orthogonality is being lost)
 // and a power-iteration-with-deflation solver (the ablation baseline), on a
-// matrix-free operator for the Laplacian of the symmetrized graph.
+// matrix-free operator for the Laplacian of the symmetrized graph. On unix
+// platforms the Lanczos basis lives in an anonymous memory mapping, off the
+// Go heap: the collector does not count it toward the heap goal, and heap
+// profiles do not show it.
 package spectral
 
 import (
@@ -94,6 +97,12 @@ func (l *LaplacianOperator) MaxDegree() float64 {
 // iters ≈ 3k for power-law-tailed spectra. The package tests check that
 // bound: on a generated 5k-user platform at k = 100 and 300 steps, the top
 // 96 values reach 1e-8 relative and the last four 8e-7–4e-5.
+//
+// On unix platforms the basis (n·iters float64s) is one anonymous mapping
+// outside the Go heap, unmapped before the call returns: it does not raise
+// the collector's heap goal, and heap profiles do not show it, so measure
+// it as resident memory. Elsewhere, or if the mapping fails, the vectors
+// are ordinary heap slices.
 func TopEigenvaluesLanczos(op Operator, k, iters int, rng *mathx.RNG) ([]float64, error) {
 	n := op.Dim()
 	if n == 0 {
@@ -146,6 +155,10 @@ func lanczos(op Operator, iters int, rng *mathx.RNG) (alpha, beta []float64, reo
 	const eps = 0x1p-52
 	tol := math.Sqrt(eps)
 	n := op.Dim()
+	// The basis vectors are carved from one off-heap slab when the
+	// platform can map one, else allocated one per step.
+	slab, release := mapSlab(n * iters)
+	defer release()
 	basis := make([][]float64, 0, iters)
 	alpha = make([]float64, 0, iters)
 	beta = make([]float64, 0, iters)
@@ -172,7 +185,14 @@ func lanczos(op Operator, iters int, rng *mathx.RNG) (alpha, beta []float64, reo
 	normalize(v)
 	w := make([]float64, n)
 	for j := 0; j < iters; j++ {
-		basis = append(basis, append([]float64(nil), v...))
+		var u []float64
+		if slab != nil {
+			u = slab[j*n : (j+1)*n : (j+1)*n]
+		} else {
+			u = make([]float64, n)
+		}
+		copy(u, v)
+		basis = append(basis, u)
 		op.Apply(w, v)
 		// Each update is fused with the dot product that follows it
 		// (w is read once per pass, with the bits of Axpy then Dot).

@@ -3,6 +3,7 @@ package spectral
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"elites/internal/graph"
@@ -362,6 +363,52 @@ func TestLanczosRitzConvergenceAtEigenK(t *testing.T) {
 	// again on the following steps).
 	if reorths != 84 {
 		t.Fatalf("reorthogonalized on %d of %d steps, want 84", reorths, iters)
+	}
+}
+
+// TestLanczosConcurrentCallsOwnTheirBasis runs lanczos on one operator
+// from four goroutines at once, each from its own start vector. Each call
+// carves its basis from its own off-heap slab (or heap vectors where the
+// platform has none), so every run must return the alpha and beta of a
+// serial run from the same start bit for bit; a shared or early-released
+// slab would corrupt the re-orthogonalized steps.
+func TestLanczosConcurrentCallsOwnTheirBasis(t *testing.T) {
+	op := NewLaplacianOperator(platformGraph(t, 400))
+	const iters, runs = 60, 4
+	type result struct {
+		alpha, beta []float64
+		reorths     int
+	}
+	run := func(i int) result {
+		a, b, r := lanczos(op, iters, mathx.NewRNG(uint64(40+i)))
+		return result{a, b, r}
+	}
+	want := make([]result, runs)
+	for i := range want {
+		if want[i] = run(i); want[i].reorths == 0 {
+			t.Fatalf("serial run %d never read its basis back", i)
+		}
+	}
+	got := make([]result, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(i)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.reorths != w.reorths || len(g.alpha) != len(w.alpha) || len(g.beta) != len(w.beta) {
+			t.Fatalf("run %d: %d steps, %d reorthogonalized; serial %d, %d", i, len(g.alpha), g.reorths, len(w.alpha), w.reorths)
+		}
+		for j := range g.alpha {
+			if math.Float64bits(g.alpha[j]) != math.Float64bits(w.alpha[j]) || math.Float64bits(g.beta[j]) != math.Float64bits(w.beta[j]) {
+				t.Fatalf("run %d, step %d: α=%v β=%v, serial α=%v β=%v", i, j, g.alpha[j], g.beta[j], w.alpha[j], w.beta[j])
+			}
+		}
 	}
 }
 
