@@ -56,7 +56,8 @@ var paperClaims = []claim{
 	bandClaim("§IV-C", "reciprocity", true),
 	{"§IV-C", "verified reciprocity above generic Twitter", "0.337 vs 0.221",
 		func(v, ref *core.Report) (string, bool) {
-			return fmt.Sprintf("%.3f vs %.3f", v.Reciprocity, ref.Reciprocity), v.Reciprocity > ref.Reciprocity
+			rv, rt := *v.Reciprocity, *ref.Reciprocity
+			return fmt.Sprintf("%.3f vs %.3f", rv, rt), rv > rt
 		}, true},
 	{"§IV-C", "core reciprocity above periphery (conjecture)", "conjectured",
 		func(v, _ *core.Report) (string, bool) {

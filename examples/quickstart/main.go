@@ -41,7 +41,7 @@ func main() {
 	}
 
 	// Headline numbers, read from the report's sections.
-	fmt.Printf("reciprocity:    %.3f  (paper: 0.337)\n", report.Reciprocity)
+	fmt.Printf("reciprocity:    %.3f  (paper: 0.337)\n", *report.Reciprocity)
 	fmt.Printf("clustering:     %.3f  (paper: 0.158)\n", report.Basic.Clustering)
 	fmt.Printf("assortativity:  %+.3f (paper: -0.04)\n", report.Basic.Assortativity)
 	report.Render(os.Stdout)

@@ -35,7 +35,7 @@ var reportGolden = map[string]string{
 // taken at. Served bodies are stored in the result cache under that
 // version, so a change to their bytes and a version bump land together:
 // update both here in the same edit.
-const reportGoldenViewVersion = 1
+const reportGoldenViewVersion = 2
 
 func TestReportGolden(t *testing.T) {
 	if core.ViewVersion != reportGoldenViewVersion {

@@ -74,10 +74,10 @@ func TestWarmRunByteIdenticalAndSkipsHeavyStages(t *testing.T) {
 	}
 	// The hydrated analyses must be structurally identical too, not just
 	// identically rendered.
-	if cold.Summary != warm.Summary {
+	if *cold.Summary != *warm.Summary {
 		t.Fatal("summary diverges after cache round trip")
 	}
-	if cold.Reciprocity != warm.Reciprocity {
+	if *cold.Reciprocity != *warm.Reciprocity {
 		t.Fatal("reciprocity diverges after cache round trip")
 	}
 	if !reflect.DeepEqual(cold.MetricHists, warm.MetricHists) {
@@ -521,7 +521,7 @@ var stagePayloads = map[string]func(r *Report, e *cache.Encoder){
 	StageBasic:       func(r *Report, e *cache.Encoder) { encodeBasicTo(e, r.Basic) },
 	StageDegree:      func(r *Report, e *cache.Encoder) { encodeDegreeTo(e, r.DegreeSeries, r.Degree) },
 	StageEigen:       func(r *Report, e *cache.Encoder) { encodePowerLawTo(e, r.Eigen) },
-	StageReciprocity: func(r *Report, e *cache.Encoder) { e.Float64(r.Reciprocity) },
+	StageReciprocity: func(r *Report, e *cache.Encoder) { e.Float64(*r.Reciprocity) },
 	StageDistances:   func(r *Report, e *cache.Encoder) { encodeDistancesTo(e, r.Distances) },
 	StageBios:        func(r *Report, e *cache.Encoder) { encodeBiosTo(e, r.Bios) },
 	StageHistograms:  func(r *Report, e *cache.Encoder) { encodeHistogramsTo(e, r.MetricHists) },

@@ -325,7 +325,7 @@ func decodeComponentsFrom(d *cache.Decoder) (componentCounts, error) {
 	return c, d.Err()
 }
 
-func encodeSummaryTo(e *cache.Encoder, s DatasetSummary) {
+func encodeSummaryTo(e *cache.Encoder, s *DatasetSummary) {
 	e.Int(s.Nodes)
 	e.Varint(s.Edges)
 	e.Float64(s.Density)
@@ -340,8 +340,8 @@ func encodeSummaryTo(e *cache.Encoder, s DatasetSummary) {
 	e.Int(s.TotalVerified)
 }
 
-func decodeSummaryFrom(d *cache.Decoder) (DatasetSummary, error) {
-	s := DatasetSummary{
+func decodeSummaryFrom(d *cache.Decoder) (*DatasetSummary, error) {
+	s := &DatasetSummary{
 		Nodes:         d.Int(),
 		Edges:         d.Varint(),
 		Density:       d.Float64(),
@@ -397,7 +397,7 @@ func decodeHistogramsFrom(d *cache.Decoder) (map[string]*stats.Histogram, error)
 
 // --- basic (§IV-A) -----------------------------------------------------------
 
-func encodeBasicTo(e *cache.Encoder, b BasicAnalysis) {
+func encodeBasicTo(e *cache.Encoder, b *BasicAnalysis) {
 	e.Float64(b.Clustering)
 	e.Float64(b.Assortativity)
 	e.Int(b.AttractingComponents)
@@ -407,8 +407,8 @@ func encodeBasicTo(e *cache.Encoder, b BasicAnalysis) {
 	}
 }
 
-func decodeBasicFrom(d *cache.Decoder) (BasicAnalysis, error) {
-	b := BasicAnalysis{
+func decodeBasicFrom(d *cache.Decoder) (*BasicAnalysis, error) {
+	b := &BasicAnalysis{
 		Clustering:           d.Float64(),
 		Assortativity:        d.Float64(),
 		AttractingComponents: d.Int(),

@@ -45,7 +45,7 @@ var hydratedCodecs = []stageCodec{
 		func(e *cache.Encoder, v any) { encodeComponentsTo(e, v.(componentCounts)) },
 		func(d *cache.Decoder) (any, error) { return decodeComponentsFrom(d) }},
 	{StageSummary,
-		func(e *cache.Encoder, v any) { encodeSummaryTo(e, v.(DatasetSummary)) },
+		func(e *cache.Encoder, v any) { encodeSummaryTo(e, v.(*DatasetSummary)) },
 		func(d *cache.Decoder) (any, error) { return decodeSummaryFrom(d) }},
 	// reciprocity's codec is one float, written inline by the stage.
 	{StageReciprocity,
@@ -154,9 +154,9 @@ func codecCases() []codecCase {
 		{codec: 3, name: "zero", value: componentCounts{}},
 		{codec: 3, name: "full", value: componentCounts{NumSCCs: 6197, GiantSCCSize: 225019, NumWCCs: 6251}},
 		{codec: 3, name: "negative", value: componentCounts{NumSCCs: -1, GiantSCCSize: math.MinInt64, NumWCCs: math.MaxInt64}},
-		{codec: 4, name: "zero", value: DatasetSummary{}},
-		{codec: 4, name: "full", value: summary},
-		{codec: 4, name: "nan density", value: nanSummary, nan: true},
+		{codec: 4, name: "zero", value: &DatasetSummary{}},
+		{codec: 4, name: "full", value: &summary},
+		{codec: 4, name: "nan density", value: &nanSummary, nan: true},
 		{codec: 5, name: "zero", value: 0.0},
 		{codec: 5, name: "rate", value: 0.3318},
 		{codec: 5, name: "-inf", value: math.Inf(-1)},

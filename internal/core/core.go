@@ -262,13 +262,16 @@ type ActivityAnalysis struct {
 	PortmanteauLag int
 }
 
-// Report bundles every analysis output.
+// Report bundles every analysis output. A section is nil when its stage
+// did not produce it (not selected, not applicable, failed or skipped): only
+// the stage body or a cache hit sets it, so Render and NewReportView show
+// exactly the sections the run produced.
 type Report struct {
-	Summary      DatasetSummary
-	Basic        BasicAnalysis
+	Summary      *DatasetSummary
+	Basic        *BasicAnalysis
 	Degree       *PowerLawAnalysis
 	Eigen        *PowerLawAnalysis
-	Reciprocity  float64
+	Reciprocity  *float64
 	Distances    *graph.DistanceDistribution
 	Bios         *BioAnalysis
 	Centrality   []CentralityPair
@@ -430,11 +433,12 @@ func (c *Characterizer) RunDigested(ctx context.Context, ds *twitter.Dataset, ac
 	}
 	stages = append(stages,
 		withCache(pipeline.Stage{Name: StageReciprocity, Run: func() error {
-			rep.Reciprocity = graph.Reciprocity(g)
+			r := graph.Reciprocity(g)
+			rep.Reciprocity = &r
 			return nil
-		}}, bind(&rep.Reciprocity, (*cache.Encoder).Float64, func(d *cache.Decoder) (float64, error) {
+		}}, bind(&rep.Reciprocity, func(e *cache.Encoder, r *float64) { e.Float64(*r) }, func(d *cache.Decoder) (*float64, error) {
 			r := d.Float64()
-			return r, d.Err()
+			return &r, d.Err()
 		})),
 		withCache(pipeline.Stage{Name: StageDistances, Run: func() error {
 			rep.Distances = graph.SampledDistancesWorkers(g, c.opts.DistanceSources,
@@ -696,7 +700,7 @@ func (c *Characterizer) summarize(rep *Report, ds *twitter.Dataset, comps compon
 	outDeg := g.OutDegrees()
 	ds1 := graph.SummarizeDegrees(outDeg)
 	maxNode := graph.ArgMax(outDeg)
-	rep.Summary = DatasetSummary{
+	rep.Summary = &DatasetSummary{
 		Nodes:         g.NumNodes(),
 		Edges:         g.NumEdges(),
 		Density:       g.Density(),
@@ -739,7 +743,7 @@ func (c *Characterizer) basic(rep *Report, g *graph.Digraph, scc *graph.SCCResul
 	for i := 0; i < len(cores) && i < 10; i++ {
 		basic.AttractingCores = append(basic.AttractingCores, cores[i].node)
 	}
-	rep.Basic = basic
+	rep.Basic = &basic
 }
 
 func (c *Characterizer) degreeAnalysis(rep *Report, g *graph.Digraph, sh *features.Shared, rng *mathx.RNG) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,8 +80,8 @@ func TestRunFullPipeline(t *testing.T) {
 		t.Fatalf("degree Vuong comparisons = %d", len(rep.Degree.Vuong))
 	}
 	// §IV-C.
-	if rep.Reciprocity < 0.25 || rep.Reciprocity > 0.45 {
-		t.Fatalf("reciprocity = %v", rep.Reciprocity)
+	if r := *rep.Reciprocity; r < 0.25 || r > 0.45 {
+		t.Fatalf("reciprocity = %v", r)
 	}
 	// §IV-D.
 	if rep.Distances.Mean() < 1.5 || rep.Distances.Mean() > 4 {
@@ -251,8 +252,22 @@ func TestFingerprintOfEdgeCases(t *testing.T) {
 		t.Fatalf("sections that did not run read as %v, %v, %v; want NaN",
 			fp.PowerLawAlpha, fp.PowerLawGoF, fp.MeanDistance)
 	}
+	if !math.IsNaN(fp.Clustering) || !math.IsNaN(fp.Assortativity) || !math.IsNaN(fp.AttractingRate) {
+		t.Fatalf("basic did not run, yet reads as %+v", fp)
+	}
 	if fp.Reciprocity == 0 || fp.GiantSCCShare == 0 {
 		t.Fatalf("sections that ran read as zero: %+v", fp)
+	}
+	// A run without reciprocity reads NaN there, and that band is no hit.
+	noRecip := slices.DeleteFunc(FingerprintStages(), func(s string) bool { return s == StageReciprocity })
+	fp = FingerprintOf(fingerprintReport(t, v.Graph, noRecip))
+	if !math.IsNaN(fp.Reciprocity) || math.IsNaN(fp.Clustering) || math.IsNaN(fp.IsolatedShare) {
+		t.Fatalf("run without reciprocity reads as %+v", fp)
+	}
+	for _, b := range fp.Bands() {
+		if b.Name == "reciprocity" && b.Score() != 0 {
+			t.Fatalf("missing reciprocity scores %v", b.Score())
+		}
 	}
 }
 
@@ -332,7 +347,7 @@ func TestStageSubsetOption(t *testing.T) {
 	if rep.Summary.Nodes != ds.Graph.NumNodes() {
 		t.Fatal("summary stage did not run")
 	}
-	if rep.Reciprocity <= 0 {
+	if rep.Reciprocity == nil || *rep.Reciprocity <= 0 {
 		t.Fatal("reciprocity stage did not run")
 	}
 	// ...and unrequested ones did not.

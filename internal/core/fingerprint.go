@@ -29,21 +29,28 @@ func FingerprintStages() []string {
 }
 
 // FingerprintOf projects the fingerprint from a report's sections. A
-// section whose stage did not run reads as NaN (distances, degree) or
-// zero (the rest).
+// dimension whose section the run did not produce reads as NaN, never as a
+// measured zero, so it scores as missing.
 func FingerprintOf(rep *Report) Fingerprint {
+	nan := math.NaN()
 	fp := Fingerprint{
-		Reciprocity:   rep.Reciprocity,
-		Clustering:    rep.Basic.Clustering,
-		Assortativity: rep.Basic.Assortativity,
-		GiantSCCShare: rep.Summary.GiantSCCShare,
-		MeanDistance:  math.NaN(),
-		PowerLawAlpha: math.NaN(),
-		PowerLawGoF:   math.NaN(),
+		Reciprocity: nan, Clustering: nan, Assortativity: nan, GiantSCCShare: nan,
+		MeanDistance: nan, PowerLawAlpha: nan, PowerLawGoF: nan,
+		IsolatedShare: nan, AttractingRate: nan,
 	}
-	if n := float64(rep.Summary.Nodes); n > 0 {
-		fp.IsolatedShare = float64(rep.Summary.Isolated) / n
-		fp.AttractingRate = float64(rep.Basic.AttractingComponents) / n
+	if rep.Reciprocity != nil {
+		fp.Reciprocity = *rep.Reciprocity
+	}
+	if b := rep.Basic; b != nil {
+		fp.Clustering, fp.Assortativity = b.Clustering, b.Assortativity
+	}
+	if s := rep.Summary; s != nil {
+		fp.GiantSCCShare = s.GiantSCCShare
+		n := float64(max(s.Nodes, 1))
+		fp.IsolatedShare = float64(s.Isolated) / n
+		if rep.Basic != nil {
+			fp.AttractingRate = float64(rep.Basic.AttractingComponents) / n
+		}
 	}
 	if rep.Distances != nil {
 		fp.MeanDistance = rep.Distances.Mean()

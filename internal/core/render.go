@@ -51,6 +51,9 @@ func section(w io.Writer, title string) {
 
 func (r *Report) renderSummary(w io.Writer) {
 	s := r.Summary
+	if s == nil {
+		return
+	}
 	section(w, "Dataset (paper §III)")
 	if s.TotalVerified > 0 {
 		fmt.Fprintf(w, "verified users total:     %d\n", s.TotalVerified)
@@ -66,12 +69,16 @@ func (r *Report) renderSummary(w io.Writer) {
 }
 
 func (r *Report) renderBasic(w io.Writer) {
+	b := r.Basic
+	if b == nil {
+		return
+	}
 	section(w, "Basic analysis (paper §IV-A)")
-	fmt.Fprintf(w, "average local clustering: %.4f\n", r.Basic.Clustering)
-	fmt.Fprintf(w, "degree assortativity:     %+.4f\n", r.Basic.Assortativity)
-	fmt.Fprintf(w, "attracting components:    %d\n", r.Basic.AttractingComponents)
-	if len(r.Basic.AttractingCores) > 0 {
-		fmt.Fprintf(w, "largest attracting cores: nodes %v\n", r.Basic.AttractingCores)
+	fmt.Fprintf(w, "average local clustering: %.4f\n", b.Clustering)
+	fmt.Fprintf(w, "degree assortativity:     %+.4f\n", b.Assortativity)
+	fmt.Fprintf(w, "attracting components:    %d\n", b.AttractingComponents)
+	if len(b.AttractingCores) > 0 {
+		fmt.Fprintf(w, "largest attracting cores: nodes %v\n", b.AttractingCores)
 	}
 }
 
@@ -115,10 +122,12 @@ func renderHistogram(w io.Writer, h *stats.Histogram, width int) {
 }
 
 func (r *Report) renderPowerLaws(w io.Writer) {
+	if r.Degree == nil && r.Eigen == nil && len(r.DegreeSeries) == 0 {
+		return
+	}
 	section(w, "Figure 2 / §IV-B: power-law inference (Clauset–Shalizi–Newman MLE)")
 	render := func(name string, pa *PowerLawAnalysis) {
-		if pa == nil || pa.Fit == nil {
-			fmt.Fprintf(w, "%s: no fit\n", name)
+		if pa == nil {
 			return
 		}
 		f := pa.Fit
@@ -164,9 +173,12 @@ func (r *Report) renderPowerLaws(w io.Writer) {
 }
 
 func (r *Report) renderReciprocity(w io.Writer) {
+	if r.Reciprocity == nil {
+		return
+	}
 	section(w, "Reciprocity (paper §IV-C)")
 	fmt.Fprintf(w, "reciprocity: %.1f%%   (paper: verified 33.7%%, whole Twitter 22.1%%, Flickr 68%%)\n",
-		100*r.Reciprocity)
+		100*(*r.Reciprocity))
 }
 
 func (r *Report) renderDistances(w io.Writer) {

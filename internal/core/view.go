@@ -41,7 +41,7 @@ import (
 // these encoders, so a body stored in the result cache is keyed by this
 // version too (Body.Entry); bump it with any change to the bytes they
 // produce. TestReportGolden records the version its hashes were taken at.
-const ViewVersion = 1
+const ViewVersion = 2
 
 // Body is one dataset request whose clean response body is stored in the
 // result cache: the request parsed, and the entry its body is kept under.
@@ -477,43 +477,23 @@ type UsersBatchView struct {
 }
 
 // NewReportView projects rep into its JSON view. The projection never
-// fails: sections the run skipped come out nil/omitted.
-//
-// Pointer-typed report sections encode their own presence. The value-typed
-// ones (summary, basic, reciprocity) cannot, so their presence is decided
-// by Report.Timings when the run collected them (Options.Timings — the
-// serving layer always does, so a legitimately zero reciprocity still
-// serves as 0 rather than vanishing), falling back to zero-value
-// heuristics on untimed reports.
+// fails: sections the run did not produce are nil in rep and omitted here.
 func NewReportView(rep *Report) *ReportView {
 	if rep == nil {
 		return &ReportView{}
 	}
 	v := &ReportView{
-		Degree:     powerLawView(rep.Degree),
-		Eigen:      powerLawView(rep.Eigen),
-		Distances:  distancesView(rep.Distances),
-		Bios:       biosView(rep.Bios),
-		Categories: categoriesView(rep.Categories),
-		MutualCore: mutualCoreView(rep.MutualCore),
-		Activity:   activityView(rep.Activity),
-		Features:   featuresView(rep.Features),
-	}
-	// ran reports whether a stage executed successfully, when the report can
-	// tell (ok=false means the report was not timed and the caller must fall
-	// back to zero-value sniffing). Failed and skipped stages are present in
-	// Timings but did not produce a section — a degraded report must not
-	// render their zero values as results.
-	ran := func(stage string) (yes, ok bool) {
-		if len(rep.Timings) == 0 {
-			return false, false
-		}
-		for _, tm := range rep.Timings {
-			if tm.Name == stage {
-				return tm.Err == nil && !tm.Skipped, true
-			}
-		}
-		return false, true
+		Summary:     summaryView(rep.Summary),
+		Basic:       basicView(rep.Basic),
+		Degree:      powerLawView(rep.Degree),
+		Eigen:       powerLawView(rep.Eigen),
+		Reciprocity: (*JSONFloat)(rep.Reciprocity),
+		Distances:   distancesView(rep.Distances),
+		Bios:        biosView(rep.Bios),
+		Categories:  categoriesView(rep.Categories),
+		MutualCore:  mutualCoreView(rep.MutualCore),
+		Activity:    activityView(rep.Activity),
+		Features:    featuresView(rep.Features),
 	}
 	// A report with failed stages is degraded: surface each failure as a
 	// structured entry, with contained panics carrying their stacks.
@@ -532,18 +512,6 @@ func NewReportView(rep *Report) *ReportView {
 			sev.Stack = string(pe.Stack)
 		}
 		v.StageErrors = append(v.StageErrors, sev)
-	}
-	if yes, ok := ran(StageSummary); yes || (!ok && rep.Summary.Nodes > 0) {
-		v.Summary = summaryView(rep.Summary)
-	}
-	if yes, ok := ran(StageBasic); yes ||
-		(!ok && (rep.Basic.Clustering != 0 || rep.Basic.AttractingComponents != 0 ||
-			rep.Basic.Assortativity != 0 || len(rep.Basic.AttractingCores) != 0)) {
-		v.Basic = basicView(rep.Basic)
-	}
-	if yes, ok := ran(StageReciprocity); yes || (!ok && rep.Reciprocity != 0) {
-		r := JSONFloat(rep.Reciprocity)
-		v.Reciprocity = &r
 	}
 	if len(rep.MetricHists) > 0 {
 		v.Histograms = make(map[string]HistogramView, len(rep.MetricHists))
@@ -606,7 +574,10 @@ func StageView(rep *Report, stage string) (any, error) {
 	return nil, fmt.Errorf("core: no view for stage %q (known: %v)", stage, StageNames())
 }
 
-func summaryView(s DatasetSummary) *SummaryView {
+func summaryView(s *DatasetSummary) *SummaryView {
+	if s == nil {
+		return nil
+	}
 	return &SummaryView{
 		Nodes: s.Nodes, Edges: s.Edges, Density: JSONFloat(s.Density),
 		Isolated: s.Isolated, AvgOutDegree: JSONFloat(s.AvgOutDegree),
@@ -616,7 +587,10 @@ func summaryView(s DatasetSummary) *SummaryView {
 	}
 }
 
-func basicView(b BasicAnalysis) *BasicView {
+func basicView(b *BasicAnalysis) *BasicView {
+	if b == nil {
+		return nil
+	}
 	return &BasicView{
 		Clustering:           JSONFloat(b.Clustering),
 		Assortativity:        JSONFloat(b.Assortativity),
@@ -626,7 +600,7 @@ func basicView(b BasicAnalysis) *BasicView {
 }
 
 func powerLawView(pa *PowerLawAnalysis) *PowerLawView {
-	if pa == nil || pa.Fit == nil {
+	if pa == nil {
 		return nil
 	}
 	f := pa.Fit

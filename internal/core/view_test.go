@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"net/url"
 	"slices"
@@ -157,26 +158,122 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestValueSectionPresenceFollowsTimings: on timed reports the value-typed
-// sections (summary, basic, reciprocity) are present exactly when their
-// stage ran — a legitimately zero reciprocity still serves as 0 — and on
-// untimed reports the zero-value heuristic applies.
-func TestValueSectionPresenceFollowsTimings(t *testing.T) {
-	timed := &Report{
-		Reciprocity: 0,
-		Timings:     []StageTiming{{Name: StageReciprocity}},
+// TestSingleStageSections runs every stage as a single-stage selection and
+// checks the text and the JSON hold exactly the sections of the stages that
+// ran, dependencies included, each byte-equal to the full report's. The
+// §IV-B text section holds both fits, so a run with one of them is compared
+// against the full report rendered with only the sections that run has.
+func TestSingleStageSections(t *testing.T) {
+	p, ds := testPlatform(t)
+	activity := p.ActivitySeries(p.EnglishNodes())
+	run := func(stages []string) *Report {
+		opts := fastOptions()
+		opts.Features, opts.Stages = true, stages
+		rep, err := NewCharacterizer(opts).Run(ds, activity)
+		if err != nil {
+			t.Fatalf("stages %v: %v", stages, err)
+		}
+		return rep
 	}
-	v := NewReportView(timed)
-	if v.Reciprocity == nil || *v.Reciprocity != 0 {
-		t.Fatalf("timed zero reciprocity should serve as 0, got %v", v.Reciprocity)
+	full := run(nil)
+	var fullJSON map[string]json.RawMessage
+	if err := json.Unmarshal(marshalView(t, full), &fullJSON); err != nil {
+		t.Fatal(err)
 	}
-	if v.Summary != nil || v.Basic != nil {
-		t.Fatal("sections whose stages did not run must stay absent")
+	// sectionsOf copies from src what each stage writes; components writes
+	// only the counts summary reads.
+	sectionsOf := map[string]func(dst, src *Report){
+		StageComponents:  func(dst, src *Report) {},
+		StageSummary:     func(dst, src *Report) { dst.Summary = src.Summary },
+		StageBasic:       func(dst, src *Report) { dst.Basic = src.Basic },
+		StageDegree:      func(dst, src *Report) { dst.Degree, dst.DegreeSeries = src.Degree, src.DegreeSeries },
+		StageEigen:       func(dst, src *Report) { dst.Eigen = src.Eigen },
+		StageReciprocity: func(dst, src *Report) { dst.Reciprocity = src.Reciprocity },
+		StageDistances:   func(dst, src *Report) { dst.Distances = src.Distances },
+		StageBios:        func(dst, src *Report) { dst.Bios = src.Bios },
+		StageHistograms:  func(dst, src *Report) { dst.MetricHists = src.MetricHists },
+		StageCentrality:  func(dst, src *Report) { dst.Centrality = src.Centrality },
+		StageCategories:  func(dst, src *Report) { dst.Categories = src.Categories },
+		StageMutualCore:  func(dst, src *Report) { dst.MutualCore = src.MutualCore },
+		StageActivity:    func(dst, src *Report) { dst.Activity = src.Activity },
+		StageFeatures:    func(dst, src *Report) { dst.Features = src.Features },
 	}
-	untimed := &Report{Reciprocity: 0}
-	if v := NewReportView(untimed); v.Reciprocity != nil {
-		t.Fatal("untimed zero reciprocity is indistinguishable from not-run and must be omitted")
+	const powerLaws = "Figure 2 / §IV-B: power-law inference (Clauset–Shalizi–Newman MLE)"
+	for _, tc := range []struct {
+		stage  string
+		ran    []string // the stage and its dependencies
+		key    string   // its JSON section; "" for none
+		titles []string // its text sections
+	}{
+		{StageComponents, []string{StageComponents}, "", nil},
+		{StageSummary, []string{StageComponents, StageSummary}, "summary", []string{"Dataset (paper §III)"}},
+		{StageBasic, []string{StageComponents, StageBasic}, "basic", []string{"Basic analysis (paper §IV-A)"}},
+		{StageDegree, []string{StageDegree}, "degree", []string{powerLaws}},
+		{StageEigen, []string{StageEigen}, "eigen", []string{powerLaws}},
+		{StageReciprocity, []string{StageReciprocity}, "reciprocity", []string{"Reciprocity (paper §IV-C)"}},
+		{StageDistances, []string{StageDistances}, "distances", []string{"Figure 3 / §IV-D: degrees of separation"}},
+		{StageBios, []string{StageBios}, "bios", []string{"Tables I & II / Figure 4: verified user bios (§IV-E)"}},
+		{StageHistograms, []string{StageHistograms}, "histograms", []string{"Figure 1: distributions of friends, followers, list memberships, statuses"}},
+		{StageCentrality, []string{StageCentrality}, "centrality", []string{"Figure 5: influence correlations with GAM splines (§IV-F)"}},
+		{StageCategories, []string{StageCategories}, "categories", []string{"User categorization (archetype mix, audience, topical affinity)"}},
+		{StageMutualCore, []string{StageMutualCore}, "mutual_core", []string{"§IV-C conjecture validation: core vs periphery reciprocity"}},
+		{StageActivity, []string{StageActivity}, "activity", []string{"Activity analysis (paper §V)"}},
+		{StageFeatures, []string{StageFeatures}, "features", nil},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			rep := run([]string{tc.stage})
+			masked := &Report{}
+			for _, name := range tc.ran {
+				sectionsOf[name](masked, full)
+			}
+			txt := renderString(t, rep)
+			if want := renderString(t, masked); txt != want {
+				t.Fatalf("text:\n%s\nwant:\n%s", txt, want)
+			}
+			if got := sectionTitles(txt); !slices.Equal(got, tc.titles) {
+				t.Fatalf("text sections %q, want %q", got, tc.titles)
+			}
+			var got map[string]json.RawMessage
+			if err := json.Unmarshal(marshalView(t, rep), &got); err != nil {
+				t.Fatal(err)
+			}
+			keys := slices.Sorted(maps.Keys(got))
+			if !slices.Equal(keys, strings.Fields(tc.key)) || !bytes.Equal(got[tc.key], fullJSON[tc.key]) {
+				t.Fatalf("JSON sections %s, want only %q as in the full report", keys, tc.key)
+			}
+		})
 	}
+	// A genuine zero reciprocity is a result: it serves as 0 and renders.
+	zero := 0.0
+	v := NewReportView(&Report{Reciprocity: &zero})
+	if v.Reciprocity == nil || *v.Reciprocity != 0 || v.Summary != nil || v.Basic != nil {
+		t.Fatalf("zero reciprocity view: %+v", v)
+	}
+	if txt := renderString(t, &Report{Reciprocity: &zero}); !strings.Contains(txt, "reciprocity: 0.0%") {
+		t.Fatalf("zero reciprocity text: %q", txt)
+	}
+}
+
+func marshalView(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	b, err := json.Marshal(NewReportView(rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sectionTitles lists the section titles of a rendered report in order: a
+// title is the line above a line of '=' as long as it.
+func sectionTitles(text string) []string {
+	var titles []string
+	lines := strings.Split(text, "\n")
+	for i := 1; i < len(lines); i++ {
+		if lines[i] != "" && strings.Trim(lines[i], "=") == "" && len(lines[i]) == len(lines[i-1]) {
+			titles = append(titles, lines[i-1])
+		}
+	}
+	return titles
 }
 
 // TestViewStages: components' servable view needs the summary stage.
@@ -215,28 +312,28 @@ func TestBodyEntryNames(t *testing.T) {
 		arg          string
 		entry, ctype string
 	}{
-		{"report", report, "", "body-v1-1f71373678bd3333", "application/json"},
-		{"report", report, "format=json", "body-v1-1f71373678bd3333", "application/json"},
-		{"report", report, "stages=degree,summary", "body-v1-95789eba3cd8eeb4", "application/json"},
-		{"report", report, "stages=summary,+degree,summary", "body-v1-95789eba3cd8eeb4", "application/json"},
-		{"report", report, "format=text", "body-v1-e72efc3c1a1514ae", "text/plain; charset=utf-8"},
-		{"stage", stage, "components", "body-v1-858547fd1efca881", "application/json"},
-		{"user features", user, "7", "body-v1-e04534b2cfcd0364", "application/json"},
-		{"user features", user, "007", "body-v1-e04534b2cfcd0364", "application/json"},
-		{"users:batch", batch, `{"ranks":[1,2,3]}`, "body-v1-029d34bb2bdd48ff", "application/json"},
-		{"users:batch", batch, " {\"Ranks\": [1, 2,\n3], \"other\": true}\n", "body-v1-029d34bb2bdd48ff", "application/json"},
+		{"report", report, "", "body-v2-1f71373678bd3333", "application/json"},
+		{"report", report, "format=json", "body-v2-1f71373678bd3333", "application/json"},
+		{"report", report, "stages=degree,summary", "body-v2-95789eba3cd8eeb4", "application/json"},
+		{"report", report, "stages=summary,+degree,summary", "body-v2-95789eba3cd8eeb4", "application/json"},
+		{"report", report, "format=text", "body-v2-e72efc3c1a1514ae", "text/plain; charset=utf-8"},
+		{"stage", stage, "components", "body-v2-858547fd1efca881", "application/json"},
+		{"user features", user, "7", "body-v2-e04534b2cfcd0364", "application/json"},
+		{"user features", user, "007", "body-v2-e04534b2cfcd0364", "application/json"},
+		{"users:batch", batch, `{"ranks":[1,2,3]}`, "body-v2-029d34bb2bdd48ff", "application/json"},
+		{"users:batch", batch, " {\"Ranks\": [1, 2,\n3], \"other\": true}\n", "body-v2-029d34bb2bdd48ff", "application/json"},
 	} {
 		b, err := c.b(c.arg)
 		if err != nil || b.Entry != c.entry || b.ContentType != c.ctype {
 			t.Errorf("%s %q: entry %s (%s, err %v), want %s (%s)", c.req, c.arg, b.Entry, b.ContentType, err, c.entry, c.ctype)
 		}
 	}
-	if b := NewBody(identity, []string{StageFeatures}, "users-batch:1,2,3"); b.Entry != "body-v1-029d34bb2bdd48ff" {
+	if b := NewBody(identity, []string{StageFeatures}, "users-batch:1,2,3"); b.Entry != "body-v2-029d34bb2bdd48ff" {
 		t.Errorf("users:batch entry %s, want body-v1-029d34bb2bdd48ff", b.Entry)
 	}
 
 	json, _ := report("")
-	if next := bodyEntry(ViewVersion+1, json.Key); next == json.Entry || !strings.HasPrefix(next, "body-v2-") {
+	if next := bodyEntry(ViewVersion+1, json.Key); next == json.Entry || !strings.HasPrefix(next, "body-v3-") {
 		t.Errorf("view version %d names %s, version %d %s", ViewVersion+1, next, ViewVersion, json.Entry)
 	}
 	if other, _ := ReportBody("00000000000000ff-0000000000000002", nil); other.Entry == json.Entry {

@@ -386,6 +386,37 @@ func TestChaosStageRetryAbsorbsTransientFault(t *testing.T) {
 	}
 }
 
+// TestChaosDegradedTextOmitsFailedSections: a degraded text body carries
+// the banner and no section of a failed stage or of the dependents it
+// skipped, as its JSON twin omits them.
+func TestChaosDegradedTextOmitsFailedSections(t *testing.T) {
+	for _, c := range []struct {
+		spec    string
+		missing []string
+	}{
+		{"stage:basic=error", []string{"Basic analysis"}},
+		{"stage:components=error", []string{"Dataset (paper §III)", "Basic analysis"}},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			s := newChaosServer(t, chaosConfig(t, c.spec))
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			r := chaosDo(t, ts, http.MethodGet, "/v1/datasets/demo/report?format=text")
+			if r.code != http.StatusOK || r.warning == "" || !bytes.HasPrefix(r.body, []byte("!! DEGRADED REPORT")) {
+				t.Fatalf("code %d, Warning %q, body:\n%s", r.code, r.warning, r.body)
+			}
+			for _, title := range c.missing {
+				if bytes.Contains(r.body, []byte(title)) {
+					t.Fatalf("degraded body shows %q:\n%s", title, r.body)
+				}
+			}
+			if !bytes.Contains(r.body, []byte("Reciprocity (paper §IV-C)")) {
+				t.Fatalf("degraded body lost a section that ran:\n%s", r.body)
+			}
+		})
+	}
+}
+
 // TestChaosMetricsExposition: a degraded run surfaces in /metrics as
 // eliteserve_degraded_total.
 func TestChaosMetricsExposition(t *testing.T) {

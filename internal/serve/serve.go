@@ -495,11 +495,11 @@ func (s *Server) WaitJobs(ctx context.Context) (abandoned int) {
 // runBattery is the single execution path every report-shaped request
 // funnels into (through the coalescer): the admission gate, then the
 // characterizer run with the request context threaded through, with run
-// metrics recorded. Runs are always timed — Report.Timings is what tells
-// the JSON views which value-typed sections actually executed, and it
-// never reaches response bytes. On stage failure the partial report comes
-// back alongside the error; callers decide whether it is servable
-// (degradable).
+// metrics recorded. Runs are always timed: Report.Timings names the
+// failed stages of a degraded body and feeds the run metrics, while a
+// section's presence is its own (nil when its stage did not produce it).
+// On stage failure the partial report comes back alongside the error;
+// callers decide whether it is servable (degradable).
 func (s *Server) runBattery(ctx context.Context, d *dataset, stages []string, prog *progress) (*core.Report, error) {
 	if s.draining.Load() {
 		s.met.drainRejected.Inc()
