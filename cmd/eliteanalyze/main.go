@@ -137,14 +137,14 @@ func run(data string, n int, seed uint64, fast bool, figdir string, parallel int
 	}
 	// Tracing is opt-in for the CLI: without -trace-out there is no tracer,
 	// no span ids are drawn from the RNG, and all output stays byte-stable.
+	sink, closeSink, err := obs.OpenTraceOut(traceOut)
+	if err != nil {
+		return err
+	}
+	defer closeSink()
 	var tracer *obs.Tracer
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("-trace-out: %w", err)
-		}
-		defer f.Close()
-		tracer = obs.NewTracer(obs.TracerConfig{Name: "eliteanalyze", Seed: seed, Sink: f})
+	if sink != nil {
+		tracer = obs.NewTracer(obs.TracerConfig{Name: "eliteanalyze", Seed: seed, Sink: sink})
 	}
 	var (
 		ds       *twitter.Dataset

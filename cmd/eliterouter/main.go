@@ -104,15 +104,11 @@ func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
-	tcfg := obs.TracerConfig{Name: "eliterouter:" + addr, Seed: seed}
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("-trace-out: %w", err)
-		}
-		defer f.Close()
-		tcfg.Sink = f
+	sink, closeSink, err := obs.OpenTraceOut(traceOut)
+	if err != nil {
+		return err
 	}
+	defer closeSink()
 	cfg := fleet.Config{
 		Workers:        workers,
 		ProbeInterval:  probeInterval,
@@ -121,20 +117,12 @@ func run(addr, cacheDir string, probeInterval time.Duration, ejectAfter, retries
 		RequestTimeout: reqTimeout,
 		CacheDir:       cacheDir,
 		Seed:           seed,
-		Tracer:         obs.NewTracer(tcfg),
+		Tracer:         obs.NewTracer(obs.TracerConfig{Name: "eliterouter:" + addr, Seed: seed, Sink: sink}),
 		Logger:         logger,
 		SlowRequest:    slowReq,
 	}
-	if faultSpec == "" {
-		faultSpec = os.Getenv("ELITES_FAULTS")
-	}
-	if faultSpec != "" {
-		inj, err := faults.Parse(faultSpec, faultSeed)
-		if err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		cfg.Faults = inj
-		fmt.Fprintf(os.Stderr, "eliterouter: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
+	if cfg.Faults, err = faults.FromFlag("eliterouter", faultSpec, faultSeed); err != nil {
+		return err
 	}
 	router, err := fleet.New(cfg)
 	if err != nil {

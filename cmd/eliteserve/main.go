@@ -130,15 +130,11 @@ func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cac
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
-	tcfg := obs.TracerConfig{Name: "eliteserve:" + addr, Seed: seed}
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("-trace-out: %w", err)
-		}
-		defer f.Close()
-		tcfg.Sink = f
+	sink, closeSink, err := obs.OpenTraceOut(traceOut)
+	if err != nil {
+		return err
 	}
+	defer closeSink()
 	opts := core.Options{
 		Seed: seed, Parallelism: parallel,
 		CacheDir: cacheDir, CacheMemBytes: cacheMem,
@@ -150,23 +146,15 @@ func run(addr string, seed uint64, fast bool, parallel int, cacheDir string, cac
 		opts.SkipBootstrap = true
 		opts.DistanceSources = 100
 	}
-	if faultSpec == "" {
-		faultSpec = os.Getenv("ELITES_FAULTS")
-	}
-	if faultSpec != "" {
-		inj, err := faults.Parse(faultSpec, faultSeed)
-		if err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		opts.Faults = inj
-		fmt.Fprintf(os.Stderr, "eliteserve: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
+	if opts.Faults, err = faults.FromFlag("eliteserve", faultSpec, faultSeed); err != nil {
+		return err
 	}
 	srv := serve.New(serve.Config{
 		Options:       opts,
 		MaxConcurrent: maxConc,
 		MaxQueue:      maxQueue,
 		AsyncAfter:    asyncAfter,
-		Tracer:        obs.NewTracer(tcfg),
+		Tracer:        obs.NewTracer(obs.TracerConfig{Name: "eliteserve:" + addr, Seed: seed, Sink: sink}),
 		Logger:        logger,
 		SlowRequest:   slowReq,
 	})

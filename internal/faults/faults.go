@@ -45,10 +45,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -82,7 +82,8 @@ const (
 	KindCancel
 	// KindIOError makes the hook return a generic injected I/O error.
 	KindIOError
-	// KindENOSPC makes the hook return an error wrapping syscall.ENOSPC.
+	// KindENOSPC makes the hook return an error wrapping syscall.ENOSPC
+	// (a stand-in error on plan9, which has no errno values).
 	KindENOSPC
 	// KindDrop makes the hook return an error wrapping ErrDropped; the
 	// router's transport surfaces it as a connection torn mid-request.
@@ -281,7 +282,7 @@ func (in *Injector) fire(ctx context.Context, point string) error {
 	case KindIOError:
 		return fmt.Errorf("%w: I/O error at %s", ErrInjected, point)
 	case KindENOSPC:
-		return fmt.Errorf("%w at %s: %w", ErrInjected, point, syscall.ENOSPC)
+		return fmt.Errorf("%w at %s: %w", ErrInjected, point, errNoSpace)
 	case KindDrop:
 		return fmt.Errorf("%w: %w at %s", ErrInjected, ErrDropped, point)
 	case Kind5xx:
@@ -318,6 +319,25 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 		rules = append(rules, r)
 	}
 	return New(seed, rules...), nil
+}
+
+// FromFlag resolves a command's -faults flag: spec, or $ELITES_FAULTS
+// when spec is empty, parsed with seed. A resolved rule set is announced
+// on standard error under prog's name, since it makes the command
+// misbehave on purpose; with neither set the injector is nil.
+func FromFlag(prog, spec string, seed uint64) (*Injector, error) {
+	if spec == "" {
+		spec = os.Getenv("ELITES_FAULTS")
+	}
+	if spec == "" {
+		return nil, nil
+	}
+	inj, err := Parse(spec, seed)
+	if err != nil {
+		return nil, fmt.Errorf("-faults: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: FAULT INJECTION ACTIVE (%s)\n", prog, spec)
+	return inj, nil
 }
 
 func parseRule(raw string) (Rule, error) {

@@ -57,6 +57,26 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestFromFlag: the flag wins over $ELITES_FAULTS, the variable is the
+// fallback, neither yields no injector, and a bad spec names the flag.
+func TestFromFlag(t *testing.T) {
+	t.Setenv("ELITES_FAULTS", "stage:degree=error")
+	in, err := FromFlag("test", "stage:eigen=panic", 1)
+	if err != nil || len(in.rules) != 1 || in.rules[0].Point != "stage:eigen" {
+		t.Fatalf("flag spec: %v %v", in, err)
+	}
+	if in, err = FromFlag("test", "", 1); err != nil || len(in.rules) != 1 || in.rules[0].Point != "stage:degree" {
+		t.Fatalf("env fallback: %v %v", in, err)
+	}
+	t.Setenv("ELITES_FAULTS", "")
+	if in, err = FromFlag("test", "", 1); in != nil || err != nil {
+		t.Fatalf("no spec: %v %v, want nil injector", in, err)
+	}
+	if _, err = FromFlag("test", "bogus", 1); err == nil || !strings.HasPrefix(err.Error(), "-faults: ") {
+		t.Fatalf("bad spec error %v, want it to name -faults", err)
+	}
+}
+
 func TestErrorKindWrapsSentinel(t *testing.T) {
 	in := New(1, Rule{Point: "stage:degree", Kind: KindError})
 	err := in.Stage(context.Background(), "degree")

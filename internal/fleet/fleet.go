@@ -188,7 +188,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:        cfg,
 		workers:    workers,
-		met:        newFleetMetrics(time.Now()),
+		met:        newFleetMetrics(time.Now(), cfg),
 		cache:      cc,
 		transport:  transport,
 		client:     &http.Client{Transport: transport},
@@ -213,12 +213,17 @@ func (rt *Router) Close() {
 }
 
 // ServeHTTP answers the router's own endpoints and proxies the rest.
+// The router's own endpoints are not instrumented: they answer from its
+// state, not from a worker, and probes and scrapers poll them, so a span
+// or a request series per poll would bury the routed traffic (the CI
+// trace smoke counts exactly one trace after polling /healthz).
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodGet && r.URL.Path == "/healthz":
 		rt.handleHealthz(w)
 	case r.Method == http.MethodGet && r.URL.Path == "/metrics":
-		rt.handleMetrics(w, r)
+		rt.met.sync(rt.infos())
+		rt.met.reg.ServeHTTP(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/fleet/workers":
 		rt.handleWorkers(w)
 	case r.URL.Path == "/debug/traces":
@@ -250,12 +255,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter) {
 	})
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ct, om := obs.NegotiateExposition(r.Header)
-	w.Header().Set("Content-Type", ct)
-	rt.met.write(w, rt.infos(), om)
-}
-
 func (rt *Router) handleWorkers(w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, map[string]any{"workers": rt.infos()})
 }
@@ -265,7 +264,7 @@ func (rt *Router) handleWorkers(w http.ResponseWriter) {
 // route is how the router handles one request.
 type route struct {
 	key        uint64 // rendezvous key
-	class      string // metrics label
+	class      string // the route label of the request series, span and log record
 	dataset    string // the {id} of a /v1/datasets/{id}… request
 	rest       string // a GET's or POST's path after /v1/datasets/{id}/, which may name a stored body
 	retryOn404 bool   // the jobs scatter (see routeOf)
@@ -368,83 +367,30 @@ type attemptResult struct {
 	err  error
 }
 
-// statusRecorder captures the written status code for metrics/tracing.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (rec *statusRecorder) WriteHeader(code int) {
-	if rec.status == 0 {
-		rec.status = code
-	}
-	rec.ResponseWriter.WriteHeader(code)
-}
-
-func (rec *statusRecorder) Write(b []byte) (int, error) {
-	if rec.status == 0 {
-		rec.status = http.StatusOK
-	}
-	return rec.ResponseWriter.Write(b)
-}
-
-// proxy instruments one routed request — root span (continuing any
-// incoming traceparent), per-request metrics with trace-id exemplar,
-// structured log record, slow-request span-tree dump — around the
-// routing machinery in proxyRouted.
+// proxy serves one routed request through the router's obs.Front, which
+// owns its router.request root span (continuing any incoming
+// traceparent), its request series with trace-id exemplar, its log
+// record and the slow-request span-tree dump.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sp := rt.cfg.Tracer.StartFromHeader(r.Header, "router.request")
-	if sp != nil {
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-	}
-	rec := &statusRecorder{ResponseWriter: w}
-	class := rt.proxyRouted(rec, r)
-	code := rec.status
-	if code == 0 {
-		// Nothing written: the client went away mid-request.
-		code = 499
-	}
-	dur := time.Since(start)
-	traceID := ""
-	if sp != nil {
-		traceID = sp.TraceID().String()
-		sp.SetAttr("class", class)
-		sp.SetAttrInt("status", code)
-		sp.End()
-	}
-	rt.met.observeRequest(class, code, dur, traceID)
-	if lg := rt.cfg.Logger; lg != nil {
-		l := obs.WithSpan(lg, sp)
-		l.Info("request",
-			"class", class, "method", r.Method, "path", r.URL.Path,
-			"status", code, "dur_ms", float64(dur.Microseconds())/1000)
-		if rt.cfg.SlowRequest > 0 && dur >= rt.cfg.SlowRequest && sp != nil {
-			l.Warn("slow request",
-				"threshold", rt.cfg.SlowRequest.String(),
-				"span_tree", "\n"+obs.RenderTree(rt.cfg.Tracer.TraceSpans(traceID)))
-		}
-	}
+	rq := routeOf(r)
+	rt.met.front.Serve(w, r, "router.request", rq.class, func(w http.ResponseWriter, r *http.Request) {
+		rt.proxyRouted(w, r, rq)
+	})
 }
 
-// proxyRouted is the routing body: identity, attempts, degradation. It
-// returns the route class for the metrics series.
-func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
-	rq := routeOf(r)
-
+// proxyRouted is the routing body: identity, attempts, degradation.
+func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, rq route) {
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
 		var err error
 		body, err = io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
-			return rq.class
+			return
 		}
 		if len(body) > maxRequestBody {
 			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body too large"})
-			return rq.class
+			return
 		}
 	}
 
@@ -466,7 +412,7 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 			rt.met.bodyHits.Inc()
 			w.Header().Set("X-Elites-Cache", "hit")
 			writeStored(w, b, identity, stored)
-			return rq.class
+			return
 		}
 		sp.SetAttr("body_cache", "miss")
 	}
@@ -477,7 +423,7 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 	res := rt.runAttempts(ctx, r, candidates, body, rq.retryOn404)
 	if res == nil {
 		rt.degrade(w, r, rq, body, order)
-		return rq.class
+		return
 	}
 
 	if res.w != order[0] {
@@ -487,7 +433,6 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request) string {
 	w.Header().Set("X-Elites-Worker", res.w.name)
 	w.WriteHeader(res.resp.status)
 	w.Write(res.resp.body)
-	return rq.class
 }
 
 // runAttempts walks the candidate list one attempt at a time: a failed

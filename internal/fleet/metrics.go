@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"io"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -25,8 +23,7 @@ type fleetMetrics struct {
 	breakerOpen *obs.GaugeVec
 	brTrips     atomic.Uint64 // synced from workerInfo on each scrape
 
-	requests *obs.CounterVec
-	latency  *obs.Histogram
+	front *obs.Front // every proxied request's span, request series and log record
 
 	retries      *obs.Counter // sequential failover attempts after a failure
 	failovers    *obs.Counter // responses ultimately served by a non-primary worker
@@ -38,7 +35,7 @@ type fleetMetrics struct {
 	readmissions *obs.Counter // workers readmitted to probation
 }
 
-func newFleetMetrics(now time.Time) *fleetMetrics {
+func newFleetMetrics(now time.Time, cfg Config) *fleetMetrics {
 	reg := obs.NewRegistry()
 	m := &fleetMetrics{reg: reg}
 
@@ -51,10 +48,7 @@ func newFleetMetrics(now time.Time) *fleetMetrics {
 	m.breakerOpen = reg.GaugeVec("eliterouter_breaker_open",
 		"Whether the worker's request circuit breaker is open.",
 		obs.GaugeShortest, "worker")
-	m.requests = reg.CounterVec("eliterouter_requests_total",
-		"Routed requests by route class and status code.", "route", "code")
-	m.latency = reg.Histogram("eliterouter_request_duration_seconds",
-		"Routed request latency.", obs.DefaultLatencyBuckets)
+	m.front = obs.NewFront(reg, "eliterouter", cfg.Tracer, cfg.Logger, cfg.SlowRequest)
 
 	m.retries = reg.Counter("eliterouter_retries_total", "Failover attempts launched after a failed attempt.")
 	m.failovers = reg.Counter("eliterouter_failovers_total", "Responses served by a worker other than the rendezvous primary.")
@@ -69,15 +63,8 @@ func newFleetMetrics(now time.Time) *fleetMetrics {
 	return m
 }
 
-// observeRequest records one routed request; traceID, when non-empty,
-// becomes the latency bucket's exemplar.
-func (m *fleetMetrics) observeRequest(route string, code int, d time.Duration, traceID string) {
-	m.requests.Inc(route, strconv.Itoa(code))
-	m.latency.ObserveExemplar(d.Seconds(), traceID)
-}
-
 // sync rebuilds the per-worker gauges and the trip total from a live
-// snapshot; called by write before rendering.
+// snapshot; called before each scrape renders.
 func (m *fleetMetrics) sync(infos []workerInfo) {
 	m.workerUp.Reset()
 	m.breakerOpen.Reset()
@@ -99,11 +86,4 @@ func (m *fleetMetrics) sync(infos []workerInfo) {
 	}
 	m.available.Set(float64(available))
 	m.brTrips.Store(trips)
-}
-
-// write renders the exposition in the requested flavor; infos carries
-// the per-worker state rows.
-func (m *fleetMetrics) write(w io.Writer, infos []workerInfo, om bool) {
-	m.sync(infos)
-	m.reg.Write(w, om)
 }

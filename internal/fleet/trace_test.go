@@ -78,6 +78,14 @@ func TestTraceRetryOneTraceID(t *testing.T) {
 	if root.Attrs["status"] != "200" {
 		t.Fatalf("root status attr = %q", root.Attrs["status"])
 	}
+	// The root carries the route label of its request series, under the
+	// key eliteserve's spans use.
+	if root.Attrs["route"] != "datasets" || root.Attrs["method"] != http.MethodGet {
+		t.Fatalf("root route/method attrs = %q/%q, want datasets/GET", root.Attrs["route"], root.Attrs["method"])
+	}
+	if _, ok := root.Attrs["class"]; ok {
+		t.Fatalf("root still carries the class attr: %v", root.Attrs)
+	}
 	retried := false
 	for _, ev := range root.Events {
 		if ev.Name == "retry" && ev.Attrs["failed_worker"] == order[0].name {

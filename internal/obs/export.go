@@ -9,7 +9,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,6 +77,20 @@ func ParseTraceparent(v string) (trace TraceID, parent SpanID, ok bool) {
 func decodeLowerHex(dst []byte, s string) bool {
 	_, err := hex.Decode(dst, []byte(s))
 	return err == nil && !strings.ContainsAny(s, "ABCDEF")
+}
+
+// OpenTraceOut opens the file a command's -trace-out flag names, for
+// appending, as a TracerConfig.Sink. An empty path opens nothing and
+// returns a nil sink; closeSink is never nil.
+func OpenTraceOut(path string) (sink io.Writer, closeSink func() error, err error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-trace-out: %w", err)
+	}
+	return f, f.Close, nil
 }
 
 // InjectHeader sets h's traceparent header from sp; no-op for nil sp.

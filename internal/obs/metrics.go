@@ -87,14 +87,16 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // classicContentType is the classic exposition content type.
 const classicContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// NegotiateExposition picks the render flavor from a request's Accept
-// header: OpenMetrics (with exemplars) only when explicitly requested,
-// classic 0.0.4 otherwise.
-func NegotiateExposition(h http.Header) (contentType string, om bool) {
-	if strings.Contains(h.Get("Accept"), "application/openmetrics-text") {
-		return openMetricsContentType, true
+// ServeHTTP answers GET /metrics in the flavor the request's Accept
+// header negotiates: OpenMetrics (with exemplars) only when explicitly
+// requested, classic 0.0.4 otherwise.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	ct, om := classicContentType, false
+	if strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text") {
+		ct, om = openMetricsContentType, true
 	}
-	return classicContentType, false
+	w.Header().Set("Content-Type", ct)
+	r.Write(w, om)
 }
 
 // escapeLabel escapes a label value per the exposition format:

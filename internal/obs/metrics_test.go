@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -129,15 +130,28 @@ func TestExemplarsOnlyInOpenMetrics(t *testing.T) {
 	}
 }
 
-// TestNegotiateExposition: OM only on explicit Accept.
+// TestNegotiateExposition: ServeHTTP renders OM, with exemplars and the
+// EOF marker, only on an explicit Accept.
 func TestNegotiateExposition(t *testing.T) {
-	h := http.Header{}
-	if ct, om := NegotiateExposition(h); om || !strings.Contains(ct, "0.0.4") {
-		t.Fatalf("no Accept: ct=%q om=%v", ct, om)
+	r := NewRegistry()
+	r.Histogram("lat_seconds", "Latency.", DefaultLatencyBuckets).
+		ObserveExemplar(0.007, "4bf92f3577b34da6a3ce929d0e0e4736")
+	scrape := func(accept string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, req)
+		return rec
 	}
-	h.Set("Accept", "application/openmetrics-text; version=1.0.0")
-	if ct, om := NegotiateExposition(h); !om || !strings.Contains(ct, "openmetrics") {
-		t.Fatalf("OM Accept: ct=%q om=%v", ct, om)
+	if rec := scrape(""); !strings.Contains(rec.Header().Get("Content-Type"), "0.0.4") ||
+		strings.Contains(rec.Body.String(), "# EOF") {
+		t.Fatalf("no Accept: ct=%q body:\n%s", rec.Header().Get("Content-Type"), rec.Body.String())
+	}
+	if rec := scrape("application/openmetrics-text; version=1.0.0"); !strings.Contains(rec.Header().Get("Content-Type"), "openmetrics") ||
+		!strings.Contains(rec.Body.String(), "trace_id") || !strings.HasSuffix(rec.Body.String(), "# EOF\n") {
+		t.Fatalf("OM Accept: ct=%q body:\n%s", rec.Header().Get("Content-Type"), rec.Body.String())
 	}
 }
 

@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +160,32 @@ func TestSinkJSONL(t *testing.T) {
 	}
 	if recs[0].Attrs["k"] != "v" || recs[0].Attrs["service"] != "svc" {
 		t.Fatalf("child attrs = %v", recs[0].Attrs)
+	}
+}
+
+// TestOpenTraceOut: an empty -trace-out opens nothing; a path is opened
+// for appending, so spans from a second run follow the first's.
+func TestOpenTraceOut(t *testing.T) {
+	sink, closeSink, err := OpenTraceOut("")
+	if sink != nil || err != nil || closeSink() != nil {
+		t.Fatalf("empty path: sink %v err %v", sink, err)
+	}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	for _, line := range []string{"a\n", "b\n"} {
+		sink, closeSink, err := OpenTraceOut(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.WriteString(sink, line)
+		if err := closeSink(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "a\nb\n" {
+		t.Fatalf("sink file %q, %v; want both runs appended", b, err)
+	}
+	if _, _, err := OpenTraceOut(filepath.Join(path, "x")); err == nil || !strings.HasPrefix(err.Error(), "-trace-out: ") {
+		t.Fatalf("bad path error %v, want it to name -trace-out", err)
 	}
 }
 

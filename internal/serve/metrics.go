@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"net/http"
-	"strconv"
 	"time"
 
 	"elites/internal/core"
@@ -10,19 +8,18 @@ import (
 )
 
 // metrics.go exposes the server's traffic through the shared
-// obs.Registry: request counts by route and status, a request latency
-// histogram (with trace-id exemplars in the OpenMetrics render),
-// pipeline-run accounting (started, coalesced, shed, cancelled) and the
+// obs.Registry: request counts by route and status and a request latency
+// histogram (with trace-id exemplars in the OpenMetrics render), both
+// kept by the obs.Front every route goes through; pipeline-run
+// accounting (started, coalesced, shed, cancelled); and the
 // stage-result-cache traffic accumulated from each run's Report.Cache —
 // the hit ratio there is the number that tells an operator whether warm
 // traffic is actually being served from cache. Every metric name and
 // the classic text render are unchanged from the pre-registry emitter.
 
 type metrics struct {
-	reg *obs.Registry
-
-	requests *obs.CounterVec
-	latency  *obs.Histogram
+	reg   *obs.Registry
+	front *obs.Front // every route's span, request series and log record
 
 	runs          *obs.Counter // pipeline runs actually started
 	coalesced     *obs.Counter // requests served by piggybacking on another's run
@@ -37,16 +34,13 @@ type metrics struct {
 	cacheMisses   *obs.Counter
 }
 
-func newMetrics(now time.Time) *metrics {
+func newMetrics(now time.Time, cfg Config) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{reg: reg}
 
 	reg.GaugeFunc("eliteserve_uptime_seconds", "Time since the server started.", 3,
 		func() float64 { return time.Since(now).Seconds() })
-	m.requests = reg.CounterVec("eliteserve_requests_total",
-		"HTTP requests by route and status code.", "route", "code")
-	m.latency = reg.Histogram("eliteserve_request_duration_seconds",
-		"HTTP request latency.", obs.DefaultLatencyBuckets)
+	m.front = obs.NewFront(reg, "eliteserve", cfg.Tracer, cfg.Logger, cfg.SlowRequest)
 
 	m.runs = reg.Counter("eliteserve_runs_total", "Characterization pipeline runs started.")
 	m.coalesced = reg.Counter("eliteserve_coalesced_requests_total", "Requests served by joining another request's in-flight run.")
@@ -71,13 +65,6 @@ func newMetrics(now time.Time) *metrics {
 	return m
 }
 
-// observeRequest records one finished request; traceID, when non-empty,
-// becomes the latency bucket's exemplar.
-func (m *metrics) observeRequest(route string, code int, d time.Duration, traceID string) {
-	m.requests.Inc(route, itoa3(code))
-	m.latency.ObserveExemplar(d.Seconds(), traceID)
-}
-
 func (m *metrics) runFinished(cr *core.CacheReport, cancelled bool) {
 	if cancelled {
 		m.cancelled.Inc()
@@ -86,20 +73,4 @@ func (m *metrics) runFinished(cr *core.CacheReport, cancelled bool) {
 		m.cacheHits.Add(uint64(len(cr.Hits)))
 		m.cacheMisses.Add(uint64(len(cr.Misses)))
 	}
-}
-
-// serveExposition renders /metrics with Accept-negotiated flavor:
-// classic 0.0.4 by default, OpenMetrics with exemplars on request.
-func (m *metrics) serveExposition(w http.ResponseWriter, r *http.Request) {
-	ct, om := obs.NegotiateExposition(r.Header)
-	w.Header().Set("Content-Type", ct)
-	m.reg.Write(w, om)
-}
-
-// itoa3 formats an HTTP status code without fmt in the request path.
-func itoa3(code int) string {
-	if code >= 100 && code < 1000 {
-		return string([]byte{byte('0' + code/100), byte('0' + code/10%10), byte('0' + code%10)})
-	}
-	return strconv.Itoa(code)
 }

@@ -187,7 +187,7 @@ func New(cfg Config) *Server {
 		flight:     newFlight(),
 		admit:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		jobs:       newJobTable(jobsKept),
-		met:        newMetrics(time.Now()),
+		met:        newMetrics(time.Now(), cfg),
 		optsDigest: core.ResultDigest(cfg.Options),
 		retryAfter: faults.NewJitter(cfg.Options.Seed, "serve/retry-after"),
 		datasets:   map[string]*dataset{},
@@ -206,7 +206,7 @@ func New(cfg Config) *Server {
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /readyz", "readyz", s.handleReadyz)
 	s.route("POST /v1/admin/drain", "drain", s.handleDrain)
-	s.route("GET /metrics", "metrics", s.handleMetrics)
+	s.route("GET /metrics", "metrics", s.met.reg.ServeHTTP)
 	s.route("GET /v1/datasets", "datasets", s.handleDatasets)
 	s.route("GET /v1/datasets/{id}", "dataset", s.handleDataset)
 	s.route("GET /v1/datasets/{id}/report", "report", s.handleReport)
@@ -217,7 +217,7 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/datasets/{id}/users:batch", "users_batch", s.handleUsersBatch)
 	s.route("GET /v1/jobs/{id}", "job", s.handleJob)
 	s.route("GET /v1/jobs/{id}/result", "job_result", s.handleJobResult)
-	s.route("GET /debug/traces", "debug_traces", s.handleDebugTraces)
+	s.route("GET /debug/traces", "debug_traces", cfg.Tracer.ServeTraces)
 	return s
 }
 
@@ -358,66 +358,13 @@ func (d *dataset) inDegrees() []int {
 
 // --- request plumbing --------------------------------------------------------
 
-// recorder captures the status code for metrics.
-type recorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (rec *recorder) WriteHeader(code int) {
-	if rec.status == 0 {
-		rec.status = code
-	}
-	rec.ResponseWriter.WriteHeader(code)
-}
-
-func (rec *recorder) Write(b []byte) (int, error) {
-	if rec.status == 0 {
-		rec.status = http.StatusOK
-	}
-	return rec.ResponseWriter.Write(b)
-}
-
-// route mounts a handler with metrics, tracing and logging
-// instrumentation under a stable route label (patterns with wildcards
-// would explode series cardinality). The span continues any incoming
-// traceparent, so a request proxied by eliterouter shares the router's
-// trace id; its id becomes the latency histogram's exemplar.
+// route mounts h under a stable route label (patterns with wildcards
+// would explode series cardinality), instrumented by the server's
+// obs.Front: its serve.<label> span continues any incoming traceparent, so
+// a request proxied by eliterouter shares the router's trace id.
 func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &recorder{ResponseWriter: w}
-		sp := s.cfg.Tracer.StartFromHeader(r.Header, "serve."+label)
-		if sp != nil {
-			sp.SetAttr("route", label)
-			sp.SetAttr("path", r.URL.Path)
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		}
-		h(rec, r)
-		code := rec.status
-		if code == 0 {
-			// Nothing written: the client went away mid-request.
-			code = 499
-		}
-		dur := time.Since(start)
-		traceID := ""
-		if sp != nil {
-			traceID = sp.TraceID().String()
-			sp.SetAttrInt("status", code)
-			sp.End()
-		}
-		s.met.observeRequest(label, code, dur, traceID)
-		if lg := s.cfg.Logger; lg != nil {
-			l := obs.WithSpan(lg, sp)
-			l.Info("request",
-				"route", label, "method", r.Method, "path", r.URL.Path,
-				"status", code, "dur_ms", float64(dur.Microseconds())/1000)
-			if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest && sp != nil {
-				l.Warn("slow request",
-					"threshold", s.cfg.SlowRequest.String(),
-					"span_tree", "\n"+obs.RenderTree(s.cfg.Tracer.TraceSpans(traceID)))
-			}
-		}
+		s.met.front.Serve(w, r, "serve."+label, label, h)
 	})
 }
 
@@ -672,16 +619,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		"status":       "draining",
 		"jobs_running": s.jobs.running(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.met.serveExposition(w, r)
-}
-
-// handleDebugTraces serves the tracer's ring buffer (404 when tracing
-// is disabled). See obs.(*Tracer).ServeTraces for the query parameters.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	s.cfg.Tracer.ServeTraces(w, r)
 }
 
 // datasetInfo is the JSON row for dataset listings.

@@ -66,8 +66,10 @@ func TestTraceContinuesFromHeader(t *testing.T) {
 			t.Fatalf("trace %s missing span %q; have %v", want, n, spanNames(spans))
 		}
 	}
-	if got := names["serve.report"].Attrs["status"]; got != "200" {
-		t.Fatalf("serve.report status attr = %q", got)
+	for k, want := range map[string]string{"route": "report", "method": http.MethodGet, "status": "200"} {
+		if got := names["serve.report"].Attrs[k]; got != want {
+			t.Fatalf("serve.report %s attr = %q, want %q", k, got, want)
+		}
 	}
 	if got := names["serve.report"].Attrs["body_cache"]; got != "miss" {
 		t.Fatalf("cold request body_cache attr = %q, want miss", got)
