@@ -33,7 +33,7 @@
 //
 // -trace-out appends the run's span tree — a root "analyze" span with one
 // child per pipeline stage, carrying cache-hit and retry attributes — as
-// JSON lines to the given file (scripts/traceview.sh pretty-prints it),
+// JSON lines to the given file (cmd/traceview pretty-prints it),
 // and -timings then includes the trace id so CLI runs can be correlated
 // with served traces. -log-format selects text or json structured logs.
 // Without -trace-out no tracer exists and the report, stderr and timings

@@ -23,7 +23,7 @@
 // on each attempt makes the worker's serve and pipeline spans part of the
 // same trace (query both /debug/traces with one trace id).
 // -trace-out appends every finished span as a JSON line
-// (scripts/traceview.sh pretty-prints it); -log-format picks text or
+// (cmd/traceview pretty-prints it); -log-format picks text or
 // JSON structured logs; -slow-request logs the full span tree of
 // requests over the threshold.
 //

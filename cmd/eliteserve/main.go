@@ -25,7 +25,7 @@
 // panics all hang off it — and an incoming traceparent header (as
 // injected by eliterouter) continues the caller's trace instead of
 // starting a new one. -trace-out appends finished spans as JSON lines
-// (scripts/traceview.sh pretty-prints them), -log-format selects text
+// (cmd/traceview pretty-prints them), -log-format selects text
 // or JSON structured logs, and -slow-request dumps the span tree of
 // any request over the threshold to the log.
 //
@@ -35,7 +35,8 @@
 // between the two). Every clean encoded body is stored there too, so a
 // restarted server, or another one sharing the directory, answers a
 // request answered before with one checksum-verified read and no pipeline
-// run; without -cache the bodies are kept in memory only. -async-after bounds how long a cold POST holds the
+// run; without -cache the bodies and feature shards are kept in memory
+// only, capped by -cache-mem. -async-after bounds how long a cold POST holds the
 // connection before detaching into a job; the admission queue sheds
 // overload with 429. On SIGINT/SIGTERM the server drains gracefully: new
 // pipeline work is refused with 503 + jittered Retry-After, in-flight

@@ -497,6 +497,33 @@ func TestDecoderFloat64sInto(t *testing.T) {
 	}
 }
 
+// TestDecoderNext: Next returns the next n bytes in place and advances past
+// them; asking for more than remain, or a negative count, is corruption.
+func TestDecoderNext(t *testing.T) {
+	var e Encoder
+	e.Uvarint(3)
+	e.Float64(2.5)
+	full := e.Bytes()
+
+	d := NewDecoder(full)
+	if v := d.Uvarint(); v != 3 {
+		t.Fatalf("Uvarint = %d", v)
+	}
+	b := d.Next(8)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if len(b) != 8 || &b[0] != &full[1] {
+		t.Fatalf("Next(8) = %v, want the payload's last 8 bytes in place", b)
+	}
+	for _, n := range []int{len(full) + 1, -1} {
+		d := NewDecoder(full)
+		if b := d.Next(n); b != nil || d.Err() == nil {
+			t.Fatalf("Next(%d) = %v, err %v on a %d-byte payload", n, b, d.Err(), len(full))
+		}
+	}
+}
+
 func TestGetMissesOnAbsentDir(t *testing.T) {
 	c := newTestCache(filepath.Join(t.TempDir(), "never-created"))
 	for i := 0; i < 3; i++ {

@@ -219,6 +219,22 @@ func (d *Decoder) Float64sInto(dst []float64) {
 	d.float64s(dst)
 }
 
+// Next returns the next n bytes of the payload, aliasing it, for a caller
+// that reads a fixed-width run in place instead of decoding all of it. A
+// payload with fewer than n bytes left is corruption (nil is returned).
+func (d *Decoder) Next(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(d.buf)-d.off {
+		d.fail()
+		return nil
+	}
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
 // float64s fills dst with the next len(dst) raw IEEE-754 words — the one
 // decode loop behind Float64s and Float64sInto. It writes nothing unless
 // the whole run is present.

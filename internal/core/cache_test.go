@@ -554,8 +554,8 @@ var identityGolden = struct {
 	shard  uint64            // FeatureStore(nil, 1, Options{}).Options
 }{
 	result: map[string]uint64{
-		"zero":  0x730a14382f3e6aa1, // Options{}
-		"serve": 0x77a6a8fe3dc35dc6, // eliteserve's and eliteanalyze's defaults: Seed 42
+		"zero":  0x7088649869ba2873, // Options{}
+		"serve": 0x823bb5bb318c5746, // eliteserve's and eliteanalyze's defaults: Seed 42
 	},
 	stage: map[string]uint64{
 		StageComponents:  0xcbf29ce484222325, // no option words: the empty hash

@@ -70,8 +70,10 @@ var stageKeys = map[string]stageKey{
 	// bios, categories and activity have no shaping option: categories
 	// reads unseeded PageRanks and activity reads only the series, both
 	// covered by the dataset digest. bios keeps the table length as its
-	// word, where a settable one used to be, so existing keys stay valid.
-	StageBios:       {version: 1, words: func(Options) []uint64 { return []uint64{topNGrams} }},
+	// word, where a settable one used to be. bios is at v2: the word cloud
+	// is derived from the unigrams when rendered, so v1 entries carry a
+	// cloud section v2 does not read.
+	StageBios:       {version: 2, words: func(Options) []uint64 { return []uint64{topNGrams} }},
 	StageCategories: {version: 1},
 	StageActivity:   {version: 1},
 	StageCentrality: {version: 1, words: func(o Options) []uint64 {
@@ -513,12 +515,6 @@ func encodeBiosTo(e *cache.Encoder, b *BioAnalysis) {
 	encodeNGramsTo(e, b.TopUnigrams)
 	encodeNGramsTo(e, b.TopBigrams)
 	encodeNGramsTo(e, b.TopTrigrams)
-	e.Len(len(b.Cloud), b.Cloud == nil)
-	for _, c := range b.Cloud {
-		e.String(c.Word)
-		e.Int(c.Count)
-		e.Float64(c.Weight)
-	}
 }
 
 func decodeBiosFrom(d *cache.Decoder) (*BioAnalysis, error) {
@@ -529,11 +525,6 @@ func decodeBiosFrom(d *cache.Decoder) (*BioAnalysis, error) {
 		TopUnigrams: decodeNGramsFrom(d),
 		TopBigrams:  decodeNGramsFrom(d),
 		TopTrigrams: decodeNGramsFrom(d),
-	}
-	n, isNil := d.Len(10) // word + count + weight
-	b.Cloud = makeLen[text.CloudEntry](n, isNil)
-	for i := 0; i < n; i++ {
-		b.Cloud = append(b.Cloud, text.CloudEntry{Word: d.String(), Count: d.Int(), Weight: d.Float64()})
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

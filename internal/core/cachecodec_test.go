@@ -132,12 +132,11 @@ func codecCases() []codecCase {
 		{codec: 0, name: "nil sections", value: &BioAnalysis{}},
 		{codec: 0, name: "empty sections", value: &BioAnalysis{
 			TopUnigrams: []text.NGram{}, TopBigrams: []text.NGram{},
-			TopTrigrams: []text.NGram{}, Cloud: []text.CloudEntry{}}},
+			TopTrigrams: []text.NGram{}}},
 		{codec: 0, name: "full", value: &BioAnalysis{
-			TopUnigrams: grams[:1], TopBigrams: grams, TopTrigrams: nil,
-			Cloud: []text.CloudEntry{{Word: "official", Count: 412, Weight: 1}, {Word: "", Count: 0, Weight: 0.125}}}},
-		{codec: 0, name: "nan weight", value: &BioAnalysis{
-			Cloud: []text.CloudEntry{{Word: "x", Weight: math.NaN()}}}, nan: true},
+			TopUnigrams: grams[:1], TopBigrams: grams, TopTrigrams: nil}},
+		{codec: 0, name: "extreme counts", value: &BioAnalysis{TopUnigrams: []text.NGram{
+			{Tokens: []string{"x"}, Count: math.MaxInt64}, {Tokens: []string{"y"}, Count: math.MinInt64}}}},
 		{codec: 1, name: "failed (nil)", value: (*CategoryAnalysis)(nil)},
 		{codec: 1, name: "nil stats", value: &CategoryAnalysis{}},
 		{codec: 1, name: "empty stats", value: &CategoryAnalysis{Stats: []CategoryStat{}}},

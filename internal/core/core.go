@@ -247,7 +247,6 @@ type BioAnalysis struct {
 	TopUnigrams []text.NGram
 	TopBigrams  []text.NGram
 	TopTrigrams []text.NGram
-	Cloud       []text.CloudEntry
 }
 
 // ActivityAnalysis mirrors §V.
@@ -794,13 +793,11 @@ func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
 		big.Add(toks)
 		tri.Add(toks)
 	}
-	ba := &BioAnalysis{
+	rep.Bios = &BioAnalysis{
 		TopUnigrams: uni.Top(2 * topNGrams),
 		TopBigrams:  big.Top(topNGrams),
 		TopTrigrams: tri.Top(topNGrams),
 	}
-	ba.Cloud = text.BuildCloud(ba.TopUnigrams)
-	rep.Bios = ba
 }
 
 // histogramMetrics are the Figure 1 panels, in the order the histograms

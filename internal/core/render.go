@@ -221,7 +221,7 @@ func (r *Report) renderBios(w io.Writer) {
 	fmt.Fprintf(w, "\nTable II: most popular trigrams\n")
 	renderNGrams(w, r.Bios.TopTrigrams)
 	fmt.Fprintf(w, "\nFigure 4: unigram word cloud\n")
-	fmt.Fprint(w, text.RenderASCII(r.Bios.Cloud, 72))
+	fmt.Fprint(w, text.RenderASCII(text.BuildCloud(r.Bios.TopUnigrams), 72))
 }
 
 func renderNGrams(w io.Writer, grams []text.NGram) {

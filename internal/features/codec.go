@@ -80,48 +80,96 @@ func (r *Rows) window(lo, count int) Rows {
 // outside dst; on error dst may be partly written.
 func decodeShardInto(data []byte, dst Rows) error {
 	d := cache.NewDecoder(data)
-	nf := d.Uvarint()
-	nc := d.Uvarint()
-	lo := d.Uvarint()
-	count := d.Uvarint()
-	if d.Err() != nil || nf != NumFeatures || nc != NumClasses {
-		return cache.ErrCorrupt
-	}
-	if lo != uint64(dst.Lo) || count != uint64(dst.Count()) ||
-		count == 0 || count > ShardRows || lo%ShardRows != 0 {
-		return cache.ErrCorrupt
+	if err := readShardHeader(d, dst.Lo, dst.Count()); err != nil {
+		return err
 	}
 	d.Float64sInto(dst.Data)
 	d.Float64sInto(dst.Probs)
-	if d.Err() != nil {
+	classes := readClasses(d, dst.Count())
+	if classes == nil {
 		return cache.ErrCorrupt
 	}
-	for i := range dst.Class {
-		c := d.Uvarint()
-		if d.Err() != nil || c >= NumClasses {
-			return cache.ErrCorrupt
-		}
-		dst.Class[i] = uint8(c)
+	copy(dst.Class, classes)
+	return nil
+}
+
+// readShardHeader reads a shard body's header and checks that it echoes
+// the window [lo, lo+count) the caller expects.
+func readShardHeader(d *cache.Decoder, lo, count int) error {
+	nf := d.Uvarint()
+	nc := d.Uvarint()
+	blo := d.Uvarint()
+	bcount := d.Uvarint()
+	if d.Err() != nil || nf != NumFeatures || nc != NumClasses {
+		return cache.ErrCorrupt
 	}
-	if d.Finish() != nil {
+	if blo != uint64(lo) || bcount != uint64(count) ||
+		count == 0 || count > ShardRows || lo%ShardRows != 0 {
 		return cache.ErrCorrupt
 	}
 	return nil
 }
 
-// decodeShard parses one shard body covering rows [lo, lo+count) into a
-// fresh Rows fragment, or returns cache.ErrCorrupt and no fragment.
-func decodeShard(data []byte, lo, count int) (*Rows, error) {
-	r := &Rows{
-		Lo:    lo,
-		Data:  make([]float64, count*NumFeatures),
-		Probs: make([]float64, count*NumClasses),
-		Class: make([]uint8, count),
+// readClasses reads the body's closing class column, count classes that
+// must end the payload. A class is below NumClasses, so its varint is the
+// one byte it was written as, and the column is read in place; nil means
+// corruption.
+func readClasses(d *cache.Decoder, count int) []uint8 {
+	classes := d.Next(count)
+	if d.Finish() != nil {
+		return nil
 	}
-	if err := decodeShardInto(data, *r); err != nil {
+	for _, c := range classes {
+		if c >= NumClasses {
+			return nil
+		}
+	}
+	return classes
+}
+
+// decodeRow parses row u of one shard body covering rows [lo, lo+count)
+// into a one-row Rows (Lo = u), copying only that row's floats: past the
+// header every column is fixed-width, so the row sits at a known offset.
+// It checks the whole body as decodeShardInto does, so it accepts exactly
+// the bodies decodeShardInto accepts.
+func decodeRow(data []byte, lo, count, u int) (*Rows, error) {
+	i := u - lo
+	if i < 0 || i >= count {
+		return nil, fmt.Errorf("features: row %d outside shard [%d, %d)", u, lo, lo+count)
+	}
+	d := cache.NewDecoder(data)
+	if err := readShardHeader(d, lo, count); err != nil {
 		return nil, err
 	}
+	r := &Rows{
+		Lo:    u,
+		Data:  make([]float64, NumFeatures),
+		Probs: make([]float64, NumClasses),
+	}
+	data64 := d.Uvarint()
+	dataRaw := d.Next(8 * count * NumFeatures)
+	probs64 := d.Uvarint()
+	probsRaw := d.Next(8 * count * NumClasses)
+	if d.Err() != nil || data64 != uint64(count*NumFeatures) || probs64 != uint64(count*NumClasses) {
+		return nil, cache.ErrCorrupt
+	}
+	classes := readClasses(d, count)
+	if classes == nil {
+		return nil, cache.ErrCorrupt
+	}
+	readRow(dataRaw, i, r.Data)
+	readRow(probsRaw, i, r.Probs)
+	r.Class = []uint8{classes[i]}
 	return r, nil
+}
+
+// readRow fills dst with row i of a raw float column len(dst) wide.
+func readRow(raw []byte, i int, dst []float64) {
+	w := len(dst)
+	d := cache.NewDecoder(raw[8*i*w : 8*(i+1)*w])
+	for j := range dst {
+		dst[j] = d.Float64()
+	}
 }
 
 // EncodeManifest appends the matrix's scalar summary to a cache encoder —
@@ -236,19 +284,21 @@ func (s Store) Load(m *Matrix) error {
 	return nil
 }
 
-// LoadShard fetches and decodes the single shard covering rows
-// [i·ShardRows, …) of an n-row matrix. ok is false on a miss or corrupt
-// entry — the serving layer then falls back to running the pipeline stage.
-func (s Store) LoadShard(i, n int) (*Rows, bool) {
-	lo, count := shardSpan(i, n)
-	if count <= 0 {
+// LoadRow fetches the shard holding node u of an n-row matrix and decodes
+// node u's row alone, as a one-row Rows (Lo = u). ok is false on a miss or
+// corrupt entry — the serving layer then falls back to running the
+// pipeline stage.
+func (s Store) LoadRow(u, n int) (*Rows, bool) {
+	if u < 0 || u >= n {
 		return nil, false
 	}
+	i := u / ShardRows
 	body, ok := s.Cache.Get(shardKey(s.Dataset, s.Options, i))
 	if !ok {
 		return nil, false
 	}
-	r, err := decodeShard(body, lo, count)
+	lo, count := shardSpan(i, n)
+	r, err := decodeRow(body, lo, count, u)
 	if err != nil {
 		return nil, false
 	}

@@ -31,6 +31,22 @@ func testMatrix(t testing.TB, n int) *Matrix {
 	return m
 }
 
+// decodeShard parses one shard body covering rows [lo, lo+count) into a
+// fresh Rows fragment, or returns cache.ErrCorrupt and no fragment: the
+// whole-shard decode the in-place and one-row decoders are checked against.
+func decodeShard(data []byte, lo, count int) (*Rows, error) {
+	r := &Rows{
+		Lo:    lo,
+		Data:  make([]float64, count*NumFeatures),
+		Probs: make([]float64, count*NumClasses),
+		Class: make([]uint8, count),
+	}
+	if err := decodeShardInto(data, *r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 func TestShardRoundTrip(t *testing.T) {
 	m := testMatrix(t, 50)
 	body := encodeShard(m, 0, m.N)
@@ -75,9 +91,9 @@ func TestShardDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal("wrong count accepted")
 	}
 	// Every single-bit flip must fail or decode to a consistent fragment —
-	// never panic. (Bit flips in float payloads legitimately decode; the
-	// cache layer's checksum is what rejects those. The codec's own checks
-	// cover structure.)
+	// never panic — and the one-row decoder must agree. (Bit flips in float
+	// payloads legitimately decode; the cache layer's checksum is what
+	// rejects those. The codec's own checks cover structure.)
 	for i := 0; i < len(body); i++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte{}, body...)
@@ -86,12 +102,14 @@ func TestShardDecodeRejectsCorruption(t *testing.T) {
 			if err == nil && (r == nil || r.Count() != m.N) {
 				t.Fatalf("flip byte %d bit %d: nil/short fragment without error", i, bit)
 			}
+			checkRowDecode(t, mut, 0, m.N)
 		}
 	}
 	for name, data := range cases {
 		if r, err := decodeShard(data, 0, m.N); err == nil {
 			t.Fatalf("%s: decoded without error (count=%d)", name, r.Count())
 		}
+		checkRowDecode(t, data, 0, m.N)
 	}
 }
 
@@ -155,24 +173,36 @@ func TestStoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// LoadShard serves each shard independently.
-	for i := 0; i < NumShards(m.N); i++ {
-		r, ok := st.LoadShard(i, m.N)
+	// LoadRow serves each row on its own, bit for bit, from every shard.
+	for _, u := range []int{0, 1, ShardRows - 1, ShardRows, m.N - 1} {
+		r, ok := st.LoadRow(u, m.N)
 		if !ok {
-			t.Fatalf("shard %d missing", i)
+			t.Fatalf("row %d missing", u)
 		}
-		if r.Lo != i*ShardRows {
-			t.Fatalf("shard %d: lo=%d", i, r.Lo)
+		if r.Lo != u || r.Count() != 1 || r.ClassOf(u) != m.ClassOf(u) {
+			t.Fatalf("row %d: lo=%d count=%d class=%d, want class %d", u, r.Lo, r.Count(), r.ClassOf(u), m.ClassOf(u))
+		}
+		for j, v := range r.Row(u) {
+			if math.Float64bits(v) != math.Float64bits(m.Row(u)[j]) {
+				t.Fatalf("row %d feature %d differs after round-trip", u, j)
+			}
+		}
+		for j, v := range r.ProbsRow(u) {
+			if math.Float64bits(v) != math.Float64bits(m.ProbsRow(u)[j]) {
+				t.Fatalf("row %d prob %d differs after round-trip", u, j)
+			}
 		}
 	}
-	if _, ok := st.LoadShard(NumShards(m.N), m.N); ok {
-		t.Fatal("out-of-range shard index served")
+	for _, u := range []int{-1, m.N} {
+		if _, ok := st.LoadRow(u, m.N); ok {
+			t.Fatalf("out-of-range row %d served", u)
+		}
 	}
 
 	// A different (dataset, options) identity misses.
 	other := Store{Cache: cc, Dataset: 0xBEEF, Options: 0x07}
-	if _, ok := other.LoadShard(0, m.N); ok {
-		t.Fatal("shard served under wrong dataset digest")
+	if _, ok := other.LoadRow(0, m.N); ok {
+		t.Fatal("row served under wrong dataset digest")
 	}
 }
 
@@ -226,6 +256,37 @@ func TestStoreLoadCorruptShardIsMissNotPartial(t *testing.T) {
 	for i, v := range hydrated.Data {
 		if v != 0 {
 			t.Fatalf("partial hydration: Data[%d]=%v after failed Load", i, v)
+		}
+	}
+}
+
+// BenchmarkLoadRow times what the serving layer pays per row of a per-user
+// body miss over warm shards: one row of a ShardRows-wide shard of a
+// 20,000-row matrix read from the cache's memory tier and decoded.
+func BenchmarkLoadRow(b *testing.B) {
+	m := testMatrix(b, 20000)
+	st := Store{Cache: cache.NewMemory(0), Dataset: 0xD5, Options: 0x07}
+	st.Put(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.LoadRow(ShardRows+i%ShardRows, m.N); !ok {
+			b.Fatal("row missing")
+		}
+	}
+}
+
+// BenchmarkDecodeShard times decoding a whole ShardRows-wide shard of a
+// 20,000-row matrix into a fresh fragment, the cost LoadRow avoids.
+func BenchmarkDecodeShard(b *testing.B) {
+	m := testMatrix(b, 20000)
+	lo, count := shardSpan(1, m.N)
+	body := encodeShard(m, lo, count)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeShard(body, lo, count); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

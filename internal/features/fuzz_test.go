@@ -12,7 +12,8 @@ import (
 // Rows fragment whose range disagrees with what the caller asked for. The
 // in-place decoder Store.Load hydrates through gets the same input inside a
 // larger matrix: it must agree with the fragment decoder and never write
-// outside its shard's rows.
+// outside its shard's rows. The one-row decoder LoadRow reads through must
+// accept exactly the same inputs and return the same rows.
 func FuzzFeatureShardDecode(f *testing.F) {
 	// Seed the corpus with a real encoded shard plus the classic mutations;
 	// the checked-in files under testdata/fuzz pin the same shapes.
@@ -35,6 +36,7 @@ func FuzzFeatureShardDecode(f *testing.F) {
 		}
 		for _, lo := range []int{0, ShardRows} {
 			checkInPlaceDecode(t, data, lo, wantCount)
+			checkRowDecode(t, data, lo, wantCount)
 			r, err := decodeShard(data, lo, wantCount)
 			if err != nil {
 				if r != nil {
@@ -117,6 +119,38 @@ func checkInPlaceDecode(t *testing.T, data []byte, lo, wantCount int) {
 			t.Fatalf("guard row %d Class written", row)
 		} else if inWindow(row) && err == nil && c != want.Class[row-guard] {
 			t.Fatalf("Class[%d] differs from fragment decode", row)
+		}
+	}
+}
+
+// checkRowDecode runs decodeRow on the first, a middle and the last row of
+// the window [lo, lo+wantCount). It must accept exactly what decodeShard
+// accepts and return that decode's row bits.
+func checkRowDecode(t *testing.T, data []byte, lo, wantCount int) {
+	want, wantErr := decodeShard(data, lo, wantCount)
+	for _, u := range []int{lo, lo + wantCount/2, lo + wantCount - 1} {
+		r, err := decodeRow(data, lo, wantCount, u)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("row %d decode err=%v, fragment decode err=%v", u, err, wantErr)
+		}
+		if err != nil {
+			if r != nil {
+				t.Fatalf("row %d: error %v with non-nil rows", u, err)
+			}
+			continue
+		}
+		if r.Lo != u || r.Count() != 1 || r.ClassOf(u) != want.ClassOf(u) {
+			t.Fatalf("row %d: lo=%d count=%d class=%d, fragment class %d", u, r.Lo, r.Count(), r.ClassOf(u), want.ClassOf(u))
+		}
+		for j, v := range r.Row(u) {
+			if math.Float64bits(v) != math.Float64bits(want.Row(u)[j]) {
+				t.Fatalf("row %d feature %d differs from fragment decode", u, j)
+			}
+		}
+		for j, v := range r.ProbsRow(u) {
+			if math.Float64bits(v) != math.Float64bits(want.ProbsRow(u)[j]) {
+				t.Fatalf("row %d prob %d differs from fragment decode", u, j)
+			}
 		}
 	}
 }

@@ -3,7 +3,16 @@ package graph
 import (
 	"math"
 	"sort"
+
+	"elites/internal/parallel"
 )
+
+// metricChunk is the fixed shard width (in nodes) for parallel metric
+// reductions over the process-wide worker pool (see internal/parallel). It
+// is a constant — not a function of the worker count — so that per-chunk
+// partial sums are always combined in the same order and floating-point
+// results are bit-identical whatever GOMAXPROCS is.
+const metricChunk = 2048
 
 // Reciprocity returns the fraction of directed edges whose reverse edge also
 // exists: |{(u,v) ∈ E : (v,u) ∈ E}| / |E|. Kwak et al. report 22.1% for the
@@ -21,7 +30,7 @@ func Reciprocity(g *Digraph) float64 {
 	// Sharded over source-node ranges; each ordered edge is owned by
 	// exactly one chunk, so the partial counts sum exactly.
 	inOff, inAdj := g.InCSR()
-	parts := chunkReduce(g.NumNodes(), func(lo, hi int) int64 {
+	parts := parallel.ChunkReduce(g.NumNodes(), metricChunk, 0, func(lo, hi int) int64 {
 		var mutual int64
 		for u := lo; u < hi; u++ {
 			mutual += int64(intersectLen(g.OutNeighbors(u), inAdj[inOff[u]:inOff[u+1]]))
@@ -49,7 +58,7 @@ func DegreeAssortativityWithIn(g *Digraph, in []int) float64 {
 	// combining in chunk order keeps the correlation bit-stable under any
 	// worker count.
 	type moments struct{ sx, sy, sxx, syy, sxy float64 }
-	parts := chunkReduce(g.NumNodes(), func(lo, hi int) moments {
+	parts := parallel.ChunkReduce(g.NumNodes(), metricChunk, 0, func(lo, hi int) moments {
 		var p moments
 		for u := lo; u < hi; u++ {
 			du := float64(g.OutDegree(u))

@@ -3,7 +3,7 @@ package obs
 // export.go is the read side of the tracer: W3C traceparent encode /
 // decode, the finished-span ring buffer behind GET /debug/traces, the
 // JSONL sink behind -trace-out, and RenderTree, the indented duration
-// tree used by slow-request flight-recorder dumps and traceview.sh.
+// tree used by slow-request flight-recorder dumps and cmd/traceview.
 
 import (
 	"encoding/hex"
@@ -222,7 +222,7 @@ func (t *Tracer) ServeTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // RenderTree formats one trace's spans as an indented duration tree —
-// the shape slow-request dumps log and traceview.sh prints:
+// the shape slow-request dumps log and cmd/traceview prints:
 //
 //	router.request 12.4ms
 //	  router.attempt 3.1ms worker=127.0.0.1:9001

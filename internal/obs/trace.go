@@ -242,7 +242,7 @@ type TracerConfig struct {
 	// stochastic component uses.
 	Seed uint64
 	// Sink, when non-nil, receives every finished span as one JSON line
-	// (the -trace-out format scripts/traceview.sh pretty-prints).
+	// (the -trace-out format cmd/traceview pretty-prints).
 	Sink io.Writer
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"elites/internal/features"
 	"elites/internal/obs"
 )
 
@@ -16,12 +17,14 @@ import (
 // for stops burning workers at the next stage boundary.
 
 // runOutcome is what one coalesced execution produces: the encoded response
-// body plus whether it is a degraded (partial) report. Degraded bodies flow
-// to every waiter of the faulted run but are never memoized, so the first
-// request after the fault clears re-runs and serves clean bytes.
+// body plus whether it is a degraded (partial) report, or, for the
+// features-only run, the feature matrix. Degraded bodies flow to every
+// waiter of the faulted run but are never stored, so the first request
+// after the fault clears re-runs and serves clean bytes.
 type runOutcome struct {
 	body     []byte
 	degraded bool
+	features *features.Matrix
 }
 
 // flight deduplicates concurrent executions by key.

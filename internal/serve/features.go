@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,125 +10,82 @@ import (
 	"elites/internal/features"
 )
 
-// features.go serves the per-user feature matrix. Requests resolve rows
-// through three tiers, cheapest first:
+// features.go serves the per-user feature matrix. A request whose body is
+// not stored resolves its rows from one of two places:
 //
-//  1. the per-dataset matrix memo (a pipeline run in this process already
-//     computed it);
-//  2. individual feature shards decoded straight from the result cache —
-//     this is how a fresh server process over a warm cache directory
-//     answers without ever running the pipeline (counted in
-//     eliteserve_feature_shard_hits_total);
-//  3. a pipeline run restricted to the features stage, coalesced through
-//     the same single-flight machinery as report requests.
+//  1. the feature shards in the server's cache: the pipeline writes them
+//     on a server with a cache dir (so a fresh process over a warm
+//     directory answers without a run), and runBattery on one without
+//     (counted in eliteserve_feature_shard_hits_total);
+//  2. a pipeline run restricted to the features stage, coalesced so
+//     concurrent requests share it, whose matrix reaches every waiter in
+//     its runOutcome.
 //
-// Encoded bodies additionally memoize in the server's cache (serveMemo), so
-// a repeat request, in this process or in a fresh one over the same cache
-// directory, is one cache read.
+// The server keeps no decoded rows between requests; the encoded bodies
+// are stored like every other (serveBody).
 
-// getFeatures returns the dataset's memoized full matrix, if any.
-func (d *dataset) getFeatures() *features.Matrix {
-	d.featMu.Lock()
-	defer d.featMu.Unlock()
-	return d.feat
-}
-
-// setFeatures memoizes a computed matrix (first writer wins; the matrix is
-// deterministic so any two are bit-identical).
-func (d *dataset) setFeatures(m *features.Matrix) {
-	if m == nil {
-		return
-	}
-	d.featMu.Lock()
-	if d.feat == nil {
-		d.feat = m
-	}
-	d.featMu.Unlock()
-}
-
-// featureSource answers row lookups for one request, backed either by the
-// full matrix or by the subset of decoded shards the request needs.
-type featureSource struct {
-	mat    *features.Matrix
-	shards map[int]*features.Rows
-}
-
-// row returns node u's feature vector, class probabilities and class.
-func (fs *featureSource) row(u int) (row, probs []float64, class int) {
-	var r *features.Rows
-	if fs.mat != nil {
-		r = &fs.mat.Rows
-	} else {
-		r = fs.shards[u/features.ShardRows]
-	}
-	return r.Row(u), r.ProbsRow(u), r.ClassOf(u)
-}
-
-// featureRows resolves the rows covering nodes through the three tiers.
-func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (*featureSource, error) {
-	if m := d.getFeatures(); m != nil {
-		return &featureSource{mat: m}, nil
-	}
-
-	// Tier 2: decode only the shards this request touches, memoizing each
-	// per dataset. All-or-nothing per request — a single missing shard
-	// falls through to a full run, which repopulates every shard at once.
-	if s.cache.Dir() != "" {
-		n := d.ds.Graph.NumNodes()
-		st := core.FeatureStore(s.cache, d.digest, s.cfg.Options)
-		got := map[int]*features.Rows{}
-		ok := true
-		d.featMu.Lock()
-		for _, u := range nodes {
-			i := u / features.ShardRows
-			if _, have := got[i]; have {
-				continue
-			}
-			if r, have := d.shardMem[i]; have {
-				got[i] = r
-				continue
-			}
-			r, hit := st.LoadShard(i, n)
-			if !hit {
-				ok = false
-				break
-			}
-			if d.shardMem == nil {
-				d.shardMem = map[int]*features.Rows{}
-			}
-			d.shardMem[i] = r
-			got[i] = r
+// featureRows returns the rows covering nodes, as a lookup from node to
+// the rows that hold it.
+func (s *Server) featureRows(ctx context.Context, d *dataset, nodes []int) (func(u int) *features.Rows, error) {
+	// All or nothing per request: a single missing shard falls through to
+	// a run, which stores every shard at once. A stored shard is read one
+	// requested row at a time, so a miss costs those rows, not the shard.
+	n := d.ds.Graph.NumNodes()
+	st := core.FeatureStore(s.cache, d.digest, s.cfg.Options)
+	rows := make(map[int]*features.Rows, len(nodes))
+	for _, u := range nodes {
+		if _, have := rows[u]; have {
+			continue
 		}
-		d.featMu.Unlock()
-		if ok {
-			s.met.shardHits.Inc()
-			return &featureSource{shards: got}, nil
+		r, hit := st.LoadRow(u, n)
+		if !hit {
+			rows = nil
+			break
 		}
+		rows[u] = r
+	}
+	if rows != nil {
+		s.met.shardHits.Inc()
+		return func(u int) *features.Rows { return rows[u] }, nil
 	}
 
-	// Tier 3: run the features stage (coalesced; a concurrent identical
-	// request joins this run). The fn memoizes the matrix on the dataset
-	// before returning, so joiners — and this caller — read it back from
-	// the memo afterwards.
 	run := core.NewBody(d.identity, []string{core.StageFeatures}, "features-run")
-	_, err := s.coalesce(ctx, run, func(ctx context.Context, prog *progress) (runOutcome, error) {
-		rep, rerr := s.runBattery(ctx, d, run.Stages, prog)
-		if rerr != nil {
+	out, err := s.coalesce(ctx, run, func(ctx context.Context, prog *progress) (runOutcome, error) {
+		rep, err := s.runBattery(ctx, d, run.Stages, prog)
+		if err != nil {
 			// No degraded tier here: a feature response is the matrix, so a
 			// failed features stage has nothing partial to serve.
-			return runOutcome{}, rerr
+			return runOutcome{}, err
 		}
-		d.setFeatures(rep.Features)
-		return runOutcome{}, nil
+		return runOutcome{features: rep.Features}, nil
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	m := d.getFeatures()
-	if m == nil {
+	if out.features == nil {
 		return nil, fmt.Errorf("serve: features stage produced no matrix")
 	}
-	return &featureSource{mat: m}, nil
+	return func(int) *features.Rows { return &out.features.Rows }, nil
+}
+
+// featuresView builds a users:batch view of the given ranks, node ids
+// alongside, from the rows featureRows resolves.
+func (s *Server) featuresView(ctx context.Context, d *dataset, ranks []int) (core.UsersBatchView, error) {
+	byRank := d.ranking()
+	nodes := make([]int, len(ranks))
+	for i, rank := range ranks {
+		nodes[i] = int(byRank[rank-1])
+	}
+	rows, err := s.featureRows(ctx, d, nodes)
+	if err != nil {
+		return core.UsersBatchView{}, err
+	}
+	view := core.UsersBatchView{Users: make([]core.UserFeaturesView, len(nodes))}
+	for i, u := range nodes {
+		r := rows(u)
+		view.Users[i] = core.NewUserFeaturesView(ranks[i], u, r.Row(u), r.ProbsRow(u), r.ClassOf(u))
+	}
+	return view, nil
 }
 
 func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
@@ -146,24 +102,14 @@ func (s *Server) handleUserFeatures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", b.Rank, n)
 		return
 	}
-	if s.serveMemo(w, r, b) {
-		return
-	}
-	node := int(d.ranking()[b.Rank-1])
-	src, err := s.featureRows(r.Context(), d, []int{node})
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	row, probs, class := src.row(node)
-	body, merr := encodeBody(core.NewUserFeaturesView(b.Rank, node, row, probs, class))
-	if merr != nil {
-		writeError(w, http.StatusInternalServerError, "encoding failure")
-		return
-	}
-	s.memoize(b, body)
-	w.Header().Set("Content-Type", b.ContentType)
-	w.Write(body)
+	s.serveBody(w, r, b, func(ctx context.Context, _ *progress) (runOutcome, error) {
+		view, err := s.featuresView(ctx, d, []int{b.Rank})
+		if err != nil {
+			return runOutcome{}, err
+		}
+		body, err := encodeBody(view.Users[0])
+		return runOutcome{body: body}, err
+	})
 }
 
 func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
@@ -190,40 +136,12 @@ func (s *Server) handleUsersBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.serveMemo(w, r, b) {
-		return
-	}
-	byRank := d.ranking()
-	nodes := make([]int, len(ranks))
-	for i, rank := range ranks {
-		nodes[i] = int(byRank[rank-1])
-	}
-	src, err := s.featureRows(r.Context(), d, nodes)
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	view := core.UsersBatchView{Users: make([]core.UserFeaturesView, len(nodes))}
-	for i, node := range nodes {
-		row, probs, class := src.row(node)
-		view.Users[i] = core.NewUserFeaturesView(ranks[i], node, row, probs, class)
-	}
-	body, merr := encodeBody(view)
-	if merr != nil {
-		writeError(w, http.StatusInternalServerError, "encoding failure")
-		return
-	}
-	s.memoize(b, body)
-	w.Header().Set("Content-Type", b.ContentType)
-	w.Write(body)
-}
-
-// encodeBody renders a view exactly like writeJSON does, but returns the
-// bytes for memoization instead of writing them.
-func encodeBody(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	s.serveBody(w, r, b, func(ctx context.Context, _ *progress) (runOutcome, error) {
+		view, err := s.featuresView(ctx, d, ranks)
+		if err != nil {
+			return runOutcome{}, err
+		}
+		body, err := encodeBody(view)
+		return runOutcome{body: body}, err
+	})
 }

@@ -171,6 +171,66 @@ func TestUsersBatchValidationAndOrder(t *testing.T) {
 	}
 }
 
+// TestUserFeaturesAfterReportNoCacheDir: on a server with no cache dir, a
+// features-on report leaves the feature shards in the memory-only cache,
+// so a per-user request afterwards reads them: one run in all, and the
+// shard hit is counted.
+func TestUserFeaturesAfterReportNoCacheDir(t *testing.T) {
+	opts := fastServeOptions()
+	opts.Features = true
+	s := newTestServer(t, Config{Options: opts})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	if code, body := get(t, ts, "/v1/datasets/demo/report"); code != http.StatusOK {
+		t.Fatalf("report: %d %s", code, body)
+	}
+	if code, body := get(t, ts, "/v1/datasets/demo/users/2/features"); code != http.StatusOK {
+		t.Fatalf("user features: %d %s", code, body)
+	}
+	_, metrics := get(t, ts, "/metrics")
+	for _, want := range []string{"eliteserve_runs_total 1\n", "eliteserve_feature_shard_hits_total 1\n"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
+		}
+	}
+}
+
+// TestUserFeaturesCacheMemBelowShard: on a server with no cache dir whose
+// -cache-mem cap holds no feature shard, rows cannot stay between
+// requests, so each per-user body miss costs one features-only run. The
+// bytes still match a server with the default cap, where one run serves
+// every rank.
+func TestUserFeaturesCacheMemBelowShard(t *testing.T) {
+	tiny := fastServeOptions()
+	tiny.CacheMemBytes = 1 << 10
+	small := httptest.NewServer(newTestServer(t, Config{Options: tiny}))
+	defer small.Close()
+	ref := httptest.NewServer(newTestServer(t, Config{Options: fastServeOptions()}))
+	defer ref.Close()
+
+	ranks := []string{"1", "2", "3"}
+	for _, rank := range ranks {
+		path := "/v1/datasets/demo/users/" + rank + "/features"
+		code, got := get(t, small, path)
+		_, want := get(t, ref, path)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d, bytes differ from the default-cap server:\n%s\nwant\n%s", path, code, got, want)
+		}
+	}
+	for _, c := range []struct {
+		ts   *httptest.Server
+		want string
+	}{
+		{small, "eliteserve_runs_total 3\n"},
+		{ref, "eliteserve_runs_total 1\n"},
+	} {
+		if _, metrics := get(t, c.ts, "/metrics"); !strings.Contains(string(metrics), c.want) {
+			t.Fatalf("/metrics lacks %q:\n%s", c.want, metrics)
+		}
+	}
+}
+
 // TestUserFeaturesNaNRendersNull: a profileless graph with a zero-degree
 // node produces 0/0 and x/0 ratios; both must render as JSON null, not
 // break encoding.

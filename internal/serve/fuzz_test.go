@@ -45,8 +45,8 @@ func FuzzParseStages(f *testing.F) {
 // is one the constructor names, its response is the entry stored under
 // that name and lists exactly the named users in request order, and a
 // rejected body is one the constructor rejects or one naming a rank
-// outside the dataset. The features matrix is computed once before
-// fuzzing, so an accepted body costs a lookup, not a pipeline run. Seeds
+// outside the dataset. The warm-up request stores the feature shards, so
+// an accepted body costs a shard decode, not a pipeline run. Seeds
 // live in testdata/fuzz/FuzzUsersBatch.
 func FuzzUsersBatch(f *testing.F) {
 	s := newTestServer(f, Config{Options: fastServeOptions()})

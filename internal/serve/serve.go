@@ -26,13 +26,13 @@
 // or by any other sharing the cache directory — is served again with one
 // checksum-verified read: no pipeline run, no stage decode, no encoding.
 // A server with no cache directory keeps its bodies in a memory-only
-// cache.
+// cache, capped like the memory tier of a directory cache.
 //
-// Per-user feature traffic (features.go) adds one more tier: feature rows
-// are stored as fixed-width shards in the result cache, so a warm
-// /users/{rank}/features or users:batch request decodes one shard instead
-// of running the pipeline — even in a fresh server process sharing the
-// cache directory.
+// Per-user feature rows (features.go) live in the same cache as
+// fixed-width shards, so a /users/{rank}/features or users:batch request
+// whose body is not stored reads its rows from the shards instead of running
+// the pipeline — even in a fresh server process sharing the cache
+// directory. The server keeps no decoded rows of its own.
 //
 // Every /v1/datasets/{id}/… response carries that identity in the
 // X-Elites-Identity header ("<dataset digest>-<result digest>", 16 hex
@@ -123,18 +123,7 @@ type dataset struct {
 	byRank   []int32 // node ids, rank 1 first (out-degree desc, node asc)
 	inOnce   sync.Once
 	inDeg    []int // read only by /users/{rank}, so built on its first call
-
-	// featMu guards the per-dataset feature memos: the full matrix (set
-	// after a pipeline run computed it) and individually decoded shards
-	// (hydrated from the result cache without a run). See features.go.
-	featMu   sync.Mutex
-	feat     *features.Matrix
-	shardMem map[int]*features.Rows
 }
-
-// memoryBodyBytes caps the memory-only body cache of a server with no
-// cache directory.
-const memoryBodyBytes = 64 << 20
 
 // Server is the HTTP serving layer. Construct with New, register datasets,
 // then mount it anywhere an http.Handler goes.
@@ -147,10 +136,11 @@ type Server struct {
 	met        *metrics
 	optsDigest uint64 // core.ResultDigest(cfg.Options)
 
-	// cache holds every clean encoded body (see core.Body) and, with a cache
-	// dir, the stage entries and feature shards the pipeline writes: the
-	// result cache over Options.CacheDir, shared with every process over
-	// that directory, or a memory-only cache when there is none.
+	// cache holds every clean encoded body (see core.Body) and the feature
+	// shards, plus, with a cache dir, the stage entries the pipeline
+	// writes: the result cache over Options.CacheDir, shared with every
+	// process over that directory, or a memory-only cache when there is
+	// none.
 	cache *cache.Cache
 	// noMemo turns body memoization off, so that every request runs the
 	// pipeline (the chaos tests, whose fault schedules count stage reads).
@@ -201,12 +191,17 @@ func New(cfg Config) *Server {
 		}
 	}
 	if s.cache == nil {
-		s.cache = cache.NewMemory(memoryBodyBytes)
+		s.cache = cache.NewMemory(cfg.Options.CacheMemBytes)
 	}
-	s.route("GET /healthz", "healthz", s.handleHealthz)
-	s.route("GET /readyz", "readyz", s.handleReadyz)
+	// Probes, scrapes and trace reads are not traffic: mounted bare, they
+	// open no span, count no request and write no log record, so a
+	// router's health probes cannot crowd real requests out of the trace
+	// ring.
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.Handle("GET /metrics", s.met.reg)
+	s.mux.HandleFunc("GET /debug/traces", cfg.Tracer.ServeTraces)
 	s.route("POST /v1/admin/drain", "drain", s.handleDrain)
-	s.route("GET /metrics", "metrics", s.met.reg.ServeHTTP)
 	s.route("GET /v1/datasets", "datasets", s.handleDatasets)
 	s.route("GET /v1/datasets/{id}", "dataset", s.handleDataset)
 	s.route("GET /v1/datasets/{id}/report", "report", s.handleReport)
@@ -217,7 +212,6 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/datasets/{id}/users:batch", "users_batch", s.handleUsersBatch)
 	s.route("GET /v1/jobs/{id}", "job", s.handleJob)
 	s.route("GET /v1/jobs/{id}/result", "job_result", s.handleJobResult)
-	s.route("GET /debug/traces", "debug_traces", cfg.Tracer.ServeTraces)
 	return s
 }
 
@@ -368,37 +362,43 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// encodeBody is the one JSON encoding of every response body: indented,
+// newline-terminated.
+func encodeBody(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := encodeBody(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// memoize stores a clean body as b's entry.
-func (s *Server) memoize(b core.Body, body []byte) {
-	if !s.noMemo {
-		s.cache.Put(b.Entry, body)
-	}
-}
-
 // coalesce runs fn through the coalescer under b's key and counts a
-// request that joined another's run. The run memoizes its body as b's
-// entry when the body is clean, once for all its waiters; a degraded body,
-// or a run that produces none (the tier-3 features run), memoizes nothing.
+// request that joined another's run. fn gets the run's detached context
+// with ctx's span re-attached, so the leader's trace holds the run's
+// spans. The run stores its body as b's entry when the body is clean,
+// once for all its waiters; a degraded body, or a run that produces none
+// (the features-only run), stores nothing.
 func (s *Server) coalesce(ctx context.Context, b core.Body, fn func(context.Context, *progress) (runOutcome, error), watch func(*progress)) (runOutcome, error) {
+	span := obs.SpanFromContext(ctx)
 	out, joined, err := s.flight.Do(ctx, b.Key, func(ctx context.Context, prog *progress) (runOutcome, error) {
-		out, err := fn(ctx, prog)
-		if err == nil && !out.degraded && out.body != nil {
-			s.memoize(b, out.body)
+		out, err := fn(obs.ContextWithSpan(ctx, span), prog)
+		if err == nil && !out.degraded && out.body != nil && !s.noMemo {
+			s.cache.Put(b.Entry, out.body)
 		}
 		return out, err
 	}, watch)
@@ -446,7 +446,10 @@ func (s *Server) WaitJobs(ctx context.Context) (abandoned int) {
 // failed stages of a degraded body and feeds the run metrics, while a
 // section's presence is its own (nil when its stage did not produce it).
 // On stage failure the partial report comes back alongside the error;
-// callers decide whether it is servable (degradable).
+// callers decide whether it is servable (degradable). On a server with no
+// cache dir the pipeline writes no feature shards, so a run that produced
+// the feature matrix stores them here: the next per-user request reads
+// them like a directory cache's.
 func (s *Server) runBattery(ctx context.Context, d *dataset, stages []string, prog *progress) (*core.Report, error) {
 	if s.draining.Load() {
 		s.met.drainRejected.Inc()
@@ -473,6 +476,9 @@ func (s *Server) runBattery(ctx context.Context, d *dataset, stages []string, pr
 	var cr *core.CacheReport
 	if rep != nil {
 		cr = rep.Cache
+		if rep.Features != nil && s.cache.Dir() == "" {
+			core.FeatureStore(s.cache, d.digest, s.cfg.Options).Put(rep.Features)
+		}
 	}
 	s.met.runFinished(cr, err != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)))
@@ -536,11 +542,8 @@ func (s *Server) buildReport(ctx context.Context, d *dataset, stages []string, f
 		rep.Render(&buf)
 		return runOutcome{body: buf.Bytes(), degraded: degraded}, nil
 	}
-	b, merr := json.MarshalIndent(core.NewReportView(rep), "", "  ")
-	if merr != nil {
-		return runOutcome{}, merr
-	}
-	return runOutcome{body: append(b, '\n'), degraded: degraded}, nil
+	body, err := encodeBody(core.NewReportView(rep))
+	return runOutcome{body: body, degraded: degraded}, err
 }
 
 // writeOutcome writes a run's body, marking degraded responses with a
@@ -679,6 +682,23 @@ func (s *Server) serveMemo(w http.ResponseWriter, r *http.Request, b core.Body) 
 	return true
 }
 
+// serveBody answers a stored-body request (report, stage, user features,
+// users batch): b's stored body when the cache holds one, else build's
+// outcome, coalesced under b's key so identical concurrent requests share
+// one build (which stores the body when clean), with a run error mapped
+// onto HTTP.
+func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, b core.Body, build func(context.Context, *progress) (runOutcome, error)) {
+	if s.serveMemo(w, r, b) {
+		return
+	}
+	out, err := s.coalesce(r.Context(), b, build, nil)
+	if err != nil {
+		s.writeRunError(w, r, err)
+		return
+	}
+	s.writeOutcome(w, b.ContentType, out)
+}
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.lookup(w, r)
 	if !ok {
@@ -689,31 +709,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.serveMemo(w, r, b) {
-		return
+	build := func(ctx context.Context, prog *progress) (runOutcome, error) {
+		return s.buildReport(ctx, d, b.Stages, b.Format, prog)
 	}
-	reqSpan := obs.SpanFromContext(r.Context())
-	run := func(ctx context.Context, prog *progress) (runOutcome, error) {
-		// The coalescer hands fn a detached context; re-attach the leader
-		// request's span so the pipeline spans land in its trace.
-		return s.buildReport(obs.ContextWithSpan(ctx, reqSpan), d, b.Stages, b.Format, prog)
-	}
-
 	if s.cfg.AsyncAfter > 0 && r.Method == http.MethodPost {
-		s.handleReportAsync(w, r, d, b, run)
+		if !s.serveMemo(w, r, b) {
+			s.handleReportAsync(w, r, d, b, build)
+		}
 		return
 	}
-	out, err := s.coalesce(r.Context(), b, run, nil)
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	s.writeOutcome(w, b.ContentType, out)
+	s.serveBody(w, r, b, build)
 }
 
 // handleReportAsync implements the 202 job model: wait up to the latency
-// budget, then detach. The job is its own (never-cancelling) waiter, so
-// the run continues after the client disconnects.
+// budget, then detach. The job is its own waiter, on the request's
+// context without its cancellation (the span stays), so the run continues
+// after the client disconnects.
 func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *dataset, b core.Body, run func(context.Context, *progress) (runOutcome, error)) {
 	j, created, err := s.jobs.getOrCreate(b.Key, d.ID, b.ContentType, time.Now())
 	if err != nil {
@@ -725,7 +736,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 	}
 	if created {
 		go func() {
-			j.finish(s.coalesce(context.Background(), b, run, j.prog.Store))
+			j.finish(s.coalesce(context.WithoutCancel(r.Context()), b, run, j.prog.Store))
 		}()
 	}
 	budget := time.NewTimer(s.cfg.AsyncAfter)
@@ -762,12 +773,8 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.serveMemo(w, r, b) {
-		return
-	}
-	reqSpan := obs.SpanFromContext(r.Context())
-	out, err := s.coalesce(r.Context(), b, func(ctx context.Context, prog *progress) (runOutcome, error) {
-		rep, rerr := s.runBattery(obs.ContextWithSpan(ctx, reqSpan), d, b.Stages, prog)
+	s.serveBody(w, r, b, func(ctx context.Context, prog *progress) (runOutcome, error) {
+		rep, rerr := s.runBattery(ctx, d, b.Stages, prog)
 		if rerr != nil && !degradable(ctx, rep, rerr) {
 			return runOutcome{}, rerr
 		}
@@ -781,17 +788,9 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		if rerr != nil {
 			payload["degraded"] = true
 		}
-		b, merr := json.MarshalIndent(payload, "", "  ")
-		if merr != nil {
-			return runOutcome{}, merr
-		}
-		return runOutcome{body: append(b, '\n'), degraded: rerr != nil}, nil
-	}, nil)
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	s.writeOutcome(w, b.ContentType, out)
+		body, err := encodeBody(payload)
+		return runOutcome{body: body, degraded: rerr != nil}, err
+	})
 }
 
 // userView is the per-user payload: degree ranking plus the §IV

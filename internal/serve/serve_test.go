@@ -387,6 +387,20 @@ func TestStageBodyNamesRequestedDataset(t *testing.T) {
 	}
 }
 
+// TestMemoryCacheHonoursCacheMemBytes: without a cache dir the
+// memory-only cache takes its cap from Options.CacheMemBytes, as a
+// directory cache's memory tier does.
+func TestMemoryCacheHonoursCacheMemBytes(t *testing.T) {
+	opts := fastServeOptions()
+	opts.CacheMemBytes = 1 << 20
+	if got := New(Config{Options: opts}).cache.Stats().MaxBytes; got != 1<<20 {
+		t.Fatalf("memory-only cache cap = %d, want %d", got, 1<<20)
+	}
+	if got := New(Config{Options: fastServeOptions()}).cache.Stats().MaxBytes; got != cache.DefaultMemBytes {
+		t.Fatalf("default memory-only cache cap = %d, want %d", got, cache.DefaultMemBytes)
+	}
+}
+
 // TestRestartOverPrimedDir: a fresh server over a cache dir another server
 // filled answers every request that server answered with the same bytes
 // from stored bodies alone: no pipeline run, no stage read. A corrupt body

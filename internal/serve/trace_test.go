@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -311,6 +313,97 @@ func TestMetricsExpositionValid(t *testing.T) {
 	}
 	if !strings.Contains(string(om), "trace_id") || !strings.Contains(string(om), "# EOF") {
 		t.Fatalf("OpenMetrics /metrics missing exemplars or EOF:\n%s", om)
+	}
+}
+
+// TestUserFeaturesRunTraced: a cold per-user request that starts the
+// features-only run carries that run's pipeline and stage.features spans
+// under its own serve.user_features span.
+func TestUserFeaturesRunTraced(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerConfig{Name: "worker", Seed: 3})
+	s := newTraceServer(t, tr)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	remote := obs.NewTracer(obs.TracerConfig{Name: "router", Seed: 4})
+	root := remote.Root("router.request")
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/datasets/demo/users/1/features", nil)
+	obs.InjectHeader(req.Header, root)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("user features: %d", resp.StatusCode)
+	}
+	root.End()
+
+	spans := tr.TraceSpans(root.TraceID().String())
+	byID := map[string]obs.SpanRecord{}
+	var handler obs.SpanRecord
+	for _, rec := range spans {
+		byID[rec.Span] = rec
+		if rec.Name == "serve.user_features" {
+			handler = rec
+		}
+	}
+	if handler.Span == "" {
+		t.Fatalf("no serve.user_features span; have %v", spanNames(spans))
+	}
+	// under reports whether rec descends from the handler span.
+	under := func(rec obs.SpanRecord) bool {
+		for p := rec.Parent; p != ""; p = byID[p].Parent {
+			if p == handler.Span {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range []string{"pipeline", "stage.features"} {
+		found := false
+		for _, rec := range spans {
+			if rec.Name == name && under(rec) {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("no %s span under serve.user_features; have %v", name, spanNames(spans))
+		}
+	}
+}
+
+// TestProbesUninstrumented: health probes, readiness probes, metric
+// scrapes and trace reads open no span, count no request and write no log
+// record, however many of them arrive.
+func TestProbesUninstrumented(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerConfig{Name: "worker", Seed: 3})
+	var logs bytes.Buffer
+	s := newTestServer(t, Config{
+		Options: fastServeOptions(),
+		Tracer:  tr,
+		Logger:  slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for i := 0; i < 25; i++ {
+		for _, path := range []string{"/healthz", "/readyz", "/metrics", "/debug/traces"} {
+			if code, body := get(t, ts, path); code != http.StatusOK {
+				t.Fatalf("%s: %d %s", path, code, body)
+			}
+		}
+	}
+	if spans := tr.Spans(); len(spans) != 0 {
+		t.Fatalf("probes left %d spans: %v", len(spans), spanNames(spans))
+	}
+	if logs.Len() != 0 {
+		t.Fatalf("probes wrote log records:\n%s", logs.String())
+	}
+	_, metrics := get(t, ts, "/metrics")
+	if strings.Contains(string(metrics), "eliteserve_requests_total{") {
+		t.Fatalf("probes were counted as requests:\n%s", metrics)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"elites/internal/linalg"
+	"elites/internal/mathx"
 )
 
 // ErrBadSpline flags input the smoother cannot fit.
@@ -132,7 +133,7 @@ func FitSpline(x, y []float64) (*Spline, error) {
 
 // Eval returns the fitted mean at x0 (clamped into the fit range).
 func (s *Spline) Eval(x0 float64) float64 {
-	row := bsplineBasis([]float64{clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, splineDegree)
+	row := bsplineBasis([]float64{mathx.Clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, splineDegree)
 	v := 0.0
 	for j := 0; j < row.Cols; j++ {
 		v += row.At(0, j) * s.coef[j]
@@ -142,7 +143,7 @@ func (s *Spline) Eval(x0 float64) float64 {
 
 // SE returns the pointwise standard error of the fitted mean at x0.
 func (s *Spline) SE(x0 float64) float64 {
-	row := bsplineBasis([]float64{clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, splineDegree)
+	row := bsplineBasis([]float64{mathx.Clamp(x0, s.lo, s.hi)}, s.lo, s.hi, s.segments, splineDegree)
 	b := make([]float64, row.Cols)
 	for j := range b {
 		b[j] = row.At(0, j)
@@ -170,17 +171,6 @@ func (s *Spline) Curve(k int) []CurvePoint {
 		out[i] = CurvePoint{X: x, Y: y, Lo: y - 1.96*se, Hi: y + 1.96*se}
 	}
 	return out
-}
-
-// clamp restricts v to [lo, hi].
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // bsplineBasis evaluates the B-spline basis matrix (Cox–de Boor recursion)
